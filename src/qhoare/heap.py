@@ -12,10 +12,13 @@ pure-state descriptions.  Cell states come in four flavours:
 
 Transformers are pure functions from heaps to heaps plus a
 :class:`HeapDelta` describing the consumed and produced fragments; cells
-outside a transformer's footprint are returned bit-identical.  The dense
-matrix route used here for unitary application is deliberately independent
-from the sparse amplitude-map route in :mod:`qhoare.sim`, so the two can
-check each other.
+outside a transformer's footprint are returned bit-identical.  Unitaries
+are applied to the merged cell's amplitudes held as a ``(2,)*n`` tensor, one
+axis per qubit: a rotation contracts one axis with its 2x2 matrix and a
+quantum conditional recurses into the two slices along the control's axis,
+so no 2^n x 2^n matrix is built.  This tensor route is deliberately
+independent from the sparse amplitude-map route in :mod:`qhoare.sim`, so
+the two can check each other.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def concrete(amps, exact: bool = True) -> SymState:
         raise HeapError(f"state vector norm {n} is not 1")
     if abs(n - 1.0) > 1e-15:  # scrub accumulated float drift
         v = v / n
-    return SymState("concrete", tuple(complex(z) for z in v), exact=exact)
+    return SymState("concrete", tuple(v.tolist()), exact=exact)
 
 
 def basis_claim(value: bool) -> SymState:
@@ -144,47 +147,34 @@ def sp_init(h: SymbolicHeap, init: bool, fresh: str):
     return SymbolicHeap(h.cells + (cell,), h.frame_var), delta
 
 
-def unitary_matrix(u: UnitaryExpr, order: tuple) -> np.ndarray:
-    """Dense matrix of ``u`` over qubit ordering ``order`` (first qubit is
-    the most significant basis bit)."""
-    n = len(order)
-    dim = 2 ** n
+def _apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
+    """Apply ``u`` to ``t``, whose leading axes are the qubits of ``order``
+    (length 2 each) and whose trailing axes, if any, form a batch."""
     match u:
         case MEmpty():
-            return np.eye(dim, dtype=complex)
+            return t
         case MAppend(a, b):
-            return unitary_matrix(b, order) @ unitary_matrix(a, order)
+            return _apply_to_tensor(b, _apply_to_tensor(a, t, order), order)
         case Rot(q, m):
             i = order.index(q)
-            out = np.array(m, dtype=complex)
-            left = np.eye(2 ** i, dtype=complex)
-            right = np.eye(2 ** (n - 1 - i), dtype=complex)
-            return np.kron(left, np.kron(out, right))
+            m = np.asarray(m, dtype=complex)
+            return (m @ t.reshape(2 ** i, 2, -1)).reshape(t.shape)
         case Cond(q, fb, tb):
             i = order.index(q)
             rest = order[:i] + order[i + 1:]
-            sub = {False: unitary_matrix(fb, rest),
-                   True: unitary_matrix(tb, rest)}
-            out = np.zeros((dim, dim), dtype=complex)
-            for col in range(dim):
-                bits = [(col >> (n - 1 - k)) & 1 for k in range(n)]
-                v = bool(bits[i])
-                rbits = bits[:i] + bits[i + 1:]
-                ridx = 0
-                for bbit in rbits:
-                    ridx = (ridx << 1) | bbit
-                colvec = sub[v][:, ridx]
-                for rrow in range(2 ** (n - 1)):
-                    if colvec[rrow] == 0:
-                        continue
-                    rowbits = [(rrow >> (n - 2 - k)) & 1 for k in range(n - 1)]
-                    full = rowbits[:i] + [int(v)] + rowbits[i:]
-                    row = 0
-                    for bbit in full:
-                        row = (row << 1) | bbit
-                    out[row, col] += colvec[rrow]
-            return out
+            return np.stack(
+                [_apply_to_tensor(fb, np.take(t, 0, axis=i), rest),
+                 _apply_to_tensor(tb, np.take(t, 1, axis=i), rest)],
+                axis=i)
     raise HeapError(f"bad unitary expression {u!r}")
+
+
+def unitary_matrix(u: UnitaryExpr, order: tuple) -> np.ndarray:
+    """Dense matrix of ``u`` over qubit ordering ``order`` (first qubit is
+    the most significant basis bit): ``u`` applied to every basis column."""
+    dim = 2 ** len(order)
+    columns = np.eye(dim, dtype=complex).reshape((2,) * len(order) + (dim,))
+    return _apply_to_tensor(u, columns, order).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -220,8 +210,9 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
         joint = np.array([1.0 + 0j])
         for c in touched:
             joint = np.kron(joint, c.state.vector())
-        mat = unitary_matrix(u, merged_qubits)
-        new_state = concrete(mat @ joint)
+        t = joint.reshape((2,) * len(merged_qubits))
+        new_state = concrete(
+            _apply_to_tensor(u, t, merged_qubits).reshape(-1))
         residual = False
     else:
         new_state = UNKNOWN_STATE
@@ -285,7 +276,7 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
                 continue
             if rest_qubits:
                 rest = SymState("concrete",
-                                tuple(complex(z) for z in sub / weight),
+                                tuple((sub / weight).tolist()),
                                 exact=cell.state.exact)
             else:
                 rest = None
@@ -305,11 +296,11 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
     sub1, w1 = _project(vec, idx, n, True)
     if w0 <= PRUNE_TOL or w1 <= PRUNE_TOL:
         sub, w = (sub1, w1) if w0 <= PRUNE_TOL else (sub0, w0)
-        rest = SymState("concrete", tuple(complex(z) for z in sub / w))
+        rest = SymState("concrete", tuple((sub / w).tolist()))
         return [MeasBranch(None, heap_with(rest), delta)]
     r0, r1 = sub0 / w0, sub1 / w1
     if abs(abs(np.vdot(r0, r1)) - 1.0) < NORM_TOL:
-        rest = SymState("concrete", tuple(complex(z) for z in r0))
+        rest = SymState("concrete", tuple(r0.tolist()))
         return [MeasBranch(None, heap_with(rest), delta)]
     return [MeasBranch(None, heap_with(UNKNOWN_STATE), delta)]
 
@@ -337,16 +328,16 @@ def state_expr(state: SymState):
         ref = np.asarray(amps)
         if len(ref) == len(vec) and np.allclose(vec, ref, atol=1e-9):
             return Ket(kind)
-    return KetVec(tuple(complex(round(z.real, 12) + 1j * round(z.imag, 12))
-                        for z in vec))
+    # round() on a numpy scalar runs np.round, so rounding the whole vector
+    # gives the same bits as rounding amplitude by amplitude
+    rounded = np.round(vec.real, 12) + 1j * np.round(vec.imag, 12)
+    return KetVec(tuple(rounded.tolist()))
 
 
 def loc_term(qubits: tuple):
     term = Emb(Var(qubits[0]))
     for q in qubits[1:]:
         term = Pair(term, Emb(Var(q)))
-    if len(qubits) == 2:
-        return Pair(Emb(Var(qubits[0])), Emb(Var(qubits[1])))
     return term
 
 

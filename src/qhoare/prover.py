@@ -199,12 +199,9 @@ def basis_views(heap: SymbolicHeap) -> list:
             vec = cell.state.vector()
             n = len(cell.qubits)
             exact = cell.state.exact
-            assignments = []
-            for idx, amp in enumerate(vec):
-                if abs(amp) <= PHASE_TOL:
-                    continue
-                bits = [bool((idx >> (n - 1 - k)) & 1) for k in range(n)]
-                assignments.append(bits)
+            assignments = [
+                [bool((idx >> (n - 1 - k)) & 1) for k in range(n)]
+                for idx in np.flatnonzero(np.abs(vec) > PHASE_TOL).tolist()]
             new_views = []
             for v in views:
                 for bits in assignments:

@@ -7,14 +7,19 @@ basis support, unknown states vacuously.  Qubit names align with simulator
 indices in allocation order, which for this corpus is also name order.
 """
 
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 
+from qhoare.heap import Cell, SymbolicHeap, concrete, sp_apply_unitary
 from qhoare.parser import parse_program
 from qhoare.prover import POSTCONDITION
 from qhoare.sim import (
-    GATES, Interpreter, QuantumState, Rot, alloc, apply_unitary,
-    dense_vector, shot_rng, states_equal_up_to_phase,
+    GATES, Cond, Interpreter, MAppend, MEmpty, QuantumState, Rot, alloc,
+    apply_unitary, dense_vector, shot_rng, states_equal_up_to_phase,
 )
 from qhoare.typecheck import check_program
 from conftest import CORPUS_DIR
@@ -138,7 +143,7 @@ def test_simulator_within_symbolic_branches(fname, decl):
 def test_intermediate_states_agree_on_bell_preparation():
     """Drive the symbolic and concrete pipelines command by command and
     compare states after every prefix of the Bell preparation."""
-    from qhoare.heap import SymbolicHeap, sp_apply_unitary, sp_init
+    from qhoare.heap import sp_init
     from qhoare.sim import if_q
 
     sym = SymbolicHeap()
@@ -182,3 +187,76 @@ def test_share_with_plus_input_within_branches():
         if states_equal_up_to_phase(dense_vector(state), phip):
             matched_exact += 1
     assert matched_exact == 100
+
+
+# --- tensor route (heap) against the sparse route (sim) ----------------------
+
+def random_rotation(rng):
+    if rng.random() < 0.3:
+        return GATES[rng.choice(sorted(GATES))]
+    alpha, beta, gamma = (rng.uniform(0, 2 * math.pi) for _ in range(3))
+    theta = rng.uniform(0, math.pi)
+    c, s = math.cos(theta), math.sin(theta)
+    g = cmath.exp(1j * alpha)
+    return ((g * cmath.exp(1j * beta) * c, g * cmath.exp(1j * gamma) * s),
+            (-g * cmath.exp(-1j * gamma) * s, g * cmath.exp(-1j * beta) * c))
+
+
+def random_unitary_expr(rng, qubits, conds_left=2):
+    """MAppend chain of up to four rotations and quantum conditionals;
+    conditionals nest ``conds_left`` deep and control any qubit."""
+    u = MEmpty()
+    for _ in range(rng.randrange(5)):
+        if conds_left and len(qubits) > 1 and rng.random() < 0.5:
+            q = rng.choice(qubits)
+            rest = [p for p in qubits if p != q]
+            piece = Cond(q, random_unitary_expr(rng, rest, conds_left - 1),
+                         random_unitary_expr(rng, rest, conds_left - 1))
+        else:
+            piece = Rot(rng.choice(qubits), random_rotation(rng))
+        u = MAppend(u, piece) if rng.random() < 0.8 else MAppend(piece, u)
+    return u
+
+
+def random_cells(rng, n):
+    """Random normalized cells partitioning qubits 0..n-1, shuffled."""
+    qubits = list(range(n))
+    rng.shuffle(qubits)
+    cells = []
+    while qubits:
+        k = rng.randint(1, len(qubits))
+        group, qubits = tuple(qubits[:k]), qubits[k:]
+        amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                for _ in range(2 ** k)]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        cells.append(Cell(group, concrete([a / norm for a in amps])))
+    return cells
+
+
+def heap_dense(cells, n):
+    """Dense vector of a product of cells over qubits 0..n-1 in order."""
+    t, names = np.ones((), dtype=complex), []
+    for c in cells:
+        factor = c.state.vector().reshape((2,) * len(c.qubits))
+        t = np.multiply.outer(t, factor)
+        names += c.qubits
+    return np.transpose(t, [names.index(q) for q in range(n)]).reshape(-1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tensor_route_matches_sparse_route(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        n = rng.randint(1, 8)
+        cells = random_cells(rng, n)
+        u = random_unitary_expr(rng, list(range(n)))
+        before = heap_dense(cells, n)
+        amps = {tuple(map(bool, key)): amp for key, amp in
+                zip(np.ndindex(*([2] * n)), before.tolist())}
+        conc = apply_unitary(QuantumState(range(n), amps, n), u)
+        sym = sp_apply_unitary(SymbolicHeap(tuple(cells)), u)
+        assert not sym.residual
+        got, want = heap_dense(sym.heap.cells, n), dense_vector(conc)
+        overlap = np.vdot(got, want)
+        phase = overlap / abs(overlap)
+        assert np.max(np.abs(got * phase - want)) <= 1e-12, (seed, n, u)

@@ -9,7 +9,9 @@ import jsonschema
 import pytest
 
 from qhoare.cli import main
-from conftest import CORPUS_DIR, GOLDEN_DIR, NEGATIVE_DIR
+from conftest import (
+    CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
+)
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
               "schemas")
@@ -180,6 +182,18 @@ class TestJsonOutputs:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "path", CORPUS_FILES + NEGATIVE_FILES,
+        ids=[f"{p.parent.name}/{p.name}" for p in CORPUS_FILES +
+             NEGATIVE_FILES])
+    def test_check_json_matches_golden(self, path, capsys, monkeypatch):
+        # run from tests/ so the report's "file" is the relative path
+        monkeypatch.chdir(path.parent.parent)
+        rel = f"{path.parent.name}/{path.name}"
+        _, out, _ = run_cli(["check", rel, "--format", "json"], capsys)
+        golden = GOLDEN_DIR / f"check_{path.parent.name}_{path.stem}.json"
+        assert out == golden.read_text()
+
 
 class TestTrace:
     def test_testbell_golden(self, capsys):
@@ -248,3 +262,36 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "verified" in proc.stdout
+
+
+def ghz_source(n: int) -> str:
+    """GHZ-n: qubit k is entangled through a control at (k - 1) // 2, so
+    most controls sit in the middle of the merged cell."""
+    qs = [f"q{k}" for k in range(n)]
+    body = [f"{qs[0]} <= mkQbit false", f"applyU (H {qs[0]})"]
+    for k in range(1, n):
+        body += [f"{qs[k]} <= mkQbit false",
+                 f"applyU (ifQ {qs[(k - 1) // 2]} (X {qs[k]}))"]
+    body += [f"m{k} <= measQbit {q}" for k, q in enumerate(qs)]
+
+    def nest(items):
+        if len(items) == 1:
+            return items[0]
+        return f"({items[0]}, {nest(items[1:])})"
+
+    body.append(f"return (m0, {nest([f'm{k}' for k in range(1, n)])})")
+    head = (f"ghz : {{emp}} (a, r) : (Bool, {nest(['Bool'] * (n - 1))}) "
+            f"{{emp /\\ Id(r, {nest(['a'] * (n - 1))})}}\n")
+    return head + "    = do " + ";\n         ".join(body) + "\n"
+
+
+class TestWidth:
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_ghz_verifies(self, n, tmp_path, capsys):
+        path = tmp_path / f"ghz{n}.qh"
+        path.write_text(ghz_source(n))
+        code, out, _ = run_cli(["check", str(path), "--format", "json"],
+                               capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert [d["status"] for d in report["decls"]] == ["verified"]

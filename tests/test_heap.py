@@ -6,13 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from qhoare.core import Emp, pretty
+from qhoare.core import Emp, KetVec, pretty
 from qhoare.heap import (
     ApplyResult, Cell, EMPTY_DELTA, HeapDelta, HeapError, SymbolicHeap,
     SymState, UNKNOWN_STATE, basis_claim, cell_assertion, classical_to_state,
     concrete, delta_assertion, heap_from_assertion, heap_to_assertions,
     opaque, render_assertion, sp_apply_unitary, sp_init, sp_measure,
-    unitary_matrix,
+    state_expr, unitary_matrix, _phase_canonical,
 )
 from qhoare.sim import Cond, MEmpty, Rot, if_q, GATES
 
@@ -233,6 +233,23 @@ class TestRendering:
         res = sp_apply_unitary(heap, if_q("qa", Rot("qb", GATES["X"])))
         assert pretty(delta_assertion(res.delta)) == \
             "((qa |-> |+\\>, qb |-> |0\\>) -o (qa, qb) |-> |\\Phi+\\>)"
+
+    def test_amplitude_rounding_matches_round_per_amplitude(self):
+        # reference: round() on every part of every amplitude, kept to
+        # the bit (signed zeros included)
+        rng = random.Random(5)
+        parts = [0.0, -0.0, 1e-13, -4e-13, 5e-13, 1.5e-12, S, -S, 0.5]
+        for _ in range(200):
+            n = rng.choice([4, 8, 16])
+            amps = tuple(complex(rng.choice(parts + [rng.gauss(0, 1)]),
+                                 rng.choice(parts + [rng.gauss(0, 1)]))
+                         for _ in range(n))
+            state = SymState("concrete", amps)
+            want = tuple(complex(round(z.real, 12) + 1j * round(z.imag, 12))
+                         for z in _phase_canonical(state.vector()))
+            got = state_expr(state)
+            assert isinstance(got, KetVec)
+            assert repr(got.amps) == repr(want)
 
 
 class TestProperties:
