@@ -17,6 +17,15 @@ SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
               "schemas")
 
 
+# nullary corpus runs pinned byte for byte by tests/golden/run_*.json
+GOLDEN_RUNS = [
+    ("hqw.qh", "hqw"), ("rnd.qh", "rnd"), ("testbell.qh", "testBell"),
+    ("bellpair.qh", "testBell"), ("bellpair.qh", "bell"),
+    ("bellpair.qh", "qplus"), ("bellpair.qh", "qminus"),
+    ("teleport.qh", "bell"),
+]
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -192,6 +201,20 @@ class TestJsonOutputs:
         rel = f"{path.parent.name}/{path.name}"
         _, out, _ = run_cli(["check", rel, "--format", "json"], capsys)
         golden = GOLDEN_DIR / f"check_{path.parent.name}_{path.stem}.json"
+        assert out == golden.read_text()
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("fname,decl", GOLDEN_RUNS,
+                             ids=[f"{f}:{d}" for f, d in GOLDEN_RUNS])
+    def test_run_json_matches_golden(self, fname, decl, seed, capsys):
+        # the goldens were written by the per-shot interpreter loop, before
+        # shots were replayed along the outcome trie
+        code, out, _ = run_cli(
+            ["run", corpus(fname), decl, "--seed", str(seed),
+             "--shots", "1000", "--format", "json"], capsys)
+        assert code == 0
+        stem = fname.removesuffix(".qh")
+        golden = GOLDEN_DIR / f"run_{stem}_{decl}_seed{seed}.json"
         assert out == golden.read_text()
 
 
