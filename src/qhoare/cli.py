@@ -254,6 +254,10 @@ def render_trace(source: str, checked: CheckedProgram, name: str) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.shots < 0:
+        print(f"{args.file}: error: --shots must be at least 0, "
+              f"got {args.shots}", file=sys.stderr)
+        return EXIT_ERROR
     source = _read(args.file)
     report, checked = analyze(args.file, source, args.literal_measurement)
     if checked is None:

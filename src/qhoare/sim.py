@@ -10,6 +10,16 @@ never reused and further use is a dynamic error.
 One state is confined to one shot; shots draw from independent deterministic
 PRNG streams derived from (seed, shot index), so equal seeds give
 bit-identical reports within this implementation.
+
+A shot reads its stream only in :func:`measure`, one draw per measurement,
+so its result, final state and assertion verdicts are a function of its
+outcome path.  :func:`run_program` therefore keeps a trie of the paths
+seen so far (the probability of each measurement at the inner nodes, the
+rendered result and verdicts or a dynamic error at the leaves) and replays
+each shot down it, comparing each draw with the stored probability as
+:func:`measure` does.  Only a shot that leaves the trie is interpreted,
+and its path is added (up to ``TRIE_CAP`` nodes).  Reports are identical
+to interpreting every shot, for every seed and every cap.
 """
 
 from __future__ import annotations
@@ -314,11 +324,23 @@ def apply_unitary(s: QuantumState, u: UnitaryExpr) -> QuantumState:
     return QuantumState(s.live, amps, s.next_index, s.retired)
 
 
-def measure(s: QuantumState, q: int, rng):
-    """Projective measurement; retires ``q`` and renormalizes the posterior."""
+def draw(rng, p_true: float) -> bool:
+    """The one read of a shot's PRNG stream: one outcome of a measurement
+    whose probability of ``true`` is ``p_true``."""
+    return rng.random() < p_true
+
+
+def measure(s: QuantumState, q: int, rng, path: Optional[list] = None):
+    """Projective measurement; retires ``q`` and renormalizes the posterior.
+
+    When ``path`` is a list, ``(p_true, outcome)`` is appended to it before
+    the posterior is formed, so a zero-probability outcome is recorded too.
+    """
     i = s._pos(q)
     p_true = sum(abs(a) ** 2 for key, a in s.amps.items() if key[i])
-    outcome = rng.random() < p_true
+    outcome = draw(rng, p_true)
+    if path is not None:
+        path.append((p_true, outcome))
     p = p_true if outcome else (s.norm_sq() - p_true)
     if p <= 0:
         raise SimulationError("measurement of zero-probability outcome")
@@ -391,18 +413,17 @@ class DeclCall:
     args: tuple
 
 
-def _env_get(env: dict, name: str):
-    if name in env:
-        return env[name]
-    raise SimulationError(f"unbound name {name!r} at runtime")
-
-
 class Interpreter:
-    """Operational evaluator for program declarations."""
+    """Operational evaluator for program declarations.
+
+    ``rng`` is read only by :func:`measure`.  While ``path`` is a list, each
+    measurement appends its ``(p_true, outcome)`` to it.
+    """
 
     def __init__(self, program: Program):
         self.program = program
         self.decls = {d.name: d for d in program.decls}
+        self.path: Optional[list] = None
 
     # --- pure evaluation
 
@@ -487,7 +508,7 @@ class Interpreter:
                 q = self.eval_term(m, env)
                 if not isinstance(q, int):
                     raise SimulationError("measQbit expects a qubit")
-                return measure(state, q, rng)
+                return measure(state, q, rng, self.path)
             case ApplyU(m):
                 def resolve(name):
                     v = self.eval_term(Var(name), env)
@@ -683,10 +704,19 @@ _MIX1 = 0x9E3779B97F4A7C15
 _MIX2 = 0xBF58476D1CE4E5B9
 _MASK = (1 << 64) - 1
 
+# Most nodes (branches plus leaves) one run's outcome trie holds.  A shot
+# whose path could take the trie past it is interpreted and tallied as any
+# other miss but not inserted, so reports do not depend on this value.
+TRIE_CAP = 1 << 16
+
+
+def _shot_key(seed: int, shot: int) -> int:
+    return ((seed * _MIX1) ^ (shot * _MIX2)) & _MASK
+
 
 def shot_rng(seed: int, shot: int) -> random.Random:
     """Independent per-shot stream from a 64-bit mix of (seed, shot)."""
-    return random.Random(((seed * _MIX1) ^ (shot * _MIX2)) & _MASK)
+    return random.Random(_shot_key(seed, shot))
 
 
 @dataclass
@@ -696,7 +726,6 @@ class RunReport:
     shots: int
     outcomes: dict = field(default_factory=dict)  # rendered value -> count
     assertions: dict = field(default_factory=dict)  # text -> [pass, fail, unch]
-    per_shot: list = field(default_factory=list)
     errors: int = 0
 
     @property
@@ -738,56 +767,135 @@ def _post_conjuncts(a) -> list:
     return [a]
 
 
+class _Branch:
+    """Trie node at a measurement: its probability of ``true`` and one
+    child per outcome (indexed by the outcome), None until a shot takes it."""
+
+    __slots__ = ("p_true", "children")
+
+    def __init__(self, p_true: float):
+        self.p_true = p_true
+        self.children = [None, None]
+
+
+class _Leaf:
+    """End of an outcome path: the rendered result and, per postcondition
+    conjunct, the report slot of its verdict (0 pass, 1 fail, 2 uncheckable);
+    ``value`` is None when the path ends in a dynamic error."""
+
+    __slots__ = ("value", "slots", "hits")
+
+    def __init__(self, value: Optional[str], slots: tuple):
+        self.value = value
+        self.slots = slots
+        self.hits = 0
+
+
+def _insert(trie: list, path: list, leaf: _Leaf) -> int:
+    """Hang ``leaf`` below the root ``trie[0]`` at the end of ``path``, a
+    list of ``(p_true, outcome)``; returns the number of nodes added."""
+    holder, index, added = trie, 0, 1
+    for p_true, outcome in path:
+        node = holder[index]
+        if node is None:
+            node = holder[index] = _Branch(p_true)
+            added += 1
+        # execution is a function of the outcomes drawn so far
+        assert node.p_true == p_true, "shot replay diverged"
+        holder, index = node.children, outcome
+    holder[index] = leaf
+    return added
+
+
+def _tally(report: RunReport, texts: list, leaf: _Leaf, hits: int) -> None:
+    if leaf.value is None:
+        report.errors += hits
+        return
+    report.outcomes[leaf.value] = report.outcomes.get(leaf.value, 0) + hits
+    for text, slot in zip(texts, leaf.slots):
+        report.assertions.setdefault(text, [0, 0, 0])[slot] += hits
+
+
 def run_program(program: Program, entry: str, seed: int = 0,
                 shots: int = 1000, ghosts: Optional[dict] = None,
-                keep_per_shot: bool = False) -> RunReport:
-    """Execute a nullary Hoare-typed declaration for ``shots`` shots.
+                args: tuple = (), state: Optional[QuantumState] = None
+                ) -> RunReport:
+    """Execute a Hoare-typed declaration for ``shots`` shots.
 
-    Each shot starts from the empty state with a fresh PRNG stream; the
-    declared postcondition's checkable conjuncts are re-checked against the
-    actual outcome and final state.  Runtime assertion failures are counted
-    per shot and do not abort remaining shots.
+    ``args`` are runtime values for the declaration's leading Π binders and
+    ``state`` is the state every shot starts from (empty by default).  Each
+    shot draws from its own PRNG stream; the declared postcondition's
+    checkable conjuncts are re-checked against the actual outcome and final
+    state.  Runtime assertion failures are counted per shot and do not abort
+    remaining shots.
+
+    A shot is a function of its measurement outcomes, so shots are replayed
+    along a trie of outcome paths: each draw of the shot's stream is compared
+    with the stored probability of the next measurement, exactly as
+    :func:`measure` compares it.  Only a shot that leaves the trie runs
+    through the interpreter, which records its path for the next shots.
     """
-    decl = program.decl(entry)
-    sig = decl.signature
+    sig = program.decl(entry).signature
+    pi_env = {}
+    for a in args:
+        if not isinstance(sig, PiT):
+            raise SimulationError(f"too many arguments for {entry!r}")
+        pi_env[sig.binder] = a
+        sig = sig.codomain
     if not isinstance(sig, HoareT):
+        kind = f"{len(args)}-argument" if args else "nullary"
         raise SimulationError(
-            f"{entry!r} is not a nullary Hoare-typed declaration")
-    pre_check = check_assertion_runtime(sig.pre, {}, QuantumState(),
+            f"{entry!r} is not a {kind} Hoare-typed declaration")
+    start = QuantumState() if state is None else state
+    pre_check = check_assertion_runtime(sig.pre, dict(pi_env), start,
                                         ghosts=ghosts)
     if pre_check is False:
+        where = "empty" if state is None else "initial"
         raise SimulationError(
-            f"precondition of {entry!r} fails in the empty state")
+            f"precondition of {entry!r} fails in the {where} state")
     interp = Interpreter(program)
-    report = RunReport(decl=entry, seed=seed, shots=shots)
     conjuncts = _post_conjuncts(sig.post)
-    for shot in range(shots):
-        rng = shot_rng(seed, shot)
+    texts = [pretty(conj) for conj in conjuncts]
+
+    def interpret(shot: int):
+        """Run one shot; returns its measurement path and its leaf."""
+        path = interp.path = []
         try:
-            value, state = interp.call(entry, [], QuantumState(), rng)
+            value, final = interp.call(entry, list(args), start,
+                                       shot_rng(seed, shot))
         except SimulationError:
-            report.errors += 1
-            continue
-        report.outcomes[render_value(value)] = \
-            report.outcomes.get(render_value(value), 0) + 1
-        env = {}
+            return path, _Leaf(None, ())
+        finally:
+            interp.path = None
+        env = dict(pi_env)
         if len(sig.binder) == 1:
             env[sig.binder[0]] = value
         elif isinstance(value, tuple) and len(value) == len(sig.binder):
             for name, comp_value in zip(sig.binder, value):
                 env[name] = comp_value
-        shot_results = []
+        slots = []
         for conj in conjuncts:
-            text = pretty(conj)
-            result = check_assertion_runtime(conj, env, state, ghosts=ghosts)
-            counts = report.assertions.setdefault(text, [0, 0, 0])
-            if result is True:
-                counts[0] += 1
-            elif result is False:
-                counts[1] += 1
-            else:
-                counts[2] += 1
-            shot_results.append((text, result))
-        if keep_per_shot:
-            report.per_shot.append((render_value(value), shot_results))
+            result = check_assertion_runtime(conj, env, final, ghosts=ghosts)
+            slots.append(0 if result is True else 1 if result is False
+                         else 2)
+        return path, _Leaf(render_value(value), tuple(slots))
+
+    report = RunReport(decl=entry, seed=seed, shots=shots)
+    trie, size, leaves = [None], 0, []
+    rng = random.Random()
+    for shot in range(shots):
+        rng.seed(_shot_key(seed, shot))  # the stream of shot_rng(seed, shot)
+        node = trie[0]
+        while type(node) is _Branch:
+            node = node.children[draw(rng, node.p_true)]
+        if node is None:
+            path, node = interpret(shot)
+            if size + len(path) + 1 > TRIE_CAP:
+                _tally(report, texts, node, 1)
+                continue
+            size += _insert(trie, path, node)
+            leaves.append(node)
+        node.hits += 1
+    for leaf in leaves:
+        _tally(report, texts, leaf, leaf.hits)
     return report

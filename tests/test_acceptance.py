@@ -18,7 +18,7 @@ from qhoare.parser import parse_assertion, parse_program
 from qhoare.prover import discharge_all
 from qhoare.sim import (
     GATES, Interpreter, QuantumState, Rot, alloc, apply_unitary,
-    check_assertion_runtime, dense_vector, run_program, shot_rng,
+    dense_vector, run_program, shot_rng,
 )
 from qhoare.typecheck import check_program
 from conftest import CORPUS_DIR, GOLDEN_DIR, NEGATIVE_DIR, VERIFIED_DECLS
@@ -251,25 +251,11 @@ def test_criterion_6_property_suites():
 
 
 def _run_with_plus_argument(program, name, seed, shots):
-    """Drive a one-qubit-argument declaration with a fresh |+> input."""
-    decl = program.decl(name)
-    pi = decl.signature
-    hoare = pi.codomain
-    interp = Interpreter(program)
-    failures = 0
-    for shot in range(shots):
-        rng = shot_rng(seed, shot)
-        state = QuantumState()
-        state, q = alloc(state, False)
-        state = apply_unitary(state, Rot(q, GATES["H"]))
-        value, state = interp.call(name, [q], state, rng)
-        env = {pi.binder: q}
-        if len(hoare.binder) == 1:
-            env[hoare.binder[0]] = value
-        result = check_assertion_runtime(hoare.post, env, state)
-        if result is False:
-            failures += 1
-    return failures
+    """Run a one-qubit-argument declaration from a fresh |+> input."""
+    state, q = alloc(QuantumState(), False)
+    state = apply_unitary(state, Rot(q, GATES["H"]))
+    return run_program(program, name, seed=seed, shots=shots, args=(q,),
+                       state=state)
 
 
 def test_criterion_7_soundness_smoke():
@@ -282,13 +268,11 @@ def test_criterion_7_soundness_smoke():
             sig = program.decl(name).signature
             for seed in seeds:
                 if hasattr(sig, "codomain"):
-                    failures = _run_with_plus_argument(program, name, seed,
-                                                       shots)
-                    assert failures == 0, (fname, name, seed)
+                    rep = _run_with_plus_argument(program, name, seed, shots)
                 else:
                     rep = run_program(program, name, seed=seed, shots=shots)
-                    assert rep.failures == 0, (fname, name, seed)
-                    assert rep.errors == 0, (fname, name, seed)
+                assert rep.failures == 0, (fname, name, seed)
+                assert rep.errors == 0, (fname, name, seed)
                 total += shots
     passed(7, f"{total} shots across verified programs, zero assertion "
               f"failures")

@@ -207,8 +207,8 @@ class TestJsonOutputs:
     @pytest.mark.parametrize("fname,decl", GOLDEN_RUNS,
                              ids=[f"{f}:{d}" for f, d in GOLDEN_RUNS])
     def test_run_json_matches_golden(self, fname, decl, seed, capsys):
-        # the goldens were written by the per-shot interpreter loop, before
-        # shots were replayed along the outcome trie
+        # the goldens hold the output of a loop that interpreted every
+        # shot; replay along the outcome trie must reproduce it exactly
         code, out, _ = run_cli(
             ["run", corpus(fname), decl, "--seed", str(seed),
              "--shots", "1000", "--format", "json"], capsys)
@@ -266,6 +266,23 @@ class TestRun:
         assert code == 0
         payload = json.loads(out)
         assert all(a["fail"] == 0 for a in payload["assertions"])
+
+    def test_negative_shots_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["run", corpus("hqw.qh"), "hqw", "--shots", "-5",
+             "--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--shots" in err
+
+    def test_zero_shots_accepted(self, capsys):
+        code, out, _ = run_cli(
+            ["run", corpus("hqw.qh"), "hqw", "--shots", "0",
+             "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["shots"] == 0
+        assert payload["outcomes"] == [] and payload["errors"] == 0
 
     def test_modular_testbell_outcomes_agree(self, capsys):
         code, out, _ = run_cli(
