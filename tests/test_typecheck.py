@@ -1,5 +1,6 @@
 """Bidirectional checking, canonical forms, and computation judgments."""
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from qhoare.typecheck import (
     check_computation, check_program, normalize, synth, synth_computation,
     types_equal,
 )
+from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
 
 
 class TestSynth:
@@ -201,6 +203,22 @@ class TestComputations:
         assert all(not name.startswith("%") for name in free)
 
 
+def obligation_contexts() -> dict:
+    """File -> declaration -> one entry per obligation: its kind, the
+    length of its ``var_ctx`` and ``dict(var_ctx)`` as sorted
+    ``[name, pretty(type)]`` pairs."""
+    out = {}
+    for path in CORPUS_FILES + NEGATIVE_FILES:
+        program = parse_program(path.read_text(), str(path)).program
+        out[f"{path.parent.name}/{path.name}"] = {
+            dr.name: [{"kind": ob.kind, "len": len(ob.var_ctx),
+                       "var_ctx": [[x, pretty(t)] for x, t in
+                                   sorted(dict(ob.var_ctx).items())]}
+                      for ob in dr.obligations]
+            for dr in check_program(program).decls}
+    return out
+
+
 class TestCorpusVerification:
     def test_all_required_decls_verified(self, checked_corpus):
         from conftest import VERIFIED_DECLS
@@ -233,6 +251,13 @@ class TestCorpusVerification:
                     free = free_vars(ob.conclusion)
                     leaked = free - bound - allowed_global
                     assert leaked == set(), (dr.name, pretty(ob.conclusion))
+
+    def test_obligation_contexts_match_golden(self):
+        # tests/golden/var_ctx.json holds, for every obligation, the
+        # number of (name, type) pairs in its context and the context read
+        # as a dict, as produced when each obligation copied its context
+        assert obligation_contexts() == json.loads(
+            (GOLDEN_DIR / "var_ctx.json").read_text())
 
     def test_literal_measurement_mode(self, corpus):
         checked = check_program(corpus["testbell.qh"],
