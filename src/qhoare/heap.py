@@ -316,6 +316,26 @@ def _phase_canonical(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.allclose(a, b, atol=1e-9)`` over the last axis, for each row
+    of ``b``: ``|a - b| <= 1e-9 + 1e-5 * |b|`` everywhere.  The two agree
+    wherever ``b`` is finite, and it costs a few numpy operations rather
+    than ``np.allclose``'s checks and conversions."""
+    return (np.abs(a - b) <= 1e-9 + 1e-5 * np.abs(b)).all(axis=-1)
+
+
+def _kets_by_length() -> dict:
+    """Amplitude length -> (ket kinds in KET_AMPS order, stacked amps)."""
+    kinds = {}
+    for kind, amps in KET_AMPS.items():
+        kinds.setdefault(len(amps), []).append(kind)
+    return {n: (tuple(ks), np.array([KET_AMPS[k] for k in ks]))
+            for n, ks in kinds.items()}
+
+
+_KETS_BY_LENGTH = _kets_by_length()
+
+
 def state_expr(state: SymState):
     """Surface representation of a cell state: a named ket when one
     matches up to global phase, an amplitude vector otherwise."""
@@ -324,10 +344,11 @@ def state_expr(state: SymState):
     if state.kind in ("unknown", "wildcard"):
         return WildcardState()
     vec = _phase_canonical(state.vector())
-    for kind, amps in KET_AMPS.items():
-        ref = np.asarray(amps)
-        if len(ref) == len(vec) and np.allclose(vec, ref, atol=1e-9):
-            return Ket(kind)
+    if len(vec) in _KETS_BY_LENGTH:
+        kinds, amps = _KETS_BY_LENGTH[len(vec)]
+        hits = np.flatnonzero(_close(vec, amps))
+        if hits.size:
+            return Ket(kinds[hits[0]])
     # round() on a numpy scalar runs np.round, so rounding the whole vector
     # gives the same bits as rounding amplitude by amplitude
     rounded = np.round(vec.real, 12) + 1j * np.round(vec.imag, 12)
@@ -429,7 +450,7 @@ def _merge_states(a: SymState, b: SymState) -> Optional[SymState]:
         return a
     if a.kind == "concrete" and b.kind == "concrete":
         va, vb = _phase_canonical(a.vector()), _phase_canonical(b.vector())
-        if len(va) == len(vb) and np.allclose(va, vb, atol=1e-9):
+        if len(va) == len(vb) and _close(va, vb):
             return a if a.exact else b
         if a.exact and b.exact:
             return None

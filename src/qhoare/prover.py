@@ -22,6 +22,7 @@ ghosts; sequents outside the fragment come back Unknown.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,10 +59,18 @@ class Model:
 
 @dataclass
 class Obligation:
+    """A verification condition.
+
+    ``var_ctx`` is any re-iterable sequence of ``(name, type)`` pairs.  The
+    checker passes a :class:`qhoare.typecheck.VarCtx`, a read-only view
+    over the context it shares between the obligations of one block; the
+    pairs are materialized each time the view is read.
+    """
+
     kind: str
     conclusion: Assn
     hypotheses: list = field(default_factory=list)
-    var_ctx: tuple = ()
+    var_ctx: Sequence = ()
     heap_ctx: tuple = ()
     span: Optional[Span] = None
     note: str = ""
@@ -638,16 +647,14 @@ def _unknown_residual(conclusion: Assn, models: list) -> Assn:
 
 
 def _entails_models(ob: Obligation) -> Verdict:
-    unknown = False
+    relevant = []  # models where the conclusion is undecided
     for model in ob.models:
         v = eval_in_model(ob.conclusion, model)
         if v is False:
             return Verdict("refuted", countermodel=_describe_model(model))
         if v is not True:
-            unknown = True
-    if unknown:
-        relevant = [m for m in ob.models
-                    if eval_in_model(ob.conclusion, m) is not True]
+            relevant.append(model)
+    if relevant:
         return Verdict("unknown",
                        residual=_unknown_residual(ob.conclusion, relevant))
     return Verdict("proved")

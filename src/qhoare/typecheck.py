@@ -19,7 +19,10 @@ checked concurrently once their dependencies are recorded.
 
 from __future__ import annotations
 
+from collections import ChainMap
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Optional
 
 from . import heap as heaplib
@@ -270,6 +273,89 @@ class _Branch:
         return _Branch(self.heap, dict(self.env), list(self.assumed))
 
 
+class _Scope(dict):
+    """Typing context of one ``do`` block.
+
+    A dict from name to type for lookups that also keeps, in program
+    order, the bindings the block adds to the context it was entered
+    with.  The list only grows, so :meth:`prefix` names the context as it
+    is now by a length, and obligations share it instead of copying it.
+    """
+
+    def __init__(self, entry: dict):
+        super().__init__(entry)
+        self._base = (entry.prefix() if isinstance(entry, _Scope)
+                      else tuple(entry.items()))
+        self._local = []
+
+    def bind(self, name: str, ty: Ty) -> None:
+        self[name] = ty
+        self._local.append((name, ty))
+
+    def prefix(self) -> "_Prefix":
+        return _Prefix(self._base, self._local, len(self._local))
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    base: object  # _Prefix of the enclosing block, or entry (name, ty) pairs
+    local: list
+    length: int
+
+    def bindings(self):
+        """Every binding in order; a dict of them is the context."""
+        base = (self.base.bindings() if isinstance(self.base, _Prefix)
+                else self.base)
+        return chain(base, islice(self.local, self.length))
+
+
+class VarCtx(Sequence):
+    """The ``(name, type)`` pairs of an obligation's context, as a
+    read-only view.
+
+    The pairs are the block's context in dict order (a rebound name keeps
+    its first position), then any extra names, then the first
+    ``n_binders`` existential binders of the declaration, then ``tail``.
+    The view holds a :class:`_Prefix` and a length into the binder list,
+    which only grows, so it costs the same at every depth; the pairs are
+    built again on each read.
+    """
+
+    __slots__ = ("_prefix", "_more", "_binders", "_n_binders", "_tail",
+                 "_len")
+
+    def __init__(self, scope: _Scope, more: tuple, binders: list,
+                 tail: tuple):
+        self._prefix = scope.prefix()
+        self._more = more
+        self._binders = binders
+        self._n_binders = len(binders)
+        self._tail = tail
+        self._len = (len(scope) + sum(1 for x, _ in more if x not in scope)
+                     + self._n_binders + len(tail))
+
+    def __iter__(self):
+        names = dict(self._prefix.bindings())
+        names.update(self._more)
+        yield from names.items()
+        yield from islice(self._binders, self._n_binders)
+        yield from self._tail
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"VarCtx({tuple(self)!r})"
+
+
 # ---------------------------------------------------------------------------
 # Checker
 
@@ -444,9 +530,9 @@ class Checker:
         return kind
 
     def check_do(self, ctx: dict, comp, hoare: HoareT):
-        ctx = dict(ctx)
+        ctx = _Scope(ctx)
         for x, t in hoare.var_ctx:
-            ctx[x] = t
+            ctx.bind(x, t)
         branches = self._initial_branches(ctx, hoare.pre)
         out, result_ty = self._steps(ctx, branches, comp, hoare.result,
                                      parent_span=None)
@@ -460,23 +546,22 @@ class Checker:
             self._bind_pattern(env, hoare.binder, b.result)
             models.append(Model(b.heap, env))
         self._sp = self._strongest_post(out, hoare.binder)
+        bound = {x for x, _ in self._binders}
+        unbound = tuple((x, hoare.result) for x in hoare.binder
+                        if x not in ctx and x not in bound)
         self._emit(
             POSTCONDITION, hoare.post, models,
-            var_ctx=self._obligation_ctx(ctx, hoare),
+            var_ctx=self._obligation_ctx(ctx, tail=unbound),
             heap_ctx=hoare.heap_ctx or ("%h0",),
             hyps=self._hypotheses(out),
             note="declared postcondition")
         return Do(comp)
 
-    def _obligation_ctx(self, ctx: dict, hoare: Optional[HoareT] = None):
-        items = list(ctx.items())
-        items += [(x, t) for x, t in self._binders]
-        if hoare is not None:
-            seen = {x for x, _ in items}
-            for x in hoare.binder:
-                if x not in seen:
-                    items.append((x, hoare.result))
-        return tuple(items)
+    def _obligation_ctx(self, ctx: _Scope, more: tuple = (),
+                        tail: tuple = ()) -> VarCtx:
+        """The context ``ctx`` updated with the pairs ``more``, then the
+        binders so far, then ``tail``; shares ``ctx`` and the binders."""
+        return VarCtx(ctx, more, self._binders, tail)
 
     def _initial_branches(self, ctx: dict, pre: Assn) -> list:
         kind = self._kind_of(ctx)
@@ -574,7 +659,7 @@ class Checker:
         ob = Obligation(
             kind=kind, conclusion=conclusion,
             hypotheses=hyps if hyps is not None else [],
-            var_ctx=tuple(var_ctx), heap_ctx=tuple(heap_ctx),
+            var_ctx=var_ctx, heap_ctx=tuple(heap_ctx),
             span=span or self._span, note=note, models=models,
             decl=self._decl)
         self._obs.append(ob)
@@ -644,15 +729,15 @@ class Checker:
             return binder
         return self.supply.fresh(binder.lstrip("%"))
 
-    def _cap_branches(self, branches: list, ctx: dict) -> list:
+    def _cap_branches(self, branches: list, ctx: _Scope) -> list:
         if len(branches) <= BRANCH_CAP:
             return branches
         g1, g2 = self.supply.fresh("b"), self.supply.fresh("b")
         self._emit(
             POSTCONDITION, IdAt(None, GhostRef(g1), GhostRef(g2)),
             [Model(SymbolicHeap(), {})],
-            var_ctx=self._obligation_ctx(ctx) + ((g1, PureT()),
-                                                 (g2, PureT())),
+            var_ctx=self._obligation_ctx(
+                ctx, tail=((g1, PureT()), (g2, PureT()))),
             note="symbolic branch bound exceeded; state collapsed to unknown")
         merged = branches[0].copy()
         cells = tuple(Cell(c.qubits, UNKNOWN_STATE)
@@ -664,58 +749,66 @@ class Checker:
 
     def _steps(self, ctx: dict, branches: list, comp, expected: Optional[Ty],
                parent_span):
-        match comp:
-            case Ret(value, span):
-                self._span = span or parent_span
-                if expected is not None:
-                    vc = self.check(ctx, value, expected)
-                    rty = expected
-                else:
-                    rty, vc = self._synth_intro(ctx, value)
-                for b in branches:
-                    b.result = self._eval_value(ctx, vc, b.env)
-                return branches, rty
+        """Run a ``do`` block statement by statement over ``branches``.
 
-            case LetEq(x, ann, value, rest, span):
-                self._span = span or parent_span
-                self.check_type(ctx, ann)
-                vc = self.check(ctx, value, ann)
-                inner = {**ctx, x: ann}
-                for b in branches:
-                    b.env[x] = self._eval_value(ctx, vc, b.env)
-                return self._steps(inner, branches, rest, expected,
-                                   span or parent_span)
+        The block's context is one :class:`_Scope`, extended in place as
+        the statements bind names; the loop keeps the stack flat however
+        long the block is.
+        """
+        ctx = _Scope(ctx)
+        while True:
+            match comp:
+                case Ret(value, span):
+                    self._span = span or parent_span
+                    if expected is not None:
+                        vc = self.check(ctx, value, expected)
+                        rty = expected
+                    else:
+                        rty, vc = self._synth_intro(ctx, value)
+                    for b in branches:
+                        b.result = self._eval_value(ctx, vc, b.env)
+                    return branches, rty
 
-            case BindCmd(x, cmd, rest, span):
-                span = span or parent_span
-                self._span = span
-                branches, bty = self._run_command(ctx, branches, x, cmd, span)
-                inner = {**ctx, x: bty}
-                self._binders.append((x, bty))
-                branches = self._cap_branches(branches, inner)
-                return self._steps(inner, branches, rest, expected, span)
+                case LetEq(x, ann, value, rest, span):
+                    parent_span = span or parent_span
+                    self._span = parent_span
+                    self.check_type(ctx, ann)
+                    vc = self.check(ctx, value, ann)
+                    for b in branches:
+                        b.env[x] = self._eval_value(ctx, vc, b.env)
+                    ctx.bind(x, ann)
 
-            case BindRun(pat, source, rest, span):
-                span = span or parent_span
-                self._span = span
-                branches, rty = self._run_call(ctx, branches, pat, source,
-                                               span)
-                inner = dict(ctx)
-                if len(pat) == 1:
-                    inner[pat[0]] = rty
-                    self._binders.append((pat[0], rty))
-                else:
-                    if not isinstance(rty, TensorT):
+                case BindCmd(x, cmd, rest, span):
+                    parent_span = span or parent_span
+                    self._span = parent_span
+                    branches, bty = self._run_command(ctx, branches, x, cmd,
+                                                      parent_span)
+                    ctx.bind(x, bty)
+                    self._binders.append((x, bty))
+                    branches = self._cap_branches(branches, ctx)
+
+                case BindRun(pat, source, rest, span):
+                    parent_span = span or parent_span
+                    self._span = parent_span
+                    branches, rty = self._run_call(ctx, branches, pat,
+                                                   source, parent_span)
+                    if len(pat) == 1:
+                        bound = ((pat[0], rty),)
+                    elif isinstance(rty, TensorT):
+                        bound = ((pat[0], rty.left), (pat[1], rty.right))
+                    else:
                         raise CheckError(
                             f"pair pattern on non-pair result "
-                            f"{pretty(rty)}", span)
-                    inner[pat[0]] = rty.left
-                    inner[pat[1]] = rty.right
-                    self._binders.append((pat[0], rty.left))
-                    self._binders.append((pat[1], rty.right))
-                branches = self._cap_branches(branches, inner)
-                return self._steps(inner, branches, rest, expected, span)
-        raise CheckError(f"bad computation node {comp!r}", parent_span)
+                            f"{pretty(rty)}", parent_span)
+                    for name, ty in bound:
+                        ctx.bind(name, ty)
+                        self._binders.append((name, ty))
+                    branches = self._cap_branches(branches, ctx)
+
+                case _:
+                    raise CheckError(f"bad computation node {comp!r}",
+                                     parent_span)
+            comp = rest
 
     def _synth_intro(self, ctx: dict, m):
         m2 = _strip(m)
@@ -841,7 +934,8 @@ class Checker:
                         IdAt(None, heaplib.loc_term(residual_cell.qubits),
                              GhostRef(g)),
                         residual_models,
-                        var_ctx=self._obligation_ctx(ctx) + ((g, PureT()),),
+                        var_ctx=self._obligation_ctx(
+                            ctx, tail=((g, PureT()),)),
                         note="unitary applied to an opaque or assumed "
                              "state; result not computable statically",
                         span=span)
@@ -926,21 +1020,21 @@ class Checker:
         else:
             raise CheckError("binder pattern arity mismatch", span)
 
-        ctx2 = dict(ctx)
-        ctx2.update(ghost_ctx)
+        ctx2 = ChainMap(ghost_ctx, ctx)
         for g, gty in ghost_ctx.items():
             self._binders.append((g, gty))
         kind = self._kind_of(ctx2)
         self._emit(
             CALL_PRE, _small_footprint(pre),
             [Model(b.heap, dict(b.env)) for b in branches],
-            var_ctx=self._obligation_ctx(ctx2),
+            var_ctx=self._obligation_ctx(
+                ctx, more=tuple(ghost_ctx.items())),
             hyps=self._hypotheses(branches),
             note="precondition of the computation being run", span=span)
 
         # frame: consume the callee footprint, splice in its postcondition
         fq = footprint_qubits(pre, kind)
-        pat_kinds = dict(ctx2)
+        pat_kinds = ctx2.new_child()
         if len(pat) == 1:
             pat_kinds[pat[0]] = result_ty
         elif isinstance(result_ty, TensorT):

@@ -227,3 +227,11 @@ class Gen:
     def program(self, n=None):
         n = n if n is not None else self.rng.randrange(1, 4)
         return Program(tuple(self.decl(f"d{i}") for i in range(n)))
+
+
+def straight_line_source(n: int) -> str:
+    """A declaration whose body is one straight-line ``do`` block: allocate
+    a qubit, apply ``n`` Hadamards to it and measure it."""
+    body = ["q <= mkQbit false"] + ["applyU (H q)"] * n + ["measQbit q"]
+    return ("deep : {emp} r : Bool {T}\n    = do "
+            + ";\n         ".join(body) + "\n")

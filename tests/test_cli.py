@@ -12,6 +12,7 @@ from qhoare.cli import main
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
+from genlib import straight_line_source
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
               "schemas")
@@ -335,3 +336,48 @@ class TestWidth:
         assert code == 0
         report = json.loads(out)
         assert [d["status"] for d in report["decls"]] == ["verified"]
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestDepth:
+    def test_no_internal_error_across_parser_limit(self, tmp_path, capsys):
+        # A straight-line block either checks (exit 0) or is refused by the
+        # parser as nested too deeply (exit 2); a block the parser accepts
+        # must not exhaust the stack later (exit 3).  A lowered recursion
+        # limit brings the parser's limit down to a ~150-statement block.
+        commands = {"check": ["check"], "vcs": ["vcs"],
+                    "trace": ["trace", "deep"],
+                    "run": ["run", "deep", "--shots", "10"]}
+
+        def code(command, n):
+            path = tmp_path / f"deep{n}.qh"
+            if not path.exists():
+                path.write_text(straight_line_source(n))
+            name, *rest = commands[command]
+            return run_cli([name, str(path), *rest], capsys)[0]
+
+        codes = {}
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 200)
+        try:
+            lo, hi = 1, 400  # first block length the parser refuses
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if code("check", mid) == 2:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            for n in range(lo - 12, lo + 3):
+                for command in commands:
+                    codes[command, n] = code(command, n)
+        finally:
+            sys.setrecursionlimit(old)
+        assert 20 < lo < 400
+        assert set(codes.values()) == {0, 2}, sorted(
+            key for key, c in codes.items() if c not in (0, 2))

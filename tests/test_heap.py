@@ -6,13 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from qhoare.core import Emp, KetVec, pretty
+from qhoare.core import Emp, Ket, KET_AMPS, KetVec, pretty
 from qhoare.heap import (
     ApplyResult, Cell, EMPTY_DELTA, HeapDelta, HeapError, SymbolicHeap,
     SymState, UNKNOWN_STATE, basis_claim, cell_assertion, classical_to_state,
     concrete, delta_assertion, heap_from_assertion, heap_to_assertions,
     opaque, render_assertion, sp_apply_unitary, sp_init, sp_measure,
-    state_expr, unitary_matrix, _phase_canonical,
+    state_expr, unitary_matrix, _close, _merge_states, _phase_canonical,
 )
 from qhoare.sim import Cond, MEmpty, Rot, if_q, GATES
 
@@ -250,6 +250,55 @@ class TestRendering:
             got = state_expr(state)
             assert isinstance(got, KetVec)
             assert repr(got.amps) == repr(want)
+
+
+    def test_ket_matching_matches_allclose_per_ket(self):
+        # reference: the first ket of KET_AMPS that np.allclose accepts
+        rng = np.random.default_rng(11)
+        refs = [np.asarray(a) for a in KET_AMPS.values()]
+        seen = set()
+        for _ in range(400):
+            ref = refs[rng.integers(len(refs))]
+            # relative size of a perturbation against the tolerance
+            scale = rng.choice([0.0, 0.5, 0.99, 1.01, 2.0, 1e4])
+            noise = rng.normal(size=len(ref)) + 1j * rng.normal(size=len(ref))
+            noise *= scale * (1e-9 + 1e-5 * np.abs(ref)) / np.abs(noise)
+            phase = np.exp(2j * np.pi * rng.random())
+            amps = tuple((phase * (ref + noise)).tolist())
+            vec = _phase_canonical(SymState("concrete", amps).vector())
+            want = next((k for k, a in KET_AMPS.items() if len(a) == len(vec)
+                         and np.allclose(vec, np.asarray(a), atol=1e-9)),
+                        None)
+            got = state_expr(SymState("concrete", amps))
+            seen.add(want is None)
+            if want is None:
+                assert isinstance(got, KetVec)
+            else:
+                assert got == Ket(want)
+            other = refs[rng.integers(len(refs))]
+            if len(other) == len(vec):
+                assert bool(_close(vec, other)) == \
+                    np.allclose(vec, other, atol=1e-9)
+        assert seen == {True, False}
+
+    def test_merge_states_matches_allclose(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(200):
+            n = rng.choice([2, 4])
+            a = rng.normal(size=n) + 1j * rng.normal(size=n)
+            a /= np.linalg.norm(a)
+            eps = rng.choice([0.0, 0.5e-9, 0.99e-5, 1.01e-5, 1e-3])
+            b = a * np.exp(2j * np.pi * rng.random()) + eps * np.abs(a)
+            b /= np.linalg.norm(b)
+            sa = SymState("concrete", tuple(a.tolist()), exact=True)
+            sb = SymState("concrete", tuple(b.tolist()), exact=True)
+            close = np.allclose(_phase_canonical(sa.vector()),
+                                _phase_canonical(sb.vector()), atol=1e-9)
+            seen.add(close)
+            # two exact states merge to the first when close, else clash
+            assert _merge_states(sa, sb) == (sa if close else None)
+        assert seen == {True, False}
 
 
 class TestProperties:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from qhoare.typecheck import (
     types_equal,
 )
 from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
+from genlib import straight_line_source
 
 
 class TestSynth:
@@ -259,6 +261,27 @@ class TestCorpusVerification:
         assert obligation_contexts() == json.loads(
             (GOLDEN_DIR / "var_ctx.json").read_text())
 
+    def test_obligation_context_keeps_first_position_of_rebound_name(self):
+        # the pairs a tuple of ctx.items() + binders gave: a rebound name
+        # stays where it was first bound, with its latest type
+        src = ("shadow : \\Pi b : Bool. {emp} r : Bool {T}\n"
+               "    = \\b. do q <= mkQbit b;\n"
+               "         b : Qbit = q;\n"
+               "         m <= measQbit b;\n"
+               "         m : Bool = true;\n"
+               "         return m\n")
+        dr = check_program(parse_program(src).program).decls[0]
+        assert dr.error is None
+        alloc, post = dr.obligations
+        pairs = [("b", "Qbit"), ("q", "Qbit"), ("q", "Qbit")]
+        assert [(x, pretty(t)) for x, t in alloc.var_ctx] == pairs
+        assert len(alloc.var_ctx) == 3
+        assert alloc.var_ctx[-1] == ("q", QbitT())
+        assert alloc.var_ctx == tuple(alloc.var_ctx)
+        assert [(x, pretty(t)) for x, t in post.var_ctx] == [
+            ("b", "Bool"), ("q", "Qbit"), ("m", "Bool"), ("r", "Bool")]
+        assert len(post.var_ctx) == 4
+
     def test_literal_measurement_mode(self, corpus):
         checked = check_program(corpus["testbell.qh"],
                                 literal_measurement=True)
@@ -279,6 +302,22 @@ class TestCorpusVerification:
         assert any("branch bound" in ob.note for ob in dr.obligations)
         report = discharge_all(dr.obligations)
         assert report.status == "conditional"
+
+    def test_check_memory_linear_in_block_length(self):
+        # obligations share the binder prefix of their block: tripling the
+        # block must not come near the 9x of a copy per obligation
+        def peak(n):
+            program = parse_program(straight_line_source(n)).program
+            tracemalloc.start()
+            try:
+                checked = check_program(program)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert checked.decls[0].error is None
+            return peak
+
+        assert peak(900) <= 4 * peak(300)
 
     def test_branch_type_agreement_error(self):
         src = ("bad : {emp} r : Bool {T}\n"
