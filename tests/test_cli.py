@@ -295,6 +295,46 @@ class TestRun:
         assert values <= {"(false, false)", "(true, true)"}
 
 
+class TestReducerPaths:
+    """Terms the checker and the runtime both reduce before interpreting a
+    unitary: a conditional in function position, and a beta redex."""
+
+    NON_FUNCTION = (
+        "flip : {emp} r : Bool {T}\n"
+        "     = do q <= mkQbit false;\n"
+        "          p <= mkQbit false;\n"
+        "          c <= measQbit p;\n"
+        "          applyU (((if c then H else X) : \\Pi x : Qbit. U) q);\n"
+        "          measQbit q\n")
+    BETA = (
+        "coin : {emp} r : Bool {T}\n"
+        "     = do q <= mkQbit false;\n"
+        "          applyU (((\\x. H x) : \\Pi x : Qbit. U) q);\n"
+        "          measQbit q\n")
+
+    def test_conditional_applied_is_a_type_error(self, tmp_path, capsys):
+        path = tmp_path / "nonfn.qh"
+        path.write_text(self.NON_FUNCTION)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert out == (f"{path}: flip: type-error "
+                       f"(application of a non-function)\n")
+
+    def test_beta_redex_verifies_and_runs(self, tmp_path, capsys):
+        path = tmp_path / "beta.qh"
+        path.write_text(self.BETA)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (0, f"{path}: coin: verified\n")
+        code, out, _ = run_cli(
+            ["run", str(path), "coin", "--seed", "1", "--shots", "100",
+             "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["outcomes"] == [{"value": "false", "count": 46},
+                                       {"value": "true", "count": 54}]
+        assert payload["errors"] == 0
+
+
 class TestConsoleEntry:
     def test_subprocess_invocation(self):
         proc = subprocess.run(

@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from qhoare import typecheck
 from qhoare.core import (
     And, BoolLit, Emb, Emp, Entangled, ForallHeap, IdAt, Ket, MatrixLit,
-    Top, Var, pretty,
+    QbitT, Top, UT, Var, pretty,
 )
 from qhoare.parser import parse_program, parse_term
 from qhoare.sim import (
@@ -106,6 +107,26 @@ class TestEvalUnitary:
         assert isinstance(u, Cond)
         assert u.false_branch == MEmpty()
         assert footprint(u) == [0, 1]
+
+    @pytest.mark.parametrize("src", [
+        "H q",
+        "mappend mempty (X q)",
+        "ifQ a (X b)",
+        "cond a (\\v. if v then X b else mempty)",
+        "rot q ((0, 1), (1, 0))",
+        "((\\x. H x) : \\Pi x : Qbit. U) q",
+        "((\\u. mappend u u) : \\Pi u : U. U) (ifQ a (Y q))",
+        "mappend (((\\x. ifQ x (Z b)) : \\Pi x : Qbit. U) a) "
+        "(cond b (\\v. if v then mempty else H a))",
+    ])
+    def test_raw_and_canonical_terms_agree(self, src):
+        # the runtime interprets the term as written, the checker its
+        # canonical form; both must denote the same unitary expression
+        term = parse_term(src)
+        canonical = typecheck.check(
+            {"a": QbitT(), "b": QbitT(), "q": QbitT()}, term, UT())
+        resolve = self.resolve({"a": 0, "b": 1, "q": 2})
+        assert eval_unitary(term, resolve) == eval_unitary(canonical, resolve)
 
     def test_is_unitary(self):
         assert is_unitary(GATES["H"])
