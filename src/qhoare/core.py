@@ -13,6 +13,7 @@ assertions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -1051,6 +1052,94 @@ def subst(node, mapping: dict):
 
 
 # ---------------------------------------------------------------------------
+# Reduction to normal form (shared by the checker and the runtime)
+
+
+class ReductionError(Exception):
+    """An application whose function position does not reduce to a
+    function."""
+
+
+def mk_intro(m):
+    """Embed a variable or application into the introduction sort."""
+    return Emb(m) if isinstance(m, (Var, App)) else m
+
+
+def normal_form(m):
+    """Beta-normal form of a term, with ``if`` on a literal chosen.
+
+    Ascriptions are dropped and reduction goes under binders, but not
+    under ``do``.  Raises :class:`ReductionError` for an application whose
+    function reduces to neither a lambda nor a neutral term.
+    """
+    match m:
+        case Emb(inner):
+            r = normal_form(inner)
+            return Emb(r) if isinstance(r, (Var, App)) else r
+        case Ascribe(inner, _):
+            return normal_form(inner)
+        case App(fn, arg):
+            rf = normal_form(fn)
+            ra = normal_form(arg)
+            target = rf.elim if isinstance(rf, Emb) else rf
+            if isinstance(target, Lam):
+                return normal_form(subst(
+                    target.body,
+                    {target.binder: ra.elim if isinstance(ra, Emb) else ra}))
+            if isinstance(target, (Var, App)):
+                return App(target, ra if not isinstance(ra, (Var, App))
+                           else Emb(ra))
+            raise ReductionError("application of a non-function")
+        case Lam(x, body):
+            return Lam(x, mk_intro(normal_form(body)))
+        case Pair(a, b):
+            return Pair(mk_intro(normal_form(a)), mk_intro(normal_form(b)))
+        case IfTerm(c, t, e):
+            rc = normal_form(c)
+            if isinstance(rc, BoolLit):
+                return normal_form(t if rc.value else e)
+            return IfTerm(mk_intro(rc), mk_intro(normal_form(t)),
+                          mk_intro(normal_form(e)))
+        case _:
+            return m
+
+
+# ---------------------------------------------------------------------------
+# Three-valued (Kleene) truth: True, False or UNKNOWN
+
+# Undetermined truth or term value.  Not a string: symbolic environments
+# keep qubit names as strings.
+UNKNOWN = object()
+
+
+def kleene_and(a, b):
+    if a is False or b is False:
+        return False
+    if a is True and b is True:
+        return True
+    return UNKNOWN
+
+
+def kleene_or(a, b):
+    if a is True or b is True:
+        return True
+    if a is False and b is False:
+        return False
+    return UNKNOWN
+
+
+def kleene_not(a):
+    return UNKNOWN if a is UNKNOWN else (not a)
+
+
+def conjuncts(a: "Assn") -> list:
+    """The conjuncts of ``a`` from left to right, nested ``And`` flattened."""
+    if isinstance(a, And):
+        return conjuncts(a.left) + conjuncts(a.right)
+    return [a]
+
+
+# ---------------------------------------------------------------------------
 # Derived assertion forms
 
 
@@ -1082,10 +1171,8 @@ def expand_derived(a: "Assn", cur: str = CUR_HEAP, supply=None) -> "Assn":
                 return ExistsHeap(g, HeapId(
                     HVar(cur), Upd(HVar(g), _as_intro(loc), _as_state(state))))
             case MemberOf(term, cands):
-                out = IdAt(None, term, cands[0])
-                for c in cands[1:]:
-                    out = Or(out, IdAt(None, term, c))
-                return out
+                return functools.reduce(
+                    Or, (IdAt(None, term, c) for c in cands))
             case And(l, r):
                 return And(go(l), go(r))
             case Or(l, r):

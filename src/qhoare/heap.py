@@ -207,8 +207,8 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
     computable = all(c.state.kind == "concrete" and c.state.exact
                      for c in touched)
     if computable:
-        joint = np.array([1.0 + 0j])
-        for c in touched:
+        joint = touched[0].state.vector()
+        for c in touched[1:]:
             joint = np.kron(joint, c.state.vector())
         t = joint.reshape((2,) * len(merged_qubits))
         new_state = concrete(

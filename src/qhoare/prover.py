@@ -21,6 +21,7 @@ ghosts; sequents outside the fragment come back Unknown.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -32,8 +33,9 @@ from .core import (
     And, ARef, Assn, BoolLit, BoolT, Bot, CellGroup, Compose, Emb, Emp,
     Entangled, ExistsHeap, ExistsVar, ForallHeap, ForallVar, GhostRef,
     HeapE, HeapId, HEmpty, HVar, IdAt, InDom, Ket, KetVec, Lookup, MemberOf,
-    Not, Or, Implies, Pair, PointsTo, QbitT, Replace, Span, Top, UnitVal,
-    Upd, Var, WildcardState, free_vars, pretty, KET_AMPS,
+    Not, Or, Implies, Pair, PointsTo, QbitT, Replace, Span, Top, UNKNOWN,
+    UnitVal, Upd, Var, WildcardState, conjuncts, free_vars, kleene_and,
+    kleene_not, kleene_or, pretty, KET_AMPS,
 )
 from .heap import Cell, SymbolicHeap, SymState
 
@@ -44,8 +46,6 @@ UNITARITY = "unitarityVC"
 
 PHASE_TOL = 1e-9
 MODEL_CAP = 300_000
-
-UNKNOWNV = object()  # truth value / term value: not determined
 
 
 @dataclass
@@ -144,26 +144,6 @@ def lookup_heap_expr(h: HeapE, loc) -> tuple:
 # Three-valued evaluation over a model
 
 
-def _tv_and(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return UNKNOWNV
-
-
-def _tv_or(a, b):
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return UNKNOWNV
-
-
-def _tv_not(a):
-    return UNKNOWNV if a is UNKNOWNV else (not a)
-
-
 _BASIS0 = np.asarray(KET_AMPS["0"])
 _BASIS1 = np.asarray(KET_AMPS["1"])
 
@@ -230,11 +210,11 @@ def _compare_states(a, b):
     """Three-valued equality of two view states / literal states."""
     ka, kb = a[0], b[0]
     if ka == "unknown" or kb == "unknown":
-        return UNKNOWNV
+        return UNKNOWN
     if ka == "opaque" or kb == "opaque":
         if ka == kb == "opaque":
-            return True if a[1] == b[1] else UNKNOWNV
-        return UNKNOWNV
+            return True if a[1] == b[1] else UNKNOWN
+        return UNKNOWN
     if ka == "basis" and kb == "basis":
         return a[1] == b[1]
     if ka == "basis" or kb == "basis":
@@ -243,7 +223,7 @@ def _compare_states(a, b):
         if ov is not None:
             return basis[1] == ov
         # non-basis vector against a basis claim
-        return False if basis[2] and other[2] else UNKNOWNV
+        return False if basis[2] and other[2] else UNKNOWN
     # vec vs vec
     if _phase_equal(a[1], b[1]):
         return True
@@ -252,7 +232,7 @@ def _compare_states(a, b):
     va, vb = _basis_value_of_vec(a[1]), _basis_value_of_vec(b[1])
     if va is not None and vb is not None:
         return va == vb
-    return UNKNOWNV
+    return UNKNOWN
 
 
 def _literal_state(expr, ghosts_ok=True):
@@ -295,7 +275,7 @@ class _Evaluator:
             return (self.term_value(m.first), self.term_value(m.second))
         if isinstance(m, (Ket, KetVec, GhostRef, WildcardState)):
             return m
-        return UNKNOWNV
+        return UNKNOWN
 
     def qubit_view(self, q: str):
         if q in self.view:
@@ -312,9 +292,9 @@ class _Evaluator:
             other = lv if isinstance(rv, WildcardState) else rv
             if isinstance(other, tuple) and other and other[0] in ("qubit", "loc"):
                 return self.qubit_view(other[1]) is not None
-            return True if other is not UNKNOWNV else UNKNOWNV
-        if lv is UNKNOWNV or rv is UNKNOWNV:
-            return UNKNOWNV
+            return True if other is not UNKNOWN else UNKNOWN
+        if lv is UNKNOWN or rv is UNKNOWN:
+            return UNKNOWN
         if isinstance(lv, bool) and isinstance(rv, bool):
             return lv == rv
         lq = lv[0] in ("qubit", "loc") if isinstance(lv, tuple) and lv else False
@@ -333,7 +313,7 @@ class _Evaluator:
                 return False
             lit = _literal_state(other)
             if lit is None:
-                return UNKNOWNV
+                return UNKNOWN
             if lit[0] == "wildcard":
                 return True
             return _compare_states(st, lit)
@@ -342,14 +322,14 @@ class _Evaluator:
                 return False
             out = True
             for a, b in zip(lv, rv):
-                out = _tv_and(out, self._values_equal(a, b))
+                out = kleene_and(out, self._values_equal(a, b))
             return out
         la, ra = _literal_state(lv), _literal_state(rv)
         if la is not None and ra is not None:
             if "wildcard" in (la[0], ra[0]):
                 return True
             return _compare_states(la, ra)
-        return UNKNOWNV
+        return UNKNOWN
 
     # --- heap expressions
 
@@ -420,29 +400,27 @@ class _Evaluator:
                 return False
             case Emp():
                 if self.model.heap.frame_var is not None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 return len(self.model.heap.cells) == 0
             case And(l, r):
-                return _tv_and(self.eval(l), self.eval(r))
+                return kleene_and(self.eval(l), self.eval(r))
             case Or(l, r):
-                return _tv_or(self.eval(l), self.eval(r))
+                return kleene_or(self.eval(l), self.eval(r))
             case Implies(l, r):
-                return _tv_or(_tv_not(self.eval(l)), self.eval(r))
+                return kleene_or(kleene_not(self.eval(l)), self.eval(r))
             case Not(b):
-                return _tv_not(self.eval(b))
+                return kleene_not(self.eval(b))
             case IdAt(_, l, r):
                 return self.eval_id(l, r)
             case MemberOf(t, cands):
-                out = False
-                for c in cands:
-                    out = _tv_or(out, self.eval_id(t, c))
-                return out
+                return functools.reduce(
+                    kleene_or, (self.eval_id(t, c) for c in cands), False)
             case PointsTo(loc, st):
                 names = self._loc_names(loc)
                 if names is None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 if self.model.heap.frame_var is not None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 cells = self.model.heap.cells
                 if len(cells) != 1 or tuple(sorted(cells[0].qubits)) != \
                         tuple(sorted(names)):
@@ -451,14 +429,14 @@ class _Evaluator:
             case Lookup(loc, st):
                 names = self._loc_names(loc)
                 if names is None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 if len(names) == 1:
                     view = self.qubit_view(names[0])
                     if view is None:
                         return False
                     lit = _literal_state(st)
                     if lit is None:
-                        return UNKNOWNV
+                        return UNKNOWN
                     if lit[0] == "wildcard":
                         return True
                     return _compare_states(view, lit)
@@ -470,35 +448,35 @@ class _Evaluator:
             case InDom(h, loc):
                 names = self._loc_names(loc)
                 if names is None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 if isinstance(h, HVar) and h.name == "%h":
                     return all(self.qubit_view(n) is not None for n in names)
                 den = self.heap_denotation(h)
                 if den is None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 key = names[0] if len(names) == 1 else \
                     "(" + ", ".join(names) + ")"
                 return key in den
             case HeapId(l, r):
                 dl, dr = self.heap_denotation(l), self.heap_denotation(r)
                 if dl is None or dr is None:
-                    return UNKNOWNV
+                    return UNKNOWN
                 if set(dl) != set(dr):
                     return False
                 out = True
                 for k in dl:
-                    out = _tv_and(out, _compare_states(dl[k], dr[k]))
+                    out = kleene_and(out, _compare_states(dl[k], dr[k]))
                 return out
             case Entangled(t):
                 v = self.term_value(t)
                 if not (isinstance(v, tuple) and v and v[0] in ("qubit", "loc")):
-                    return UNKNOWNV
+                    return UNKNOWN
                 cell = self.model.heap.find(v[1])
                 if cell is None:
                     return False
                 st = cell.state
                 if st.kind != "concrete" or not st.exact:
-                    return UNKNOWNV
+                    return UNKNOWN
                 if len(cell.qubits) == 1:
                     return False
                 vec = st.vector().reshape([2] * len(cell.qubits))
@@ -509,15 +487,15 @@ class _Evaluator:
                 purity = float(np.real(np.trace(rho @ rho)))
                 return purity < 1 - PHASE_TOL
             case ExistsVar() | ForallVar() | ExistsHeap() | ForallHeap():
-                return UNKNOWNV
+                return UNKNOWN
             case Compose() | Replace() | CellGroup() | ARef():
-                return UNKNOWNV
-        return UNKNOWNV
+                return UNKNOWN
+        return UNKNOWN
 
     def _cell_state_match(self, cell: Cell, st):
         lit = _literal_state(st)
         if lit is None:
-            return UNKNOWNV
+            return UNKNOWN
         if lit[0] == "wildcard":
             return True
         cs = cell.state
@@ -525,7 +503,7 @@ class _Evaluator:
             return _compare_states(("vec", cs.amps, cs.exact), lit)
         if cs.kind == "opaque":
             return _compare_states(("opaque", cs.name), lit)
-        return UNKNOWNV
+        return UNKNOWN
 
 
 def eval_in_model(a: Assn, model: Model):
@@ -535,7 +513,7 @@ def eval_in_model(a: Assn, model: Model):
         v = _Evaluator(model, view).eval(a)
         if v is False:
             return False
-        result = _tv_and(result, v)
+        result = kleene_and(result, v)
     return result
 
 
@@ -629,21 +607,13 @@ def entails(ob: Obligation) -> Verdict:
 
 
 def _unknown_residual(conclusion: Assn, models: list) -> Assn:
-    def conjuncts(a):
-        if isinstance(a, And):
-            return conjuncts(a.left) + conjuncts(a.right)
-        return [a]
-
     undecided = []
     for c in conjuncts(conclusion):
         if any(eval_in_model(c, m) is not True for m in models):
             undecided.append(c)
     if not undecided:
         return conclusion
-    out = undecided[0]
-    for c in undecided[1:]:
-        out = And(out, c)
-    return out
+    return functools.reduce(And, undecided)
 
 
 def _entails_models(ob: Obligation) -> Verdict:
@@ -727,7 +697,7 @@ def _entails_enumerate(ob: Obligation) -> Verdict:
                                   dict(zip(heap_var_names, hvals)))
                     hyp = True
                     for h in ob.hypotheses:
-                        hyp = _tv_and(hyp, eval_in_model(h, model))
+                        hyp = kleene_and(hyp, eval_in_model(h, model))
                         if hyp is False:
                             break
                     if hyp is False:

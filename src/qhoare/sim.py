@@ -24,6 +24,7 @@ to interpreting every shot, for every seed and every cap.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -34,9 +35,10 @@ import numpy as np
 from . import core
 from .core import (
     And, App, ApplyU, Ascribe, BindCmd, BindRun, BoolLit, Bot, Do, Emb, Emp,
-    Entangled, HoareT, IdAt, IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup,
-    MatrixLit, MeasQbit, MemberOf, MkQbit, Not, Or, Pair, PiT, PointsTo,
-    Program, Ret, Top, UnitVal, Var, WildcardState, GhostRef, pretty,
+    Entangled, HoareT, IdAt, IfCmd, IfTerm, Implies, Ket, KetVec, Lam, LetEq,
+    Lookup, MatrixLit, MeasQbit, MemberOf, MkQbit, Not, Or, Pair, PiT,
+    PointsTo, Program, Ret, Top, UNKNOWN, UnitVal, Var, WildcardState,
+    GhostRef, conjuncts, kleene_and, kleene_not, kleene_or, pretty,
 )
 
 NORM_TOL = 1e-9
@@ -57,8 +59,12 @@ class SimulationError(Exception):
     pass
 
 
-class UnitaryError(Exception):
-    """A term does not denote a unitary: bad matrix or bad structure."""
+class UnitaryError(SimulationError):
+    """A term does not denote a unitary: bad matrix or bad structure.
+
+    The checker reports it statically; at runtime it is a dynamic error of
+    the shot, like any other :class:`SimulationError`.
+    """
 
     def __init__(self, message: str, matrix=None):
         super().__init__(message)
@@ -136,32 +142,6 @@ def _as_tuple_matrix(matrix) -> tuple:
     return (tuple(m[0]), tuple(m[1]))
 
 
-def _reduce_term(m):
-    """Tiny beta/if reducer sufficient for unitary-expression operands."""
-    match m:
-        case Emb(inner):
-            r = _reduce_term(inner)
-            return Emb(r) if isinstance(r, (Var, App, Ascribe)) else r
-        case Ascribe(term, _):
-            return _reduce_term(term)
-        case App(fn, arg):
-            rfn = _reduce_term(fn)
-            if isinstance(rfn, Emb):
-                rfn = rfn.elim if isinstance(rfn.elim, (Var, App, Ascribe)) \
-                    else rfn
-            if isinstance(rfn, Lam):
-                return _reduce_term(core.subst(rfn.body, {rfn.binder: arg}))
-            return App(rfn if isinstance(rfn, (Var, App, Ascribe)) else fn,
-                       arg)
-        case IfTerm(c, t, e):
-            rc = _reduce_term(c)
-            if isinstance(rc, BoolLit):
-                return _reduce_term(t if rc.value else e)
-            return IfTerm(rc, t, e)
-        case _:
-            return m
-
-
 def _spine(term):
     """Unfold an application chain into (head name, [args])."""
     args = []
@@ -182,21 +162,30 @@ def _spine(term):
 
 
 def eval_unitary(term, resolve) -> UnitaryExpr:
-    """Interpret a canonical term of unitary type.
+    """Interpret a term of unitary type.
 
     ``resolve`` maps a variable name in qubit position to the qubit it
-    denotes (a symbolic name during checking, an index at runtime).  Raises
-    :class:`UnitaryError` for non-unitary rotation matrices and for
+    denotes (a symbolic name during checking, an index at runtime).  The
+    term is reduced to normal form once; a ``cond`` branch is reduced again
+    after its boolean is substituted.  Raises :class:`UnitaryError` for a
+    term that does not reduce, for non-unitary rotation matrices and for
     conditionals whose branches touch their own control.
     """
-    term = _reduce_term(term)
+    try:
+        term = core.normal_form(term)
+    except core.ReductionError as e:
+        raise UnitaryError(str(e)) from e
+    return _interpret(term, resolve)
+
+
+def _interpret(term, resolve) -> UnitaryExpr:
+    """Interpret a normal-form term of unitary type."""
     head, args = _spine(term)
     if head is None:
         raise UnitaryError(f"cannot interpret unitary term {pretty(term)!r}")
 
     def qubit_of(arg):
-        a = _reduce_term(arg)
-        name, rest = _spine(a)
+        name, rest = _spine(arg)
         if name is not None and not rest:
             try:
                 return resolve(name)
@@ -207,12 +196,12 @@ def eval_unitary(term, resolve) -> UnitaryExpr:
     if head == "mempty" and not args:
         return MEmpty()
     if head == "mappend" and len(args) == 2:
-        return MAppend(eval_unitary(args[0], resolve),
-                       eval_unitary(args[1], resolve))
+        return MAppend(_interpret(args[0], resolve),
+                       _interpret(args[1], resolve))
     if head in GATES and len(args) == 1:
         return Rot(qubit_of(args[0]), _as_tuple_matrix(GATES[head]))
     if head == "rot" and len(args) == 2:
-        m = _reduce_term(args[1])
+        m = args[1]
         if not isinstance(m, MatrixLit):
             raise UnitaryError("rot expects a matrix literal")
         if not is_unitary(m.rows):
@@ -221,13 +210,13 @@ def eval_unitary(term, resolve) -> UnitaryExpr:
         return Rot(qubit_of(args[0]), _as_tuple_matrix(m.rows))
     if head == "ifQ" and len(args) == 2:
         q = qubit_of(args[0])
-        u = eval_unitary(args[1], resolve)
+        u = _interpret(args[1], resolve)
         if q in footprint(u):
             raise UnitaryError("conditional branch acts on its control qubit")
         return if_q(q, u)
     if head == "cond" and len(args) == 2:
         q = qubit_of(args[0])
-        f = _reduce_term(args[1])
+        f = args[1]
         if not isinstance(f, Lam):
             raise UnitaryError("cond expects a literal branch function")
         branches = []
@@ -552,8 +541,6 @@ class Interpreter:
 # ---------------------------------------------------------------------------
 # Runtime assertion checking
 
-UNCHECKABLE = "uncheckable"
-
 
 def _state_reference(expr, ghosts: dict):
     if isinstance(expr, Ket):
@@ -579,7 +566,7 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
                             ghosts: Optional[dict] = None):
     """Evaluate the runtime-checkable fragment of an assertion.
 
-    Returns True, False, or the string ``"uncheckable"``.
+    Returns True, False, or :data:`qhoare.core.UNKNOWN` when uncheckable.
     """
     ghosts = ghosts or {}
 
@@ -592,31 +579,31 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
                 return env[m.name]
             if m.name in ghosts:
                 return GhostRef(m.name)
-            return UNCHECKABLE
+            return UNKNOWN
         if isinstance(m, BoolLit):
             return m.value
         if isinstance(m, UnitVal):
             return None
         if isinstance(m, Pair):
             a, b = value_of(m.first), value_of(m.second)
-            if UNCHECKABLE in (a, b):
-                return UNCHECKABLE
+            if a is UNKNOWN or b is UNKNOWN:
+                return UNKNOWN
             return (a, b)
         if isinstance(m, (Ket, KetVec, GhostRef, WildcardState)):
             return m
-        return UNCHECKABLE
+        return UNKNOWN
 
     def qubit_matches(q: int, ref) -> object:
         if isinstance(ref, WildcardState):
             return True
         vec = _state_reference(ref, ghosts)
         if vec is None:
-            return UNCHECKABLE
+            return UNKNOWN
         if len(vec) != 2:
-            return UNCHECKABLE
+            return UNKNOWN
         psi = _qubit_pure_state(state, q)
         if psi is None:
-            return UNCHECKABLE
+            return UNKNOWN
         fid = abs(np.vdot(vec, psi)) ** 2
         return bool(fid >= 1 - FIDELITY_TOL)
 
@@ -629,33 +616,17 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
             case Emp():
                 return len(state.live) == 0
             case And(l, r):
-                lv, rv = go(l), go(r)
-                if lv is False or rv is False:
-                    return False
-                if lv is True and rv is True:
-                    return True
-                return UNCHECKABLE
+                return kleene_and(go(l), go(r))
             case Or(l, r):
-                lv, rv = go(l), go(r)
-                if lv is True or rv is True:
-                    return True
-                if lv is False and rv is False:
-                    return False
-                return UNCHECKABLE
+                return kleene_or(go(l), go(r))
             case Not(b):
-                v = go(b)
-                return UNCHECKABLE if v == UNCHECKABLE else (not v)
-            case core.Implies(l, r):
-                lv, rv = go(l), go(r)
-                if lv is False or rv is True:
-                    return True
-                if lv is True and rv is False:
-                    return False
-                return UNCHECKABLE
+                return kleene_not(go(b))
+            case Implies(l, r):
+                return kleene_or(kleene_not(go(l)), go(r))
             case IdAt(_, l, r):
                 lv, rv = value_of(l), value_of(r)
-                if UNCHECKABLE in (lv, rv):
-                    return UNCHECKABLE
+                if lv is UNKNOWN or rv is UNKNOWN:
+                    return UNKNOWN
                 if isinstance(lv, bool) and isinstance(rv, bool):
                     return lv == rv
                 if isinstance(lv, tuple) and isinstance(rv, tuple):
@@ -665,33 +636,29 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
                         pl = _qubit_pure_state(state, lv)
                         pr = _qubit_pure_state(state, rv)
                         if pl is None or pr is None:
-                            return UNCHECKABLE
+                            return UNKNOWN
                         return states_equal_up_to_phase(pl, pr, FIDELITY_TOL)
                     return qubit_matches(lv, rv)
                 if isinstance(rv, int):
                     return qubit_matches(rv, lv)
-                return UNCHECKABLE
+                return UNKNOWN
             case MemberOf(t, cands):
-                results = [go(IdAt(None, t, c)) for c in cands]
-                if True in results:
-                    return True
-                if all(r is False for r in results):
-                    return False
-                return UNCHECKABLE
+                return functools.reduce(
+                    kleene_or, (go(IdAt(None, t, c)) for c in cands), False)
             case Lookup(loc, _) | PointsTo(loc, _):
                 v = value_of(loc)
                 if isinstance(v, int):
                     return v in state.live
-                return UNCHECKABLE
+                return UNKNOWN
             case Entangled(t):
                 v = value_of(t)
                 if not isinstance(v, int) or v not in state.live:
-                    return UNCHECKABLE
+                    return UNKNOWN
                 rho = reduced_density(state, [v])
                 purity = float(np.real(np.trace(rho @ rho)))
                 return bool(purity <= 0.5 + ENTANGLE_SLACK)
             case _:
-                return UNCHECKABLE
+                return UNKNOWN
 
     return go(assertion)
 
@@ -759,12 +726,6 @@ def render_value(v) -> str:
     if isinstance(v, tuple):
         return "(" + ", ".join(render_value(x) for x in v) + ")"
     return str(v)
-
-
-def _post_conjuncts(a) -> list:
-    if isinstance(a, And):
-        return _post_conjuncts(a.left) + _post_conjuncts(a.right)
-    return [a]
 
 
 class _Branch:
@@ -854,8 +815,8 @@ def run_program(program: Program, entry: str, seed: int = 0,
         raise SimulationError(
             f"precondition of {entry!r} fails in the {where} state")
     interp = Interpreter(program)
-    conjuncts = _post_conjuncts(sig.post)
-    texts = [pretty(conj) for conj in conjuncts]
+    posts = conjuncts(sig.post)
+    texts = [pretty(conj) for conj in posts]
 
     def interpret(shot: int):
         """Run one shot; returns its measurement path and its leaf."""
@@ -874,7 +835,7 @@ def run_program(program: Program, entry: str, seed: int = 0,
             for name, comp_value in zip(sig.binder, value):
                 env[name] = comp_value
         slots = []
-        for conj in conjuncts:
+        for conj in posts:
             result = check_assertion_runtime(conj, env, final, ghosts=ghosts)
             slots.append(0 if result is True else 1 if result is False
                          else 2)

@@ -19,6 +19,7 @@ checked concurrently once their dependencies are recorded.
 
 from __future__ import annotations
 
+import functools
 from collections import ChainMap
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -32,8 +33,9 @@ from .core import (
     Bot, Compose, Decl, Do, Emb, Emp, Entangled, ExistsVar, GhostRef, HoareT,
     IdAt, IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit, MatrixT,
     MeasQbit, MemberOf, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program,
-    PureT, QbitT, Ret, Span, TensorT, Top, Ty, UnitT, UnitVal, Upd, UT, Var,
-    WildcardState, free_vars, pretty, subst,
+    PureT, QbitT, ReductionError, Ret, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
+    UnitVal, Upd, UT, Var, WildcardState, free_vars, mk_intro, normal_form,
+    pretty, subst,
 )
 from .heap import (
     AbsBranch, Cell, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -42,7 +44,6 @@ from .heap import (
 )
 from .prover import (
     ALLOCATION, CALL_PRE, POSTCONDITION, UNITARITY, Model, Obligation,
-    UNKNOWNV,
 )
 from .sim import UnitaryError, eval_unitary
 
@@ -149,45 +150,8 @@ def _strip(m):
             return m
 
 
-def _reduce(m):
-    match m:
-        case Emb(inner):
-            r = _reduce(inner)
-            return Emb(r) if isinstance(r, (Var, App)) else r
-        case Ascribe(inner, _):
-            return _reduce(inner)
-        case App(fn, arg):
-            rf = _reduce(fn)
-            ra = _reduce(arg)
-            target = rf.elim if isinstance(rf, Emb) else rf
-            if isinstance(target, Lam):
-                return _reduce(subst(
-                    target.body,
-                    {target.binder: ra.elim if isinstance(ra, Emb) else ra}))
-            if isinstance(target, (Var, App)):
-                return App(target, ra if not isinstance(ra, (Var, App))
-                           else Emb(ra))
-            raise CheckError("application of a non-function")
-        case Lam(x, body):
-            return Lam(x, _mk_intro(_reduce(body)))
-        case Pair(a, b):
-            return Pair(_mk_intro(_reduce(a)), _mk_intro(_reduce(b)))
-        case IfTerm(c, t, e):
-            rc = _reduce(c)
-            if isinstance(rc, BoolLit):
-                return _reduce(t if rc.value else e)
-            return IfTerm(_mk_intro(rc), _mk_intro(_reduce(t)),
-                          _mk_intro(_reduce(e)))
-        case _:
-            return m
-
-
-def _mk_intro(m):
-    return Emb(m) if isinstance(m, (Var, App)) else m
-
-
 def _eta(m, ty: Ty, counter: list):
-    m = _mk_intro(m)
+    m = mk_intro(m)
     match ty:
         case PiT(x, dom, cod):
             if isinstance(m, Lam):
@@ -215,7 +179,11 @@ def normalize(m, ty: Ty):
 
     Suspended computations are values: ``do E`` is returned unchanged.
     """
-    return _eta(_reduce(m), ty, [0])
+    try:
+        reduced = normal_form(m)
+    except ReductionError as e:
+        raise CheckError(str(e)) from e
+    return _eta(reduced, ty, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +553,7 @@ class Checker:
                 env[name] = v
         else:
             for name in pattern:
-                env[name] = UNKNOWNV
+                env[name] = UNKNOWN
 
     def _hypotheses(self, branches: list) -> list:
         def branch_assn(b: _Branch) -> Assn:
@@ -593,19 +561,11 @@ class Checker:
             for k, v in b.env.items():
                 if v is True or v is False:
                     parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
-            out = parts[0]
-            for p in parts[1:]:
-                out = And(out, p)
-            return out
+            return functools.reduce(And, parts)
 
         if not branches:
             return [Bot()]
-        if len(branches) == 1:
-            return [branch_assn(branches[0])]
-        out = branch_assn(branches[0])
-        for b in branches[1:]:
-            out = Or(out, branch_assn(b))
-        return [out]
+        return [functools.reduce(Or, map(branch_assn, branches))]
 
     def _value_term(self, v):
         if v is True or v is False:
@@ -638,17 +598,10 @@ class Checker:
             for k, v in b.env.items():
                 if (v is True or v is False) and k not in binder:
                     parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
-            out = parts[0]
-            for p in parts[1:]:
-                out = And(out, p)
-            return out
+            return functools.reduce(And, parts)
 
-        if not branches:
-            sp = Bot()
-        else:
-            sp = branch_sp(branches[0])
-            for b in branches[1:]:
-                sp = Or(sp, branch_sp(b))
+        sp = functools.reduce(Or, map(branch_sp, branches)) if branches \
+            else Bot()
         for name, ty in reversed(self._binders):
             sp = ExistsVar(name, ty, sp)
         return sp
@@ -712,14 +665,14 @@ class Checker:
                     return name
                 if isinstance(t, PureT):
                     return GhostRef(name)
-                return UNKNOWNV
+                return UNKNOWN
             case Pair(a, b):
                 return (self._eval_value(ctx, a, env),
                         self._eval_value(ctx, b, env))
             case Ket() | KetVec():
                 return m
             case _:
-                return UNKNOWNV
+                return UNKNOWN
 
     def _qubit_name_for(self, binder: str, branches: list) -> str:
         taken = set()
@@ -743,7 +696,7 @@ class Checker:
         cells = tuple(Cell(c.qubits, UNKNOWN_STATE)
                       for c in merged.heap.cells)
         merged.heap = SymbolicHeap(cells, merged.heap.frame_var)
-        merged.env = {k: (v if isinstance(v, str) else UNKNOWNV)
+        merged.env = {k: (v if isinstance(v, str) else UNKNOWN)
                       for k, v in merged.env.items()}
         return [merged]
 
@@ -843,7 +796,7 @@ class Checker:
                 out = []
                 for b in branches:
                     v = self._eval_value(ctx, ic, b.env)
-                    values = [v] if v is not UNKNOWNV else [False, True]
+                    values = [v] if v is not UNKNOWN else [False, True]
                     for value in values:
                         nb = b.copy()
                         nb.heap, delta = sp_init(b.heap, value, qname)
@@ -865,14 +818,14 @@ class Checker:
                     q = self._eval_value(ctx, tc, b.env)
                     if not isinstance(q, str) or b.heap.find(q) is None:
                         nb = b.copy()
-                        nb.env[binder] = UNKNOWNV
+                        nb.env[binder] = UNKNOWN
                         out.append(nb)
                         continue
                     for mb in sp_measure(b.heap, q, refine=not self.literal):
                         nb = b.copy()
                         nb.heap = mb.heap
                         nb.env[binder] = (mb.outcome if mb.outcome is not None
-                                          else UNKNOWNV)
+                                          else UNKNOWN)
                         out.append(nb)
                         self._record_delta(span, op, mb.delta,
                                            refined=not self.literal)
@@ -940,12 +893,12 @@ class Checker:
                              "state; result not computable statically",
                         span=span)
                 if missing_models:
-                    concl = None
-                    for q in simlib.footprint(u):
-                        atom = Lookup(Emb(Var(q)), WildcardState())
-                        concl = atom if concl is None else And(concl, atom)
+                    # a footprint qubit is missing, so the fold is nonempty
+                    concl = functools.reduce(
+                        And, (Lookup(Emb(Var(q)), WildcardState())
+                              for q in simlib.footprint(u)))
                     self._emit(
-                        ALLOCATION, concl or Top(),
+                        ALLOCATION, concl,
                         [Model(b.heap, dict(b.env)) for b, _ in
                          missing_models],
                         var_ctx=self._obligation_ctx(ctx),
@@ -1081,7 +1034,7 @@ class Checker:
                 return pb.env[name]
             if isinstance(t, UnitT):
                 return None
-            return UNKNOWNV
+            return UNKNOWN
 
         if len(pat) == 1:
             return component(pat[0])

@@ -285,6 +285,17 @@ class TestRun:
         assert payload["shots"] == 0
         assert payload["outcomes"] == [] and payload["errors"] == 0
 
+    def test_force_runs_non_unitary_as_dynamic_errors(self, capsys):
+        # the rejected rotation cannot be applied: every shot ends in a
+        # dynamic error instead of the run crashing (exit 3)
+        code, out, _ = run_cli(
+            ["run", negative("rot_nonunitary.qh"), "brot", "--force",
+             "--shots", "5", "--format", "json"], capsys)
+        assert code != 3
+        payload = json.loads(out)
+        assert payload["errors"] == payload["shots"] == 5
+        assert payload["outcomes"] == []
+
     def test_modular_testbell_outcomes_agree(self, capsys):
         code, out, _ = run_cli(
             ["run", corpus("bellpair.qh"), "testBell", "--seed", "1",
