@@ -429,7 +429,7 @@ class InDom:
     loc: Intro
 
 
-# Derived forms (expand/contract below) -------------------------------------
+# Derived forms (rewritten by expand_derived below) -------------------------
 
 
 @dataclass(frozen=True)
@@ -1199,100 +1199,3 @@ def expand_derived(a: "Assn", cur: str = CUR_HEAP, supply=None) -> "Assn":
                 return a
 
     return go(a)
-
-
-def contract_derived(a: "Assn", cur: str = CUR_HEAP) -> "Assn":
-    """Inverse of :func:`expand_derived` on its image, applied bottom-up."""
-
-    def go(a):
-        match a:
-            case HeapId(HVar(h), HEmpty()) if h == cur:
-                return Emp()
-            case HeapId(HVar(h), Upd(HEmpty(), loc, value)) if h == cur:
-                return PointsTo(loc, value)
-            case ExistsHeap(g, HeapId(HVar(h), Upd(HVar(g2), loc, value))) \
-                    if h == cur and g == g2:
-                return Lookup(loc, value)
-            case Or(IdAt(None, t1, c1), IdAt(None, t2, c2)) if t1 == t2:
-                return MemberOf(t1, (c1, c2))
-            case Or(MemberOf(t1, cs), IdAt(None, t2, c)) if t1 == t2:
-                return MemberOf(t1, cs + (c,))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                out_l, out_r = go(l), go(r)
-                match (out_l, out_r):
-                    case (IdAt(None, t1, c1), IdAt(None, t2, c2)) if t1 == t2:
-                        return MemberOf(t1, (c1, c2))
-                    case (MemberOf(t1, cs), IdAt(None, t2, c)) if t1 == t2:
-                        return MemberOf(t1, cs + (c,))
-                return Or(out_l, out_r)
-            case Implies(l, r):
-                return Implies(go(l), go(r))
-            case Not(body):
-                return Not(go(body))
-            case ExistsVar(x, ty, body):
-                return ExistsVar(x, ty, go(body))
-            case ForallVar(x, ty, body):
-                return ForallVar(x, ty, go(body))
-            case ExistsHeap(h, body):
-                inner = go(body)
-                match inner:
-                    case HeapId(HVar(hh), Upd(HVar(g2), loc, value)) \
-                            if hh == cur and h == g2:
-                        return Lookup(loc, value)
-                return ExistsHeap(h, inner)
-            case ForallHeap(h, body):
-                return ForallHeap(h, go(body))
-            case Compose(l, r):
-                return Compose(go(l), go(r))
-            case Replace(l, r):
-                return Replace(go(l), go(r))
-            case CellGroup(items):
-                return CellGroup(tuple(go(i) for i in items))
-            case _:
-                return a
-
-    return go(a)
-
-
-# ---------------------------------------------------------------------------
-# Basic well-formedness
-
-
-def well_formed(node) -> list:
-    """Collect structural problems: duplicate context names, ill-sorted
-    fields.  Returns a list of message strings (empty when well formed)."""
-    problems = []
-
-    def check_ctx(names, what):
-        seen = set()
-        for n in names:
-            if n in seen:
-                problems.append(f"duplicate {what} name {n!r}")
-            seen.add(n)
-
-    def walk(n):
-        match n:
-            case HoareT(vctx, hctx, pre, binder, result, post):
-                check_ctx([x for x, _ in vctx], "variable context")
-                check_ctx(list(hctx), "heap context")
-                check_ctx(list(binder), "binder pattern")
-                for _, a in vctx:
-                    walk(a)
-                walk(pre), walk(result), walk(post)
-            case Program(decls):
-                check_ctx([d.name for d in decls], "declaration")
-                for d in decls:
-                    walk(d)
-            case Decl(_, sig, body):
-                walk(sig), walk(body)
-            case PiT(_, dom, cod):
-                walk(dom), walk(cod)
-            case TensorT(a, b):
-                walk(a), walk(b)
-            case _:
-                pass
-
-    walk(node)
-    return problems

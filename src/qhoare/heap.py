@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    And, Assn, CellGroup, Compose, Emp, GhostRef, HEmpty, HeapId, HVar,
+    And, Assn, CellGroup, Emp, GhostRef, HEmpty, HeapId, HVar,
     IdAt, Ket, KetVec, KET_AMPS, NameSupply, Or, Pair, PointsTo, Replace,
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
     InDom, Top,
@@ -378,18 +378,6 @@ def delta_assertion(delta: HeapDelta) -> Assn:
     if not delta.consumed:
         return _delta_side(delta.produced)
     return Replace(_delta_side(delta.consumed), _delta_side(delta.produced))
-
-
-def render_assertion(deltas, initial: Assn) -> Assn:
-    """Right-nested composition chain for a sequence of deltas in program
-    order."""
-    items = [delta_assertion(d) for d in deltas if not d.is_empty()]
-    if not items:
-        return initial
-    chain = items[-1]
-    for d in reversed(items[:-1]):
-        chain = Compose(d, chain)
-    return Compose(initial, chain)
 
 
 def heap_to_assertions(h: SymbolicHeap, cur: str = "%h") -> list:

@@ -34,7 +34,7 @@ from .core import (
     Entangled, ExistsHeap, ExistsVar, ForallHeap, ForallVar, GhostRef,
     HeapE, HeapId, HEmpty, HVar, IdAt, InDom, Ket, KetVec, Lookup, MemberOf,
     Not, Or, Implies, Pair, PointsTo, QbitT, Replace, Span, Top, UNKNOWN,
-    UnitVal, Upd, Var, WildcardState, conjuncts, free_vars, kleene_and,
+    UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and,
     kleene_not, kleene_or, pretty, KET_AMPS,
 )
 from .heap import Cell, SymbolicHeap, SymState
@@ -90,57 +90,6 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Heap expression normalization
-
-
-def _loc_key(loc) -> str:
-    return pretty(loc)
-
-
-def heap_updates(h: HeapE):
-    """(base, updates) with shadowed updates removed, later update winning."""
-    updates = []
-    node = h
-    chain = []
-    while isinstance(node, Upd):
-        chain.append((node.loc, node.value))
-        node = node.base
-    seen = set()
-    for loc, value in chain:  # chain is outermost (latest) first
-        key = _loc_key(loc)
-        if key in seen:
-            continue
-        seen.add(key)
-        updates.append((loc, value))
-    return node, list(reversed(updates))
-
-
-def normalize_heap_expr(h: HeapE) -> HeapE:
-    """Canonical form: shadowed updates removed, updates sorted by
-    location."""
-    base, updates = heap_updates(h)
-    out = base
-    for loc, value in sorted(updates, key=lambda lv: _loc_key(lv[0])):
-        out = Upd(out, loc, value)
-    return out
-
-
-def lookup_heap_expr(h: HeapE, loc) -> tuple:
-    """Resolve a location in an update chain.
-
-    Returns ("found", value), ("absent", None) or ("unknown", None) when
-    the chain bottoms out in a heap variable."""
-    base, updates = heap_updates(h)
-    key = _loc_key(loc)
-    for uloc, value in updates:
-        if _loc_key(uloc) == key:
-            return ("found", value)
-    if isinstance(base, HEmpty):
-        return ("absent", None)
-    return ("unknown", None)
-
-
-# ---------------------------------------------------------------------------
 # Three-valued evaluation over a model
 
 
@@ -168,21 +117,24 @@ def _basis_value_of_vec(vec) -> Optional[bool]:
 #            | ("opaque", name) | ("unknown",)
 
 
+def _state_view(state: SymState) -> tuple:
+    """The view of a cell's whole state, without splitting into basis
+    branches."""
+    if state.kind == "concrete":
+        return ("vec", state.amps, state.exact)
+    if state.kind == "opaque":
+        return ("opaque", state.name)
+    return ("unknown",)
+
+
 def basis_views(heap: SymbolicHeap) -> list:
     """Expand multi-qubit concrete cells into computational-basis branches."""
     views = [dict()]
     for cell in heap.cells:
         if len(cell.qubits) == 1:
-            q = cell.qubits[0]
-            st = cell.state
-            if st.kind == "concrete":
-                entry = ("vec", st.amps, st.exact)
-            elif st.kind == "opaque":
-                entry = ("opaque", st.name)
-            else:
-                entry = ("unknown",)
+            entry = _state_view(cell.state)
             for v in views:
-                v[q] = entry
+                v[cell.qubits[0]] = entry
             continue
         if cell.state.kind == "concrete":
             vec = cell.state.vector()
@@ -358,13 +310,7 @@ class _Evaluator:
         out = {}
         for c in heap.cells:
             if len(c.qubits) == 1:
-                st = c.state
-                if st.kind == "concrete":
-                    out[c.qubits[0]] = ("vec", st.amps, st.exact)
-                elif st.kind == "opaque":
-                    out[c.qubits[0]] = ("opaque", st.name)
-                else:
-                    out[c.qubits[0]] = ("unknown",)
+                out[c.qubits[0]] = _state_view(c.state)
             else:
                 key = "(" + ", ".join(c.qubits) + ")"
                 if c.state.kind == "concrete":
@@ -498,12 +444,7 @@ class _Evaluator:
             return UNKNOWN
         if lit[0] == "wildcard":
             return True
-        cs = cell.state
-        if cs.kind == "concrete":
-            return _compare_states(("vec", cs.amps, cs.exact), lit)
-        if cs.kind == "opaque":
-            return _compare_states(("opaque", cs.name), lit)
-        return UNKNOWN
+        return _compare_states(_state_view(cell.state), lit)
 
 
 def eval_in_model(a: Assn, model: Model):
@@ -630,18 +571,28 @@ def _entails_models(ob: Obligation) -> Verdict:
     return Verdict("proved")
 
 
+def _value_text(v) -> str:
+    """A countermodel value as ``run`` writes results: ``true``/``false``,
+    qubits by name, ``()`` for unit and ``unknown`` where undecided."""
+    if v is UNKNOWN:
+        return "unknown"
+    if v is None:
+        return "()"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(_value_text, v)) + ")"
+    return pretty(v)
+
+
 def _describe_model(model: Model) -> dict:
     from .heap import state_expr
     cells = {", ".join(c.qubits): pretty(state_expr(c.state))
              for c in model.heap.cells}
-    env = {}
-    for k, v in model.env.items():
-        if v is True or v is False:
-            env[k] = "true" if v else "false"
-        elif isinstance(v, str):
-            env[k] = v
-        elif isinstance(v, tuple):
-            env[k] = str(v)
+    env = {k: _value_text(v) for k, v in model.env.items()
+           if isinstance(v, (bool, str, tuple))}
     return {"heap": cells if cells else {"": "empty"}, "env": env}
 
 

@@ -30,12 +30,11 @@ from . import heap as heaplib
 from . import sim as simlib
 from .core import (
     And, App, ApplyU, ARef, Ascribe, Assn, BindCmd, BindRun, BoolLit, BoolT,
-    Bot, Compose, Decl, Do, Emb, Emp, Entangled, ExistsVar, GhostRef, HoareT,
-    IdAt, IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit, MatrixT,
-    MeasQbit, MemberOf, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program,
-    PureT, QbitT, ReductionError, Ret, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
-    UnitVal, Upd, UT, Var, WildcardState, free_vars, mk_intro, normal_form,
-    pretty, subst,
+    Bot, Compose, Decl, Do, Emb, Emp, ExistsVar, GhostRef, HoareT, IdAt,
+    IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit, MatrixT,
+    MeasQbit, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program, PureT,
+    QbitT, ReductionError, Ret, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
+    UnitVal, UT, Var, WildcardState, mk_intro, normal_form, pretty, subst,
 )
 from .heap import (
     AbsBranch, Cell, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -74,41 +73,38 @@ class CheckError(Exception):
 # trace comparison)
 
 
-def alpha_normalize(node, counter=None):
-    counter = counter if counter is not None else [0]
+def alpha_normalize(node):
+    counter = [0]
 
     def fresh():
         counter[0] += 1
         return f"%a{counter[0]}"
 
-    def ren(n, mapping):
+    def ren(n):
         match n:
             case PiT(x, dom, cod):
                 nx = fresh()
-                return PiT(nx, ren(dom, mapping),
-                           ren(subst(cod, {x: Var(nx)}), mapping))
+                return PiT(nx, ren(dom), ren(subst(cod, {x: Var(nx)})))
             case HoareT(vctx, hctx, pre, binder, result, post):
                 m = {}
                 nvctx = []
                 for x, t in vctx:
                     nx = fresh()
                     m[x] = Var(nx)
-                    nvctx.append((nx, ren(t, mapping)))
+                    nvctx.append((nx, ren(t)))
                 nbinder = tuple(fresh() for _ in binder)
                 bm = dict(m)
                 for old, new in zip(binder, nbinder):
                     bm[old] = Var(new)
-                return HoareT(tuple(nvctx), hctx,
-                              ren(subst(pre, m), mapping), nbinder,
-                              ren(subst(result, m), mapping),
-                              ren(subst(post, bm), mapping))
+                return HoareT(tuple(nvctx), hctx, ren(subst(pre, m)),
+                              nbinder, ren(subst(result, m)),
+                              ren(subst(post, bm)))
             case Lam(x, body):
                 nx = fresh()
-                return Lam(nx, ren(subst(body, {x: Var(nx)}), mapping))
+                return Lam(nx, ren(subst(body, {x: Var(nx)})))
             case ExistsVar(x, t, body):
                 nx = fresh()
-                return ExistsVar(nx, ren(t, mapping),
-                                 ren(subst(body, {x: Var(nx)}), mapping))
+                return ExistsVar(nx, ren(t), ren(subst(body, {x: Var(nx)})))
             case _:
                 pass
         # generic structural recursion over dataclasses
@@ -120,16 +116,16 @@ def alpha_normalize(node, counter=None):
                     kwargs[f] = None
                 elif isinstance(v, tuple):
                     kwargs[f] = tuple(
-                        ren(i, mapping) if hasattr(i, "__dataclass_fields__")
+                        ren(i) if hasattr(i, "__dataclass_fields__")
                         else i for i in v)
                 elif hasattr(v, "__dataclass_fields__"):
-                    kwargs[f] = ren(v, mapping)
+                    kwargs[f] = ren(v)
                 else:
                     kwargs[f] = v
             return type(n)(**kwargs)
         return n
 
-    return ren(node, {})
+    return ren(node)
 
 
 def types_equal(a: Ty, b: Ty) -> bool:
@@ -196,15 +192,6 @@ class TraceStep:
     assertion: Assn
     refined: bool = False
     alternatives: int = 0
-
-
-@dataclass
-class CompResult:
-    result_name: str
-    result_type: Ty
-    strongest_post: Assn
-    obligations: list
-    trace: list
 
 
 @dataclass
@@ -1115,36 +1102,6 @@ def check(var_ctx: dict, m, ty: Ty, program: Optional[Program] = None):
     """Check an intro term against a type; returns the canonical form."""
     checker = Checker(program or Program(()))
     return checker.check(dict(var_ctx), m, ty)
-
-
-def synth_computation(var_ctx: dict, pre: Assn, comp,
-                      expected: Optional[Ty] = None,
-                      program: Optional[Program] = None,
-                      literal_measurement: bool = False,
-                      result_name: str = "r") -> CompResult:
-    """Strongest postcondition of a computation under a precondition."""
-    checker = Checker(program or Program(()), literal_measurement)
-    checker._reset_decl_state("<computation>")
-    ctx = dict(var_ctx)
-    branches = checker._initial_branches(ctx, pre)
-    out, rty = checker._steps(ctx, branches, comp, expected, None)
-    sp = checker._strongest_post(out, (result_name,))
-    return CompResult(result_name, rty, sp, checker._obs,
-                      checker._assemble_trace())
-
-
-def check_computation(var_ctx: dict, pre: Assn, comp, result_name: str,
-                      result_type: Ty, post: Assn,
-                      program: Optional[Program] = None,
-                      literal_measurement: bool = False) -> list:
-    """Check a computation against a declared pre/post pair; returns all
-    obligations including the final postcondition condition."""
-    checker = Checker(program or Program(()), literal_measurement)
-    checker._reset_decl_state("<computation>")
-    hoare = HoareT((), (), pre, (result_name,), result_type, post)
-    ctx = dict(var_ctx)
-    checker.check_do(ctx, comp, hoare)
-    return checker._obs
 
 
 def check_program(program: Program,

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON schemas, byte stability."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import jsonschema
 import pytest
 
 from qhoare.cli import main
+from qhoare.core import HoareT
+from qhoare.parser import parse_program
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
@@ -25,6 +28,14 @@ GOLDEN_RUNS = [
     ("bellpair.qh", "qplus"), ("bellpair.qh", "qminus"),
     ("teleport.qh", "bell"),
 ]
+
+# `pp` pairs `false` with a coin the checker cannot decide, so the
+# countermodel of its postcondition holds the undecided value in a pair
+COIN_PAIR_SOURCE = """\
+coin : {emp} r : Bool {T} = do q <= mkQbit false; applyU (H q); measQbit q
+pp : {emp} r : (Bool, Bool) {Id(r, (true, true))}
+   = do x <- coin; return (false, x)
+"""
 
 
 def run_cli(args, capsys):
@@ -217,6 +228,61 @@ class TestJsonOutputs:
         stem = fname.removesuffix(".qh")
         golden = GOLDEN_DIR / f"run_{stem}_{decl}_seed{seed}.json"
         assert out == golden.read_text()
+
+    def test_countermodel_renders_pair_values(self, tmp_path, capsys):
+        path = tmp_path / "pp.qh"
+        path.write_text(COIN_PAIR_SOURCE)
+        code, out, _ = run_cli(["vcs", str(path), "--format", "json"], capsys)
+        assert code == 1
+        assert """\
+          "countermodel": {
+            "env": {
+              "r": "(false, unknown)"
+            },
+            "heap": {
+              "": "empty"
+            }
+          },
+""" in out
+
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        # the same calls in two interpreters with different string hashing
+        # must print the same bytes
+        pp = tmp_path / "pp.qh"
+        pp.write_text(COIN_PAIR_SOURCE)
+        calls = []
+        for path in CORPUS_FILES + NEGATIVE_FILES + [pp]:
+            calls += [["check", str(path), "--format", "json"],
+                      ["vcs", str(path), "--format", "json"]]
+        for path in CORPUS_FILES:
+            for decl in parse_program(path.read_text()).program.decls:
+                if isinstance(decl.signature, HoareT):
+                    calls.append(["run", str(path), decl.name, "--seed", "7",
+                                  "--format", "json"])
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from qhoare.cli import main\n"
+            "for argv in json.load(sys.stdin):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    print(argv, code)\n"
+            "    sys.stdout.write(out.getvalue())\n")
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], input=json.dumps(calls),
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(
+                         filter(None, [src, os.environ.get("PYTHONPATH")]))})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        headers = [line for line in outputs[0].splitlines()
+                   if line.startswith("['")]
+        assert len(headers) == len(calls)
+        assert outputs[0] == outputs[1]
 
 
 class TestTrace:

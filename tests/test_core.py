@@ -1,11 +1,12 @@
-"""AST pretty-printing, free variables, and derived assertion forms."""
+"""AST pretty-printing, free variables, derived assertion forms, and the
+well-formedness of signatures."""
 
+from qhoare.cli import main
 from qhoare.core import (
-    And, App, Ascribe, BoolLit, BoolT, Decl, Emb, Emp, ExistsVar, GhostRef,
+    And, App, BoolLit, BoolT, Emb, Emp, ExistsHeap, ExistsVar, GhostRef,
     HeapId, HEmpty, HoareT, HVar, IdAt, Ket, Lam, Lookup, MemberOf, Or,
-    Pair, PiT, PointsTo, Program, QbitT, Top, UnitVal, Upd, Var,
-    WildcardState, contract_derived, expand_derived, free_vars, pretty,
-    well_formed, NameSupply,
+    Pair, PiT, PointsTo, PureT, QbitT, Top, UnitVal, Upd, Var,
+    WildcardState, expand_derived, free_vars, pretty, NameSupply,
 )
 from genlib import Gen
 
@@ -79,37 +80,67 @@ class TestDerivedForms:
             IdAt(None, Emb(Var("a")), Ket("+")),
             IdAt(None, Emb(Var("a")), Ket("-")))
 
-    def test_contract_inverts(self):
-        cases = [
-            Emp(),
-            PointsTo(Emb(Var("q")), Ket("1")),
-            MemberOf(Emb(Var("a")), (Ket("0"), Ket("1"))),
-            And(Emp(), PointsTo(Emb(Var("q")), GhostRef("s"))),
-        ]
-        for a in cases:
-            assert contract_derived(expand_derived(a)) == a
+    def test_lookup_expansion(self):
+        q = Emb(Var("q"))
+        assert expand_derived(Lookup(q, Ket("1")), supply=NameSupply()) == \
+            ExistsHeap("%g0", HeapId(HVar("%h"),
+                                     Upd(HVar("%g0"), q, Ket("1"))))
+        # a wildcard state becomes an existential Pure ghost
+        assert expand_derived(Lookup(q, WildcardState()),
+                              supply=NameSupply()) == \
+            ExistsVar("%s1", PureT(), ExistsHeap("%g0", HeapId(
+                HVar("%h"), Upd(HVar("%g0"), q, GhostRef("%s1")))))
 
-    def test_expand_contract_stable(self):
-        # expand(contract(a)) == expand(a) on generated assertions
+    def test_expand_idempotent(self):
+        # an expansion has no derived form left: expanding it again
+        # changes nothing, on generated assertions
         gen = Gen(7)
         for i in range(200):
             a = gen.assertion(3)
-            lhs = expand_derived(contract_derived(a), supply=NameSupply())
-            rhs = expand_derived(a, supply=NameSupply())
-            assert lhs == rhs, pretty(a)
+            once = expand_derived(a, supply=NameSupply())
+            assert expand_derived(once, supply=NameSupply()) == once, \
+                pretty(a)
 
 
 class TestWellFormed:
-    def test_duplicate_decl(self):
-        d = Decl("x", BoolT(), BoolLit(True))
-        problems = well_formed(Program((d, d)))
-        assert any("duplicate" in p for p in problems)
+    """The checker rejects a signature that binds one name twice as a type
+    error (exit code 2); the parser rejects duplicate declarations."""
 
-    def test_duplicate_hoare_context(self):
-        ty = HoareT((("x", QbitT()), ("x", BoolT())), (), Top(), ("r",),
-                    BoolT(), Top())
-        assert well_formed(ty)
+    def check(self, tmp_path, capsys, source):
+        """Exit code and stdout of ``check``, with the file path cut."""
+        path = tmp_path / "t.qh"
+        path.write_text(source)
+        code = main(["check", str(path)])
+        return code, capsys.readouterr().out.replace(f"{path}: ", "")
 
-    def test_clean_corpus(self, corpus):
-        for prog in corpus.values():
-            assert well_formed(prog) == []
+    def test_duplicate_decl(self, tmp_path, capsys):
+        code, out = self.check(tmp_path, capsys,
+                               "x : Bool = true\nx : Bool = false\n")
+        assert code == 2
+        assert "duplicate declaration 'x'" in out
+
+    def test_duplicate_hoare_context(self, tmp_path, capsys):
+        code, out = self.check(
+            tmp_path, capsys,
+            "f : x : Pure. x : Bool. {emp} r : Bool {T} = do return true\n")
+        assert (code, out) == (
+            2, "f: type-error (duplicate context name 'x')\n")
+
+    def test_duplicate_heap_context(self, tmp_path, capsys):
+        code, out = self.check(
+            tmp_path, capsys,
+            "f : h : heap. h : heap. {emp} r : Bool {T} = do return true\n")
+        assert (code, out) == (
+            2, "f: type-error (duplicate heap variable)\n")
+
+    def test_duplicate_binder_pattern(self, tmp_path, capsys):
+        code, out = self.check(
+            tmp_path, capsys,
+            "f : {emp} (a, a) : (Bool, Bool) {T} = do return (true, true)\n")
+        assert (code, out) == (
+            2, "f: type-error (duplicate name in binder pattern)\n")
+
+    def test_clean_corpus(self, checked_corpus):
+        for name, checked in checked_corpus.items():
+            assert [(d.name, d.error) for d in checked.decls
+                    if d.error is not None] == [], name

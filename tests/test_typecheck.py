@@ -1,5 +1,6 @@
 """Bidirectional checking, canonical forms, and computation judgments."""
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -15,8 +16,7 @@ from qhoare.parser import parse_program, parse_type
 from qhoare.prover import discharge_all
 from qhoare.typecheck import (
     BUILTIN_TYPES, CheckError, Checker, alpha_normalize, check,
-    check_computation, check_program, normalize, synth, synth_computation,
-    types_equal,
+    check_program, normalize, synth, types_equal,
 )
 from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
 from genlib import straight_line_source
@@ -158,33 +158,31 @@ class TestNormalize:
 
 class TestComputations:
     def test_return_true_sp(self):
-        result = synth_computation({}, Emp(), Ret(BoolLit(True)),
-                                   expected=BoolT())
-        assert result.result_type == BoolT()
+        program = parse_program(
+            "t : {emp} r : Bool {T} = do return true").program
+        result = check_program(program).decl("t")
+        assert result.error is None
         assert result.strongest_post == And(
             Emp(), IdAt(None, Emb(Var("r")), BoolLit(True)))
 
     def test_hqw_sp_entails_declared_post(self, corpus):
-        decl = corpus["hqw.qh"].decl("hqw")
-        obs = check_computation(
-            {}, decl.signature.pre, decl.body.body, "r", BoolT(),
-            decl.signature.post)
-        report = discharge_all(obs)
-        assert report.status == "verified"
+        program = corpus["hqw.qh"]
+        result = Checker(program).check_decl(program.decl("hqw"))
+        assert discharge_all(result.obligations).status == "verified"
 
     def test_mutated_post_refuted(self, corpus):
-        decl = corpus["hqw.qh"].decl("hqw")
+        program = corpus["hqw.qh"]
+        decl = program.decl("hqw")
         bad_post = And(Emp(), IdAt(None, Emb(Var("r")), BoolLit(True)))
-        obs = check_computation({}, decl.signature.pre, decl.body.body,
-                                "r", BoolT(), bad_post)
-        report = discharge_all(obs)
-        assert report.status == "refuted"
+        bad = dataclasses.replace(decl, signature=dataclasses.replace(
+            decl.signature, post=bad_post))
+        result = Checker(program).check_decl(bad)
+        assert discharge_all(result.obligations).status == "refuted"
 
     def test_rnd_no_result_constraint(self, corpus):
-        decl = corpus["rnd.qh"].decl("rnd")
-        obs = check_computation({}, decl.signature.pre, decl.body.body,
-                                "r", BoolT(), decl.signature.post)
-        assert discharge_all(obs).status == "verified"
+        program = corpus["rnd.qh"]
+        result = Checker(program).check_decl(program.decl("rnd"))
+        assert discharge_all(result.obligations).status == "verified"
 
     def test_testbell_five_trace_steps(self, checked_corpus):
         dr = checked_corpus["testbell.qh"].decl("testBell")
