@@ -13,7 +13,6 @@ assertions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -161,7 +160,7 @@ class Lam:
 
 @dataclass(frozen=True)
 class Do:
-    body: "Comp"
+    body: "Seq"
 
 
 @dataclass(frozen=True)
@@ -286,36 +285,47 @@ class Ret:
 
 @dataclass(frozen=True)
 class BindRun:
-    """``x <- K; rest``: run a suspended computation."""
+    """``x <- K``: run a suspended computation."""
 
     pattern: Pattern
     source: Elim
-    rest: "Comp"
     span: Optional[Span] = _span()
 
 
 @dataclass(frozen=True)
 class BindCmd:
-    """``x <= c; rest``: run a primitive command."""
+    """``x <= c``: run a primitive command."""
 
     binder: str
     command: Cmd
-    rest: "Comp"
     span: Optional[Span] = _span()
 
 
 @dataclass(frozen=True)
 class LetEq:
-    """``x : A = M; rest``: pure let binding."""
+    """``x : A = M``: pure let binding."""
 
     binder: str
     ann: Ty
     value: Intro
-    rest: "Comp"
     span: Optional[Span] = _span()
 
 
-Comp = Union[Ret, BindRun, BindCmd, LetEq]
+Stmt = Union[BindRun, BindCmd, LetEq]
+
+
+@dataclass(frozen=True)
+class Seq:
+    """A ``do`` block: statements in order, each binding names for the
+    ones after it, then the ``return``."""
+
+    stmts: tuple  # tuple[Stmt, ...]
+    ret: Ret
+
+
+def bound_names(s: Stmt) -> tuple:
+    """The names statement ``s`` binds for the rest of its block."""
+    return s.pattern if isinstance(s, BindRun) else (s.binder,)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +439,7 @@ class InDom:
     loc: Intro
 
 
-# Derived forms (rewritten by expand_derived below) -------------------------
+# Derived forms (the prover evaluates them directly) ------------------------
 
 
 @dataclass(frozen=True)
@@ -659,25 +669,21 @@ def _pp_cmd(c: Cmd) -> str:
     raise TypeError(f"not a command: {c!r}")
 
 
-def _pp_comp(e: Comp) -> str:
-    steps = []
-    while True:
-        match e:
-            case Ret(value):
-                steps.append(f"return {_pp_term(value)}")
-                break
-            case BindRun(pat, src, rest):
-                steps.append(f"{_pp_pattern(pat)} <- {_pp_term(src)}")
-                e = rest
-            case BindCmd(x, cmd, rest):
-                steps.append(f"{x} <= {_pp_cmd(cmd)}")
-                e = rest
-            case LetEq(x, ann, value, rest):
-                steps.append(f"{x} : {_pp_ty(ann)} = {_pp_term(value)}")
-                e = rest
-            case _:
-                raise TypeError(f"not a computation: {e!r}")
-    return "; ".join(steps)
+def _pp_stmt(s) -> str:
+    match s:
+        case Ret(value):
+            return f"return {_pp_term(value)}"
+        case BindRun(pat, src):
+            return f"{_pp_pattern(pat)} <- {_pp_term(src)}"
+        case BindCmd(x, cmd):
+            return f"{x} <= {_pp_cmd(cmd)}"
+        case LetEq(x, ann, value):
+            return f"{x} : {_pp_ty(ann)} = {_pp_term(value)}"
+    raise TypeError(f"not a computation step: {s!r}")
+
+
+def _pp_comp(e: Seq) -> str:
+    return "; ".join(map(_pp_stmt, e.stmts + (e.ret,)))
 
 
 def _pp_heap(h: HeapE) -> str:
@@ -782,8 +788,10 @@ def pretty(node) -> str:
         return _pp_term(node)
     if isinstance(node, (MkQbit, MeasQbit, ApplyU, IfCmd)):
         return _pp_cmd(node)
-    if isinstance(node, (Ret, BindRun, BindCmd, LetEq)):
+    if isinstance(node, Seq):
         return _pp_comp(node)
+    if isinstance(node, (Ret, BindRun, BindCmd, LetEq)):
+        return _pp_stmt(node)
     if isinstance(node, (HVar, HEmpty, Upd)):
         return _pp_heap(node)
     return _pp_assn(node, 0)
@@ -831,14 +839,18 @@ def free_vars(node) -> set:
             return free_vars(c) | free_vars(t) | free_vars(e)
         case MkQbit(m) | MeasQbit(m) | ApplyU(m):
             return free_vars(m)
-        case Ret(value):
+        case Seq(stmts, ret):
+            out, bound = set(), set()
+            for s in stmts:
+                out |= free_vars(s) - bound
+                bound.update(bound_names(s))
+            return out | (free_vars(ret) - bound)
+        case Ret(value) | BindRun(_, value):
             return free_vars(value)
-        case BindRun(pat, src, rest):
-            return free_vars(src) | (free_vars(rest) - set(pat))
-        case BindCmd(x, cmd, rest):
-            return free_vars(cmd) | (free_vars(rest) - {x})
-        case LetEq(x, ann, value, rest):
-            return free_vars(ann) | free_vars(value) | (free_vars(rest) - {x})
+        case BindCmd(_, cmd):
+            return free_vars(cmd)
+        case LetEq(_, ann, value):
+            return free_vars(ann) | free_vars(value)
         case Upd(base, loc, value):
             return free_vars(base) | free_vars(loc) | free_vars(value)
         case And(l, r) | Or(l, r) | Implies(l, r) | Compose(l, r):
@@ -957,6 +969,8 @@ def subst(node, mapping: dict):
                           subst(result, m), subst(post, m))
         case Var(name):
             return mapping.get(name, node)
+        case GhostRef(name):
+            return _as_state(mapping.get(name, node))
         case App(fn, arg):
             return App(subst(fn, mapping), subst(arg, mapping))
         case Ascribe(term, ty):
@@ -984,19 +998,19 @@ def subst(node, mapping: dict):
             return ApplyU(subst(m, mapping))
         case Ret(value, span):
             return Ret(subst(value, mapping), span)
-        case BindRun(pat, src, rest, span):
-            src = subst(src, mapping)
-            m = _drop(mapping, set(pat))
-            return BindRun(pat, src, subst(rest, m), span)
-        case BindCmd(x, cmd, rest, span):
-            cmd = subst(cmd, mapping)
-            m = _drop(mapping, {x})
-            return BindCmd(x, cmd, subst(rest, m), span)
-        case LetEq(x, ann, value, rest, span):
-            ann = subst(ann, mapping)
-            value = subst(value, mapping)
-            m = _drop(mapping, {x})
-            return LetEq(x, ann, value, subst(rest, m), span)
+        case Seq(stmts, ret):
+            # a statement's binders scope over the statements after it
+            out = []
+            for s in stmts:
+                out.append(subst(s, mapping))
+                mapping = _drop(mapping, bound_names(s))
+            return Seq(tuple(out), subst(ret, mapping))
+        case BindRun(pat, src, span):
+            return BindRun(pat, subst(src, mapping), span)
+        case BindCmd(x, cmd, span):
+            return BindCmd(x, subst(cmd, mapping), span)
+        case LetEq(x, ann, value, span):
+            return LetEq(x, subst(ann, mapping), subst(value, mapping), span)
         case HVar(name):
             v = mapping.get(name)
             return v if isinstance(v, (HVar, HEmpty, Upd)) else node
@@ -1137,65 +1151,3 @@ def conjuncts(a: "Assn") -> list:
     if isinstance(a, And):
         return conjuncts(a.left) + conjuncts(a.right)
     return [a]
-
-
-# ---------------------------------------------------------------------------
-# Derived assertion forms
-
-
-def expand_derived(a: "Assn", cur: str = CUR_HEAP, supply=None) -> "Assn":
-    """Rewrite derived assertion forms into the primitive connectives.
-
-    ``emp`` becomes heap equality with the empty heap, points-to becomes
-    equality with a singleton update, lookup becomes an existentially
-    quantified update, and membership becomes a disjunction of equalities.
-    """
-    if supply is None:
-        supply = NameSupply()
-
-    def go(a):
-        match a:
-            case Emp():
-                return HeapId(HVar(cur), HEmpty())
-            case PointsTo(loc, state):
-                return HeapId(HVar(cur), Upd(HEmpty(), _as_intro(loc),
-                                             _as_state(state)))
-            case Lookup(loc, state):
-                g = supply.fresh("g")
-                if isinstance(state, WildcardState):
-                    s = supply.fresh("s")
-                    return ExistsVar(
-                        s, PureT(),
-                        ExistsHeap(g, HeapId(
-                            HVar(cur), Upd(HVar(g), _as_intro(loc), GhostRef(s)))))
-                return ExistsHeap(g, HeapId(
-                    HVar(cur), Upd(HVar(g), _as_intro(loc), _as_state(state))))
-            case MemberOf(term, cands):
-                return functools.reduce(
-                    Or, (IdAt(None, term, c) for c in cands))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Implies(l, r):
-                return Implies(go(l), go(r))
-            case Compose(l, r):
-                return Compose(go(l), go(r))
-            case Replace(l, r):
-                return Replace(go(l), go(r))
-            case CellGroup(items):
-                return CellGroup(tuple(go(i) for i in items))
-            case Not(body):
-                return Not(go(body))
-            case ExistsVar(x, ty, body):
-                return ExistsVar(x, ty, go(body))
-            case ForallVar(x, ty, body):
-                return ForallVar(x, ty, go(body))
-            case ExistsHeap(h, body):
-                return ExistsHeap(h, go(body))
-            case ForallHeap(h, body):
-                return ForallHeap(h, go(body))
-            case _:
-                return a
-
-    return go(a)

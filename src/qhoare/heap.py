@@ -87,7 +87,6 @@ class Cell:
 @dataclass(frozen=True)
 class SymbolicHeap:
     cells: tuple = ()
-    frame_var: Optional[str] = None
 
     def find(self, qubit: str) -> Optional[Cell]:
         for c in self.cells:
@@ -144,7 +143,7 @@ def sp_init(h: SymbolicHeap, init: bool, fresh: str):
         raise HeapError(f"qubit name {fresh!r} is already allocated")
     cell = Cell((fresh,), classical_to_state(init))
     delta = HeapDelta((), (cell,))
-    return SymbolicHeap(h.cells + (cell,), h.frame_var), delta
+    return SymbolicHeap(h.cells + (cell,)), delta
 
 
 def _apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
@@ -220,7 +219,7 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
     new_cell = Cell(merged_qubits, new_state)
     cells = h.without(touched) + (new_cell,)
     delta = HeapDelta(tuple(touched), (new_cell,))
-    return ApplyResult(SymbolicHeap(cells, h.frame_var), delta, residual)
+    return ApplyResult(SymbolicHeap(cells), delta, residual)
 
 
 @dataclass(frozen=True)
@@ -257,7 +256,7 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
         cells = h.without([cell])
         if rest_qubits and rest_state is not None:
             cells = cells + (Cell(rest_qubits, rest_state),)
-        return SymbolicHeap(cells, h.frame_var)
+        return SymbolicHeap(cells)
 
     if cell.state.kind != "concrete":
         residual = UNKNOWN_STATE if rest_qubits else None

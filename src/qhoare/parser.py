@@ -4,7 +4,8 @@ Hand-rolled lexer and recursive-descent parser with limited backtracking.
 Comments run from ``--`` to end of line.  Layout is insignificant except for
 one rule that keeps the grammar deterministic: a bare command at the end of
 a ``do`` block terminates it, so a command used as a statement must carry an
-explicit ``;``.
+explicit ``;``.  The statements of a ``do`` block are read in a loop into
+one flat ``Seq``, so a block of any length parses without deep recursion.
 
 Desugarings applied while parsing:
 
@@ -29,8 +30,8 @@ from .core import (
     ForallHeap, ForallVar, GhostRef, HeapId, HEmpty, HoareT, HVar, IdAt,
     IfCmd, IfTerm, Implies, InDom, Ket, KetVec, Lam, LetEq, Lookup,
     MatrixLit, MatrixT, MeasQbit, MemberOf, MkQbit, NameSupply, Not, Or,
-    Pair, PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, Span, TensorT,
-    Top, UnitT, UnitVal, Upd, UT, Var, WildcardState,
+    Pair, PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, Seq, Span,
+    TensorT, Top, UnitT, UnitVal, Upd, UT, Var, WildcardState,
 )
 
 COMMAND_KEYWORDS = ("mkQbit", "measQbit", "applyU")
@@ -351,7 +352,7 @@ class _Parser:
         if self.at("NAME") and self.peek().text in COMMAND_KEYWORDS:
             cmd = self.parse_command()
             x = self.supply.fresh("s")
-            return Do(BindCmd(x, cmd, Ret(Emb(Var(x)))))
+            return Do(Seq((BindCmd(x, cmd),), Ret(Emb(Var(x)))))
         return self.parse_term()
 
     def parse_app(self):
@@ -516,53 +517,48 @@ class _Parser:
         return t.kind == "NAME" and (t.text in COMMAND_KEYWORDS or t.text == "if")
 
     def parse_comp(self):
-        t = self.peek()
-        span = t.span
-        if t.kind == "EOF":
-            raise ParseError("unexpected end of input inside do block", t.span)
-        if self.at_name("return"):
-            self.advance()
-            return Ret(self.parse_term(), span=span)
-        if self.at_command():
-            cmd = self.parse_command()
-            if self.at("SEMI"):
+        stmts = []
+        while True:
+            t = self.peek()
+            span = t.span
+            if t.kind == "EOF":
+                raise ParseError("unexpected end of input inside do block",
+                                 t.span)
+            if self.at_name("return"):
                 self.advance()
-                x = self.supply.fresh("s")
-                return BindCmd(x, cmd, self.parse_comp(), span=span)
-            # trailing command: its value is returned
-            x = self.supply.fresh("s")
-            return BindCmd(x, cmd, Ret(Emb(Var(x)), span=span), span=span)
-        if self.at("LPAREN"):
-            pat = self.try_tuple_bind(span)
-            if pat is not None:
-                return pat
-            return self.parse_terminal_pair(span)
-        if self.at("NAME"):
-            nxt = self.peek(1)
-            if nxt.kind == "BINDC":
-                x = self.advance().text
-                self.advance()
+                return Seq(tuple(stmts), Ret(self.parse_term(), span=span))
+            if self.at_command():
                 cmd = self.parse_command()
-                if self.at("SEMI"):
-                    self.advance()
-                return BindCmd(x, cmd, self.parse_comp(), span=span)
-            if nxt.kind == "BINDR":
+                x = self.supply.fresh("s")
+                stmts.append(BindCmd(x, cmd, span=span))
+                if not self.at("SEMI"):
+                    # trailing command: its value is returned
+                    return Seq(tuple(stmts), Ret(Emb(Var(x)), span=span))
+                self.advance()
+                continue
+            if self.at("LPAREN"):
+                stmt = self.try_tuple_bind(span)
+                if stmt is None:
+                    return self.parse_terminal_pair(stmts, span)
+            elif self.at("NAME") and self.peek(1).kind == "BINDC":
                 x = self.advance().text
                 self.advance()
-                src = self.as_elim(self.parse_app())
-                if self.at("SEMI"):
-                    self.advance()
-                return BindRun((x,), src, self.parse_comp(), span=span)
-            if nxt.kind == "COLON":
+                stmt = BindCmd(x, self.parse_command(), span=span)
+            elif self.at("NAME") and self.peek(1).kind == "BINDR":
+                x = self.advance().text
+                self.advance()
+                stmt = BindRun((x,), self.as_elim(self.parse_app()), span=span)
+            elif self.at("NAME") and self.peek(1).kind == "COLON":
                 x = self.advance().text
                 self.advance()
                 ann = self.parse_type()
                 self.expect("EQ", "'=' in let binding")
-                value = self.parse_term()
-                if self.at("SEMI"):
-                    self.advance()
-                return LetEq(x, ann, value, self.parse_comp(), span=span)
-        raise self.fail("expected a computation step")
+                stmt = LetEq(x, ann, self.parse_term(), span=span)
+            else:
+                raise self.fail("expected a computation step")
+            stmts.append(stmt)
+            if self.at("SEMI"):
+                self.advance()
 
     def try_tuple_bind(self, span: Span):
         if (self.peek(1).kind == "NAME" and self.peek(2).kind == "COMMA"
@@ -575,22 +571,18 @@ class _Parser:
             b = self.advance().text
             self.advance()
             self.advance()
-            src = self.as_elim(self.parse_app())
-            if self.at("SEMI"):
-                self.advance()
-            return BindRun((a, b), src, self.parse_comp(), span=span)
+            return BindRun((a, b), self.as_elim(self.parse_app()), span=span)
         return None
 
-    def parse_terminal_pair(self, span: Span):
+    def parse_terminal_pair(self, stmts: list, span: Span):
         # `(measQbit qa, measQbit qb)`: command components become binds.
         self.expect("LPAREN", "'('")
-        binds = []
 
         def component():
             if self.at_command():
                 cmd = self.parse_command()
                 x = self.supply.fresh("s")
-                binds.append((x, cmd))
+                stmts.append(BindCmd(x, cmd, span=span))
                 return Emb(Var(x))
             return self.parse_term()
 
@@ -598,10 +590,7 @@ class _Parser:
         self.expect("COMMA", "',' in returned pair")
         second = component()
         self.expect("RPAREN", "')' closing returned pair")
-        comp = Ret(Pair(first, second), span=span)
-        for x, cmd in reversed(binds):
-            comp = BindCmd(x, cmd, comp, span=span)
-        return comp
+        return Seq(tuple(stmts), Ret(Pair(first, second), span=span))
 
     # --- assertions
 

@@ -159,8 +159,11 @@ def basis_views(heap: SymbolicHeap) -> list:
 
 
 def _compare_states(a, b):
-    """Three-valued equality of two view states / literal states."""
+    """Three-valued equality of two view states / literal states; the
+    wildcard ``-`` equals any state."""
     ka, kb = a[0], b[0]
+    if ka == "wildcard" or kb == "wildcard":
+        return True
     if ka == "unknown" or kb == "unknown":
         return UNKNOWN
     if ka == "opaque" or kb == "opaque":
@@ -185,6 +188,11 @@ def _compare_states(a, b):
     if va is not None and vb is not None:
         return va == vb
     return UNKNOWN
+
+
+def _loc_key(names: tuple) -> str:
+    """The key of the cell at locations ``names`` in a heap denotation."""
+    return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
 
 def _literal_state(expr, ghosts_ok=True):
@@ -266,8 +274,6 @@ class _Evaluator:
             lit = _literal_state(other)
             if lit is None:
                 return UNKNOWN
-            if lit[0] == "wildcard":
-                return True
             return _compare_states(st, lit)
         if isinstance(lv, tuple) and isinstance(rv, tuple):
             if len(lv) != len(rv):
@@ -278,8 +284,6 @@ class _Evaluator:
             return out
         la, ra = _literal_state(lv), _literal_state(rv)
         if la is not None and ra is not None:
-            if "wildcard" in (la[0], ra[0]):
-                return True
             return _compare_states(la, ra)
         return UNKNOWN
 
@@ -299,24 +303,20 @@ class _Evaluator:
             base = self.heap_denotation(h.base)
             if base is None:
                 return None
-            out = dict(base)
+            names = self._loc_names(h.loc)
+            if names is None:
+                return None
             lit = _literal_state(h.value)
-            key = pretty(h.loc)
-            out[key] = lit if lit is not None else ("unknown",)
-            return out
+            return {**base, _loc_key(names): lit or ("unknown",)}
         return None
 
     def heap_cells_map(self, heap: SymbolicHeap):
         out = {}
         for c in heap.cells:
-            if len(c.qubits) == 1:
-                out[c.qubits[0]] = _state_view(c.state)
+            if len(c.qubits) == 1 or c.state.kind == "concrete":
+                out[_loc_key(c.qubits)] = _state_view(c.state)
             else:
-                key = "(" + ", ".join(c.qubits) + ")"
-                if c.state.kind == "concrete":
-                    out[key] = ("vec", c.state.amps, c.state.exact)
-                else:
-                    out[key] = ("unknown",)
+                out[_loc_key(c.qubits)] = ("unknown",)
         return out
 
     def current_heap_map(self):
@@ -345,8 +345,6 @@ class _Evaluator:
             case Bot():
                 return False
             case Emp():
-                if self.model.heap.frame_var is not None:
-                    return UNKNOWN
                 return len(self.model.heap.cells) == 0
             case And(l, r):
                 return kleene_and(self.eval(l), self.eval(r))
@@ -365,8 +363,6 @@ class _Evaluator:
                 names = self._loc_names(loc)
                 if names is None:
                     return UNKNOWN
-                if self.model.heap.frame_var is not None:
-                    return UNKNOWN
                 cells = self.model.heap.cells
                 if len(cells) != 1 or tuple(sorted(cells[0].qubits)) != \
                         tuple(sorted(names)):
@@ -383,8 +379,6 @@ class _Evaluator:
                     lit = _literal_state(st)
                     if lit is None:
                         return UNKNOWN
-                    if lit[0] == "wildcard":
-                        return True
                     return _compare_states(view, lit)
                 cell = self.model.heap.find(names[0])
                 if cell is None or tuple(sorted(cell.qubits)) != \
@@ -400,9 +394,7 @@ class _Evaluator:
                 den = self.heap_denotation(h)
                 if den is None:
                     return UNKNOWN
-                key = names[0] if len(names) == 1 else \
-                    "(" + ", ".join(names) + ")"
-                return key in den
+                return _loc_key(names) in den
             case HeapId(l, r):
                 dl, dr = self.heap_denotation(l), self.heap_denotation(r)
                 if dl is None or dr is None:
@@ -442,8 +434,6 @@ class _Evaluator:
         lit = _literal_state(st)
         if lit is None:
             return UNKNOWN
-        if lit[0] == "wildcard":
-            return True
         return _compare_states(_state_view(cell.state), lit)
 
 

@@ -37,7 +37,7 @@ from .core import (
     And, App, ApplyU, Ascribe, BindCmd, BindRun, BoolLit, Bot, Do, Emb, Emp,
     Entangled, HoareT, IdAt, IfCmd, IfTerm, Implies, Ket, KetVec, Lam, LetEq,
     Lookup, MatrixLit, MeasQbit, MemberOf, MkQbit, Not, Or, Pair, PiT,
-    PointsTo, Program, Ret, Top, UNKNOWN, UnitVal, Var, WildcardState,
+    PointsTo, Program, Seq, Top, UNKNOWN, UnitVal, Var, WildcardState,
     GhostRef, conjuncts, kleene_and, kleene_not, kleene_or, pretty,
 )
 
@@ -456,18 +456,14 @@ class Interpreter:
 
     # --- effectful execution
 
-    def run_comp(self, comp, env: dict, state: QuantumState, rng):
+    def run_comp(self, comp: Seq, env: dict, state: QuantumState, rng):
         # `env` is owned by this invocation (callers pass fresh dicts);
         # closures and suspensions snapshot it, so in-place update is safe.
-        while True:
-            match comp:
-                case Ret(value):
-                    return self.eval_term(value, env), state
-                case BindCmd(x, cmd, rest):
-                    value, state = self.run_cmd(cmd, env, state, rng)
-                    env[x] = value
-                    comp = rest
-                case BindRun(pat, source, rest):
+        for stmt in comp.stmts:
+            match stmt:
+                case BindCmd(x, cmd):
+                    env[x], state = self.run_cmd(cmd, env, state, rng)
+                case BindRun(pat, source):
                     value, state = self.run_suspended(
                         self.eval_term(source, env), state, rng)
                     if len(pat) == 1:
@@ -478,12 +474,9 @@ class Interpreter:
                                 "pattern arity mismatch in bind")
                         for name, comp_value in zip(pat, value):
                             env[name] = comp_value
-                    comp = rest
-                case LetEq(x, _, value, rest):
+                case LetEq(x, _, value):
                     env[x] = self.eval_term(value, env)
-                    comp = rest
-                case _:
-                    raise SimulationError(f"bad computation node {comp!r}")
+        return self.eval_term(comp.ret.value, env), state
 
     def run_cmd(self, cmd, env: dict, state: QuantumState, rng):
         match cmd:

@@ -33,7 +33,7 @@ from .core import (
     Bot, Compose, Decl, Do, Emb, Emp, ExistsVar, GhostRef, HoareT, IdAt,
     IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit, MatrixT,
     MeasQbit, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program, PureT,
-    QbitT, ReductionError, Ret, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
+    QbitT, ReductionError, Seq, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
     UnitVal, UT, Var, WildcardState, mk_intro, normal_form, pretty, subst,
 )
 from .heap import (
@@ -490,7 +490,7 @@ class Checker:
             ctx.bind(x, t)
         branches = self._initial_branches(ctx, hoare.pre)
         out, result_ty = self._steps(ctx, branches, comp, hoare.result,
-                                     parent_span=None)
+                                     span=None)
         if not types_equal(result_ty, hoare.result):
             raise CheckError(
                 f"computation returns {pretty(result_ty)}, "
@@ -518,9 +518,17 @@ class Checker:
         binders so far, then ``tail``; shares ``ctx`` and the binders."""
         return VarCtx(ctx, more, self._binders, tail)
 
+    def _heap_branches(self, a: Assn, kind, span) -> list:
+        """The heap branches of ``a``; an assertion that puts one qubit in
+        two cells is a type error at ``span``."""
+        try:
+            return heap_from_assertion(a, kind, self.supply)
+        except heaplib.HeapError as e:
+            raise CheckError(str(e), span) from None
+
     def _initial_branches(self, ctx: dict, pre: Assn) -> list:
-        kind = self._kind_of(ctx)
-        abs_branches = heap_from_assertion(pre, kind, self.supply)
+        abs_branches = self._heap_branches(pre, self._kind_of(ctx),
+                                           self._span)
         out = []
         for ab in abs_branches:
             env = dict(ab.env)
@@ -682,56 +690,41 @@ class Checker:
         merged = branches[0].copy()
         cells = tuple(Cell(c.qubits, UNKNOWN_STATE)
                       for c in merged.heap.cells)
-        merged.heap = SymbolicHeap(cells, merged.heap.frame_var)
+        merged.heap = SymbolicHeap(cells)
         merged.env = {k: (v if isinstance(v, str) else UNKNOWN)
                       for k, v in merged.env.items()}
         return [merged]
 
-    def _steps(self, ctx: dict, branches: list, comp, expected: Optional[Ty],
-               parent_span):
+    def _steps(self, ctx: dict, branches: list, comp: Seq,
+               expected: Optional[Ty], span):
         """Run a ``do`` block statement by statement over ``branches``.
 
         The block's context is one :class:`_Scope`, extended in place as
-        the statements bind names; the loop keeps the stack flat however
-        long the block is.
+        the statements bind names.  ``span`` stands for a statement that
+        has none.
         """
         ctx = _Scope(ctx)
-        while True:
-            match comp:
-                case Ret(value, span):
-                    self._span = span or parent_span
-                    if expected is not None:
-                        vc = self.check(ctx, value, expected)
-                        rty = expected
-                    else:
-                        rty, vc = self._synth_intro(ctx, value)
-                    for b in branches:
-                        b.result = self._eval_value(ctx, vc, b.env)
-                    return branches, rty
-
-                case LetEq(x, ann, value, rest, span):
-                    parent_span = span or parent_span
-                    self._span = parent_span
+        for stmt in comp.stmts:
+            span = stmt.span or span
+            self._span = span
+            match stmt:
+                case LetEq(x, ann, value):
                     self.check_type(ctx, ann)
                     vc = self.check(ctx, value, ann)
                     for b in branches:
                         b.env[x] = self._eval_value(ctx, vc, b.env)
                     ctx.bind(x, ann)
 
-                case BindCmd(x, cmd, rest, span):
-                    parent_span = span or parent_span
-                    self._span = parent_span
+                case BindCmd(x, cmd):
                     branches, bty = self._run_command(ctx, branches, x, cmd,
-                                                      parent_span)
+                                                      span)
                     ctx.bind(x, bty)
                     self._binders.append((x, bty))
                     branches = self._cap_branches(branches, ctx)
 
-                case BindRun(pat, source, rest, span):
-                    parent_span = span or parent_span
-                    self._span = parent_span
+                case BindRun(pat, source):
                     branches, rty = self._run_call(ctx, branches, pat,
-                                                   source, parent_span)
+                                                   source, span)
                     if len(pat) == 1:
                         bound = ((pat[0], rty),)
                     elif isinstance(rty, TensorT):
@@ -739,16 +732,21 @@ class Checker:
                     else:
                         raise CheckError(
                             f"pair pattern on non-pair result "
-                            f"{pretty(rty)}", parent_span)
+                            f"{pretty(rty)}", span)
                     for name, ty in bound:
                         ctx.bind(name, ty)
                         self._binders.append((name, ty))
                     branches = self._cap_branches(branches, ctx)
 
-                case _:
-                    raise CheckError(f"bad computation node {comp!r}",
-                                     parent_span)
-            comp = rest
+        self._span = comp.ret.span or span
+        if expected is not None:
+            vc = self.check(ctx, comp.ret.value, expected)
+            rty = expected
+        else:
+            rty, vc = self._synth_intro(ctx, comp.ret.value)
+        for b in branches:
+            b.result = self._eval_value(ctx, vc, b.env)
+        return branches, rty
 
     def _synth_intro(self, ctx: dict, m):
         m2 = _strip(m)
@@ -858,14 +856,14 @@ class Checker:
                         nb.env[binder] = None
                         out.append(nb)
                         continue
+                    # one branch in, one out: update it in place
                     res = sp_apply_unitary(b.heap, u)
-                    nb = b.copy()
-                    nb.heap = res.heap
-                    nb.env[binder] = None
-                    out.append(nb)
+                    b.heap = res.heap
+                    b.env[binder] = None
+                    out.append(b)
                     self._record_delta(span, op, res.delta)
                     if res.residual:
-                        residual_models.append(Model(nb.heap, dict(nb.env)))
+                        residual_models.append(Model(b.heap, dict(b.env)))
                         residual_cell = res.delta.produced[0]
                 if residual_models:
                     g = self.supply.fresh("u")
@@ -980,8 +978,8 @@ class Checker:
         elif isinstance(result_ty, TensorT):
             pat_kinds[pat[0]] = result_ty.left
             pat_kinds[pat[1]] = result_ty.right
-        post_branches = heap_from_assertion(post, self._kind_of(pat_kinds),
-                                            self.supply)
+        post_branches = self._heap_branches(post, self._kind_of(pat_kinds),
+                                            span)
         self._op_counter += 1
         op = self._op_counter
         out = []
@@ -1002,7 +1000,7 @@ class Checker:
                         renamed.append(Cell(qs, c.state))
                     produced = tuple(renamed)
                     cells = framed.cells + produced
-                nb.heap = SymbolicHeap(cells, b.heap.frame_var)
+                nb.heap = SymbolicHeap(cells)
                 nb.env.update(pb.env)
                 nb.assumed.extend(pb.assumed)
                 value = self._call_result_value(pat, pat_kinds, pb)
@@ -1069,7 +1067,7 @@ def _frame_out(h: SymbolicHeap, qubits) -> tuple:
         rest = tuple(x for x in cell.qubits if x != q and x not in qubits)
         if rest:
             cells.append(Cell(rest, UNKNOWN_STATE))
-    return SymbolicHeap(tuple(cells), h.frame_var), tuple(consumed)
+    return SymbolicHeap(tuple(cells)), tuple(consumed)
 
 
 def _small_footprint(a: Assn) -> Assn:

@@ -9,7 +9,7 @@ from qhoare.core import (
     ExistsVar, ForallHeap, ForallVar, GhostRef, HeapId, HEmpty, HoareT,
     HVar, IdAt, IfCmd, IfTerm, Implies, InDom, Ket, KetVec, Lam, LetEq,
     Lookup, MatrixLit, MatrixT, MeasQbit, MkQbit, MemberOf, Not, Or, Pair,
-    PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, TensorT, Top,
+    PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, Seq, TensorT, Top,
     UnitT, UnitVal, Upd, UT, Var, WildcardState, ApplyU,
 )
 
@@ -205,19 +205,22 @@ class Gen:
                      self.term(max(0, depth - 1)))
 
     def comp(self, depth=2):
-        if depth <= 0:
-            return Ret(self.term(0))
-        k = self.rng.randrange(4)
-        if k == 0:
-            return Ret(self.term(depth - 1))
-        if k == 1:
-            return BindCmd(self.name(), self.command(depth - 1),
-                           self.comp(depth - 1))
-        if k == 2:
-            pat = (self.name(),) if self.rng.random() < 0.7 else ("a", "b")
-            return BindRun(pat, Var(self.name()), self.comp(depth - 1))
-        return LetEq(self.name(), self.type_(0), self.term(depth - 1),
-                     self.comp(depth - 1))
+        stmts = []
+        while depth > 0:
+            k = self.rng.randrange(4)
+            depth -= 1
+            if k == 0:
+                return Seq(tuple(stmts), Ret(self.term(depth)))
+            if k == 1:
+                stmts.append(BindCmd(self.name(), self.command(depth)))
+            elif k == 2:
+                pat = (self.name(),) if self.rng.random() < 0.7 \
+                    else ("a", "b")
+                stmts.append(BindRun(pat, Var(self.name())))
+            else:
+                stmts.append(LetEq(self.name(), self.type_(0),
+                                   self.term(depth)))
+        return Seq(tuple(stmts), Ret(self.term(0)))
 
     # --- programs
 

@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 
 from qhoare.cli import main
 from qhoare.core import HoareT
-from qhoare.parser import parse_program
+from qhoare.parser import parse_program, tokenize
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
@@ -412,6 +414,67 @@ class TestReducerPaths:
         assert payload["errors"] == 0
 
 
+class TestHeapEquality:
+    """Heap equality against the heap the block built: a wildcard state
+    matches any cell, and `upd` names a cell through the variable bound
+    to it."""
+
+    @staticmethod
+    def source(post):
+        return f"w : {{emp}} q : Qbit {{{post}}} = do mkQbit false\n"
+
+    @pytest.mark.parametrize("post", [
+        "HId(upd(empty, q, |0\\>), upd(empty, q, -))",
+        "HId(%h, upd(empty, q, |0\\>))",
+    ])
+    def test_verified(self, post, tmp_path, capsys):
+        path = tmp_path / "w.qh"
+        path.write_text(self.source(post))
+        for args in (["check"], ["vcs"], ["run", "w"]):
+            code, out, err = run_cli([args[0], str(path), *args[1:]], capsys)
+            assert code == 0, (args, out, err)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert out == f"{path}: w: verified\n"
+
+    def test_wrong_state_refuted(self, tmp_path, capsys):
+        path = tmp_path / "w.qh"
+        path.write_text(self.source("HId(%h, upd(empty, q, |1\\>))"))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 1
+        assert out.startswith(f"{path}: w: refuted\n")
+
+
+class TestCalleePostcondition:
+    def test_qubit_in_two_cells_is_a_type_error(self, tmp_path, capsys):
+        # p's postcondition names the caller's qubit `qa` as its result, so
+        # splicing it in at the call would put `qa` in two cells
+        path = tmp_path / "twice.qh"
+        path.write_text(
+            "p : {emp} r : Qbit {Id(r, qa)}\n"
+            "  = do q <= mkQbit false;\n"
+            "       return q\n\n"
+            "m : {emp} qa : Qbit {T}\n"
+            "  = do qa <- p;\n"
+            "       return qa\n")
+        for args in (["check"], ["vcs"], ["run", "m"]):
+            code, _, err = run_cli([args[0], str(path), *args[1:]], capsys)
+            assert code == 2, (args, err)
+        _, out, _ = run_cli(["check", str(path)], capsys)
+        assert (f"{path}: m: type-error "
+                f"(6:8: qubit 'qa' occurs in two cells)\n") in out
+
+    def test_ghost_candidate_in_membership(self, tmp_path, capsys):
+        # a name among the candidates of `\\in` is a state variable, and
+        # instantiating `share a` substitutes through it
+        path = tmp_path / "ghost.qh"
+        path.write_text(
+            (CORPUS_DIR / "bellpair.qh").read_text().replace(
+                "a \\in {|0\\>, |1\\>}}", "a \\in {|0\\>, g}}", 1))
+        code, out, err = run_cli(["check", str(path)], capsys)
+        assert code == 0, err
+        assert f"{path}: share: conditional\n" in out
+
+
 class TestConsoleEntry:
     def test_subprocess_invocation(self):
         proc = subprocess.run(
@@ -463,38 +526,73 @@ def stack_depth() -> int:
 
 
 class TestDepth:
-    def test_no_internal_error_across_parser_limit(self, tmp_path, capsys):
-        # A straight-line block either checks (exit 0) or is refused by the
-        # parser as nested too deeply (exit 2); a block the parser accepts
-        # must not exhaust the stack later (exit 3).  A lowered recursion
-        # limit brings the parser's limit down to a ~150-statement block.
-        commands = {"check": ["check"], "vcs": ["vcs"],
-                    "trace": ["trace", "deep"],
-                    "run": ["run", "deep", "--shots", "10"]}
-
-        def code(command, n):
-            path = tmp_path / f"deep{n}.qh"
-            if not path.exists():
-                path.write_text(straight_line_source(n))
-            name, *rest = commands[command]
-            return run_cli([name, str(path), *rest], capsys)[0]
-
+    def test_straight_line_blocks_under_low_recursion_limit(self, tmp_path,
+                                                            capsys):
+        # Every walker loops over a block's statements, so a lowered
+        # recursion limit, under which one frame per statement fails near
+        # 150 statements, bounds no block length.
+        commands = [["check"], ["vcs"], ["trace", "deep"],
+                    ["run", "deep", "--shots", "10"]]
         codes = {}
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 200)
         try:
-            lo, hi = 1, 400  # first block length the parser refuses
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if code("check", mid) == 2:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            for n in range(lo - 12, lo + 3):
-                for command in commands:
-                    codes[command, n] = code(command, n)
+            for n in (150, 400, 2000):
+                path = tmp_path / f"deep{n}.qh"
+                path.write_text(straight_line_source(n))
+                for name, *rest in commands:
+                    codes[name, n] = run_cli([name, str(path), *rest],
+                                             capsys)[0]
         finally:
             sys.setrecursionlimit(old)
-        assert 20 < lo < 400
-        assert set(codes.values()) == {0, 2}, sorted(
-            key for key, c in codes.items() if c not in (0, 2))
+        assert {key: c for key, c in codes.items() if c != 0} == {}
+
+
+def token_layout(source: str) -> tuple:
+    """The tokens of ``source`` and the text around them: ``seps[i]``
+    precedes ``tokens[i]``, and ``seps[-1]`` follows the last token."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+    seps, tokens, pos = [], [], 0
+    for tok in tokenize(source, [], "<fuzz>")[:-1]:  # drop EOF
+        at = line_starts[tok.span.line - 1] + tok.span.col - 1
+        seps.append(source[pos:at])
+        tokens.append(tok.text)
+        pos = at + len(tok.text)
+    seps.append(source[pos:])
+    return seps, tokens
+
+
+class TestFuzz:
+    def test_token_mutations_never_exit_3(self, tmp_path, capsys):
+        # Delete, duplicate, swap or replace tokens of the corpus and
+        # negative files, keeping the whitespace: whatever the result,
+        # `check` and `vcs` report it, never an internal error (exit 3).
+        rng = random.Random(7)
+        layouts = [token_layout(p.read_text())
+                   for p in CORPUS_FILES + NEGATIVE_FILES]
+        pool = sorted({t for _, tokens in layouts for t in tokens})
+        path = tmp_path / "mutant.qh"
+        crashes = []
+        for _ in range(1000):
+            seps, tokens = rng.choice(layouts)
+            tokens = list(tokens)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(tokens))
+                op = rng.randrange(4)
+                if op == 0:
+                    tokens[i] = ""
+                elif op == 1:
+                    tokens[i] = f"{tokens[i]} {tokens[i]}"
+                elif op == 2:
+                    j = rng.randrange(len(tokens))
+                    tokens[i], tokens[j] = tokens[j], tokens[i]
+                else:
+                    tokens[i] = rng.choice(pool)
+            source = "".join(map("".join, zip(seps, tokens))) + seps[-1]
+            path.write_text(source)
+            for args in (["check"], ["vcs", "--format", "json"]):
+                code, _, err = run_cli([args[0], str(path), *args[1:]],
+                                       capsys)
+                if code == 3:
+                    crashes.append((source, args, err))
+        assert crashes == []

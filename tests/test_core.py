@@ -3,12 +3,14 @@ well-formedness of signatures."""
 
 from qhoare.cli import main
 from qhoare.core import (
-    And, App, BoolLit, BoolT, Emb, Emp, ExistsHeap, ExistsVar, GhostRef,
-    HeapId, HEmpty, HoareT, HVar, IdAt, Ket, Lam, Lookup, MemberOf, Or,
-    Pair, PiT, PointsTo, PureT, QbitT, Top, UnitVal, Upd, Var,
-    WildcardState, expand_derived, free_vars, pretty, NameSupply,
+    CUR_HEAP, And, App, BoolLit, BoolT, Emb, Emp, ExistsVar, GhostRef,
+    HeapId, HEmpty, HoareT, HVar, IdAt, Ket, Lam, MemberOf, Or, Pair, PiT,
+    PointsTo, QbitT, Top, UnitVal, Upd, Var, WildcardState, free_vars,
+    pretty,
 )
-from genlib import Gen
+from qhoare.heap import Cell, SymbolicHeap, concrete, opaque
+from qhoare.prover import Model, eval_in_model
+from genlib import KETS
 
 
 class TestPretty:
@@ -66,40 +68,48 @@ class TestFreeVars:
 
 
 class TestDerivedForms:
+    """Each derived assertion form means what its expansion into heap
+    equality or identity means: the prover gives both the same truth value
+    in every model of up to two cells."""
+
+    Q = Emb(Var("q"))
+    STATES = [Ket(k) for k in KETS] + [GhostRef("g"), WildcardState()]
+
+    def models(self):
+        cells = [concrete(Ket(k).amplitudes()) for k in KETS] + [opaque("g")]
+        heaps = [SymbolicHeap()]
+        heaps += [SymbolicHeap((Cell((q,), c),)) for q in "qp" for c in cells]
+        heaps += [SymbolicHeap((Cell(("q",), c), Cell(("p",), d)))
+                  for c in cells for d in cells]
+        heaps += [SymbolicHeap((Cell(("q", "p"),
+                                     concrete(Ket("phi+").amplitudes())),))]
+        # `q` is a location name, bound to its own name, or bound to `p`
+        for env in ({}, {"q": "q"}, {"q": "p"}):
+            for h in heaps:
+                yield Model(h, dict(env))
+
+    def assert_agree(self, pairs):
+        disagreements = [
+            (pretty(form), pretty(expansion), model)
+            for model in self.models() for form, expansion in pairs
+            if eval_in_model(form, model) is not eval_in_model(expansion,
+                                                               model)]
+        assert disagreements == []
+
     def test_emp_expansion(self):
-        assert expand_derived(Emp()) == HeapId(HVar("%h"), HEmpty())
+        self.assert_agree([(Emp(), HeapId(HVar(CUR_HEAP), HEmpty()))])
 
     def test_points_to_expansion(self):
-        a = PointsTo(Emb(Var("q")), Ket("0"))
-        assert expand_derived(a) == HeapId(
-            HVar("%h"), Upd(HEmpty(), Emb(Var("q")), Ket("0")))
+        self.assert_agree([
+            (PointsTo(self.Q, s),
+             HeapId(HVar(CUR_HEAP), Upd(HEmpty(), self.Q, s)))
+            for s in self.STATES])
 
     def test_member_of_expansion(self):
-        a = MemberOf(Emb(Var("a")), (Ket("+"), Ket("-")))
-        assert expand_derived(a) == Or(
-            IdAt(None, Emb(Var("a")), Ket("+")),
-            IdAt(None, Emb(Var("a")), Ket("-")))
-
-    def test_lookup_expansion(self):
-        q = Emb(Var("q"))
-        assert expand_derived(Lookup(q, Ket("1")), supply=NameSupply()) == \
-            ExistsHeap("%g0", HeapId(HVar("%h"),
-                                     Upd(HVar("%g0"), q, Ket("1"))))
-        # a wildcard state becomes an existential Pure ghost
-        assert expand_derived(Lookup(q, WildcardState()),
-                              supply=NameSupply()) == \
-            ExistsVar("%s1", PureT(), ExistsHeap("%g0", HeapId(
-                HVar("%h"), Upd(HVar("%g0"), q, GhostRef("%s1")))))
-
-    def test_expand_idempotent(self):
-        # an expansion has no derived form left: expanding it again
-        # changes nothing, on generated assertions
-        gen = Gen(7)
-        for i in range(200):
-            a = gen.assertion(3)
-            once = expand_derived(a, supply=NameSupply())
-            assert expand_derived(once, supply=NameSupply()) == once, \
-                pretty(a)
+        self.assert_agree([
+            (MemberOf(self.Q, (s1, s2)),
+             Or(IdAt(None, self.Q, s1), IdAt(None, self.Q, s2)))
+            for s1 in self.STATES for s2 in self.STATES])
 
 
 class TestWellFormed:

@@ -13,17 +13,14 @@ from conftest import CORPUS_FILES
 
 
 def comp_steps(comp):
-    """Source-level steps: consecutive bind/return nodes grouped by span."""
+    """Source-level steps: consecutive statements grouped by span."""
     spans = []
-    node = comp
-    while True:
+    for node in comp.stmts + (comp.ret,):
         span = getattr(node, "span", None)
         key = (span.line if span else None)
         if not spans or spans[-1] != key:
             spans.append(key)
-        if isinstance(node, Ret):
-            return spans
-        node = node.rest
+    return spans
 
 
 class TestCorpus:
@@ -39,13 +36,10 @@ class TestCorpus:
         # five source steps: two inits, two unitaries, the measuring pair
         assert len(comp_steps(decl.body.body)) == 5
         # the trailing pair desugars to two binds before the return
-        chain = []
-        node = decl.body.body
-        while not isinstance(node, Ret):
-            chain.append(node)
-            node = node.rest
-        assert len(chain) == 6
-        assert all(isinstance(c, BindCmd) for c in chain)
+        stmts = decl.body.body.stmts
+        assert len(stmts) == 6
+        assert all(isinstance(c, BindCmd) for c in stmts)
+        assert isinstance(decl.body.body.ret, Ret)
 
     def test_cross_declaration_references(self, corpus):
         prog = corpus["bellpair.qh"]

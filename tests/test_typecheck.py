@@ -9,7 +9,7 @@ import pytest
 
 from qhoare.core import (
     And, App, Ascribe, BindCmd, BoolLit, BoolT, Do, Emb, Emp, HoareT, IdAt,
-    Ket, Lam, MkQbit, Or, Pair, PiT, PureT, QbitT, Ret, TensorT, Top,
+    Ket, Lam, MkQbit, Or, Pair, PiT, PureT, QbitT, Ret, Seq, TensorT, Top,
     UnitT, UnitVal, UT, Var, free_vars, pretty,
 )
 from qhoare.parser import parse_program, parse_type
@@ -70,7 +70,7 @@ class TestCheck:
             check({}, BoolLit(True), QbitT())
 
     def test_do_against_non_hoare(self):
-        term = Do(Ret(BoolLit(True)))
+        term = Do(Seq((), Ret(BoolLit(True))))
         with pytest.raises(CheckError) as err:
             check({}, term, BoolT())
         assert "Hoare" in err.value.message
@@ -102,7 +102,7 @@ class TestNormalize:
 
     def test_do_unchanged(self):
         ty = HoareT((), (), Emp(), ("r",), BoolT(), Top())
-        term = Do(Ret(BoolLit(False)))
+        term = Do(Seq((), Ret(BoolLit(False))))
         assert normalize(term, ty) == term
 
     def test_idempotence_on_generated_terms(self):
