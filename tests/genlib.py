@@ -238,3 +238,27 @@ def straight_line_source(n: int) -> str:
     body = ["q <= mkQbit false"] + ["applyU (H q)"] * n + ["measQbit q"]
     return ("deep : {emp} r : Bool {T}\n    = do "
             + ";\n         ".join(body) + "\n")
+
+
+GATE_BLOCK_GATES = [
+    "H {q}", "X {q}", "Z {q}",
+    "rot {q} ((0, 1), (1, 0))", "rot {q} ((1, 0), (0, -1))",
+    "ifQ {q} (X {r})", "ifQ {q} (Z {r})",
+]
+
+
+def gate_block_source(n: int, seed: int = 0) -> str:
+    """A declaration whose body allocates three qubits, applies ``n`` gates
+    drawn by a seeded generator from a handful of ``H``/``X``/``Z``/``rot``
+    and ``ifQ`` gates, and measures the three qubits."""
+    rng = random.Random(seed)
+    qubits = ["a", "b", "c"]
+    body = ["a <= mkQbit false", "b <= mkQbit true", "c <= mkQbit false"]
+    for _ in range(n):
+        q, r = rng.sample(qubits, 2)
+        body.append("applyU (" + rng.choice(GATE_BLOCK_GATES).format(q=q, r=r)
+                    + ")")
+    body += ["x <= measQbit a", "y <= measQbit b", "z <= measQbit c",
+             "return (x, (y, z))"]
+    return ("gates : {emp} r : (Bool, (Bool, Bool)) {T}\n    = do "
+            + ";\n         ".join(body) + "\n")

@@ -17,7 +17,7 @@ from qhoare.parser import parse_program, tokenize
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
-from genlib import straight_line_source
+from genlib import gate_block_source, straight_line_source
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
               "schemas")
@@ -310,6 +310,28 @@ class TestTrace:
     def test_unknown_decl(self, capsys):
         code, _, err = run_cli(["trace", corpus("hqw.qh"), "nope"], capsys)
         assert code == 2
+
+
+class TestGateBlockGolden:
+    """A 300-gate block over three qubits that repeats a few gates, pinned
+    byte for byte: ``check`` and ``vcs`` print the same JSON report."""
+
+    @pytest.fixture
+    def gates(self, tmp_path, monkeypatch):
+        (tmp_path / "gates.qh").write_text(gate_block_source(300))
+        monkeypatch.chdir(tmp_path)
+        return "gates.qh"
+
+    @pytest.mark.parametrize("command", ["check", "vcs"])
+    def test_json_matches_golden(self, gates, command, capsys):
+        code, out, _ = run_cli([command, gates, "--format", "json"], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "check_genlib_gates.json").read_text()
+
+    def test_trace_matches_golden(self, gates, capsys):
+        code, out, _ = run_cli(["trace", gates, "gates"], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "trace_genlib_gates.txt").read_text()
 
 
 class TestRun:
