@@ -876,6 +876,11 @@ def free_vars(node) -> set:
             for c in cands:
                 out |= free_vars(c)
             return out
+        case CellGroup(items):
+            out = set()
+            for i in items:
+                out |= free_vars(i)
+            return out
         case Entangled(t):
             return free_vars(t)
         case Decl(_, sig, body):

@@ -361,34 +361,39 @@ def loc_term(qubits: tuple):
     return term
 
 
-def cell_assertion(cell: Cell) -> Assn:
-    return PointsTo(loc_term(cell.qubits), state_expr(cell.state))
+def cell_assertion(cell: Cell, render=state_expr) -> Assn:
+    return PointsTo(loc_term(cell.qubits), render(cell.state))
 
 
-def _delta_side(cells: tuple) -> Assn:
+def _delta_side(cells: tuple, render) -> Assn:
     if not cells:
         return Emp()
     if len(cells) == 1:
-        return cell_assertion(cells[0])
-    return CellGroup(tuple(cell_assertion(c) for c in cells))
+        return cell_assertion(cells[0], render)
+    return CellGroup(tuple(cell_assertion(c, render) for c in cells))
 
 
-def delta_assertion(delta: HeapDelta) -> Assn:
+def delta_assertion(delta: HeapDelta, render=state_expr) -> Assn:
+    """The delta as an assertion; ``render`` gives each cell state's
+    surface form, :func:`state_expr` or a memo of it."""
     if not delta.consumed:
-        return _delta_side(delta.produced)
-    return Replace(_delta_side(delta.consumed), _delta_side(delta.produced))
+        return _delta_side(delta.produced, render)
+    return Replace(_delta_side(delta.consumed, render),
+                   _delta_side(delta.produced, render))
 
 
-def heap_to_assertions(h: SymbolicHeap, cur: str = "%h") -> list:
-    """Hypothesis assertions pinning the current heap."""
+def heap_to_assertions(h: SymbolicHeap, cur: str = "%h",
+                       render=state_expr) -> list:
+    """Hypothesis assertions pinning the current heap; ``render`` as in
+    :func:`delta_assertion`."""
     cells = sorted(h.cells, key=lambda c: c.qubits)
     if not cells:
         return [Emp()]
     if len(cells) == 1:
-        return [cell_assertion(cells[0])]
+        return [cell_assertion(cells[0], render)]
     expr = HEmpty()
     for c in cells:
-        expr = Upd(expr, loc_term(c.qubits), state_expr(c.state))
+        expr = Upd(expr, loc_term(c.qubits), render(c.state))
     return [HeapId(HVar(cur), expr)]
 
 

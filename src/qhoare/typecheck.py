@@ -34,7 +34,8 @@ from .core import (
     IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit, MatrixT,
     MeasQbit, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program, PureT,
     QbitT, ReductionError, Seq, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
-    UnitVal, UT, Var, WildcardState, mk_intro, normal_form, pretty, subst,
+    UnitVal, UT, Var, WildcardState, free_vars, mk_intro, normal_form,
+    pretty, subst,
 )
 from .heap import (
     AbsBranch, Cell, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -327,6 +328,9 @@ class Checker:
         self.literal = literal_measurement
         self.supply = NameSupply()
         self.decl_types = {}
+        # memos for this checker's program; see _gate and _render
+        self._gates = {}
+        self._renders = {}
         self._reset_decl_state("")
 
     def _reset_decl_state(self, decl_name: str):
@@ -375,7 +379,7 @@ class Checker:
             case PiT(x, dom, cod):
                 self.check_type(ctx, dom)
                 self.check_type({**ctx, x: dom}, cod)
-            case HoareT(vctx, hctx, _, binder, resultty, _):
+            case HoareT(vctx, hctx, pre, binder, resultty, post):
                 inner = dict(ctx)
                 seen = set()
                 for x, t in vctx:
@@ -389,6 +393,16 @@ class Checker:
                 if len(set(binder)) != len(binder):
                     raise CheckError("duplicate name in binder pattern")
                 self.check_type(inner, resultty)
+                # %h is the current heap
+                scope = (inner.keys() | set(hctx) | {"%h"}
+                         | {d.name for d in self.program.decls})
+                for which, a, more in (("pre", pre, ()),
+                                       ("post", post, binder)):
+                    unbound = sorted(free_vars(a) - scope - set(more))
+                    if unbound:
+                        raise CheckError(
+                            f"unbound name {unbound[0]!r} in the "
+                            f"{which}condition", self._span)
             case _:
                 raise CheckError(f"not a type: {ty!r}")
 
@@ -552,7 +566,7 @@ class Checker:
 
     def _hypotheses(self, branches: list) -> list:
         def branch_assn(b: _Branch) -> Assn:
-            parts = heap_to_assertions(b.heap)
+            parts = heap_to_assertions(b.heap, render=self._render)
             for k, v in b.env.items():
                 if v is True or v is False:
                     parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
@@ -577,28 +591,42 @@ class Checker:
 
     def _strongest_post(self, branches: list, binder) -> Assn:
         rname = binder[0] if len(binder) == 1 else "%r"
+        named = set()  # the names free in the branches' assertions
+
+        def equate(name, t) -> Assn:
+            named.add(name)
+            if not isinstance(t, BoolLit):
+                named.update(free_vars(t))
+            return IdAt(None, Emb(Var(name)), t)
 
         def branch_sp(b: _Branch) -> Assn:
-            parts = heap_to_assertions(b.heap)
+            parts = heap_to_assertions(b.heap, render=self._render)
+            named.update(b.heap.qubits())
+            named.update(c.state.name for c in b.heap.cells
+                         if c.state.kind == "opaque")
             value = b.result
             if len(binder) == 2 and isinstance(value, tuple):
                 for name, v in zip(binder, value):
                     t = self._value_term(v)
                     if t is not None:
-                        parts.append(IdAt(None, Emb(Var(name)), t))
+                        parts.append(equate(name, t))
             else:
                 t = self._value_term(value)
                 if t is not None:
-                    parts.append(IdAt(None, Emb(Var(rname)), t))
+                    parts.append(equate(rname, t))
             for k, v in b.env.items():
                 if (v is True or v is False) and k not in binder:
-                    parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
+                    parts.append(equate(k, BoolLit(v)))
             return functools.reduce(And, parts)
 
         sp = functools.reduce(Or, map(branch_sp, branches)) if branches \
             else Bot()
+        # every type is inhabited, so a binder the body does not name can go
         for name, ty in reversed(self._binders):
-            sp = ExistsVar(name, ty, sp)
+            if name in named:
+                sp = ExistsVar(name, ty, sp)
+                named.discard(name)
+                named.update(free_vars(ty))
         return sp
 
     def _emit(self, kind: str, conclusion: Assn, models, var_ctx=(),
@@ -616,7 +644,18 @@ class Checker:
     def _record_delta(self, span, op_id, delta, refined=False):
         if delta.is_empty():
             return
-        self._events.append((span, op_id, delta_assertion(delta), refined))
+        self._events.append(
+            (span, op_id, delta_assertion(delta, render=self._render),
+             refined))
+
+    def _render(self, state):
+        """``state_expr(state)``, computed once per distinct state.  Equal
+        states render alike: equal amplitudes differ at most in the sign
+        of a zero, and a zero prints as ``0`` either way."""
+        expr = self._renders.get(state)
+        if expr is None:
+            expr = self._renders[state] = heaplib.state_expr(state)
+        return expr
 
     def _assemble_trace(self) -> list:
         steps = []
@@ -817,15 +856,10 @@ class Checker:
                 return out, BoolT()
 
             case ApplyU(uterm):
-                uc = self.check(ctx, uterm, UT())
-
-                def resolve(name):
-                    if isinstance(ctx.get(name), QbitT):
-                        return name
-                    raise KeyError(name)
-
                 try:
-                    u = eval_unitary(uc, resolve)
+                    # with no branch, evaluate by name, for the diagnostics
+                    units = self._gate(ctx, uterm,
+                                       [b.env for b in branches] or [{}])
                 except UnitaryError as e:
                     if e.matrix is not None:
                         self._emit(
@@ -836,7 +870,7 @@ class Checker:
                             b.env[binder] = None
                         return branches, UnitT()
                     raise CheckError(e.message, span)
-                rots = _rot_matrices(u)
+                rots = _rot_matrices(units[0])
                 if rots:
                     self._emit(
                         UNITARITY, Top(), [Model(SymbolicHeap(), {})],
@@ -847,7 +881,7 @@ class Checker:
                 residual_models = []
                 residual_cell = None
                 out = []
-                for b in branches:
+                for b, u in zip(branches, units):
                     fp = simlib.footprint(u)
                     missing = [q for q in fp if b.heap.find(q) is None]
                     if missing:
@@ -878,10 +912,12 @@ class Checker:
                              "state; result not computable statically",
                         span=span)
                 if missing_models:
-                    # a footprint qubit is missing, so the fold is nonempty
+                    # the footprint by variable name; a qubit is missing,
+                    # so the fold is nonempty
+                    (by_name,) = self._gate(ctx, uterm, [{}])
                     concl = functools.reduce(
                         And, (Lookup(Emb(Var(q)), WildcardState())
-                              for q in simlib.footprint(u)))
+                              for q in simlib.footprint(by_name)))
                     self._emit(
                         ALLOCATION, concl,
                         [Model(b.heap, dict(b.env)) for b, _ in
@@ -917,6 +953,35 @@ class Checker:
                     b.result = None
                 return out, tty
         raise CheckError(f"bad command {cmd!r}", span)
+
+    def _gate(self, ctx: dict, uterm, envs: list) -> list:
+        """The unitary that gate term ``uterm`` denotes in each env of
+        ``envs``: each qubit variable names the qubit its env binds it to,
+        or the qubit of its own name.
+
+        The term, the types of its free names and those qubits fix the
+        unitary, so it is checked and evaluated once per distinct key.
+        Only successes are kept: a term that fails raises again at each
+        occurrence, with its own span.
+        """
+        memo = self._gates.get(uterm)
+        if memo is None:
+            memo = self._gates[uterm] = (sorted(free_vars(uterm)), {})
+        names, units = memo
+        types = tuple(ctx.get(x, self.decl_types.get(x)) for x in names)
+        qvars = tuple(x for x in names if isinstance(ctx.get(x), QbitT))
+        out = []
+        for env in envs:
+            qubits = tuple(q if isinstance(q := env.get(x, x), str) else x
+                           for x in qvars)
+            u = units.get((types, qubits))
+            if u is None:
+                uc = self.check(ctx, uterm, UT())
+                where = dict(zip(qvars, qubits))
+                u = units[types, qubits] = eval_unitary(uc,
+                                                        where.__getitem__)
+            out.append(u)
+        return out
 
     def _run_branch(self, ctx: dict, branches: list, term, span):
         """Type and run one conditional branch over the given branch set."""
@@ -984,37 +1049,40 @@ class Checker:
         op = self._op_counter
         out = []
         for b in branches:
-            framed, consumed = _frame_out(b.heap, fq)
+            # the qubit each footprint variable names in this branch
+            where = {x: q for x in fq
+                     if isinstance(q := b.env.get(x, x), str) and q != x}
+            framed, consumed = _frame_out(b.heap,
+                                          [where.get(x, x) for x in fq])
             for pb in post_branches:
                 nb = b.copy()
-                produced = tuple(pb.cells)
+                produced = _rename_cells(pb.cells, where)
+                renamed = {}  # a produced qubit whose name the frame holds
                 try:
                     cells = framed.cells + produced
                     heaplib.check_disjoint(cells)
                 except heaplib.HeapError:
-                    renamed = []
-                    for c in produced:
-                        qs = tuple(q if framed.find(q) is None
-                                   else self.supply.fresh(q.lstrip("%"))
-                                   for q in c.qubits)
-                        renamed.append(Cell(qs, c.state))
-                    produced = tuple(renamed)
+                    renamed = {q: self.supply.fresh(q.lstrip("%"))
+                               for c in produced for q in c.qubits
+                               if framed.find(q) is not None}
+                    produced = _rename_cells(produced, renamed)
                     cells = framed.cells + produced
                 nb.heap = SymbolicHeap(cells)
                 nb.env.update(pb.env)
                 nb.assumed.extend(pb.assumed)
-                value = self._call_result_value(pat, pat_kinds, pb)
+                value = self._call_result_value(pat, pat_kinds, pb, renamed)
                 self._bind_pattern(nb.env, pat, value)
                 out.append(nb)
                 self._record_delta(
                     span, op, heaplib.HeapDelta(consumed, produced))
         return out, result_ty
 
-    def _call_result_value(self, pat, kinds: dict, pb: AbsBranch):
+    def _call_result_value(self, pat, kinds: dict, pb: AbsBranch,
+                           renamed: dict):
         def component(name):
             t = kinds.get(name)
             if isinstance(t, QbitT):
-                return name
+                return renamed.get(name, name)
             if name in pb.env:
                 return pb.env[name]
             if isinstance(t, UnitT):
@@ -1047,6 +1115,14 @@ def _rot_matrices(u) -> list:
                 pass
     go(u)
     return out
+
+
+def _rename_cells(cells, names: dict) -> tuple:
+    """``cells`` with each qubit renamed by ``names`` where it has one."""
+    if not names:
+        return tuple(cells)
+    return tuple(Cell(tuple(names.get(q, q) for q in c.qubits), c.state)
+                 for c in cells)
 
 
 def _frame_out(h: SymbolicHeap, qubits) -> tuple:

@@ -12,8 +12,9 @@ import jsonschema
 import pytest
 
 from qhoare.cli import main
-from qhoare.core import HoareT
+from qhoare.core import HoareT, pretty
 from qhoare.parser import parse_program, tokenize
+from qhoare.typecheck import check_program
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
@@ -334,6 +335,177 @@ class TestGateBlockGolden:
         assert out == (GOLDEN_DIR / "trace_genlib_gates.txt").read_text()
 
 
+class TestRepeatedGates:
+    """Each occurrence of a gate keeps its own obligations and diagnostics,
+    however often the same gate term repeats."""
+
+    @staticmethod
+    def obligations(source, tmp_path, capsys):
+        path = tmp_path / "g.qh"
+        path.write_text(source)
+        code, out, _ = run_cli(["vcs", str(path), "--format", "json"],
+                               capsys)
+        (decl,) = json.loads(out)["decls"]
+        return code, [(ob["kind"], ob["verdict"], ob["span"]["line"],
+                       ob["note"]) for ob in decl["obligations"]]
+
+    @pytest.mark.parametrize("matrix,code,verdict,note", [
+        ("((1, 0), (0, 2))", 1, "refuted",
+         "rot matrix ((1, 0), (0, 2)) is not unitary"),
+        ("((0, 1), (1, 0))", 0, "proved",
+         "1 rotation matrix(es) validated unitary"),
+    ], ids=["non-unitary", "unitary"])
+    def test_rot_obligation_at_each_occurrence(self, matrix, code, verdict,
+                                               note, tmp_path, capsys):
+        source = ("brot : {emp} r : Bool {T}\n"
+                  "     = do q <= mkQbit false;\n"
+                  + f"          applyU (rot q {matrix});\n" * 3
+                  + "          measQbit q\n")
+        got, obs = self.obligations(source, tmp_path, capsys)
+        assert got == code
+        assert obs[:3] == [("unitarityVC", verdict, line, note)
+                           for line in (3, 4, 5)]
+
+    @pytest.mark.parametrize("name,error", [
+        ("q", "expected Qbit, found Bool"),
+        ("H", "cannot apply a value of type Bool"),
+    ], ids=["qubit", "gate"])
+    def test_gate_after_a_name_is_rebound_to_bool_is_a_type_error(
+            self, name, error, tmp_path, capsys):
+        path = tmp_path / "tb.qh"
+        path.write_text("tb : {emp} r : Bool {T}\n"
+                        "   = do q <= mkQbit false;\n"
+                        "        applyU (H q);\n"
+                        f"        {name} : Bool = true;\n"
+                        "        applyU (H q);\n"
+                        f"        return {name}\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (2, f"{path}: tb: type-error (5:9: {error})\n")
+
+
+class TestQubitResolution:
+    """`applyU` and a call act on the qubit their variable names in each
+    branch, as `measQbit` does, so a shadowed or aliased name reaches the
+    right cell and the static verdict agrees with the simulator."""
+
+    SHADOWED = ("sh : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+                "   = do q <= mkQbit false; q <= mkQbit false;\n"
+                "        applyU (X q); m <= measQbit q; return m\n")
+    ALIASED = ("al : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+               "   = do p <= mkQbit false; q : Qbit = p;\n"
+               "        applyU (X q); m <= measQbit p; return m\n")
+    # the same gate term before and after `q` is rebound
+    REPEATED = ("re : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+                "   = do q <= mkQbit false; applyU (X q);\n"
+                "        q <= mkQbit false; applyU (X q);\n"
+                "        m <= measQbit q; return m\n")
+
+    # a call frames out and splices in the qubit its argument names
+    FLIP = ("flip : \\Pi a : Qbit. {{a |-> |0\\>}} r : Bool\n"
+            "       {{a |-> |1\\> /\\ Id(r, true)}}\n"
+            "     = \\a. do applyU (X a); return true\n")
+    CALL_SHADOWED = FLIP + (
+        "cs : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+        "   = do q <= mkQbit false; q <= mkQbit false;\n"
+        "        x <- flip q; measQbit q\n")
+    CALL_ALIASED = FLIP + (
+        "ca : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+        "   = do p <= mkQbit false; q : Qbit = p;\n"
+        "        x <- flip q; measQbit p\n")
+
+    @pytest.mark.parametrize("template,decl", [
+        (SHADOWED, "sh"), (ALIASED, "al"), (REPEATED, "re"),
+        (CALL_SHADOWED, "cs"), (CALL_ALIASED, "ca"),
+    ], ids=["shadowed", "aliased", "repeated", "call-shadowed",
+            "call-aliased"])
+    def test_static_verdict_agrees_with_run(self, template, decl, tmp_path,
+                                            capsys):
+        for bit, verdict, code in (("false", "refuted", 1),
+                                   ("true", "verified", 0)):
+            path = tmp_path / f"{decl}_{bit}.qh"
+            path.write_text(template.format(bit=bit))
+            got, out, _ = run_cli(["check", str(path)], capsys)
+            assert got == code
+            assert f"{path}: {decl}: {verdict}\n" in out
+            got, out, _ = run_cli(
+                ["run", str(path), decl, "--shots", "100", "--force",
+                 "--format", "json"], capsys)
+            report = json.loads(out)
+            assert report["outcomes"] == [{"value": "true", "count": 100}]
+            assert got == code
+
+    def test_trace_shows_the_gate_on_the_inner_cell(self, tmp_path, capsys):
+        path = tmp_path / "sh.qh"
+        path.write_text(self.SHADOWED.format(bit="true"))
+        _, out, _ = run_cli(["trace", str(path), "sh"], capsys)
+        assert "((%q0 |-> |0\\>) -o (%q0 |-> |1\\>))" in out
+
+
+    def test_call_result_rebinding_a_qubit_name(self, tmp_path, capsys):
+        # the callee's result cell is renamed apart from the caller's `qa`,
+        # and the rebound `qa` names the renamed cell, which is |+>
+        path = tmp_path / "cr.qh"
+        path.write_text(
+            "qplus : {emp} r : Qbit {Id(r, |+\\>)}\n"
+            "      = do q <= mkQbit false; applyU (H q); return q\n"
+            "t : {emp} r : Bool {Id(r, false)}\n"
+            "  = do qa <= mkQbit false; qa <- qplus; measQbit qa\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out.splitlines()[1]) == (1, f"{path}: t: refuted")
+        _, out, _ = run_cli(["trace", str(path), "t"], capsys)
+        assert "P3: P2 \\o ((%qa0 |-> -) -o emp)" in out
+        code, out, _ = run_cli(
+            ["run", str(path), "t", "--shots", "100", "--force",
+             "--format", "json"], capsys)
+        assert code == 1
+        assert [o["value"] for o in json.loads(out)["outcomes"]] == [
+            "false", "true"]
+
+
+class TestAssertionScope:
+    def test_unbound_name_in_postcondition_is_a_type_error(self, tmp_path,
+                                                           capsys):
+        # `X` is bound by no binder, context, heap variable or declaration
+        path = tmp_path / "share.qh"
+        path.write_text(
+            (CORPUS_DIR / "bellpair.qh").read_text().replace(
+                "a \\in {|0\\>, |1\\>}}", "a \\in {|0\\>, X}}", 1))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert (f"{path}: share: type-error "
+                f"(unbound name 'X' in the postcondition)\n") in out
+
+    @pytest.mark.parametrize("signature,name,which", [
+        ("{Id(x, true)} r : Bool {T}", "x", "pre"),
+        ("{emp} r : Bool {Id(s, true)}", "s", "post"),
+        ("{emp} r : Bool {HId(h, empty)}", "h", "post"),
+        ("{emp} r : Bool {(a |-> |0\\>, b |-> |1\\>)}", "a", "post"),
+    ], ids=["pre", "post", "heap-variable", "cell-group"])
+    def test_unbound_name_is_named(self, signature, name, which, tmp_path,
+                                   capsys):
+        path = tmp_path / "u.qh"
+        path.write_text(f"u : {signature} = do return true\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (
+            2, f"{path}: u: type-error "
+               f"(unbound name {name!r} in the {which}condition)\n")
+
+    def test_bound_names_are_accepted(self, tmp_path, capsys):
+        # a ghost, a heap variable, the current heap %h, a result binder,
+        # a Pi binder and a declaration are all in scope
+        path = tmp_path / "b.qh"
+        path.write_text(
+            "c : {emp} r : Bool {T} = do return true\n"
+            "u : \\Pi b : Bool. g : Pure. h : heap.\n"
+            "    {HId(%h, h) /\\ Id(b, b)} r : Bool\n"
+            "    {Id(r, b) /\\ HId(h, h) /\\ Id(c, c) /\\ Id(g, g)}\n"
+            "  = \\b. do return b\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 0
+        assert out.startswith(f"{path}: c: verified\n"
+                              f"{path}: u: conditional\n")
+
+
 class TestRun:
     def test_refuses_refuted_without_force(self, capsys):
         code, _, err = run_cli(
@@ -468,30 +640,33 @@ class TestHeapEquality:
 
 class TestCalleePostcondition:
     def test_qubit_in_two_cells_is_a_type_error(self, tmp_path, capsys):
-        # p's postcondition names the caller's qubit `qa` as its result, so
-        # splicing it in at the call would put `qa` in two cells
+        # p's postcondition relates its result to its argument; `qa <- p qa`
+        # names both `qa`, so splicing it in at the call would put `qa` in
+        # two cells
         path = tmp_path / "twice.qh"
         path.write_text(
-            "p : {emp} r : Qbit {Id(r, qa)}\n"
-            "  = do q <= mkQbit false;\n"
-            "       return q\n\n"
+            "p : \\Pi x : Qbit. {emp} r : Qbit {Id(r, x)}\n"
+            "  = \\x. do q <= mkQbit false;\n"
+            "           return q\n\n"
             "m : {emp} qa : Qbit {T}\n"
-            "  = do qa <- p;\n"
+            "  = do qa <= mkQbit false;\n"
+            "       qa <- p qa;\n"
             "       return qa\n")
         for args in (["check"], ["vcs"], ["run", "m"]):
             code, _, err = run_cli([args[0], str(path), *args[1:]], capsys)
             assert code == 2, (args, err)
         _, out, _ = run_cli(["check", str(path)], capsys)
         assert (f"{path}: m: type-error "
-                f"(6:8: qubit 'qa' occurs in two cells)\n") in out
+                f"(7:8: qubit 'qa' occurs in two cells)\n") in out
 
     def test_ghost_candidate_in_membership(self, tmp_path, capsys):
-        # a name among the candidates of `\\in` is a state variable, and
-        # instantiating `share a` substitutes through it
+        # a name among the candidates of `\\in` is a state variable, here
+        # the ghost `g`, and instantiating `share a` substitutes through it
         path = tmp_path / "ghost.qh"
         path.write_text(
-            (CORPUS_DIR / "bellpair.qh").read_text().replace(
-                "a \\in {|0\\>, |1\\>}}", "a \\in {|0\\>, g}}", 1))
+            (CORPUS_DIR / "bellpair.qh").read_text()
+            .replace("{a \\in {|+", "g : Pure. {a \\in {|+", 1)
+            .replace("a \\in {|0\\>, |1\\>}}", "a \\in {|0\\>, g}}", 1))
         code, out, err = run_cli(["check", str(path)], capsys)
         assert code == 0, err
         assert f"{path}: share: conditional\n" in out
@@ -568,6 +743,21 @@ class TestDepth:
         finally:
             sys.setrecursionlimit(old)
         assert {key: c for key, c in codes.items() if c != 0} == {}
+
+    def test_strongest_post_of_a_long_block(self):
+        # the existential closure keeps only the binders its body uses, so
+        # under the same lowered limit it is shallow at 2,000 statements
+        program = parse_program(straight_line_source(2000)).program
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 200)
+        try:
+            sp = check_program(program).decl("deep").strongest_post
+            text = pretty(sp)
+            hash(sp)
+        finally:
+            sys.setrecursionlimit(old)
+        assert text == ("exists %s2000 : Bool. "
+                        "emp /\\ Id(r, false) /\\ Id(%s2000, false)")
 
 
 def token_layout(source: str) -> tuple:

@@ -8,9 +8,9 @@ import tracemalloc
 import pytest
 
 from qhoare.core import (
-    And, App, Ascribe, BindCmd, BoolLit, BoolT, Do, Emb, Emp, HoareT, IdAt,
-    Ket, Lam, MkQbit, Or, Pair, PiT, PureT, QbitT, Ret, Seq, TensorT, Top,
-    UnitT, UnitVal, UT, Var, free_vars, pretty,
+    And, App, ApplyU, Ascribe, BindCmd, BoolLit, BoolT, Do, Emb, Emp, HoareT,
+    IdAt, Ket, Lam, MkQbit, Or, Pair, PiT, PureT, QbitT, Ret, Seq, TensorT,
+    Top, UnitT, UnitVal, UT, Var, free_vars, pretty,
 )
 from qhoare.parser import parse_program, parse_type
 from qhoare.prover import discharge_all
@@ -19,7 +19,7 @@ from qhoare.typecheck import (
     check_program, normalize, synth, types_equal,
 )
 from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
-from genlib import straight_line_source
+from genlib import gate_block_source, straight_line_source
 
 
 class TestSynth:
@@ -341,6 +341,35 @@ class TestCorpusVerification:
                     rep = run_program(prog, name, seed=seed, shots=50)
                     assert rep.failures == 0, (fname, name, seed)
                     assert rep.errors == 0
+
+
+class TestCheckerMemos:
+    def test_each_gate_and_each_state_computed_once(self, monkeypatch):
+        # a 900-gate block over three qubits repeats a few dozen gate
+        # terms: each is evaluated once.  Each distinct cell state is
+        # rendered once, so a gate's consumed state, which the step before
+        # produced, is not rendered again
+        from qhoare import heap, typecheck
+        program = parse_program(gate_block_source(900)).program
+        gates = {s.command.unitary for s in program.decls[0].body.body.stmts
+                 if isinstance(s.command, ApplyU)}
+        evals, renders = [], []
+
+        def counted(fn, calls):
+            def wrapper(*args):
+                calls.append(args[0])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(typecheck, "eval_unitary",
+                            counted(typecheck.eval_unitary, evals))
+        monkeypatch.setattr(heap, "state_expr",
+                            counted(heap.state_expr, renders))
+        dr = check_program(program).decls[0]
+        assert dr.error is None
+        assert len(evals) == len(gates) < 30
+        assert len(renders) == len(set(renders))
+        assert len(renders) < len(dr.trace)
 
 
 class TestAlphaEquality:
