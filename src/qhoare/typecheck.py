@@ -956,8 +956,7 @@ class Checker:
 
     def _gate(self, ctx: dict, uterm, envs: list) -> list:
         """The unitary that gate term ``uterm`` denotes in each env of
-        ``envs``: each qubit variable names the qubit its env binds it to,
-        or the qubit of its own name.
+        ``envs``, each qubit variable naming its :func:`_qubit_of`.
 
         The term, the types of its free names and those qubits fix the
         unitary, so it is checked and evaluated once per distinct key.
@@ -972,8 +971,7 @@ class Checker:
         qvars = tuple(x for x in names if isinstance(ctx.get(x), QbitT))
         out = []
         for env in envs:
-            qubits = tuple(q if isinstance(q := env.get(x, x), str) else x
-                           for x in qvars)
+            qubits = tuple(_qubit_of(env, x) for x in qvars)
             u = units.get((types, qubits))
             if u is None:
                 uc = self.check(ctx, uterm, UT())
@@ -1050,8 +1048,7 @@ class Checker:
         out = []
         for b in branches:
             # the qubit each footprint variable names in this branch
-            where = {x: q for x in fq
-                     if isinstance(q := b.env.get(x, x), str) and q != x}
+            where = {x: q for x in fq if (q := _qubit_of(b.env, x)) != x}
             framed, consumed = _frame_out(b.heap,
                                           [where.get(x, x) for x in fq])
             for pb in post_branches:
@@ -1115,6 +1112,13 @@ def _rot_matrices(u) -> list:
                 pass
     go(u)
     return out
+
+
+def _qubit_of(env: dict, x: str) -> str:
+    """The qubit that qubit variable ``x`` names in a branch with ``env``:
+    the one the branch binds it to, else the qubit of its own name."""
+    q = env.get(x, x)
+    return q if isinstance(q, str) else x
 
 
 def _rename_cells(cells, names: dict) -> tuple:
