@@ -593,30 +593,24 @@ class Checker:
         rname = binder[0] if len(binder) == 1 else "%r"
         named = set()  # the names free in the branches' assertions
 
-        def equate(name, t) -> Assn:
-            named.add(name)
-            if not isinstance(t, BoolLit):
-                named.update(free_vars(t))
-            return IdAt(None, Emb(Var(name)), t)
-
         def branch_sp(b: _Branch) -> Assn:
             parts = heap_to_assertions(b.heap, render=self._render)
-            named.update(b.heap.qubits())
-            named.update(c.state.name for c in b.heap.cells
-                         if c.state.kind == "opaque")
             value = b.result
             if len(binder) == 2 and isinstance(value, tuple):
                 for name, v in zip(binder, value):
                     t = self._value_term(v)
                     if t is not None:
-                        parts.append(equate(name, t))
+                        parts.append(IdAt(None, Emb(Var(name)), t))
             else:
                 t = self._value_term(value)
                 if t is not None:
-                    parts.append(equate(rname, t))
+                    parts.append(IdAt(None, Emb(Var(rname)), t))
             for k, v in b.env.items():
                 if (v is True or v is False) and k not in binder:
-                    parts.append(equate(k, BoolLit(v)))
+                    parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
+            # part by part: a branch's conjunction nests as deep as it is long
+            for part in parts:
+                named.update(free_vars(part))
             return functools.reduce(And, parts)
 
         sp = functools.reduce(Or, map(branch_sp, branches)) if branches \
@@ -1013,6 +1007,7 @@ class Checker:
 
         # rename the callee's result binder to the caller's pattern
         binder = sty.binder
+        post_names = free_vars(post) - set(binder)
         if len(binder) == len(pat):
             post = subst(post, {b: Var(p) for b, p in zip(binder, pat)})
         elif len(binder) == 1 and len(pat) == 2:
@@ -1043,6 +1038,13 @@ class Checker:
             pat_kinds[pat[1]] = result_ty.right
         post_branches = self._heap_branches(post, self._kind_of(pat_kinds),
                                             span)
+        # a pattern name the postcondition uses for an argument would
+        # capture it: the result and the argument would become one name
+        captured = [p for p in pat if p in post_names]
+        if captured:
+            raise CheckError(
+                f"result name {captured[0]!r} is already free in the "
+                f"postcondition of the computation being run", span)
         self._op_counter += 1
         op = self._op_counter
         out = []
@@ -1067,7 +1069,8 @@ class Checker:
                 nb.heap = SymbolicHeap(cells)
                 nb.env.update(pb.env)
                 nb.assumed.extend(pb.assumed)
-                value = self._call_result_value(pat, pat_kinds, pb, renamed)
+                value = self._call_result_value(pat, pat_kinds, pb, where,
+                                                renamed)
                 self._bind_pattern(nb.env, pat, value)
                 out.append(nb)
                 self._record_delta(
@@ -1075,11 +1078,13 @@ class Checker:
         return out, result_ty
 
     def _call_result_value(self, pat, kinds: dict, pb: AbsBranch,
-                           renamed: dict):
+                           where: dict, renamed: dict):
         def component(name):
             t = kinds.get(name)
             if isinstance(t, QbitT):
-                return renamed.get(name, name)
+                # the cell the post names, renamed as the produced cells are
+                q = where.get(name, name)
+                return renamed.get(q, q)
             if name in pb.env:
                 return pb.env[name]
             if isinstance(t, UnitT):

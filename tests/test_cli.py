@@ -412,12 +412,24 @@ class TestQubitResolution:
         "ca : {{emp}} r : Bool {{Id(r, {bit})}}\n"
         "   = do p <= mkQbit false; q : Qbit = p;\n"
         "        x <- flip q; measQbit p\n")
+    # a call whose result rebinds the name of its qubit argument
+    ONE = ("one : \\Pi a : Qbit. {{Id(a, |0\\>)}} r : Qbit {{Id(r, |1\\>)}}\n"
+           "    = \\a. do applyU (X a); return a\n")
+    CALL_SHADOWED_RESULT = ONE + (
+        "csr : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+        "    = do q <= mkQbit false; q <= mkQbit false;\n"
+        "         q <- one q; measQbit q\n")
+    CALL_ALIASED_RESULT = ONE + (
+        "car : {{emp}} r : Bool {{Id(r, {bit})}}\n"
+        "    = do p <= mkQbit false; q : Qbit = p;\n"
+        "         q <- one q; measQbit q\n")
 
     @pytest.mark.parametrize("template,decl", [
         (SHADOWED, "sh"), (ALIASED, "al"), (REPEATED, "re"),
         (CALL_SHADOWED, "cs"), (CALL_ALIASED, "ca"),
+        (CALL_SHADOWED_RESULT, "csr"), (CALL_ALIASED_RESULT, "car"),
     ], ids=["shadowed", "aliased", "repeated", "call-shadowed",
-            "call-aliased"])
+            "call-aliased", "call-shadowed-result", "call-aliased-result"])
     def test_static_verdict_agrees_with_run(self, template, decl, tmp_path,
                                             capsys):
         for bit, verdict, code in (("false", "refuted", 1),
@@ -658,6 +670,25 @@ class TestCalleePostcondition:
         _, out, _ = run_cli(["check", str(path)], capsys)
         assert (f"{path}: m: type-error "
                 f"(7:8: qubit 'qa' occurs in two cells)\n") in out
+
+    def test_result_name_free_in_postcondition_is_a_type_error(
+            self, tmp_path, capsys):
+        # `q <- fresh q` would make the argument `q` of fresh's
+        # postcondition and its result `q` one name, and the result cell
+        # would read as |0>
+        path = tmp_path / "capture.qh"
+        path.write_text(
+            "fresh : \\Pi a : Qbit. {Id(a, |0\\>)} r : Qbit\n"
+            "        {Id(a, |0\\>) /\\ Id(r, |1\\>)}\n"
+            "      = \\a. do r <= mkQbit false; applyU (X r); return r\n"
+            "c : {emp} r : Bool {Id(r, false)}\n"
+            "  = do q <= mkQbit false; q <- fresh q; measQbit q\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert out.splitlines() == [
+            f"{path}: fresh: verified",
+            f"{path}: c: type-error (5:27: result name 'q' is already free "
+            f"in the postcondition of the computation being run)"]
 
     def test_ghost_candidate_in_membership(self, tmp_path, capsys):
         # a name among the candidates of `\\in` is a state variable, here

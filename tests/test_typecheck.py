@@ -202,6 +202,30 @@ class TestComputations:
         free = free_vars(sp)
         assert all(not name.startswith("%") for name in free)
 
+    def test_sp_names_only_what_the_signature_binds(self):
+        # the existential closure keeps the binders the body names, so a
+        # name left free is one the signature binds, or the heap `%h`
+        from test_replay import generated_source
+        sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
+        sources += [gate_block_source(300), straight_line_source(50)]
+        sources += [generated_source(seed) for seed in range(12)]
+        seen = 0
+        for source in sources:
+            program = parse_program(source).program
+            for dr in check_program(program).decls:
+                if dr.strongest_post is None:
+                    continue
+                bound, ty = {"%h"}, program.decl(dr.name).signature
+                while isinstance(ty, PiT):
+                    bound.add(ty.binder)
+                    ty = ty.codomain
+                bound.update(x for x, _ in ty.var_ctx)
+                bound.update(ty.heap_ctx)
+                bound.update(ty.binder)
+                assert free_vars(dr.strongest_post) <= bound, dr.name
+                seen += 1
+        assert seen >= 20
+
 
 def obligation_contexts() -> dict:
     """File -> declaration -> one entry per obligation: its kind, the
