@@ -593,24 +593,29 @@ class Checker:
         rname = binder[0] if len(binder) == 1 else "%r"
         named = set()  # the names free in the branches' assertions
 
+        def equate(name, t) -> Assn:
+            named.add(name)
+            if not isinstance(t, BoolLit):
+                named.update(free_vars(t))
+            return IdAt(None, Emb(Var(name)), t)
+
         def branch_sp(b: _Branch) -> Assn:
             parts = heap_to_assertions(b.heap, render=self._render)
+            for part in parts:
+                named.update(free_vars(part))
             value = b.result
             if len(binder) == 2 and isinstance(value, tuple):
                 for name, v in zip(binder, value):
                     t = self._value_term(v)
                     if t is not None:
-                        parts.append(IdAt(None, Emb(Var(name)), t))
+                        parts.append(equate(name, t))
             else:
                 t = self._value_term(value)
                 if t is not None:
-                    parts.append(IdAt(None, Emb(Var(rname)), t))
+                    parts.append(equate(rname, t))
             for k, v in b.env.items():
                 if (v is True or v is False) and k not in binder:
-                    parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
-            # part by part: a branch's conjunction nests as deep as it is long
-            for part in parts:
-                named.update(free_vars(part))
+                    parts.append(equate(k, BoolLit(v)))
             return functools.reduce(And, parts)
 
         sp = functools.reduce(Or, map(branch_sp, branches)) if branches \

@@ -209,6 +209,12 @@ class TestComputations:
         sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
         sources += [gate_block_source(300), straight_line_source(50)]
         sources += [generated_source(seed) for seed in range(12)]
+        # a call to `teleport` leaves its result in the opaque state of a
+        # fresh ghost, which the closure binds
+        teleport = next(p for p in CORPUS_FILES if p.name == "teleport.qh")
+        sources.append(teleport.read_text() + (
+            "tp : {emp} r : Qbit {T}\n"
+            "   = do q <- qplus; r <- teleport q; return r\n"))
         seen = 0
         for source in sources:
             program = parse_program(source).program
