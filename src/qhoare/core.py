@@ -194,8 +194,6 @@ Intro = Union[Emb, UnitVal, Lam, Do, BoolLit, Pair, IfTerm, MatrixLit]
 # ---------------------------------------------------------------------------
 # Pure-state expressions (heap cell values)
 
-KET_KINDS = ("0", "1", "+", "-", "phi+")
-
 _S = 2 ** -0.5
 KET_AMPS = {
     "0": (1 + 0j, 0j),

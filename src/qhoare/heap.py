@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    And, Assn, CellGroup, Emp, GhostRef, HEmpty, HeapId, HVar,
+    CUR_HEAP, And, Assn, CellGroup, Emp, GhostRef, HEmpty, HeapId, HVar,
     IdAt, Ket, KetVec, KET_AMPS, NameSupply, Or, Pair, PointsTo, Replace,
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
     InDom, Top,
@@ -382,8 +382,7 @@ def delta_assertion(delta: HeapDelta, render=state_expr) -> Assn:
                    _delta_side(delta.produced, render))
 
 
-def heap_to_assertions(h: SymbolicHeap, cur: str = "%h",
-                       render=state_expr) -> list:
+def heap_to_assertions(h: SymbolicHeap, render=state_expr) -> list:
     """Hypothesis assertions pinning the current heap; ``render`` as in
     :func:`delta_assertion`."""
     cells = sorted(h.cells, key=lambda c: c.qubits)
@@ -394,7 +393,7 @@ def heap_to_assertions(h: SymbolicHeap, cur: str = "%h",
     expr = HEmpty()
     for c in cells:
         expr = Upd(expr, loc_term(c.qubits), render(c.state))
-    return [HeapId(HVar(cur), expr)]
+    return [HeapId(HVar(CUR_HEAP), expr)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,15 @@ on outcomes with projected residual states (the refinement extension) unless
 literal mode is selected.  Suspended-computation binds are checked
 modularly: the callee's precondition becomes a call obligation, its
 footprint is framed out, and its postcondition's heap denotation is spliced
-in.  All verification conditions are collected for the prover; checking a
-declaration never mutates shared state, so independent declarations may be
-checked concurrently once their dependencies are recorded.
+in.  The block's strongest postcondition is its final branch set, which the
+postconditionVC carries: as models for the prover and as the rendered
+hypotheses it must show entail the declared postcondition.
+
+All verification conditions are collected for the prover.  A
+:class:`Checker` checks its program's declarations in order and shares
+state across them: the types of the declarations checked so far, one
+:class:`NameSupply`, and the memos of ``_gate`` and ``_render``.  So one
+checker must not check declarations concurrently.
 """
 
 from __future__ import annotations
@@ -202,7 +208,6 @@ class DeclResult:
     canonical: Optional[object] = None
     obligations: list = field(default_factory=list)
     trace: list = field(default_factory=list)
-    strongest_post: Optional[Assn] = None
     error: Optional[CheckError] = None
 
 
@@ -271,10 +276,10 @@ class VarCtx(Sequence):
 
     The pairs are the block's context in dict order (a rebound name keeps
     its first position), then any extra names, then the first
-    ``n_binders`` existential binders of the declaration, then ``tail``.
-    The view holds a :class:`_Prefix` and a length into the binder list,
-    which only grows, so it costs the same at every depth; the pairs are
-    built again on each read.
+    ``n_binders`` statement binders and callee ghosts of the declaration,
+    then ``tail``.  The view holds a :class:`_Prefix` and a length into
+    the binder list, which only grows, so it costs the same at every
+    depth; the pairs are built again on each read.
     """
 
     __slots__ = ("_prefix", "_more", "_binders", "_n_binders", "_tail",
@@ -338,9 +343,10 @@ class Checker:
         self._obs = []
         self._events = []  # (span, op_id, delta assertion, refined)
         self._op_counter = 0
-        self._binders = []  # existential closure, program order
+        # (name, type) of each statement binder and callee ghost, in
+        # program order; read by VarCtx and by check_do's unbound tail
+        self._binders = []
         self._span = None
-        self._sp = None
 
     # --- program
 
@@ -355,6 +361,7 @@ class Checker:
     def check_decl(self, decl: Decl) -> DeclResult:
         self._reset_decl_state(decl.name)
         result = DeclResult(decl.name, decl.signature)
+        self._span = decl.span
         try:
             self.check_type({}, decl.signature)
             ctx = {}
@@ -362,7 +369,6 @@ class Checker:
                                           span=decl.span)
             result.obligations = self._obs
             result.trace = self._assemble_trace()
-            result.strongest_post = self._sp
         except CheckError as e:
             result.error = e
         return result
@@ -384,14 +390,16 @@ class Checker:
                 seen = set()
                 for x, t in vctx:
                     if x in seen:
-                        raise CheckError(f"duplicate context name {x!r}")
+                        raise CheckError(f"duplicate context name {x!r}",
+                                         self._span)
                     seen.add(x)
                     self.check_type(inner, t)
                     inner[x] = t
                 if len(set(hctx)) != len(hctx):
-                    raise CheckError("duplicate heap variable")
+                    raise CheckError("duplicate heap variable", self._span)
                 if len(set(binder)) != len(binder):
-                    raise CheckError("duplicate name in binder pattern")
+                    raise CheckError("duplicate name in binder pattern",
+                                     self._span)
                 self.check_type(inner, resultty)
                 # %h is the current heap
                 scope = (inner.keys() | set(hctx) | {"%h"}
@@ -404,7 +412,7 @@ class Checker:
                             f"unbound name {unbound[0]!r} in the "
                             f"{which}condition", self._span)
             case _:
-                raise CheckError(f"not a type: {ty!r}")
+                raise CheckError(f"not a type: {ty!r}", self._span)
 
     # --- bidirectional terms
 
@@ -514,7 +522,6 @@ class Checker:
             env = dict(b.env)
             self._bind_pattern(env, hoare.binder, b.result)
             models.append(Model(b.heap, env))
-        self._sp = self._strongest_post(out, hoare.binder)
         bound = {x for x, _ in self._binders}
         unbound = tuple((x, hoare.result) for x in hoare.binder
                         if x not in ctx and x not in bound)
@@ -575,58 +582,6 @@ class Checker:
         if not branches:
             return [Bot()]
         return [functools.reduce(Or, map(branch_assn, branches))]
-
-    def _value_term(self, v):
-        if v is True or v is False:
-            return BoolLit(bool(v))
-        if v is None:
-            return UnitVal()
-        if isinstance(v, str):
-            return Emb(Var(v))
-        if isinstance(v, GhostRef):
-            return Emb(Var(v.name))
-        if isinstance(v, tuple) and len(v) == 2:
-            return Pair(self._value_term(v[0]), self._value_term(v[1]))
-        return None
-
-    def _strongest_post(self, branches: list, binder) -> Assn:
-        rname = binder[0] if len(binder) == 1 else "%r"
-        named = set()  # the names free in the branches' assertions
-
-        def equate(name, t) -> Assn:
-            named.add(name)
-            if not isinstance(t, BoolLit):
-                named.update(free_vars(t))
-            return IdAt(None, Emb(Var(name)), t)
-
-        def branch_sp(b: _Branch) -> Assn:
-            parts = heap_to_assertions(b.heap, render=self._render)
-            for part in parts:
-                named.update(free_vars(part))
-            value = b.result
-            if len(binder) == 2 and isinstance(value, tuple):
-                for name, v in zip(binder, value):
-                    t = self._value_term(v)
-                    if t is not None:
-                        parts.append(equate(name, t))
-            else:
-                t = self._value_term(value)
-                if t is not None:
-                    parts.append(equate(rname, t))
-            for k, v in b.env.items():
-                if (v is True or v is False) and k not in binder:
-                    parts.append(equate(k, BoolLit(v)))
-            return functools.reduce(And, parts)
-
-        sp = functools.reduce(Or, map(branch_sp, branches)) if branches \
-            else Bot()
-        # every type is inhabited, so a binder the body does not name can go
-        for name, ty in reversed(self._binders):
-            if name in named:
-                sp = ExistsVar(name, ty, sp)
-                named.discard(name)
-                named.update(free_vars(ty))
-        return sp
 
     def _emit(self, kind: str, conclusion: Assn, models, var_ctx=(),
               heap_ctx=("%h0",), hyps=None, note: str = "",

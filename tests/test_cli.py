@@ -12,9 +12,8 @@ import jsonschema
 import pytest
 
 from qhoare.cli import main
-from qhoare.core import HoareT, pretty
+from qhoare.core import HoareT
 from qhoare.parser import parse_program, tokenize
-from qhoare.typecheck import check_program
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
@@ -485,7 +484,7 @@ class TestAssertionScope:
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert code == 2
         assert (f"{path}: share: type-error "
-                f"(unbound name 'X' in the postcondition)\n") in out
+                f"(14:1: unbound name 'X' in the postcondition)\n") in out
 
     @pytest.mark.parametrize("signature,name,which", [
         ("{Id(x, true)} r : Bool {T}", "x", "pre"),
@@ -498,9 +497,23 @@ class TestAssertionScope:
         path = tmp_path / "u.qh"
         path.write_text(f"u : {signature} = do return true\n")
         code, out, _ = run_cli(["check", str(path)], capsys)
+        # a signature error is located at its declaration
         assert (code, out) == (
             2, f"{path}: u: type-error "
-               f"(unbound name {name!r} in the {which}condition)\n")
+               f"(1:1: unbound name {name!r} in the {which}condition)\n")
+
+    def test_duplicate_context_name_is_located(self, tmp_path, capsys):
+        # a type in a statement is located at its statement
+        path = tmp_path / "d.qh"
+        path.write_text(
+            "u : {emp} r : Bool {T}\n"
+            "  = do c : x : Pure. x : Pure. {emp} s : Bool {T}"
+            " = do return true;\n"
+            "       return true\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (
+            2, f"{path}: u: type-error "
+               f"(2:8: duplicate context name 'x')\n")
 
     def test_bound_names_are_accepted(self, tmp_path, capsys):
         # a ghost, a heap variable, the current heap %h, a result binder,
@@ -774,21 +787,6 @@ class TestDepth:
         finally:
             sys.setrecursionlimit(old)
         assert {key: c for key, c in codes.items() if c != 0} == {}
-
-    def test_strongest_post_of_a_long_block(self):
-        # the existential closure keeps only the binders its body uses, so
-        # under the same lowered limit it is shallow at 2,000 statements
-        program = parse_program(straight_line_source(2000)).program
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(stack_depth() + 200)
-        try:
-            sp = check_program(program).decl("deep").strongest_post
-            text = pretty(sp)
-            hash(sp)
-        finally:
-            sys.setrecursionlimit(old)
-        assert text == ("exists %s2000 : Bool. "
-                        "emp /\\ Id(r, false) /\\ Id(%s2000, false)")
 
 
 def token_layout(source: str) -> tuple:

@@ -134,21 +134,21 @@ class TestWellFormed:
             tmp_path, capsys,
             "f : x : Pure. x : Bool. {emp} r : Bool {T} = do return true\n")
         assert (code, out) == (
-            2, "f: type-error (duplicate context name 'x')\n")
+            2, "f: type-error (1:1: duplicate context name 'x')\n")
 
     def test_duplicate_heap_context(self, tmp_path, capsys):
         code, out = self.check(
             tmp_path, capsys,
             "f : h : heap. h : heap. {emp} r : Bool {T} = do return true\n")
         assert (code, out) == (
-            2, "f: type-error (duplicate heap variable)\n")
+            2, "f: type-error (1:1: duplicate heap variable)\n")
 
     def test_duplicate_binder_pattern(self, tmp_path, capsys):
         code, out = self.check(
             tmp_path, capsys,
             "f : {emp} (a, a) : (Bool, Bool) {T} = do return (true, true)\n")
         assert (code, out) == (
-            2, "f: type-error (duplicate name in binder pattern)\n")
+            2, "f: type-error (1:1: duplicate name in binder pattern)\n")
 
     def test_clean_corpus(self, checked_corpus):
         for name, checked in checked_corpus.items():

@@ -158,12 +158,17 @@ class TestNormalize:
 
 class TestComputations:
     def test_return_true_sp(self):
+        # the strongest postcondition is the final branch set, which the
+        # postconditionVC carries as its hypotheses and models
         program = parse_program(
             "t : {emp} r : Bool {T} = do return true").program
         result = check_program(program).decl("t")
         assert result.error is None
-        assert result.strongest_post == And(
-            Emp(), IdAt(None, Emb(Var("r")), BoolLit(True)))
+        (ob,) = result.obligations
+        assert ob.kind == "postconditionVC"
+        assert ob.hypotheses == [Emp()]
+        (model,) = ob.models
+        assert model.env["r"] is True
 
     def test_hqw_sp_entails_declared_post(self, corpus):
         program = corpus["hqw.qh"]
@@ -194,43 +199,6 @@ class TestComputations:
                             "(qa, qb) |-> |\\Phi+\\>)")
         assert texts[4] == \
             "P4 \\o ((qa |-> -) -o emp) \\o ((qb |-> -) -o emp)"
-
-    def test_existential_closure_in_sp(self, checked_corpus):
-        dr = checked_corpus["hqw.qh"].decl("hqw")
-        sp = dr.strongest_post
-        # the machine binders are existentially closed
-        free = free_vars(sp)
-        assert all(not name.startswith("%") for name in free)
-
-    def test_sp_names_only_what_the_signature_binds(self):
-        # the existential closure keeps the binders the body names, so a
-        # name left free is one the signature binds, or the heap `%h`
-        from test_replay import generated_source
-        sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
-        sources += [gate_block_source(300), straight_line_source(50)]
-        sources += [generated_source(seed) for seed in range(12)]
-        # a call to `teleport` leaves its result in the opaque state of a
-        # fresh ghost, which the closure binds
-        teleport = next(p for p in CORPUS_FILES if p.name == "teleport.qh")
-        sources.append(teleport.read_text() + (
-            "tp : {emp} r : Qbit {T}\n"
-            "   = do q <- qplus; r <- teleport q; return r\n"))
-        seen = 0
-        for source in sources:
-            program = parse_program(source).program
-            for dr in check_program(program).decls:
-                if dr.strongest_post is None:
-                    continue
-                bound, ty = {"%h"}, program.decl(dr.name).signature
-                while isinstance(ty, PiT):
-                    bound.add(ty.binder)
-                    ty = ty.codomain
-                bound.update(x for x, _ in ty.var_ctx)
-                bound.update(ty.heap_ctx)
-                bound.update(ty.binder)
-                assert free_vars(dr.strongest_post) <= bound, dr.name
-                seen += 1
-        assert seen >= 20
 
 
 def obligation_contexts() -> dict:
@@ -269,18 +237,33 @@ class TestCorpusVerification:
             assert report.status == "conditional", name
             assert report.counts["refuted"] == 0
 
-    def test_existential_hygiene(self, checked_corpus):
-        decl_names = set()
-        for checked in checked_corpus.values():
-            decl_names |= {d.name for d in checked.program.decls}
-        allowed_global = decl_names | set(BUILTIN_TYPES)
-        for checked in checked_corpus.values():
-            for dr in checked.decls:
+    def test_existential_hygiene(self):
+        # every name free in an obligation's conclusion or hypotheses is
+        # in its context, a heap variable, the current heap `%h`, a
+        # declaration or a builtin
+        from test_replay import generated_source
+        sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
+        sources += [gate_block_source(300), straight_line_source(50)]
+        sources += [generated_source(seed) for seed in range(12)]
+        # a call to `teleport` leaves its result in the opaque state of a
+        # fresh ghost, which the context binds
+        teleport = next(p for p in CORPUS_FILES if p.name == "teleport.qh")
+        sources.append(teleport.read_text() + (
+            "tp : {emp} r : Qbit {T}\n"
+            "   = do q <- qplus; r <- teleport q; return r\n"))
+        seen = 0
+        for source in sources:
+            program = parse_program(source).program
+            allowed_global = ({d.name for d in program.decls}
+                              | set(BUILTIN_TYPES) | {"%h"})
+            for dr in check_program(program).decls:
                 for ob in dr.obligations:
                     bound = {x for x, _ in ob.var_ctx} | set(ob.heap_ctx)
-                    free = free_vars(ob.conclusion)
-                    leaked = free - bound - allowed_global
-                    assert leaked == set(), (dr.name, pretty(ob.conclusion))
+                    for a in (ob.conclusion, *ob.hypotheses):
+                        leaked = free_vars(a) - bound - allowed_global
+                        assert leaked == set(), (dr.name, pretty(a))
+                    seen += 1
+        assert seen >= 400
 
     def test_obligation_contexts_match_golden(self):
         # tests/golden/var_ctx.json holds, for every obligation, the
