@@ -156,6 +156,34 @@ class TestNormalize:
         assert count >= 200
 
 
+def swept_sources() -> list:
+    """The corpus and negative files, a 300-gate block, a 50-statement
+    straight-line block, 12 generated programs and a caller of
+    `teleport`, whose result is the opaque state of a fresh ghost."""
+    from test_replay import generated_source
+    sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
+    sources += [gate_block_source(300), straight_line_source(50)]
+    sources += [generated_source(seed) for seed in range(12)]
+    teleport = next(p for p in CORPUS_FILES if p.name == "teleport.qh")
+    sources.append(teleport.read_text() + (
+        "tp : {emp} r : Qbit {T}\n"
+        "   = do q <- qplus; r <- teleport q; return r\n"))
+    return sources
+
+
+def signature_names(signature) -> set:
+    """The `\\Pi` binders, ghosts, heap variables and result binders of a
+    declaration's type, and the current heap `%h`."""
+    bound, ty = {"%h"}, signature
+    while isinstance(ty, PiT):
+        bound.add(ty.binder)
+        ty = ty.codomain
+    bound.update(x for x, _ in ty.var_ctx)
+    bound.update(ty.heap_ctx)
+    bound.update(ty.binder)
+    return bound
+
+
 class TestComputations:
     def test_return_true_sp(self):
         # the strongest postcondition is the final branch set, which the
@@ -200,6 +228,42 @@ class TestComputations:
         assert texts[4] == \
             "P4 \\o ((qa |-> -) -o emp) \\o ((qb |-> -) -o emp)"
 
+    def test_existential_closure_in_sp(self, checked_corpus):
+        # the strongest postcondition is the postconditionVC's hypotheses;
+        # the machine names in it are bound by the obligation's context,
+        # and the declared postcondition it must imply names none of them
+        dr = checked_corpus["hqw.qh"].decl("hqw")
+        (ob,) = [o for o in dr.obligations if o.kind == "postconditionVC"]
+        context = {x for x, _ in ob.var_ctx} | set(ob.heap_ctx)
+        machine = {name for a in ob.hypotheses for name in free_vars(a)
+                   if name.startswith("%")}
+        assert machine and machine <= context
+        assert all(not name.startswith("%")
+                   for name in free_vars(ob.conclusion))
+
+    def test_sp_names_only_what_the_signature_binds(self):
+        # a name free in the strongest postcondition (the postconditionVC's
+        # hypotheses) that the signature does not bind is one the
+        # obligation's context binds, and the declared postcondition does
+        # not name it: it is existential in the strongest postcondition
+        seen = 0
+        for source in swept_sources():
+            program = parse_program(source).program
+            decls = {d.name for d in program.decls}
+            for dr in check_program(program).decls:
+                bound = signature_names(program.decl(dr.name).signature)
+                for ob in dr.obligations:
+                    if ob.kind != "postconditionVC":
+                        continue
+                    context = {x for x, _ in ob.var_ctx} | set(ob.heap_ctx)
+                    sp = set().union(*(free_vars(a) for a in ob.hypotheses))
+                    post = free_vars(ob.conclusion)
+                    assert sp - bound <= context, dr.name
+                    assert post <= bound | decls, dr.name
+                    assert not (sp - bound) & post, dr.name
+                    seen += 1
+        assert seen >= 20
+
 
 def obligation_contexts() -> dict:
     """File -> declaration -> one entry per obligation: its kind, the
@@ -241,18 +305,8 @@ class TestCorpusVerification:
         # every name free in an obligation's conclusion or hypotheses is
         # in its context, a heap variable, the current heap `%h`, a
         # declaration or a builtin
-        from test_replay import generated_source
-        sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
-        sources += [gate_block_source(300), straight_line_source(50)]
-        sources += [generated_source(seed) for seed in range(12)]
-        # a call to `teleport` leaves its result in the opaque state of a
-        # fresh ghost, which the context binds
-        teleport = next(p for p in CORPUS_FILES if p.name == "teleport.qh")
-        sources.append(teleport.read_text() + (
-            "tp : {emp} r : Qbit {T}\n"
-            "   = do q <- qplus; r <- teleport q; return r\n"))
         seen = 0
-        for source in sources:
+        for source in swept_sources():
             program = parse_program(source).program
             allowed_global = ({d.name for d in program.decls}
                               | set(BUILTIN_TYPES) | {"%h"})
