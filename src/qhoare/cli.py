@@ -15,10 +15,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import pretty
+from .core import Program, pretty
 from .parser import parse_program
 from .prover import discharge_all
-from .typecheck import CheckedProgram, check_program
+from .typecheck import CheckedProgram, Checker, check_program
 from .sim import run_program, SimulationError
 
 EXIT_OK = 0
@@ -253,21 +253,35 @@ def render_trace(source: str, checked: CheckedProgram, name: str) -> str:
 # run
 
 
+def decl_status(program: Program, name: str,
+                literal_measurement: bool = False) -> Optional[str]:
+    """The status :func:`analyze` reports for declaration ``name``, or None
+    if there is none.
+
+    A declaration is checked against the ones before it only, so checking
+    stops at ``name``, and only ``name``'s conditions are proved.
+    """
+    checker = Checker(program, literal_measurement)
+    for decl in program.decls:
+        result = checker.check_decl(decl)
+        if decl.name == name:
+            if result.error is not None:
+                return "type-error"
+            return discharge_all(result.obligations).status
+    return None
+
+
 def cmd_run(args) -> int:
     if args.shots < 0:
         print(f"{args.file}: error: --shots must be at least 0, "
               f"got {args.shots}", file=sys.stderr)
         return EXIT_ERROR
-    source = _read(args.file)
-    report, checked = analyze(args.file, source, args.literal_measurement)
-    if checked is None:
-        for d in report.diagnostics:
-            print(d)
+    parsed = parse_program(_read(args.file), args.file)
+    if not parsed.ok:
+        for d in parsed.diagnostics:
+            print(d.render())
         return EXIT_ERROR
-    status = None
-    for decl in report.decls:
-        if decl.name == args.decl:
-            status = decl.status
+    status = decl_status(parsed.program, args.decl, args.literal_measurement)
     if status is None:
         print(f"{args.file}: error: no declaration named {args.decl!r}",
               file=sys.stderr)
@@ -280,7 +294,7 @@ def cmd_run(args) -> int:
               f"use --force to run anyway", file=sys.stderr)
         return EXIT_REFUTED
     try:
-        rep = run_program(checked.program, args.decl, seed=args.seed,
+        rep = run_program(parsed.program, args.decl, seed=args.seed,
                           shots=args.shots)
     except SimulationError as e:
         print(f"{args.file}: {args.decl}: runtime error: {e}",

@@ -35,7 +35,7 @@ from .core import (
     HeapE, HeapId, HEmpty, HVar, IdAt, InDom, Ket, KetVec, Lookup, MemberOf,
     Not, Or, Implies, Pair, PointsTo, QbitT, Replace, Span, Top, UNKNOWN,
     UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and,
-    kleene_not, kleene_or, pretty, KET_AMPS,
+    kleene_not, kleene_or, pretty, CUR_HEAP, KET_AMPS,
 )
 from .heap import Cell, SymbolicHeap, SymState
 
@@ -292,7 +292,7 @@ class _Evaluator:
     def heap_denotation(self, h: HeapE):
         """Concrete map location-key -> view state, or None when unknown."""
         if isinstance(h, HVar):
-            if h.name == "%h":
+            if h.name == CUR_HEAP:
                 return self.current_heap_map()
             if h.name in self.model.hvars:
                 return self.heap_cells_map(self.model.hvars[h.name])
@@ -389,7 +389,7 @@ class _Evaluator:
                 names = self._loc_names(loc)
                 if names is None:
                     return UNKNOWN
-                if isinstance(h, HVar) and h.name == "%h":
+                if isinstance(h, HVar) and h.name == CUR_HEAP:
                     return all(self.qubit_view(n) is not None for n in names)
                 den = self.heap_denotation(h)
                 if den is None:
@@ -611,9 +611,9 @@ def _entails_enumerate(ob: Obligation) -> Verdict:
     for g in ghosts:
         alphabet.append(("opaque", g))
 
-    heap_var_names = [h for h in hvars if h != "%h"]
+    heap_var_names = [h for h in hvars if h != CUR_HEAP]
     for h in ob.heap_ctx:
-        if h not in heap_var_names and h != "%h":
+        if h not in heap_var_names and h != CUR_HEAP:
             heap_var_names.append(h)
 
     n_heaps = (len(alphabet) + 1) ** len(locs)

@@ -20,6 +20,13 @@ each shot down it, comparing each draw with the stored probability as
 :func:`measure` does.  Only a shot that leaves the trie is interpreted,
 and its path is added (up to ``TRIE_CAP`` nodes).  Reports are identical
 to interpreting every shot, for every seed and every cap.
+
+A measurement with ``p_true <= 0`` or ``p_true >= 1`` has the same outcome
+for every draw, so the replay seeds a shot's stream only at the first
+stored measurement with ``0 < p_true < 1`` and then discards the draws of
+the certain measurements before it.  A shot whose path holds no such
+measurement never seeds its stream; an interpreted shot seeds it at the
+start, through :func:`shot_rng`.
 """
 
 from __future__ import annotations
@@ -315,7 +322,11 @@ def apply_unitary(s: QuantumState, u: UnitaryExpr) -> QuantumState:
 
 def draw(rng, p_true: float) -> bool:
     """The one read of a shot's PRNG stream: one outcome of a measurement
-    whose probability of ``true`` is ``p_true``."""
+    whose probability of ``true`` is ``p_true``.
+
+    For ``p_true <= 0`` or ``p_true >= 1`` the outcome does not depend on
+    the draw, so :func:`run_program`'s replay seeds the stream only at a
+    shot's first other measurement (see the module docstring)."""
     return rng.random() < p_true
 
 
@@ -786,8 +797,10 @@ def run_program(program: Program, entry: str, seed: int = 0,
     A shot is a function of its measurement outcomes, so shots are replayed
     along a trie of outcome paths: each draw of the shot's stream is compared
     with the stored probability of the next measurement, exactly as
-    :func:`measure` compares it.  Only a shot that leaves the trie runs
-    through the interpreter, which records its path for the next shots.
+    :func:`measure` compares it, and the stream is seeded at the first
+    measurement whose outcome the draw decides.  Only a shot that leaves
+    the trie runs through the interpreter, which records its path for the
+    next shots.
     """
     sig = program.decl(entry).signature
     pi_env = {}
@@ -838,10 +851,20 @@ def run_program(program: Program, entry: str, seed: int = 0,
     trie, size, leaves = [None], 0, []
     rng = random.Random()
     for shot in range(shots):
-        rng.seed(_shot_key(seed, shot))  # the stream of shot_rng(seed, shot)
-        node = trie[0]
+        node, owed = trie[0], 0  # owed is -1 once the stream is seeded
         while type(node) is _Branch:
-            node = node.children[draw(rng, node.p_true)]
+            p_true = node.p_true
+            if owed >= 0:
+                # the outcome is the same for every draw in [0, 1)
+                if p_true <= 0.0 or p_true >= 1.0:
+                    owed += 1
+                    node = node.children[p_true >= 1.0]
+                    continue
+                rng.seed(_shot_key(seed, shot))  # shot_rng(seed, shot)
+                for _ in range(owed):
+                    rng.random()
+                owed = -1
+            node = node.children[draw(rng, p_true)]
         if node is None:
             path, node = interpret(shot)
             if size + len(path) + 1 > TRIE_CAP:

@@ -41,7 +41,7 @@ from .core import (
     MeasQbit, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program, PureT,
     QbitT, ReductionError, Seq, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
     UnitVal, UT, Var, WildcardState, free_vars, mk_intro, normal_form,
-    pretty, subst,
+    pretty, subst, CUR_HEAP,
 )
 from .heap import (
     AbsBranch, Cell, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -351,14 +351,12 @@ class Checker:
     # --- program
 
     def check_program(self) -> CheckedProgram:
-        results = []
-        for decl in self.program.decls:
-            results.append(self.check_decl(decl))
-            if results[-1].error is None:
-                self.decl_types[decl.name] = decl.signature
-        return CheckedProgram(self.program, results)
+        return CheckedProgram(self.program, [self.check_decl(decl)
+                                             for decl in self.program.decls])
 
     def check_decl(self, decl: Decl) -> DeclResult:
+        """Check ``decl`` against the declarations checked before it; if it
+        checks, later declarations may call it."""
         self._reset_decl_state(decl.name)
         result = DeclResult(decl.name, decl.signature)
         self._span = decl.span
@@ -371,6 +369,8 @@ class Checker:
             result.trace = self._assemble_trace()
         except CheckError as e:
             result.error = e
+        else:
+            self.decl_types[decl.name] = decl.signature
         return result
 
     # --- types
@@ -401,8 +401,7 @@ class Checker:
                     raise CheckError("duplicate name in binder pattern",
                                      self._span)
                 self.check_type(inner, resultty)
-                # %h is the current heap
-                scope = (inner.keys() | set(hctx) | {"%h"}
+                scope = (inner.keys() | set(hctx) | {CUR_HEAP}
                          | {d.name for d in self.program.decls})
                 for which, a, more in (("pre", pre, ()),
                                        ("post", post, binder)):

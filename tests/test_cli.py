@@ -11,7 +11,7 @@ import sys
 import jsonschema
 import pytest
 
-from qhoare.cli import main
+from qhoare.cli import analyze, decl_status, main
 from qhoare.core import HoareT
 from qhoare.parser import parse_program, tokenize
 from conftest import (
@@ -591,6 +591,84 @@ class TestRun:
         payload = json.loads(out)
         values = {o["value"] for o in payload["outcomes"]}
         assert values <= {"(false, false)", "(true, true)"}
+
+
+class TestRunChecksUpToTheEntry:
+    """`run` checks the declarations up to its entry and proves only the
+    entry's conditions; what it prints is what a full `analyze` gives."""
+
+    # the declarations after `hqw` are a type error and a refuted one
+    AFTER_SOURCE = (CORPUS_DIR / "hqw.qh").read_text() + """
+bad : {emp} r : Bool {emp}
+    = do q <= mkQbit false;
+         applyU (H nope);
+         measQbit q
+
+wrong : {emp} r : Bool {emp /\\ Id(r, true)}
+      = do q <= mkQbit false;
+           measQbit q
+"""
+
+    @pytest.mark.parametrize("path", CORPUS_FILES + NEGATIVE_FILES,
+                             ids=lambda p: p.name)
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_status_matches_analyze(self, path, literal):
+        source = path.read_text()
+        report, checked = analyze(str(path), source, literal)
+        assert report.decls
+        for decl in report.decls:
+            assert decl_status(checked.program, decl.name, literal) == \
+                decl.status, decl.name
+        assert decl_status(checked.program, "nope", literal) is None
+
+    def test_later_faults_do_not_stop_the_entry(self, tmp_path, capsys):
+        src = tmp_path / "after.qh"
+        src.write_text(self.AFTER_SOURCE)
+        code, out, _ = run_cli(["check", str(src)], capsys)
+        assert code == 2
+        assert "bad: type-error" in out and "wrong: refuted" in out
+        code, out, err = run_cli(["run", str(src), "hqw", "--seed", "0",
+                                  "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN_DIR / "run_hqw_hqw_seed0.json").read_text()
+        code, out, err = run_cli(["run", str(src), "bad"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{src}: bad: type-error\n"
+        code, out, err = run_cli(["run", str(src), "wrong"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"{src}: wrong: refuted statically; "
+                       f"use --force to run anyway\n")
+
+    def test_assertion_naming_a_later_declaration(self, tmp_path, capsys):
+        # an assertion may name any declaration of the file, so the entry
+        # is checked in the whole program's scope, not in a prefix
+        src = tmp_path / "later.qh"
+        src.write_text("f : {emp} r : Bool {emp /\\ Id(r, g)}\n"
+                       "  = do q <= mkQbit false; measQbit q\n"
+                       "g : {emp} r : Bool {emp}\n"
+                       "  = do q <= mkQbit false; measQbit q\n")
+        code, out, _ = run_cli(["check", str(src)], capsys)
+        assert code == 1 and "f: refuted" in out
+        code, out, err = run_cli(["run", str(src), "f"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"{src}: f: refuted statically; "
+                       f"use --force to run anyway\n")
+
+    def test_unknown_declaration(self, capsys):
+        code, out, err = run_cli(["run", corpus("bellpair.qh"), "nope"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"{corpus('bellpair.qh')}: error: "
+                       f"no declaration named 'nope'\n")
+
+    def test_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.qh"
+        bad.write_text("f : {emp} r : Bool {emp}\n"
+                       "  = do q <= mkQbit false\n")
+        code, out, err = run_cli(["run", str(bad), "f"], capsys)
+        assert (code, err) == (2, "")
+        assert out == (f"{bad}:3:1: error: unexpected end of input inside "
+                       f"do block\n")
 
 
 class TestReducerPaths:

@@ -3,6 +3,7 @@ the report of a loop that interprets every shot, for any trie size."""
 
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -151,6 +152,93 @@ def test_corpus_matches_reference_loop(fname, decl):
     for seed in (0, 3):
         rep = run_program(program, decl, seed=seed, shots=200)
         assert summary(rep) == reference_run(program, decl, seed, 200)
+
+
+# measurements whose outcome is certain (p_true of 0 or 1) before and
+# between coins: the replay seeds a shot's stream only at its first coin
+CERTAIN_FIRST_SOURCE = """\
+c : {emp} (a, b) : (Bool, Bool) {Id(a, true) /\\ emp}
+  = do q0 <= mkQbit true;
+       m0 <= measQbit q0;
+       q1 <= mkQbit false;
+       applyU (X q1);
+       m1 <= measQbit q1;
+       q2 <= mkQbit false;
+       applyU (H q2);
+       m2 <= measQbit q2;
+       q3 <= mkQbit false;
+       m3 <= measQbit q3;
+       q4 <= mkQbit true;
+       applyU (rot q4 ((0.6, -0.8), (0.8, 0.6)));
+       m4 <= measQbit q4;
+       return (m0, (m1, (m2, (m3, m4))))
+"""
+
+# GHZ-3: one coin, then two measurements its outcome decides
+GHZ_SOURCE = """\
+ghz : {emp} (a, b) : (Bool, Bool) {emp /\\ Id(a, b)}
+  = do x <= mkQbit false;
+       y <= mkQbit false;
+       z <= mkQbit false;
+       applyU (H x);
+       applyU (ifQ x (X y));
+       applyU (ifQ y (X z));
+       a <= measQbit x;
+       b <= measQbit y;
+       c <= measQbit z;
+       return (a, (b, c))
+"""
+
+
+@pytest.mark.parametrize("source,decl,paths", [
+    (CERTAIN_FIRST_SOURCE, "c", 4), (GHZ_SOURCE, "ghz", 2),
+], ids=["certain-first", "ghz"])
+def test_certain_outcomes_match_reference_loop(source, decl, paths):
+    parsed = parse_program(source)
+    assert parsed.ok, [d.render() for d in parsed.diagnostics]
+    for seed in (0, 1, 7, 12345):
+        rep = run_program(parsed.program, decl, seed=seed, shots=300)
+        assert summary(rep) == reference_run(parsed.program, decl, seed,
+                                             300)
+        assert len(rep.outcomes) == paths, rep.outcomes
+
+
+class SeedCounter(random.Random):
+    """``random.Random`` that records each explicit seed it is given."""
+
+    seeds = []
+
+    def seed(self, a=None, version=2):
+        if a is not None:
+            SeedCounter.seeds.append(a)
+        super().seed(a, version)
+
+
+@pytest.mark.parametrize("fname,decl,coin", [
+    ("hqw.qh", "hqw", False), ("bellpair.qh", "qplus", False),
+    ("rnd.qh", "rnd", True),
+])
+def test_shot_stream_seeded_only_where_a_draw_decides(fname, decl, coin,
+                                                      monkeypatch):
+    misses = []
+
+    def counting(seed, shot):
+        misses.append(shot)
+        return shot_rng(seed, shot)
+
+    seeds = []
+    monkeypatch.setattr(SeedCounter, "seeds", seeds)
+    monkeypatch.setattr(sim, "random", SimpleNamespace(Random=SeedCounter))
+    monkeypatch.setattr(sim, "shot_rng", counting)
+    rep = run_program(corpus_program(fname), decl, seed=4, shots=1000)
+    assert sum(rep.outcomes.values()) == 1000
+    # shot_rng seeds one stream per trie miss; the replay seeds the rest
+    replayed = len(seeds) - len(misses)
+    assert 0 < len(misses) <= 2
+    if coin:
+        assert 1000 - len(misses) <= replayed <= 1000
+    else:
+        assert replayed == 0
 
 
 def plus_input():
