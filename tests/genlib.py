@@ -262,3 +262,15 @@ def gate_block_source(n: int, seed: int = 0) -> str:
              "return (x, (y, z))"]
     return ("gates : {emp} r : (Bool, (Bool, Bool)) {T}\n    = do "
             + ";\n         ".join(body) + "\n")
+
+
+def measure_block_source(n: int) -> str:
+    """A declaration whose body is a straight-line ``do`` block of ``n``
+    statements (``n`` even) that alternately allocate a qubit ``q`` and
+    measure it into ``b0``, ``b1``, ..., then return the last outcome."""
+    body = []
+    for k in range(n // 2):
+        body += ["q <= mkQbit false", f"b{k} <= measQbit q"]
+    body.append(f"return b{n // 2 - 1}")
+    return ("meas : {emp} r : Bool {emp}\n    = do "
+            + ";\n         ".join(body) + "\n")

@@ -17,7 +17,9 @@ from qhoare.parser import parse_program, tokenize
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
-from genlib import gate_block_source, straight_line_source
+from genlib import (
+    gate_block_source, measure_block_source, straight_line_source,
+)
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
               "schemas")
@@ -332,6 +334,29 @@ class TestGateBlockGolden:
         code, out, _ = run_cli(["trace", gates, "gates"], capsys)
         assert code == 0
         assert out == (GOLDEN_DIR / "trace_genlib_gates.txt").read_text()
+
+
+class TestMeasureBlockGolden:
+    """A 200-statement block that alternately allocates and measures a
+    qubit, pinned byte for byte: ``check`` and ``vcs`` print the same JSON
+    report."""
+
+    @pytest.fixture
+    def block(self, tmp_path, monkeypatch):
+        (tmp_path / "meas.qh").write_text(measure_block_source(200))
+        monkeypatch.chdir(tmp_path)
+        return "meas.qh"
+
+    @pytest.mark.parametrize("command", ["check", "vcs"])
+    def test_json_matches_golden(self, block, command, capsys):
+        code, out, _ = run_cli([command, block, "--format", "json"], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "check_genlib_measure.json").read_text()
+
+    def test_trace_matches_golden(self, block, capsys):
+        code, out, _ = run_cli(["trace", block, "meas"], capsys)
+        assert code == 0
+        assert out == (GOLDEN_DIR / "trace_genlib_measure.txt").read_text()
 
 
 class TestRepeatedGates:

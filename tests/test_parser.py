@@ -1,5 +1,6 @@
 """Parsing, diagnostics, round-trips, and mutation robustness."""
 
+import json
 import random
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from qhoare.core import (
     And, BindCmd, Do, Emp, IdAt, MemberOf, Ket, Ret, Top, pretty,
 )
-from qhoare.parser import parse_assertion, parse_program, ParseResult
+from qhoare.parser import (
+    parse_assertion, parse_program, ParseResult, tokenize,
+)
 from genlib import Gen
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
 
 
 def comp_steps(comp):
@@ -100,6 +103,47 @@ class TestFragments:
         res = parse_program(src)
         for d in res.diagnostics:
             assert 1 <= d.span.line <= src.count("\n") + 1
+
+
+# lexer edge cases pinned with the corpus and negative files by
+# golden/tokens.json
+TOKEN_EDGE_INPUTS = {
+    "empty": "",
+    "no_trailing_newline": "x : Bool = true",
+    "comment_at_eof": "x : Bool = true -- no newline after this",
+    "crlf": "x : Bool\r\n  = true\r\ny : Bool = false\r\n",
+    "tabs": "x\t:\tBool\n\t= true\t-- tab\n",
+    "lone_bar": "|",
+    "in_next_to_inx": "a \\in {b} \\inx \\in{c}\\in",
+    "diff_arrow_comment": "a -o b -> c -- d -o\n-oa->b--\n",
+    "unexpected_characters": "x @ y\x0bz\n  \u00e9 = 1\n",
+}
+
+
+def token_golden_text() -> str:
+    """Every token of the corpus, negative and edge inputs as ``[kind,
+    text, line, col, length]``, one per line, and each input's rendered
+    diagnostics, as JSON."""
+    sources = {f"{p.parent.name}/{p.name}": p.read_text()
+               for p in CORPUS_FILES + NEGATIVE_FILES}
+    sources.update(TOKEN_EDGE_INPUTS)
+    entries = []
+    for name, source in sources.items():
+        diags = []
+        rows = ",\n    ".join(
+            json.dumps([t.kind, t.text, t.span.line, t.span.col,
+                        t.span.length])
+            for t in tokenize(source, diags, name))
+        entries.append(
+            f' {json.dumps(name)}: {{\n  "tokens": [\n    {rows}\n  ],\n'
+            f'  "diagnostics": {json.dumps([d.render() for d in diags])}\n }}')
+    return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
+class TestTokenGolden:
+    def test_tokens_match_golden(self):
+        assert token_golden_text() == \
+            (GOLDEN_DIR / "tokens.json").read_text()
 
 
 class TestRoundTripProperty:
