@@ -168,7 +168,7 @@ def cmd_check(args) -> int:
 
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8", errors="replace")
+        return fh.read().decode("utf-8-sig", errors="replace")
 
 
 # ---------------------------------------------------------------------------

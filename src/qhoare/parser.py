@@ -1,6 +1,9 @@
 """Parser for ``.qh`` sources.
 
-Hand-rolled lexer and recursive-descent parser with limited backtracking.
+A one-pass lexer and a recursive-descent parser with limited backtracking.
+The lexer matches one master pattern with ``finditer``, each match skipping
+the whitespace before its token; a token is a plain tuple, and its ``Span``
+is built only where the parser keeps one.
 Comments run from ``--`` to end of line.  Layout is insignificant except for
 one rule that keeps the grammar deterministic: a bare command at the end of
 a ``do`` block terminates it, so a command used as a statement must carry an
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     And, App, ApplyU, ARef, Ascribe, BindCmd, BindRun, BoolLit, Bot, BoolT,
@@ -74,7 +77,17 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
+# One master pattern, matched once per token by ``finditer``.  Each match
+# skips the whitespace before its token, and the alternation ends with a
+# one-character ``BAD`` token and the empty ``EOF``, so the matches cover
+# the whole source.  The first five kinds share no first character with any
+# other; the order of the rest decides between tokens sharing a prefix.
 _TOKEN_SPEC = [
+    ("NAME", r"[A-Za-z_%][A-Za-z0-9_'%]*"),
+    ("LPAREN", r"\("),
+    ("RPAREN", r"\)"),
+    ("SEMI", r";"),
+    ("NUMBER", r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"),
     ("COMMENT", r"--[^\n]*"),
     ("KET", r"\|\\Phi\+\\>|\|0\\>|\|1\\>|\|\+\\>|\|-\\>"),
     ("KVEC", r"\|vec\("),
@@ -94,57 +107,52 @@ _TOKEN_SPEC = [
     ("LAMBDA", r"\\"),
     ("LBRACE", r"\{"),
     ("RBRACE", r"\}"),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
     ("COMMA", r","),
-    ("SEMI", r";"),
     ("DOT", r"\."),
     ("COLON", r":"),
     ("EQ", r"="),
     ("TILDE", r"~"),
     ("PLUS", r"\+"),
     ("MINUS", r"-"),
-    ("NUMBER", r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"),
-    ("NAME", r"[A-Za-z_%][A-Za-z0-9_'%]*"),
-    ("WS", r"[ \t\r\n]+"),
+    ("BAD", r"."),
+    ("EOF", r"\Z"),
 ]
 
-_MASTER = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC))
+_MASTER = re.compile(r"[ \t\r\n]*(?:"
+                     + "|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC) + ")")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    span: Span
+    line: int
+    col: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.col, len(self.text))
 
 
 def tokenize(source: str, diags: list, filename: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        m = _MASTER.match(source, i)
-        if m is None:
-            diags.append(Diagnostic(
-                "error", f"unexpected character {source[i]!r}",
-                Span(line, col, 1), filename))
-            i += 1
-            col += 1
-            continue
+    line, line_start, prev = 1, 0, 0
+    for m in _MASTER.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, text, Span(line, col, len(text))))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        i = m.end()
-    tokens.append(Token("EOF", "", Span(line, col, 0)))
-    return tokens
+        start, prev_end, prev = m.start(kind), prev, m.end()
+        if source.find("\n", prev_end, start) >= 0:
+            line += source.count("\n", prev_end, start)
+            line_start = source.rfind("\n", prev_end, start) + 1
+        if kind == "COMMENT":
+            continue
+        tok = Token(kind, source[start:prev], line, start - line_start + 1)
+        if kind == "BAD":
+            diags.append(Diagnostic(
+                "error", f"unexpected character {tok.text!r}", tok.span,
+                filename))
+            continue
+        tokens.append(tok)
+        if kind == "EOF":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +161,8 @@ def tokenize(source: str, diags: list, filename: str) -> list:
 
 class _Parser:
     def __init__(self, tokens: list, filename: str):
-        self.tokens = tokens
+        # trailing EOFs let `peek` look past the end without a bound check
+        self.tokens = tokens + tokens[-1:] * 5
         self.pos = 0
         self.filename = filename
         self.supply = NameSupply()
@@ -161,8 +170,7 @@ class _Parser:
     # --- token plumbing
 
     def peek(self, k: int = 0) -> Token:
-        j = min(self.pos + k, len(self.tokens) - 1)
-        return self.tokens[j]
+        return self.tokens[self.pos + k]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         t = self.peek()
@@ -192,6 +200,11 @@ class _Parser:
 
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.peek().span)
+
+    def too_deep(self) -> Diagnostic:
+        # where the parser stood when the recursion limit was hit
+        return Diagnostic("error", "input nested too deeply",
+                          self.peek().span, self.filename)
 
     # --- program and declarations
 
@@ -223,7 +236,7 @@ class _Parser:
         self.pos = start + 1
         while not self.at("EOF"):
             t = self.peek()
-            if t.kind == "NAME" and t.span.col == 1 \
+            if t.kind == "NAME" and t.col == 1 \
                     and self.peek(1).kind == "COLON":
                 return
             self.advance()
@@ -361,7 +374,7 @@ class _Parser:
         # following declaration.
         head = self.parse_atom()
         while self.term_atom_start() and \
-                self.peek().span.line == self.tokens[self.pos - 1].span.line:
+                self.peek().line == self.tokens[self.pos - 1].line:
             arg = self.parse_atom()
             head_elim = self.as_elim(head)
             head = Emb(App(head_elim, arg))
@@ -417,15 +430,16 @@ class _Parser:
         raise self.fail(f"expected a term, found {t.text or 'end of input'!r}")
 
     def parse_parenthesized_term(self):
-        open_tok = self.expect("LPAREN", "'('")
+        self.expect("LPAREN", "'('")
         if self.at("RPAREN"):
             self.advance()
             return UnitVal()
-        mark = self.save()
-        matrix = self.try_matrix()
-        if matrix is not None:
-            return matrix
-        self.restore(mark)
+        if self.at("LPAREN"):  # a matrix literal opens with its first row
+            mark = self.save()
+            matrix = self.try_matrix()
+            if matrix is not None:
+                return matrix
+            self.restore(mark)
         first = self.parse_term()
         if self.at("COLON"):
             self.advance()
@@ -783,8 +797,7 @@ def parse_program(source: str, filename: str = "<input>") -> ParseResult:
     try:
         program = parser.parse_program(diags)
     except RecursionError:
-        diags.append(Diagnostic("error", "input nested too deeply",
-                                Span(1, 1, 1), filename))
+        diags.append(parser.too_deep())
         program = None
     return ParseResult(program, diags)
 
@@ -801,8 +814,11 @@ def _parse_fragment(source: str, method: str, filename: str):
             raise parser.fail("trailing input")
     except ParseError as e:
         diags.append(Diagnostic("error", e.message, e.span, filename))
-        return ParseResult(None, diags)
-    return node
+    except RecursionError:
+        diags.append(parser.too_deep())
+    else:
+        return node
+    return ParseResult(None, diags)
 
 
 def parse_assertion(source: str, filename: str = "<input>"):

@@ -819,6 +819,49 @@ class TestCalleePostcondition:
         assert f"{path}: share: conditional\n" in out
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark opening a file is not part of its source."""
+
+    @pytest.mark.parametrize("args", [["check"], ["run", "bell"],
+                                      ["trace", "bell"]],
+                             ids=lambda a: a[0])
+    def test_same_output_as_without_mark(self, args, tmp_path, monkeypatch,
+                                         capsys):
+        source = (CORPUS_DIR / "bellpair.qh").read_bytes()
+        (tmp_path / "plain.qh").write_bytes(source)
+        (tmp_path / "marked.qh").write_bytes(b"\xef\xbb\xbf" + source)
+        monkeypatch.chdir(tmp_path)
+        command, *rest = args
+        code, out, _ = run_cli([command, "plain.qh", *rest], capsys)
+        assert run_cli([command, "marked.qh", *rest], capsys)[:2] == \
+            (code, out.replace("plain.qh", "marked.qh"))
+
+
+class TestNestingLimit:
+    """Input nested past the recursion limit is a diagnostic at the token
+    where the parser stood when the limit was hit."""
+
+    @pytest.mark.parametrize("source,opener", [
+        ("t : {emp} r : Bool {T}\n  = do return " + "(" * 400 + "true"
+         + ")" * 400 + "\n", "("),
+        ("t : {emp} r : Bool {" + "~" * 3000 + "T}\n  = do return true\n",
+         "~"),
+    ], ids=["parentheses", "negations"])
+    def test_diagnostic_points_into_the_nesting(self, source, opener,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        (tmp_path / "nested.qh").write_text(source)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["check", "nested.qh"], capsys)
+        assert code == 2
+        m = re.fullmatch(r"nested\.qh:(\d+):(\d+): error: input nested "
+                         r"too deeply\n", out)
+        assert m, out
+        line, col = map(int, m.groups())
+        assert (line, col) != (1, 1)
+        assert source.splitlines()[line - 1][col - 1] == opener
+
+
 class TestConsoleEntry:
     def test_subprocess_invocation(self):
         proc = subprocess.run(

@@ -9,7 +9,7 @@ from qhoare.core import (
     And, BindCmd, Do, Emp, IdAt, MemberOf, Ket, Ret, Top, pretty,
 )
 from qhoare.parser import (
-    parse_assertion, parse_program, ParseResult, tokenize,
+    parse_assertion, parse_program, parse_term, ParseResult, tokenize,
 )
 from genlib import Gen
 from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
@@ -84,6 +84,13 @@ class TestFragments:
     def test_assertion_error(self):
         res = parse_assertion("emp /\\")
         assert isinstance(res, ParseResult) and not res.ok
+
+    def test_fragment_nested_too_deeply(self):
+        res = parse_term("(" * 2000 + "x" + ")" * 2000)
+        assert isinstance(res, ParseResult) and not res.ok
+        (d,) = res.diagnostics
+        assert d.message == "input nested too deeply"
+        assert d.span.line == 1 and 1 < d.span.col <= 2000
 
     def test_ketvec_round_trip(self):
         from qhoare.core import KetVec, PointsTo, Emb, Var
