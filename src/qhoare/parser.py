@@ -77,11 +77,10 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One master pattern, matched once per token by ``finditer``.  Each match
-# skips the whitespace before its token, and the alternation ends with a
-# one-character ``BAD`` token and the empty ``EOF``, so the matches cover
-# the whole source.  The first five kinds share no first character with any
-# other; the order of the rest decides between tokens sharing a prefix.
+# The alternation ends with a one-character ``BAD`` token and the empty
+# ``EOF``, so the matches of ``_MASTER`` cover the whole source.  The first
+# five kinds share no first character with any other; the order of the rest
+# decides between tokens sharing a prefix.
 _TOKEN_SPEC = [
     ("NAME", r"[A-Za-z_%][A-Za-z0-9_'%]*"),
     ("LPAREN", r"\("),
@@ -135,16 +134,18 @@ class Token(NamedTuple):
 
 def tokenize(source: str, diags: list, filename: str) -> list:
     tokens = []
-    line, line_start, prev = 1, 0, 0
+    line, line_start, end = 1, 0, 0
     for m in _MASTER.finditer(source):
         kind = m.lastgroup
-        start, prev_end, prev = m.start(kind), prev, m.end()
-        if source.find("\n", prev_end, start) >= 0:
-            line += source.count("\n", prev_end, start)
-            line_start = source.rfind("\n", prev_end, start) + 1
+        start = m.start(kind)
+        # only the skipped whitespace before a token holds newlines
+        if source.find("\n", end, start) >= 0:
+            line += source.count("\n", end, start)
+            line_start = source.rfind("\n", end, start) + 1
+        end = m.end()
         if kind == "COMMENT":
             continue
-        tok = Token(kind, source[start:prev], line, start - line_start + 1)
+        tok = Token(kind, source[start:end], line, start - line_start + 1)
         if kind == "BAD":
             diags.append(Diagnostic(
                 "error", f"unexpected character {tok.text!r}", tok.span,
@@ -161,7 +162,8 @@ def tokenize(source: str, diags: list, filename: str) -> list:
 
 class _Parser:
     def __init__(self, tokens: list, filename: str):
-        # trailing EOFs let `peek` look past the end without a bound check
+        # trailing EOFs let `peek` look past the end without a bound check;
+        # the furthest look-ahead is `peek(5)` in `try_tuple_bind`
         self.tokens = tokens + tokens[-1:] * 5
         self.pos = 0
         self.filename = filename
