@@ -1,9 +1,8 @@
 """Parser for ``.qh`` sources.
 
-A one-pass lexer and a recursive-descent parser with limited backtracking.
-The lexer matches one master pattern with ``finditer``, each match skipping
-the whitespace before its token; a token is a plain tuple, and its ``Span``
-is built only where the parser keeps one.
+A one-pass lexer (one master pattern, each match skipping the whitespace
+before its token; a token is a tuple whose ``Span`` is built on demand) and
+a recursive-descent parser with limited backtracking.
 Comments run from ``--`` to end of line.  Layout is insignificant except for
 one rule that keeps the grammar deterministic: a bare command at the end of
 a ``do`` block terminates it, so a command used as a statement must carry an
@@ -145,7 +144,9 @@ def tokenize(source: str, diags: list, filename: str) -> list:
         end = m.end()
         if kind == "COMMENT":
             continue
-        tok = Token(kind, source[start:end], line, start - line_start + 1)
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+        tok = tuple.__new__(Token, (kind, source[start:end], line,
+                                    start - line_start + 1))
         if kind == "BAD":
             diags.append(Diagnostic(
                 "error", f"unexpected character {tok.text!r}", tok.span,
@@ -162,8 +163,7 @@ def tokenize(source: str, diags: list, filename: str) -> list:
 
 class _Parser:
     def __init__(self, tokens: list, filename: str):
-        # trailing EOFs let `peek` look past the end without a bound check;
-        # the furthest look-ahead is `peek(5)` in `try_tuple_bind`
+        # EOFs to serve `peek` up to `peek(5)`, its furthest look-ahead
         self.tokens = tokens + tokens[-1:] * 5
         self.pos = 0
         self.filename = filename
@@ -175,7 +175,7 @@ class _Parser:
         return self.tokens[self.pos + k]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_name(self, text: str) -> bool:
