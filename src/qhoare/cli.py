@@ -2,9 +2,11 @@
 
 Exit codes: 0 verified (or conditional without ``--strict``), 1 refuted or
 conditional under ``--strict`` or runtime assertion failures, 2 parse or
-type errors, 3 internal errors.  ``--format json`` output is byte-stable
-for fixed inputs and seed and validates against the schemas shipped in
-``qhoare/schemas``.
+type errors, an unreadable FILE or a usage error, 3 internal errors.
+``--format json`` output is byte-stable for fixed inputs and seed and
+validates against the schemas shipped in ``qhoare/schemas``.  :func:`main`
+may be called repeatedly in one process: it returns the exit code, never
+raises ``SystemExit``, and reuses the argument parser built at import.
 """
 
 from __future__ import annotations
@@ -137,10 +139,7 @@ def _emit_json(obj: dict) -> None:
 def cmd_check(args) -> int:
     code = EXIT_OK
     for path in args.files:
-        try:
-            source = _read(path)
-        except OSError as e:
-            print(f"{path}: error: {e}", file=sys.stderr)
+        if (source := _read(path)) is None:
             code = max(code, EXIT_ERROR)
             continue
         report, _ = analyze(path, source, args.literal_measurement)
@@ -166,9 +165,14 @@ def cmd_check(args) -> int:
     return code
 
 
-def _read(path: str) -> str:
-    with open(path, "rb") as fh:
-        return fh.read().decode("utf-8-sig", errors="replace")
+def _read(path: str) -> Optional[str]:
+    """The text of ``path``, or None after saying on stderr why not."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8-sig", errors="replace")
+    except OSError as e:
+        print(f"{path}: error: {e}", file=sys.stderr)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,8 @@ def _read(path: str) -> str:
 
 
 def cmd_trace(args) -> int:
-    source = _read(args.file)
+    if (source := _read(args.file)) is None:
+        return EXIT_ERROR
     report, checked = analyze(args.file, source, args.literal_measurement)
     if checked is None:
         for d in report.diagnostics:
@@ -276,7 +281,9 @@ def cmd_run(args) -> int:
         print(f"{args.file}: error: --shots must be at least 0, "
               f"got {args.shots}", file=sys.stderr)
         return EXIT_ERROR
-    parsed = parse_program(_read(args.file), args.file)
+    if (source := _read(args.file)) is None:
+        return EXIT_ERROR
+    parsed = parse_program(source, args.file)
     if not parsed.ok:
         for d in parsed.diagnostics:
             print(d.render())
@@ -319,7 +326,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_vcs(args) -> int:
-    source = _read(args.file)
+    if (source := _read(args.file)) is None:
+        return EXIT_ERROR
     report, checked = analyze(args.file, source, args.literal_measurement)
     if checked is None:
         if args.format == "json":
@@ -391,8 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as e:  # argparse: 2 on a usage error, 0 on --help
+        return e.code
     try:
         return args.fn(args)
     except (BrokenPipeError, KeyboardInterrupt):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON schemas, byte stability."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -115,11 +116,81 @@ class TestExitCodes:
         code, _, err = run_cli(["check", "no/such/file.qh"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command,decl", [("vcs", []), ("trace", ["x"]),
+                                              ("run", ["x"])],
+                             ids=["vcs", "trace", "run"])
+    @pytest.mark.parametrize("missing", [True, False],
+                             ids=["missing", "directory"])
+    def test_unreadable_file_exit_two(self, command, decl, missing, tmp_path,
+                                      capsys):
+        path = str(tmp_path / "nope.qh" if missing else tmp_path)
+        code, out, err = run_cli([command, path] + decl, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{path}: error: ")
+        assert "internal error" not in err
+
     def test_multiple_files_worst_exit_code(self, capsys):
         code, out, _ = run_cli(
             ["check", corpus("hqw.qh"), negative("hqw_true.qh")], capsys)
         assert code == 1
         assert "verified" in out and "refuted" in out
+
+
+class TestInProcessMain:
+    """main() is called many times in one process and shares one parser."""
+
+    @pytest.mark.parametrize("argv,code,stream,text", [
+        (["bogus"], 2, "err", "invalid choice: 'bogus'"),
+        (["check"], 2, "err", "the following arguments are required"),
+        (["--help"], 0, "out", "usage: qhoare"),
+    ], ids=["bogus", "check-no-file", "help"])
+    def test_returns_instead_of_exiting(self, argv, code, stream, text,
+                                        capsys):
+        got, out, err = run_cli(argv, capsys)
+        assert got == code
+        assert text in {"out": out, "err": err}[stream]
+
+    def test_alternating_run_options_do_not_leak(self, capsys):
+        bell = ["run", corpus("bellpair.qh"), "bell", "--format", "json"]
+        for _ in range(2):
+            for extra, seed in ((["--seed", "7"], 7), ([], 0)):
+                code, out, _ = run_cli(bell + extra, capsys)
+                assert code == 0
+                golden = GOLDEN_DIR / f"run_bellpair_bell_seed{seed}.json"
+                assert out == golden.read_text()
+
+    def test_alternating_check_options_do_not_leak(self, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(CORPUS_DIR.parent)
+        golden = (GOLDEN_DIR / "check_corpus_teleport.json").read_text()
+        texts = []
+        for _ in range(2):
+            code, out, _ = run_cli(["check", "corpus/teleport.qh", "--strict",
+                                    "--format", "json"], capsys)
+            assert (code, out) == (1, golden)
+            code, out, _ = run_cli(["check", "corpus/teleport.qh"], capsys)
+            assert code == 0
+            texts.append(out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("corpus/teleport.qh: ")
+        assert "conditional" in texts[0]
+
+    def test_parser_is_not_rebuilt(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        hqw = corpus("hqw.qh")
+        for argv in (["check", hqw], ["vcs", hqw],
+                     ["run", hqw, "hqw", "--shots", "1"]):
+            assert run_cli(argv, capsys)[0] == 0
+        assert built == []
 
 
 class TestJsonOutputs:
