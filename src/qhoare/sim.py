@@ -21,6 +21,12 @@ each shot down it, comparing each draw with the stored probability as
 and its path is added (up to ``TRIE_CAP`` nodes).  Reports are identical
 to interpreting every shot, for every seed and every cap.
 
+The node of an uncertain measurement in the entry's own ``do`` block holds,
+until both its children exist, a snapshot taken just before it (statement
+index, env, state, qubit): a shot leaving the trie there collapses it onto
+its outcome and runs only the rest of the block.  Measurements in calls
+and ``if`` branches take none; a shot leaving there is interpreted whole.
+
 A measurement with ``p_true <= 0`` or ``p_true >= 1`` has the same outcome
 for every draw, so the replay seeds a shot's stream only at the first
 stored measurement with ``0 < p_true < 1`` and then discards the draws of
@@ -341,6 +347,13 @@ def measure(s: QuantumState, q: int, rng, path: Optional[list] = None):
     outcome = draw(rng, p_true)
     if path is not None:
         path.append((p_true, outcome))
+    return outcome, collapse(s, q, p_true, outcome)
+
+
+def collapse(s: QuantumState, q: int, p_true: float, outcome: bool):
+    """The posterior of :func:`measure` once ``q``, whose probability of
+    ``true`` in ``s`` is ``p_true``, came out ``outcome``."""
+    i = s._pos(q)
     p = p_true if outcome else (s.norm_sq() - p_true)
     if p <= 0:
         raise SimulationError("measurement of zero-probability outcome")
@@ -350,8 +363,7 @@ def measure(s: QuantumState, q: int, rng, path: Optional[list] = None):
         if key[i] == outcome and abs(a) * scale > PRUNE_TOL:
             amps[key[:i] + key[i + 1:]] = a * scale
     live = s.live[:i] + s.live[i + 1:]
-    return outcome, QuantumState(live, amps, s.next_index,
-                                 s.retired | {q})
+    return QuantumState(live, amps, s.next_index, s.retired | {q})
 
 
 def dense_vector(s: QuantumState) -> np.ndarray:
@@ -417,13 +429,20 @@ class Interpreter:
     """Operational evaluator for program declarations.
 
     ``rng`` is read only by :func:`measure`.  While ``path`` is a list, each
-    measurement appends its ``(p_true, outcome)`` to it.
+    measurement appends its ``(p_true, outcome)`` to it.  While
+    ``snapshots`` is a dict, the first block to run (whose value is the
+    run's) takes it and stores there, at the ``path`` index of each of its
+    own measurements with ``0 < p_true < 1``, the snapshot
+    ``(block, index, env, state, qubit)`` that :meth:`resume` continues.
     """
 
     def __init__(self, program: Program):
         self.program = program
         self.decls = {d.name: d for d in program.decls}
         self.path: Optional[list] = None
+        self.snapshots: Optional[dict] = None
+        # gate term -> (its free names, {their qubit values: UnitaryExpr})
+        self.gates = {}
 
     # --- pure evaluation
 
@@ -467,13 +486,22 @@ class Interpreter:
 
     # --- effectful execution
 
-    def run_comp(self, comp: Seq, env: dict, state: QuantumState, rng):
+    def run_comp(self, comp: Seq, env: dict, state: QuantumState, rng,
+                 start: int = 0):
         # `env` is owned by this invocation (callers pass fresh dicts);
         # closures and suspensions snapshot it, so in-place update is safe.
-        for stmt in comp.stmts:
-            match stmt:
+        snaps, self.snapshots = self.snapshots, None
+        for i in range(start, len(comp.stmts)):
+            match comp.stmts[i]:
                 case BindCmd(x, cmd):
-                    env[x], state = self.run_cmd(cmd, env, state, rng)
+                    before = state
+                    value, state = self.run_cmd(cmd, env, state, rng)
+                    if snaps is not None and type(cmd) is MeasQbit \
+                            and 0.0 < self.path[-1][0] < 1.0:
+                        snaps[len(self.path) - 1] = (
+                            comp, i, env.copy(), before,
+                            self.eval_term(cmd.target, env))
+                    env[x] = value
                 case BindRun(pat, source):
                     value, state = self.run_suspended(
                         self.eval_term(source, env), state, rng)
@@ -488,6 +516,14 @@ class Interpreter:
                 case LetEq(x, _, value):
                     env[x] = self.eval_term(value, env)
         return self.eval_term(comp.ret.value, env), state
+
+    def resume(self, snap: tuple, p_true: float, outcome: bool, rng):
+        """Finish the block of ``snap`` once its measurement is ``outcome``."""
+        comp, i, env, state, q = snap
+        env = dict(env)  # a snapshot may be resumed more than once
+        env[comp.stmts[i].binder] = outcome
+        return self.run_comp(comp, env, collapse(state, q, p_true, outcome),
+                             rng, i + 1)
 
     def run_cmd(self, cmd, env: dict, state: QuantumState, rng):
         match cmd:
@@ -508,7 +544,14 @@ class Interpreter:
                     if isinstance(v, int):
                         return v
                     raise KeyError(name)
-                u = eval_unitary(m, resolve)
+                # the unitary depends on env only through the qubits its
+                # free names denote; a failure raises again at each run
+                names, units = self.gates.get(m) or self.gates.setdefault(
+                    m, (sorted(core.free_vars(m)), {}))
+                key = tuple(v if isinstance(v := env.get(n), int) else None
+                            for n in names)
+                u = units.get(key) or units.setdefault(
+                    key, eval_unitary(m, resolve))
                 return None, apply_unitary(state, u)
             case IfCmd(c, t, e):
                 chosen = t if self.eval_term(c, env) else e
@@ -729,18 +772,22 @@ def render_value(v) -> str:
         return f"q{v}"
     if isinstance(v, tuple):
         return "(" + ", ".join(render_value(x) for x in v) + ")"
-    return str(v)
+    if isinstance(v, (Ket, KetVec, MatrixLit)):
+        return pretty(v)
+    return "<computation>"  # a Suspended, DeclCall or Closure
 
 
 class _Branch:
-    """Trie node at a measurement: its probability of ``true`` and one
-    child per outcome (indexed by the outcome), None until a shot takes it."""
+    """Trie node at a measurement: its probability of ``true``, one child
+    per outcome (indexed by the outcome), None until a shot takes it, and
+    its snapshot (see :class:`Interpreter`) while a child is None."""
 
-    __slots__ = ("p_true", "children")
+    __slots__ = ("p_true", "children", "snap")
 
-    def __init__(self, p_true: float):
+    def __init__(self, p_true: float, snap: Optional[tuple]):
         self.p_true = p_true
         self.children = [None, None]
+        self.snap = snap
 
 
 class _Leaf:
@@ -756,14 +803,16 @@ class _Leaf:
         self.hits = 0
 
 
-def _insert(trie: list, path: list, leaf: _Leaf) -> int:
-    """Hang ``leaf`` below the root ``trie[0]`` at the end of ``path``, a
-    list of ``(p_true, outcome)``; returns the number of nodes added."""
-    holder, index, added = trie, 0, 1
-    for p_true, outcome in path:
+def _insert(holder: list, index: int, path: list, snaps: dict,
+            leaf: _Leaf) -> int:
+    """Hang ``leaf`` at ``holder[index]`` below ``path``, a list of
+    ``(p_true, outcome)``, giving each branch it adds its snapshot from
+    ``snaps``; returns the number of nodes added."""
+    added = 1
+    for k, (p_true, outcome) in enumerate(path):
         node = holder[index]
         if node is None:
-            node = holder[index] = _Branch(p_true)
+            node = holder[index] = _Branch(p_true, snaps.get(k))
             added += 1
         # execution is a function of the outcomes drawn so far
         assert node.p_true == p_true, "shot replay diverged"
@@ -799,8 +848,8 @@ def run_program(program: Program, entry: str, seed: int = 0,
     with the stored probability of the next measurement, exactly as
     :func:`measure` compares it, and the stream is seeded at the first
     measurement whose outcome the draw decides.  Only a shot that leaves
-    the trie runs through the interpreter, which records its path for the
-    next shots.
+    the trie runs through the interpreter (from the snapshot of the node
+    it left at, if any), which records its path for the next shots.
     """
     sig = program.decl(entry).signature
     pi_env = {}
@@ -824,16 +873,16 @@ def run_program(program: Program, entry: str, seed: int = 0,
     posts = conjuncts(sig.post)
     texts = [pretty(conj) for conj in posts]
 
-    def interpret(shot: int):
-        """Run one shot; returns its measurement path and its leaf."""
+    def finish(run, *run_args):
+        """Run the rest of a shot: its path drawn, snapshots and leaf."""
         path = interp.path = []
+        snaps = interp.snapshots = {}
         try:
-            value, final = interp.call(entry, list(args), start,
-                                       shot_rng(seed, shot))
+            value, final = run(*run_args)
         except SimulationError:
-            return path, _Leaf(None, ())
+            return path, snaps, _Leaf(None, ())
         finally:
-            interp.path = None
+            interp.path = interp.snapshots = None
         env = dict(pi_env)
         if len(sig.binder) == 1:
             env[sig.binder[0]] = value
@@ -845,13 +894,14 @@ def run_program(program: Program, entry: str, seed: int = 0,
             result = check_assertion_runtime(conj, env, final, ghosts=ghosts)
             slots.append(0 if result is True else 1 if result is False
                          else 2)
-        return path, _Leaf(render_value(value), tuple(slots))
+        return path, snaps, _Leaf(render_value(value), tuple(slots))
 
     report = RunReport(decl=entry, seed=seed, shots=shots)
     trie, size, leaves = [None], 0, []
     rng = random.Random()
     for shot in range(shots):
-        node, owed = trie[0], 0  # owed is -1 once the stream is seeded
+        # owed is -1 once seeded; a shot can leave the trie only at a draw
+        branch, node, owed = None, trie[0], 0
         while type(node) is _Branch:
             p_true = node.p_true
             if owed >= 0:
@@ -864,13 +914,23 @@ def run_program(program: Program, entry: str, seed: int = 0,
                 for _ in range(owed):
                     rng.random()
                 owed = -1
-            node = node.children[draw(rng, p_true)]
+            branch, outcome = node, draw(rng, p_true)
+            node = node.children[outcome]
         if node is None:
-            path, node = interpret(shot)
+            if branch is not None and branch.snap is not None:
+                holder, index = branch.children, outcome
+                path, snaps, node = finish(interp.resume, branch.snap,
+                                           branch.p_true, outcome, rng)
+            else:
+                holder, index = trie, 0
+                path, snaps, node = finish(interp.call, entry, list(args),
+                                           start, shot_rng(seed, shot))
             if size + len(path) + 1 > TRIE_CAP:
                 _tally(report, texts, node, 1)
                 continue
-            size += _insert(trie, path, node)
+            size += _insert(holder, index, path, snaps, node)
+            if branch is not None and None not in branch.children:
+                branch.snap = None
             leaves.append(node)
         node.hits += 1
     for leaf in leaves:

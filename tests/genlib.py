@@ -274,3 +274,19 @@ def measure_block_source(n: int) -> str:
     body.append(f"return b{n // 2 - 1}")
     return ("meas : {emp} r : Bool {emp}\n    = do "
             + ";\n         ".join(body) + "\n")
+
+
+def coin_block_source(n: int) -> str:
+    """A declaration whose body allocates ``n`` qubits, applies a Hadamard
+    to each and only then measures them all, returning the ``n`` outcomes
+    as a right-nested tuple: ``2 ** n`` equally likely outcome paths that
+    share one gate prefix."""
+    body = [f"q{k} <= mkQbit false" for k in range(n)]
+    body += [f"applyU (H q{k})" for k in range(n)]
+    body += [f"m{k} <= measQbit q{k}" for k in range(n)]
+    value, ty = f"m{n - 1}", "Bool"
+    for k in range(n - 2, -1, -1):
+        value, ty = f"(m{k}, {value})", f"(Bool, {ty})"
+    body.append(f"return {value}")
+    return (f"coins : {{emp}} r : {ty} {{emp}}\n    = do "
+            + ";\n         ".join(body) + "\n")

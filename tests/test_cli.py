@@ -689,6 +689,26 @@ class TestRun:
         assert values <= {"(false, false)", "(true, true)"}
 
 
+    @pytest.mark.parametrize("ty,body,value", [
+        ("Pure", "return |+\\>", "|+\\>"),
+        ("Pure", "return |vec(0.6, 0.8)\\>", "|vec(0.6, 0.8)\\>"),
+        ("{emp} s : Bool {T}", "return g", "<computation>"),
+        ("{emp} s : Bool {T}", "return (do return true)", "<computation>"),
+    ], ids=["ket", "vector", "declaration", "do-block"])
+    def test_result_values_are_written_as_source(self, ty, body, value,
+                                                 tmp_path, capsys):
+        path = tmp_path / "values.qh"
+        path.write_text("g : {emp} r : Bool {T} = do return true\n"
+                        f"k : {{emp}} r : {ty} {{T}} = do {body}\n")
+        code, out, _ = run_cli(["run", str(path), "k", "--shots", "3"],
+                               capsys)
+        assert code == 0
+        assert out.splitlines()[1] == f"  {value}: 3"
+        code, out, _ = run_cli(["run", str(path), "k", "--shots", "3",
+                                "--format", "json"], capsys)
+        assert json.loads(out)["outcomes"] == [{"value": value, "count": 3}]
+
+
 class TestRunChecksUpToTheEntry:
     """`run` checks the declarations up to its entry and proves only the
     entry's conditions; what it prints is what a full `analyze` gives."""

@@ -3,6 +3,7 @@ the report of a loop that interprets every shot, for any trie size."""
 
 import random
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from qhoare.sim import (
     shot_rng,
 )
 from conftest import CORPUS_DIR
+from genlib import coin_block_source
 
 NULLARY_CORPUS = [
     ("hqw.qh", "hqw"), ("rnd.qh", "rnd"), ("testbell.qh", "testBell"),
@@ -220,16 +222,10 @@ class SeedCounter(random.Random):
 ])
 def test_shot_stream_seeded_only_where_a_draw_decides(fname, decl, coin,
                                                       monkeypatch):
-    misses = []
-
-    def counting(seed, shot):
-        misses.append(shot)
-        return shot_rng(seed, shot)
-
+    misses = count_full_runs(monkeypatch)
     seeds = []
     monkeypatch.setattr(SeedCounter, "seeds", seeds)
     monkeypatch.setattr(sim, "random", SimpleNamespace(Random=SeedCounter))
-    monkeypatch.setattr(sim, "shot_rng", counting)
     rep = run_program(corpus_program(fname), decl, seed=4, shots=1000)
     assert sum(rep.outcomes.values()) == 1000
     # shot_rng seeds one stream per trie miss; the replay seeds the rest
@@ -268,19 +264,59 @@ def test_prepared_input_arity_errors():
         run_program(program, "qplus", shots=1, args=(q,), state=state)
 
 
+# `q` is rebound after the coin: a resume that reused the snapshot's env
+# instead of a copy would measure `b` twice from the second resume on
+REBIND_AFTER_COIN = """\
+rb : {emp} r : (Bool, (Bool, Bool)) {T}
+  = do a <= mkQbit false;
+       b <= mkQbit true;
+       c <= mkQbit false;
+       q : Qbit = a;
+       applyU (H c);
+       m <= measQbit c;
+       x <= measQbit q;
+       q : Qbit = b;
+       y <= measQbit q;
+       return (m, (x, y))
+"""
+
+
 def test_report_does_not_depend_on_trie_cap(monkeypatch):
     cases = [(generated(case, 6), "g") for case in (0, 3)]
     cases.append((corpus_program("testbell.qh"), "testBell"))
+    cases.append((coin_program(5), "coins"))
+    cases.append((parse_program(REBIND_AFTER_COIN).program, "rb"))
     want = [run_program(p, d, seed=11, shots=120).as_dict()
             for p, d in cases]
     for cap in (0, 1, 5, 40):
         monkeypatch.setattr(sim, "TRIE_CAP", cap)
-        got = [run_program(p, d, seed=11, shots=120).as_dict()
-               for p, d in cases]
-        assert got == want, cap
+        got = [run_program(p, d, seed=11, shots=120) for p, d in cases]
+        assert [rep.as_dict() for rep in got] == want, cap
+        # past the cap a snapshot is resumed again by each shot that
+        # reaches it, so it must not be consumed by the first
+        for (p, d), rep in zip(cases, got):
+            assert summary(rep) == reference_run(p, d, 11, 120), (cap, d)
 
 
-def test_each_outcome_path_is_interpreted_once(monkeypatch):
+def count_runs(monkeypatch) -> list:
+    """Record the value of each leaf ``run_program`` builds: one per
+    interpreter run, whether from the start or from a snapshot."""
+    runs = []
+
+    class CountingLeaf(sim._Leaf):
+        __slots__ = ()
+
+        def __init__(self, value, slots):
+            runs.append(value)
+            super().__init__(value, slots)
+
+    monkeypatch.setattr(sim, "_Leaf", CountingLeaf)
+    return runs
+
+
+def count_full_runs(monkeypatch) -> list:
+    """Record each shot interpreted from the start (its stream is made by
+    ``shot_rng``; a resumed shot continues the replay's stream)."""
     misses = []
 
     def counting(seed, shot):
@@ -288,14 +324,92 @@ def test_each_outcome_path_is_interpreted_once(monkeypatch):
         return shot_rng(seed, shot)
 
     monkeypatch.setattr(sim, "shot_rng", counting)
+    return misses
+
+
+def test_each_outcome_path_is_interpreted_once(monkeypatch):
+    runs = count_runs(monkeypatch)
     rep = run_program(corpus_program("testbell.qh"), "testBell", seed=0,
                       shots=1000)
-    assert len(misses) == len(rep.outcomes) == 2
-    misses.clear()
+    assert len(runs) == len(rep.outcomes) == 2
+    runs.clear()
     rep = run_program(generated(0, 6), "g", seed=2, shots=500)
     # one interpreter run per distinct path; error paths are leaves too
-    assert len(misses) < 500
-    assert len(misses) >= len(rep.outcomes)
+    assert len(runs) < 500
+    assert len(runs) >= len(rep.outcomes)
+
+
+def coin_program(n):
+    return parse_program(coin_block_source(n)).program
+
+
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_coin_block_runs_each_gate_once(k, monkeypatch):
+    calls = {"apply_unitary": 0, "eval_unitary": 0}
+    for name in calls:
+        def counting(*a, _f=getattr(sim, name), _name=name):
+            calls[_name] += 1
+            return _f(*a)
+        monkeypatch.setattr(sim, name, counting)
+    runs = count_runs(monkeypatch)
+    full = count_full_runs(monkeypatch)
+    program = coin_program(k)
+    rep = run_program(program, "coins", seed=3, shots=1000)
+    assert len(rep.outcomes) == len(runs) == 2 ** k
+    # the gates precede the measurements: only the first shot runs them,
+    # the other paths resume from a snapshot
+    assert calls == {"apply_unitary": k, "eval_unitary": k}
+    assert full == [0]
+    assert summary(rep) == reference_run(program, "coins", 3, 1000)
+
+
+def test_resume_after_certain_measurements(monkeypatch):
+    # CERTAIN_FIRST_SOURCE measures two certain qubits before its first
+    # coin, so a resumed shot's stream must already have discarded their
+    # draws, as a shot interpreted from the start reads them
+    program = parse_program(CERTAIN_FIRST_SOURCE).program
+    for seed in (0, 1, 7):
+        runs = count_runs(monkeypatch)
+        full = count_full_runs(monkeypatch)
+        rep = run_program(program, "c", seed=seed, shots=300)
+        assert len(full) == 1 and len(runs) == len(rep.outcomes) == 4
+        assert summary(rep) == reference_run(program, "c", seed, 300)
+
+
+# measurements inside a called declaration take no snapshot: each of
+# teleport's four paths is interpreted from the start, while the
+# caller's own measurement of the teleported |+> is resumed
+TELEPORT_CALLER = """
+tp : {emp} r : Bool {emp}
+   = do q <- qplus;
+        t <- teleport q;
+        m <= measQbit t;
+        return m
+"""
+
+
+def test_nested_measurements_fall_back_to_full_runs(monkeypatch):
+    program = parse_program(
+        (CORPUS_DIR / "teleport.qh").read_text() + TELEPORT_CALLER).program
+    for seed in (0, 5):
+        runs = count_runs(monkeypatch)
+        full = count_full_runs(monkeypatch)
+        rep = run_program(program, "tp", seed=seed, shots=400)
+        assert len(full) == 4 and len(runs) == 8
+        assert summary(rep) == reference_run(program, "tp", seed, 400)
+
+
+def test_snapshot_memory_does_not_grow_with_shots():
+    program = coin_program(12)
+    peaks = []
+    for shots in (1, 1000):
+        tracemalloc.start()
+        try:
+            run_program(program, "coins", seed=0, shots=shots)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 3 * peaks[0], peaks
 
 
 class GuardedRng:

@@ -6,12 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from qhoare import typecheck
+from qhoare import sim, typecheck
 from qhoare.core import (
     And, BoolLit, Emb, Emp, Entangled, ForallHeap, IdAt, Ket, MatrixLit,
     QbitT, Top, UNKNOWN, UT, Var, pretty,
 )
 from qhoare.parser import parse_program, parse_term
+from genlib import straight_line_source
 from qhoare.sim import (
     Cond, GATES, Interpreter, MAppend, MEmpty, QuantumState, Rot,
     SimulationError, UnitaryError, alloc, apply_unitary,
@@ -311,6 +312,66 @@ class TestRunProgram:
         prog = parse_program("k : Bool = true").program
         with pytest.raises(SimulationError):
             run_program(prog, "k", shots=1)
+
+
+class TestGateMemo:
+    """The interpreter evaluates each gate term once per run and per qubit
+    values of its free names; a failure is evaluated again each time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(term, resolve):
+            calls.append(pretty(term))
+            return eval_unitary(term, resolve)
+
+        monkeypatch.setattr(sim, "eval_unitary", counting)
+        return calls
+
+    @staticmethod
+    def run_once(source, decl):
+        parsed = parse_program(source)
+        assert parsed.ok, [d.render() for d in parsed.diagnostics]
+        return Interpreter(parsed.program).call(decl, [], QuantumState(),
+                                                shot_rng(0, 0))
+
+    def test_repeated_gate_evaluated_once(self, calls):
+        value, _ = self.run_once(straight_line_source(40), "deep")
+        assert calls == ["H q"]
+        assert value is False  # an even number of Hadamards on |0>
+
+    def test_same_term_on_another_qubit_evaluated_again(self, calls):
+        value, _ = self.run_once(REBOUND_SOURCE, "r")
+        assert value == (True, True)
+        assert calls == ["X q", "X q"]
+
+    def test_failure_is_not_kept(self, calls):
+        interp = Interpreter(parse_program(BAD_ROT_SOURCE).program)
+        for _ in range(2):
+            with pytest.raises(UnitaryError):
+                interp.call("bad", [], QuantumState(), shot_rng(0, 0))
+        assert len(calls) == 2
+
+
+# `q` names `a`, then `b`: the same `X q` term flips each in turn
+REBOUND_SOURCE = """\
+r : {emp} (x, y) : (Bool, Bool) {T}
+  = do a <= mkQbit false;
+       b <= mkQbit false;
+       q : Qbit = a;
+       applyU (X q);
+       q : Qbit = b;
+       applyU (X q);
+       (measQbit a, measQbit b)
+"""
+
+BAD_ROT_SOURCE = """\
+bad : {emp} r : Bool {T}
+  = do q <= mkQbit false;
+       applyU (rot q ((1, 1), (0, 1)));
+       measQbit q
+"""
 
 
 class TestRuntimeAssertions:
