@@ -1082,6 +1082,13 @@ def mk_intro(m):
     return Emb(m) if isinstance(m, (Var, App)) else m
 
 
+def strip_emb(m):
+    """``m`` without its ``Emb`` wrappers; an ascription is kept."""
+    while isinstance(m, Emb):
+        m = m.elim
+    return m
+
+
 def normal_form(m):
     """Beta-normal form of a term, with ``if`` on a literal chosen.
 

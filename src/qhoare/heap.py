@@ -16,9 +16,9 @@ outside a transformer's footprint are returned bit-identical.  Unitaries
 are applied to the merged cell's amplitudes held as a ``(2,)*n`` tensor, one
 axis per qubit: a rotation contracts one axis with its 2x2 matrix and a
 quantum conditional recurses into the two slices along the control's axis,
-so no 2^n x 2^n matrix is built.  This tensor route is deliberately
-independent from the sparse amplitude-map route in :mod:`qhoare.sim`, so
-the two can check each other.
+so no 2^n x 2^n matrix is built.  The kernel and the projection that
+measurement reads are :mod:`qhoare.sim`'s, whose runtime state is cells of
+concrete vectors too.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from .core import (
     CUR_HEAP, And, Assn, CellGroup, Emp, GhostRef, HEmpty, HeapId, HVar,
     IdAt, Ket, KetVec, KET_AMPS, NameSupply, Or, Pair, PointsTo, Replace,
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
-    InDom, Top,
+    InDom, Top, strip_emb,
 )
-from .sim import UnitaryExpr, MEmpty, MAppend, Rot, Cond, footprint
+from .sim import NORM_TOL, UnitaryExpr, apply_to_tensor, footprint, project
 
-NORM_TOL = 1e-9
 PRUNE_TOL = 1e-9
 
 
@@ -146,34 +145,12 @@ def sp_init(h: SymbolicHeap, init: bool, fresh: str):
     return SymbolicHeap(h.cells + (cell,)), delta
 
 
-def _apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
-    """Apply ``u`` to ``t``, whose leading axes are the qubits of ``order``
-    (length 2 each) and whose trailing axes, if any, form a batch."""
-    match u:
-        case MEmpty():
-            return t
-        case MAppend(a, b):
-            return _apply_to_tensor(b, _apply_to_tensor(a, t, order), order)
-        case Rot(q, m):
-            i = order.index(q)
-            m = np.asarray(m, dtype=complex)
-            return (m @ t.reshape(2 ** i, 2, -1)).reshape(t.shape)
-        case Cond(q, fb, tb):
-            i = order.index(q)
-            rest = order[:i] + order[i + 1:]
-            return np.stack(
-                [_apply_to_tensor(fb, np.take(t, 0, axis=i), rest),
-                 _apply_to_tensor(tb, np.take(t, 1, axis=i), rest)],
-                axis=i)
-    raise HeapError(f"bad unitary expression {u!r}")
-
-
 def unitary_matrix(u: UnitaryExpr, order: tuple) -> np.ndarray:
     """Dense matrix of ``u`` over qubit ordering ``order`` (first qubit is
     the most significant basis bit): ``u`` applied to every basis column."""
     dim = 2 ** len(order)
     columns = np.eye(dim, dtype=complex).reshape((2,) * len(order) + (dim,))
-    return _apply_to_tensor(u, columns, order).reshape(dim, dim)
+    return apply_to_tensor(u, columns, order).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -211,7 +188,7 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
             joint = np.kron(joint, c.state.vector())
         t = joint.reshape((2,) * len(merged_qubits))
         new_state = concrete(
-            _apply_to_tensor(u, t, merged_qubits).reshape(-1))
+            apply_to_tensor(u, t, merged_qubits).reshape(-1))
         residual = False
     else:
         new_state = UNKNOWN_STATE
@@ -227,13 +204,6 @@ class MeasBranch:
     outcome: Optional[bool]  # None when outcomes are not refined
     heap: SymbolicHeap
     delta: HeapDelta
-
-
-def _project(vec: np.ndarray, pos: int, n: int, value: bool):
-    t = vec.reshape([2] * n)
-    sub = np.take(t, 1 if value else 0, axis=pos).reshape(-1)
-    weight = float(np.linalg.norm(sub))
-    return sub, weight
 
 
 def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
@@ -270,7 +240,7 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
     if refine:
         branches = []
         for value in (False, True):
-            sub, weight = _project(vec, idx, n, value)
+            sub, weight = project(vec, idx, n, value)
             if weight <= PRUNE_TOL:
                 continue
             if rest_qubits:
@@ -290,9 +260,8 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
     if not cell.state.exact:
         return [MeasBranch(None, heap_with(UNKNOWN_STATE), delta)]
     # keep the rest only if the measured qubit factors out
-    t = vec.reshape([2] * n)
-    sub0, w0 = _project(vec, idx, n, False)
-    sub1, w1 = _project(vec, idx, n, True)
+    sub0, w0 = project(vec, idx, n, False)
+    sub1, w1 = project(vec, idx, n, True)
     if w0 <= PRUNE_TOL or w1 <= PRUNE_TOL:
         sub, w = (sub1, w1) if w0 <= PRUNE_TOL else (sub0, w0)
         rest = SymState("concrete", tuple((sub / w).tolist()))
@@ -469,8 +438,7 @@ def _add_cell(branch: AbsBranch, qubits: tuple, state: SymState) -> bool:
 
 
 def _term_name(m) -> Optional[str]:
-    while isinstance(m, Emb):
-        m = m.elim
+    m = strip_emb(m)
     if isinstance(m, Var):
         return m.name
     if isinstance(m, GhostRef):
@@ -479,8 +447,7 @@ def _term_name(m) -> Optional[str]:
 
 
 def _pair_names(m):
-    while isinstance(m, Emb):
-        m = m.elim
+    m = strip_emb(m)
     if isinstance(m, Pair):
         a, b = _term_name(m.first), _term_name(m.second)
         if a and b:
@@ -553,9 +520,7 @@ def heap_from_assertion(a: Assn, kind_of, supply: NameSupply = None) -> list:
                         return single(cells=[Cell((lname,), st)])
                     return single(assumed=[a])
                 if lname is not None and kind_of(lname) == "bool":
-                    rv = r
-                    while isinstance(rv, Emb):
-                        rv = rv.elim
+                    rv = strip_emb(r)
                     if isinstance(rv, BoolLit):
                         return single(env={lname: rv.value})
                     rname = _term_name(r)

@@ -30,12 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    And, ARef, Assn, BoolLit, BoolT, Bot, CellGroup, Compose, Emb, Emp,
+    And, ARef, Assn, BoolLit, BoolT, Bot, CellGroup, Compose, Emp,
     Entangled, ExistsHeap, ExistsVar, ForallHeap, ForallVar, GhostRef,
     HeapE, HeapId, HEmpty, HVar, IdAt, InDom, Ket, KetVec, Lookup, MemberOf,
     Not, Or, Implies, Pair, PointsTo, QbitT, Replace, Span, Top, UNKNOWN,
     UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and,
-    kleene_not, kleene_or, pretty, CUR_HEAP, KET_AMPS,
+    kleene_not, kleene_or, pretty, strip_emb, CUR_HEAP, KET_AMPS,
 )
 from .heap import Cell, SymbolicHeap, SymState
 
@@ -215,8 +215,7 @@ class _Evaluator:
         self.view = view
 
     def term_value(self, m):
-        while isinstance(m, Emb):
-            m = m.elim
+        m = strip_emb(m)
         if isinstance(m, Var):
             name = m.name
             if name in self.model.env:
@@ -323,8 +322,7 @@ class _Evaluator:
         return self.heap_cells_map(self.model.heap)
 
     def _loc_names(self, loc):
-        while isinstance(loc, Emb):
-            loc = loc.elim
+        loc = strip_emb(loc)
         if isinstance(loc, Pair):
             a, b = self.term_value(loc.first), self.term_value(loc.second)
             if (isinstance(a, tuple) and a[0] in ("qubit", "loc")
@@ -472,8 +470,7 @@ def _mentioned(a: Assn, locs: list, states: list, ghosts: list,
             seq.append(item)
 
     def term_locs(m):
-        while isinstance(m, Emb):
-            m = m.elim
+        m = strip_emb(m)
         if isinstance(m, Var):
             add(locs, m.name)
         elif isinstance(m, Pair):

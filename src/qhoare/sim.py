@@ -1,11 +1,13 @@
 """Seeded statevector execution of programs, QIO style.
 
-The quantum state is a sparse map from basis assignments over the live
-qubits (ordered by allocation index) to complex amplitudes, kept normalized
-throughout; entries below 1e-12 are pruned.  Unitaries form a monoid built
-from ``mempty``/``mappend`` over single-qubit rotations and the
-``cond``/``ifQ`` conditionals.  Measured qubits are retired: their index is
-never reused and further use is a dynamic error.
+The quantum state is a product of disjoint cells of live qubits, each with
+its dense amplitude vector, as in the checker's heaps.  A unitary joins the
+cells it touches and goes through :func:`apply_to_tensor`, the checker's
+kernel too; amplitudes at or below 1e-12 are zeroed and each vector is kept
+normalized.  Unitaries form a monoid built from ``mempty``/``mappend`` over
+single-qubit rotations and the ``cond``/``ifQ`` conditionals.  Measured
+qubits are retired: their index is never reused and further use is a
+dynamic error.
 
 One state is confined to one shot; shots draw from independent deterministic
 PRNG streams derived from (seed, shot index), so equal seeds give
@@ -141,6 +143,37 @@ def footprint(u: UnitaryExpr) -> list:
     return out
 
 
+def apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
+    """Apply ``u`` to ``t``, whose leading axes are the qubits of ``order``
+    (length 2 each) and whose trailing axes, if any, form a batch.  The
+    result is a fresh array unless ``u`` touches no qubit."""
+    match u:
+        case MEmpty():
+            return t
+        case MAppend(a, b):
+            return apply_to_tensor(b, apply_to_tensor(a, t, order), order)
+        case Rot(q, m):
+            i = order.index(q)
+            m = np.asarray(m, dtype=complex)
+            return (m @ t.reshape(2 ** i, 2, -1)).reshape(t.shape)
+        case Cond(q, fb, tb):
+            i = order.index(q)
+            rest = order[:i] + order[i + 1:]
+            return np.stack(
+                [apply_to_tensor(fb, np.take(t, 0, axis=i), rest),
+                 apply_to_tensor(tb, np.take(t, 1, axis=i), rest)],
+                axis=i)
+    raise SimulationError(f"bad unitary expression {u!r}")
+
+
+def project(vec: np.ndarray, pos: int, n: int, value: bool):
+    """The part of ``vec``, a vector over ``n`` qubits, where the qubit at
+    ``pos`` is ``value``, without that qubit's axis, and its norm."""
+    t = vec.reshape([2] * n)
+    sub = np.take(t, 1 if value else 0, axis=pos).reshape(-1)
+    return sub, float(np.linalg.norm(sub))
+
+
 def is_unitary(matrix, tol: float = NORM_TOL) -> bool:
     # strict absolute tolerance: entries truncated to a handful of digits
     # deviate by more than 1e-9 and are rejected rather than renormalized
@@ -249,81 +282,61 @@ def _interpret(term, resolve) -> UnitaryExpr:
 
 
 class QuantumState:
-    """Sparse normalized amplitude vector over the live qubits."""
+    """Disjoint cells over the live qubits, each a ``(qubits, vector)``
+    pair whose vector has its first qubit most significant; the state is
+    their tensor product.  No vector is changed in place, so states share
+    them."""
 
-    __slots__ = ("live", "amps", "next_index", "retired")
+    __slots__ = ("cells", "next_index", "retired")
 
-    def __init__(self, live=(), amps=None, next_index=0, retired=frozenset()):
-        self.live = tuple(live)
-        self.amps = amps if amps is not None else ({(): 1.0 + 0j} if not live
-                                                   else {})
+    def __init__(self, cells=(), next_index=0, retired=frozenset()):
+        self.cells = cells
         self.next_index = next_index
         self.retired = retired
 
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+    def holds(self, q) -> bool:
+        return any(q in qubits for qubits, _ in self.cells)
 
-    def _pos(self, q: int) -> int:
-        try:
-            return self.live.index(q)
-        except ValueError:
-            if q in self.retired:
-                raise SimulationError(f"qubit {q} was measured and retired")
-            raise SimulationError(f"qubit {q} is not allocated")
+    def index(self, q: int) -> int:
+        """Index of the cell that holds ``q``; raises unless ``q`` is live."""
+        for i, (qubits, _) in enumerate(self.cells):
+            if q in qubits:
+                return i
+        if q in self.retired:
+            raise SimulationError(f"qubit {q} was measured and retired")
+        raise SimulationError(f"qubit {q} is not allocated")
 
 
 def alloc(s: QuantumState, b: bool):
     """Allocate one qubit initialized to ``|1>`` if ``b`` else ``|0>``."""
     q = s.next_index
-    amps = {key + (bool(b),): amp for key, amp in s.amps.items()}
-    return QuantumState(s.live + (q,), amps, q + 1, s.retired), q
+    vec = np.array([0, 1] if b else [1, 0], dtype=complex)
+    return QuantumState(s.cells + (((q,), vec),), q + 1, s.retired), q
 
 
 def apply_unitary(s: QuantumState, u: UnitaryExpr) -> QuantumState:
+    touched = []
     for q in footprint(u):
-        s._pos(q)  # raises for unallocated or retired qubits
-
-    def go(amps: dict, u: UnitaryExpr, positions) -> dict:
-        match u:
-            case MEmpty():
-                return amps
-            case MAppend(a, b):
-                return go(go(amps, a, positions), b, positions)
-            case Rot(q, m):
-                i = positions[q]
-                out = {}
-                for key, amp in amps.items():
-                    lo = key[:i] + (False,) + key[i + 1:]
-                    hi = key[:i] + (True,) + key[i + 1:]
-                    col = 1 if key[i] else 0
-                    a0 = m[0][col] * amp
-                    a1 = m[1][col] * amp
-                    if a0 != 0:
-                        out[lo] = out.get(lo, 0j) + a0
-                    if a1 != 0:
-                        out[hi] = out.get(hi, 0j) + a1
-                return out
-            case Cond(q, fb, tb):
-                i = positions[q]
-                parts = {False: {}, True: {}}
-                for key, amp in amps.items():
-                    parts[key[i]][key] = amp
-                out = go(parts[False], fb, positions)
-                out.update(go(parts[True], tb, positions))
-                return out
-        raise SimulationError(f"bad unitary expression {u!r}")
-
-    positions = {q: i for i, q in enumerate(s.live)}
-    amps = go(dict(s.amps), u, positions)
-    amps = {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
+        i = s.index(q)
+        if i not in touched:
+            touched.append(i)
+    if not touched:
+        return s
+    qubits, vec = s.cells[touched[0]]
+    for i in touched[1:]:
+        qubits += s.cells[i][0]
+        vec = np.kron(vec, s.cells[i][1])
+    vec = apply_to_tensor(u, vec.reshape((2,) * len(qubits)),
+                          qubits).reshape(-1)
+    vec[np.abs(vec) <= PRUNE_TOL] = 0  # a fresh array: u touches a qubit
     # scrub float drift from validated-but-inexact rotation matrices
-    norm_sq = sum(abs(a) ** 2 for a in amps.values())
+    norm_sq = float(np.vdot(vec, vec).real)
     if abs(norm_sq - 1.0) > 1e-6:
         raise SimulationError(f"unitary application lost norm: {norm_sq}")
     if abs(norm_sq - 1.0) > 1e-15:
-        scale = 1.0 / math.sqrt(norm_sq)
-        amps = {k: a * scale for k, a in amps.items()}
-    return QuantumState(s.live, amps, s.next_index, s.retired)
+        vec = vec / math.sqrt(norm_sq)
+    cells = tuple(c for i, c in enumerate(s.cells) if i not in touched)
+    return QuantumState(cells + ((qubits, vec),), s.next_index, s.retired)
 
 
 def draw(rng, p_true: float) -> bool:
@@ -342,52 +355,35 @@ def measure(s: QuantumState, q: int, rng, path: Optional[list] = None):
     When ``path`` is a list, ``(p_true, outcome)`` is appended to it before
     the posterior is formed, so a zero-probability outcome is recorded too.
     """
-    i = s._pos(q)
-    p_true = sum(abs(a) ** 2 for key, a in s.amps.items() if key[i])
+    qubits, vec = s.cells[s.index(q)]
+    p_true = project(vec, qubits.index(q), len(qubits), True)[1] ** 2
     outcome = draw(rng, p_true)
     if path is not None:
         path.append((p_true, outcome))
-    return outcome, collapse(s, q, p_true, outcome)
+    return outcome, collapse(s, q, outcome)
 
 
-def collapse(s: QuantumState, q: int, p_true: float, outcome: bool):
-    """The posterior of :func:`measure` once ``q``, whose probability of
-    ``true`` in ``s`` is ``p_true``, came out ``outcome``."""
-    i = s._pos(q)
-    p = p_true if outcome else (s.norm_sq() - p_true)
-    if p <= 0:
+def collapse(s: QuantumState, q: int, outcome: bool):
+    """The posterior of :func:`measure` once ``q`` came out ``outcome``."""
+    i = s.index(q)
+    qubits, vec = s.cells[i]
+    pos = qubits.index(q)
+    sub, weight = project(vec, pos, len(qubits), outcome)
+    if weight <= 0:
         raise SimulationError("measurement of zero-probability outcome")
-    scale = 1.0 / math.sqrt(p)
-    amps = {}
-    for key, a in s.amps.items():
-        if key[i] == outcome and abs(a) * scale > PRUNE_TOL:
-            amps[key[:i] + key[i + 1:]] = a * scale
-    live = s.live[:i] + s.live[i + 1:]
-    return QuantumState(live, amps, s.next_index, s.retired | {q})
+    sub = sub / weight
+    sub[np.abs(sub) <= PRUNE_TOL] = 0
+    rest = qubits[:pos] + qubits[pos + 1:]
+    cells = s.cells[:i] + (((rest, sub),) if rest else ()) + s.cells[i + 1:]
+    return QuantumState(cells, s.next_index, s.retired | {q})
 
 
-def dense_vector(s: QuantumState) -> np.ndarray:
-    """Dense amplitude vector over the live qubits, first qubit most
-    significant."""
-    n = len(s.live)
-    vec = np.zeros(2 ** n, dtype=complex)
-    for key, a in s.amps.items():
-        idx = 0
-        for b in key:
-            idx = (idx << 1) | int(b)
-        vec[idx] = a
-    return vec
-
-
-def reduced_density(s: QuantumState, qubits) -> np.ndarray:
-    """Partial trace onto the given live qubits."""
-    n = len(s.live)
-    keep = [s._pos(q) for q in qubits]
-    vec = dense_vector(s).reshape([2] * n) if n else np.ones(1, dtype=complex)
-    if n == 0:
-        raise SimulationError("no live qubits to reduce onto")
-    order = keep + [i for i in range(n) if i not in keep]
-    t = np.transpose(vec, order).reshape(2 ** len(keep), -1)
+def reduced_density(s: QuantumState, q: int) -> np.ndarray:
+    """Density matrix of live qubit ``q``: the partial trace of its cell
+    over the cell's other qubits."""
+    qubits, vec = s.cells[s.index(q)]
+    t = np.moveaxis(vec.reshape((2,) * len(qubits)), qubits.index(q), 0)
+    t = t.reshape(2, -1)
     return t @ t.conj().T
 
 
@@ -517,13 +513,13 @@ class Interpreter:
                     env[x] = self.eval_term(value, env)
         return self.eval_term(comp.ret.value, env), state
 
-    def resume(self, snap: tuple, p_true: float, outcome: bool, rng):
+    def resume(self, snap: tuple, outcome: bool, rng):
         """Finish the block of ``snap`` once its measurement is ``outcome``."""
         comp, i, env, state, q = snap
         env = dict(env)  # a snapshot may be resumed more than once
         env[comp.stmts[i].binder] = outcome
-        return self.run_comp(comp, env, collapse(state, q, p_true, outcome),
-                             rng, i + 1)
+        return self.run_comp(comp, env, collapse(state, q, outcome), rng,
+                             i + 1)
 
     def run_cmd(self, cmd, env: dict, state: QuantumState, rng):
         match cmd:
@@ -601,7 +597,7 @@ def _state_reference(expr, ghosts: dict):
 
 def _qubit_pure_state(state: QuantumState, q: int):
     """Reduced state of one qubit if nearly pure, else None."""
-    rho = reduced_density(state, [q])
+    rho = reduced_density(state, q)
     purity = float(np.real(np.trace(rho @ rho)))
     if purity < 1 - FIDELITY_TOL:
         return None
@@ -661,7 +657,7 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
             case Bot():
                 return False
             case Emp():
-                return len(state.live) == 0
+                return not state.cells
             case And(l, r):
                 return kleene_and(go(l), go(r))
             case Or(l, r):
@@ -695,13 +691,13 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
             case Lookup(loc, _) | PointsTo(loc, _):
                 v = value_of(loc)
                 if isinstance(v, int):
-                    return v in state.live
+                    return state.holds(v)
                 return UNKNOWN
             case Entangled(t):
                 v = value_of(t)
-                if not isinstance(v, int) or v not in state.live:
+                if not isinstance(v, int) or not state.holds(v):
                     return UNKNOWN
-                rho = reduced_density(state, [v])
+                rho = reduced_density(state, v)
                 purity = float(np.real(np.trace(rho @ rho)))
                 return bool(purity <= 0.5 + ENTANGLE_SLACK)
             case _:
@@ -920,7 +916,7 @@ def run_program(program: Program, entry: str, seed: int = 0,
             if branch is not None and branch.snap is not None:
                 holder, index = branch.children, outcome
                 path, snaps, node = finish(interp.resume, branch.snap,
-                                           branch.p_true, outcome, rng)
+                                           outcome, rng)
             else:
                 holder, index = trie, 0
                 path, snaps, node = finish(interp.call, entry, list(args),

@@ -1,6 +1,7 @@
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -21,6 +22,18 @@ VERIFIED_DECLS = {
     "testbell.qh": ["testBell"],
     "bellpair.qh": ["qplus", "qminus", "share", "bell", "testBell"],
 }
+
+
+def state_vector(state):
+    """The live qubits of a runtime ``sim.QuantumState`` in allocation
+    order, and the dense vector of the product of its cells over them, the
+    first qubit most significant."""
+    t, names = np.ones((), dtype=complex), ()
+    for qubits, vec in state.cells:
+        t = np.multiply.outer(t, vec.reshape((2,) * len(qubits)))
+        names += qubits
+    live = tuple(sorted(names))
+    return live, np.transpose(t, [names.index(q) for q in live]).reshape(-1)
 
 
 @pytest.fixture(scope="session")

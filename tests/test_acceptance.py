@@ -18,10 +18,12 @@ from qhoare.parser import parse_assertion, parse_program
 from qhoare.prover import discharge_all
 from qhoare.sim import (
     GATES, Interpreter, QuantumState, Rot, alloc, apply_unitary,
-    dense_vector, run_program, shot_rng,
+    run_program, shot_rng,
 )
 from qhoare.typecheck import check_program
-from conftest import CORPUS_DIR, GOLDEN_DIR, NEGATIVE_DIR, VERIFIED_DECLS
+from conftest import (
+    CORPUS_DIR, GOLDEN_DIR, NEGATIVE_DIR, VERIFIED_DECLS, state_vector,
+)
 
 REQUIRED = [
     ("hqw.qh", "hqw"), ("rnd.qh", "rnd"), ("testbell.qh", "testBell"),
@@ -227,8 +229,9 @@ def test_criterion_5_teleportation():
         state = apply_unitary(state, Rot(q, tuple(map(tuple, q_mat))))
         value, state = interp.call("teleport", [q], state,
                                    shot_rng(2718, trial))
-        assert state.live == (value,)
-        fidelity = abs(np.vdot(psi, dense_vector(state))) ** 2
+        live, vec = state_vector(state)
+        assert live == (value,)
+        fidelity = abs(np.vdot(psi, vec)) ** 2
         worst = min(worst, fidelity)
         assert fidelity >= 1 - 1e-9, (trial, fidelity)
     passed(5, f"100 teleportations, worst fidelity {worst:.12f}; "

@@ -19,10 +19,10 @@ from qhoare.parser import parse_program
 from qhoare.prover import POSTCONDITION
 from qhoare.sim import (
     GATES, Cond, Interpreter, MAppend, MEmpty, QuantumState, Rot, alloc,
-    apply_unitary, dense_vector, shot_rng, states_equal_up_to_phase,
+    apply_unitary, shot_rng, states_equal_up_to_phase,
 )
 from qhoare.typecheck import check_program
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, state_vector
 
 
 def final_branches(checked, name):
@@ -45,21 +45,20 @@ def outcome_env_matches(model, binder, value):
     return True
 
 
-def _cell_positions(model, state):
-    live = sorted(state.live)
+def _cell_positions(model, live):
+    """Position in ``live`` (allocation order) of each qubit name of the
+    model's heap, names aligned with qubits in sorted order."""
     names = sorted(q for c in model.heap.cells for q in c.qubits)
     if len(live) != len(names):
         return None
-    index_of = dict(zip(names, live))
-    return {q: state.live.index(index_of[q]) for q in index_of}
+    return {q: i for i, q in enumerate(names)}
 
 
-def exact_cells_match(model, state):
-    positions = _cell_positions(model, state)
+def exact_cells_match(model, live, vec):
+    positions = _cell_positions(model, live)
     if positions is None:
         return False
-    vec = dense_vector(state)
-    n = len(state.live)
+    n = len(live)
     for cell in model.heap.cells:
         st = cell.state
         if st.kind != "concrete" or not st.exact:
@@ -76,9 +75,9 @@ def exact_cells_match(model, state):
     return True
 
 
-def component_matches(component, model, state):
+def component_matches(component, model, live):
     """Basis component agrees with the branch's relational claims."""
-    positions = _cell_positions(model, state)
+    positions = _cell_positions(model, live)
     if positions is None:
         return False
     for cell in model.heap.cells:
@@ -99,17 +98,16 @@ def component_matches(component, model, state):
 def state_within_branches(models, binder, value, state):
     """Every nonzero basis component and the outcome values must be
     covered by at least one predicted branch."""
-    vec = dense_vector(state)
-    n = len(state.live)
+    live, vec = state_vector(state)
     components = [key for key, amp in
-                  zip(np.ndindex(*([2] * n)), vec.reshape(-1))
+                  zip(np.ndindex(*([2] * len(live))), vec)
                   if abs(amp) > 1e-9]
     candidates = [m for m in models
                   if outcome_env_matches(m, binder, value)
-                  and exact_cells_match(m, state)]
+                  and exact_cells_match(m, live, vec)]
     if not candidates:
         return False
-    return all(any(component_matches(c, m, state) for m in candidates)
+    return all(any(component_matches(c, m, live) for m in candidates)
                for c in components)
 
 
@@ -152,12 +150,12 @@ def test_intermediate_states_agree_on_bell_preparation():
     sym, _ = sp_init(sym, False, "qa")
     conc, qa = alloc(conc, False)
     assert states_equal_up_to_phase(
-        np.asarray(sym.find("qa").state.amps), dense_vector(conc))
+        np.asarray(sym.find("qa").state.amps), state_vector(conc)[1])
 
     sym = sp_apply_unitary(sym, Rot("qa", GATES["H"])).heap
     conc = apply_unitary(conc, Rot(qa, GATES["H"]))
     assert states_equal_up_to_phase(
-        np.asarray(sym.find("qa").state.amps), dense_vector(conc))
+        np.asarray(sym.find("qa").state.amps), state_vector(conc)[1])
 
     sym, _ = sp_init(sym, False, "qb")
     conc, qb = alloc(conc, False)
@@ -167,7 +165,7 @@ def test_intermediate_states_agree_on_bell_preparation():
     cell = sym.find("qa")
     assert cell.qubits == ("qa", "qb")
     assert states_equal_up_to_phase(np.asarray(cell.state.amps),
-                                    dense_vector(conc))
+                                    state_vector(conc)[1])
 
 
 def test_share_with_plus_input_within_branches():
@@ -184,12 +182,38 @@ def test_share_with_plus_input_within_branches():
         value, state = interp.call("share", [q], state, shot_rng(seed, 0))
         assert state_within_branches(models, sig.binder, value, state)
         phip = np.array([2 ** -0.5, 0, 0, 2 ** -0.5])
-        if states_equal_up_to_phase(dense_vector(state), phip):
+        if states_equal_up_to_phase(state_vector(state)[1], phip):
             matched_exact += 1
     assert matched_exact == 100
 
 
-# --- tensor route (heap) against the sparse route (sim) ----------------------
+# --- the tensor kernel, in the checker and at runtime, against a sparse route
+
+def sparse_apply(amps, u):
+    """Apply ``u`` to ``amps``, a map from basis tuples over qubits 0..n-1
+    to amplitudes, one basis state at a time: a reference that shares no
+    code with the tensor kernel."""
+    match u:
+        case MEmpty():
+            return amps
+        case MAppend(a, b):
+            return sparse_apply(sparse_apply(amps, a), b)
+        case Rot(q, m):
+            out = {}
+            for key, amp in amps.items():
+                for bit in (0, 1):
+                    image = key[:q] + (bit,) + key[q + 1:]
+                    out[image] = out.get(image, 0j) + m[bit][key[q]] * amp
+            return out
+        case Cond(q, fb, tb):
+            parts = ({}, {})
+            for key, amp in amps.items():
+                parts[key[q]][key] = amp
+            out = sparse_apply(parts[0], fb)
+            out.update(sparse_apply(parts[1], tb))
+            return out
+    raise AssertionError(u)
+
 
 def random_rotation(rng):
     if rng.random() < 0.3:
@@ -233,14 +257,11 @@ def random_cells(rng, n):
     return cells
 
 
-def heap_dense(cells, n):
-    """Dense vector of a product of cells over qubits 0..n-1 in order."""
-    t, names = np.ones((), dtype=complex), []
-    for c in cells:
-        factor = c.state.vector().reshape((2,) * len(c.qubits))
-        t = np.multiply.outer(t, factor)
-        names += c.qubits
-    return np.transpose(t, [names.index(q) for q in range(n)]).reshape(-1)
+def runtime_state(cells):
+    """The runtime state holding the vectors of exact heap cells over
+    qubits 0..n-1."""
+    n = sum(len(c.qubits) for c in cells)
+    return QuantumState(tuple((c.qubits, c.state.vector()) for c in cells), n)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -250,13 +271,15 @@ def test_tensor_route_matches_sparse_route(seed):
         n = rng.randint(1, 8)
         cells = random_cells(rng, n)
         u = random_unitary_expr(rng, list(range(n)))
-        before = heap_dense(cells, n)
-        amps = {tuple(map(bool, key)): amp for key, amp in
-                zip(np.ndindex(*([2] * n)), before.tolist())}
-        conc = apply_unitary(QuantumState(range(n), amps, n), u)
+        basis = list(np.ndindex(*([2] * n)))
+        before = state_vector(runtime_state(cells))[1]
+        amps = sparse_apply(dict(zip(basis, before)), u)
+        want = np.array([amps.get(key, 0j) for key in basis])
         sym = sp_apply_unitary(SymbolicHeap(tuple(cells)), u)
         assert not sym.residual
-        got, want = heap_dense(sym.heap.cells, n), dense_vector(conc)
-        overlap = np.vdot(got, want)
-        phase = overlap / abs(overlap)
-        assert np.max(np.abs(got * phase - want)) <= 1e-12, (seed, n, u)
+        run = apply_unitary(runtime_state(cells), u)
+        for state in (runtime_state(sym.heap.cells), run):
+            got = state_vector(state)[1]
+            overlap = np.vdot(got, want)
+            phase = overlap / abs(overlap)
+            assert np.max(np.abs(got * phase - want)) <= 1e-12, (seed, n, u)

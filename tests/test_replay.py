@@ -400,16 +400,19 @@ def test_nested_measurements_fall_back_to_full_runs(monkeypatch):
 
 
 def test_snapshot_memory_does_not_grow_with_shots():
-    program = coin_program(12)
+    # 4,000 shots reach almost all 1,024 paths, so almost every node has
+    # dropped its snapshot; 250 shots reach about 220 paths and leave many
+    # nodes with one child.  Kept snapshots would double the peak.
+    program = coin_program(10)
     peaks = []
-    for shots in (1, 1000):
+    for shots in (250, 4000):
         tracemalloc.start()
         try:
             run_program(program, "coins", seed=0, shots=shots)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 3 * peaks[0], peaks
+    assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 class GuardedRng:

@@ -2,6 +2,7 @@
 and runtime assertion checking."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from qhoare.core import (
     QbitT, Top, UNKNOWN, UT, Var, pretty,
 )
 from qhoare.parser import parse_program, parse_term
-from genlib import straight_line_source
+from conftest import state_vector
+from genlib import coin_block_source, straight_line_source
 from qhoare.sim import (
     Cond, GATES, Interpreter, MAppend, MEmpty, QuantumState, Rot,
     SimulationError, UnitaryError, alloc, apply_unitary,
-    check_assertion_runtime, dense_vector, eval_unitary, footprint, if_q,
-    is_unitary, measure, reduced_density, run_program, shot_rng,
+    check_assertion_runtime, eval_unitary, footprint, if_q, is_unitary,
+    measure, reduced_density, run_program, shot_rng,
     states_equal_up_to_phase,
 )
 
@@ -31,15 +33,25 @@ def oracle_kron(*vecs):
     return out
 
 
+def dense(s):
+    return state_vector(s)[1]
+
+
+def norm_sq(s):
+    return float(np.linalg.norm(dense(s)) ** 2)
+
+
 class TestAlloc:
     def test_false_single_qubit(self):
         s, q = alloc(QuantumState(), False)
         assert q == 0
-        assert s.amps == {(False,): 1.0 + 0j}
+        live, vec = state_vector(s)
+        assert live == (0,) and vec.tolist() == [1, 0]
 
     def test_true_single_qubit(self):
         s, q = alloc(QuantumState(), True)
-        assert s.amps == {(True,): 1.0 + 0j}
+        live, vec = state_vector(s)
+        assert live == (0,) and vec.tolist() == [0, 1]
 
     def test_tensor_with_existing_plus(self):
         # oracle: |+> (x) |0>
@@ -47,9 +59,9 @@ class TestAlloc:
         s, q0 = alloc(QuantumState(), False)
         s = apply_unitary(s, Rot(q0, GATES["H"]))
         s, q1 = alloc(s, False)
-        assert states_equal_up_to_phase(dense_vector(s), expected)
-        assert abs(s.amps[(False, False)] - S) < 1e-12
-        assert abs(s.amps[(True, False)] - S) < 1e-12
+        assert states_equal_up_to_phase(dense(s), expected)
+        assert abs(dense(s)[0b00] - S) < 1e-12
+        assert abs(dense(s)[0b10] - S) < 1e-12
 
 
 class TestEvalUnitary:
@@ -68,7 +80,7 @@ class TestEvalUnitary:
         s, q = alloc(QuantumState(), False)
         s1 = apply_unitary(s, u)
         s2 = apply_unitary(s, Rot(q, GATES["X"]))
-        assert states_equal_up_to_phase(dense_vector(s1), dense_vector(s2))
+        assert states_equal_up_to_phase(dense(s1), dense(s2))
 
     def test_non_unitary_matrix_rejected(self):
         term = parse_term("rot q ((1, 0), (0, 2))")
@@ -140,7 +152,7 @@ class TestApplyUnitary:
         expected = np.asarray(GATES["H"]) @ np.array([1, 0])
         s, q = alloc(QuantumState(), False)
         s = apply_unitary(s, Rot(q, GATES["H"]))
-        got = dense_vector(s)
+        got = dense(s)
         assert np.allclose(got, expected)
         assert abs(got[0] - 0.70710678) < 1e-7
         assert abs(got[1] - 0.70710678) < 1e-7
@@ -149,14 +161,14 @@ class TestApplyUnitary:
         s, q0 = alloc(QuantumState(), True)
         s, q1 = alloc(s, False)
         s = apply_unitary(s, if_q(q0, Rot(q1, GATES["X"])))
-        assert s.amps == {(True, True): 1.0 + 0j}
+        assert dense(s).tolist() == [0, 0, 0, 1]
 
     def test_bell_preparation(self):
         s, qa = alloc(QuantumState(), False)
         s, qb = alloc(s, False)
         s = apply_unitary(s, Rot(qa, GATES["H"]))
         s = apply_unitary(s, if_q(qa, Rot(qb, GATES["X"])))
-        assert states_equal_up_to_phase(dense_vector(s), [S, 0, 0, S])
+        assert states_equal_up_to_phase(dense(s), [S, 0, 0, S])
 
     def test_unallocated_qubit_rejected(self):
         s, q = alloc(QuantumState(), False)
@@ -176,7 +188,7 @@ class TestMeasure:
             s, q = alloc(QuantumState(), False)
             outcome, s2 = measure(s, q, shot_rng(7, shot))
             assert outcome is False
-            assert s2.live == ()
+            assert state_vector(s2)[0] == ()
 
     def test_bell_correlated(self):
         for shot in range(50):
@@ -215,8 +227,8 @@ class TestMeasure:
             outcome, s2 = measure(s, target, shot_rng(trial, 0))
             # measured qubit no longer exists; mass on the other outcome
             # was removed with it
-            assert target not in s2.live
-            assert abs(s2.norm_sq() - 1.0) < 1e-9
+            assert target not in state_vector(s2)[0]
+            assert abs(norm_sq(s2) - 1.0) < 1e-9
 
 
 class TestProperties:
@@ -255,9 +267,9 @@ class TestProperties:
             s, qubits = self.random_state(rng, rng.randrange(1, 5))
             u = self.random_unitary_expr(rng, qubits)
             s = apply_unitary(s, u)
-            assert abs(s.norm_sq() - 1.0) < 1e-9
+            assert abs(norm_sq(s) - 1.0) < 1e-9
             _, s = measure(s, rng.choice(qubits), shot_rng(trial, 1))
-            assert abs(s.norm_sq() - 1.0) < 1e-9
+            assert abs(norm_sq(s) - 1.0) < 1e-9
 
     def test_unitarity_preserves_inner_products(self):
         rng = random.Random(5)
@@ -266,9 +278,9 @@ class TestProperties:
             s1, qubits = self.random_state(rng, n)
             s2, _ = self.random_state(random.Random(trial + 999), n)
             u = self.random_unitary_expr(rng, qubits)
-            before = np.vdot(dense_vector(s1), dense_vector(s2))
-            after = np.vdot(dense_vector(apply_unitary(s1, u)),
-                            dense_vector(apply_unitary(s2, u)))
+            before = np.vdot(dense(s1), dense(s2))
+            after = np.vdot(dense(apply_unitary(s1, u)),
+                            dense(apply_unitary(s2, u)))
             assert abs(before - after) < 1e-9
 
     def test_monoid_laws_by_action(self):
@@ -280,12 +292,68 @@ class TestProperties:
             c = self.random_unitary_expr(rng, qubits, 2)
             left = apply_unitary(s, MAppend(MAppend(a, b), c))
             right = apply_unitary(s, MAppend(a, MAppend(b, c)))
-            assert np.allclose(dense_vector(left), dense_vector(right),
-                               atol=1e-9)
+            assert np.allclose(dense(left), dense(right), atol=1e-9)
             ident = apply_unitary(s, MAppend(MEmpty(), a))
             plain = apply_unitary(s, a)
-            assert np.allclose(dense_vector(ident), dense_vector(plain),
-                               atol=1e-9)
+            assert np.allclose(dense(ident), dense(plain), atol=1e-9)
+
+
+class TestCells:
+    """The runtime state is a product of cells: a gate joins the cells it
+    touches, and a measurement drops its qubit from its cell."""
+
+    def test_unentangled_qubits_keep_their_own_cells(self):
+        s = QuantumState()
+        for _ in range(20):
+            s, q = alloc(s, False)
+            s = apply_unitary(s, Rot(q, GATES["H"]))
+        assert [(qubits, len(vec)) for qubits, vec in s.cells] == \
+            [((q,), 2) for q in range(20)]
+
+    def test_gate_joins_the_cells_it_touches(self):
+        s, qa = alloc(QuantumState(), False)
+        s, qb = alloc(s, True)
+        s, qc = alloc(s, False)
+        s = apply_unitary(s, if_q(qc, Rot(qa, GATES["X"])))
+        assert [qubits for qubits, _ in s.cells] == [(qb,), (qc, qa)]
+        assert dense(s).tolist() == [0, 0, 1, 0, 0, 0, 0, 0]  # |010>
+
+    def test_measurement_drops_the_qubit_from_its_cell(self):
+        s, qa = alloc(QuantumState(), False)
+        s, qb = alloc(s, False)
+        s = apply_unitary(s, Rot(qa, GATES["H"]))
+        s = apply_unitary(s, if_q(qa, Rot(qb, GATES["X"])))
+        a, s = measure(s, qa, shot_rng(1, 0))
+        assert [qubits for qubits, _ in s.cells] == [(qb,)]
+        assert dense(s).tolist() == ([0, 1] if a else [1, 0])
+        _, s = measure(s, qb, shot_rng(1, 0))
+        assert s.cells == () and s.retired == {qa, qb}
+
+    def test_amplitudes_at_prune_tol_are_zeroed(self):
+        # a rotation by 1e-13 leaves an amplitude below PRUNE_TOL, so the
+        # outcome it would give has probability exactly 0
+        eps = 1e-13
+        c = (1 - eps * eps) ** 0.5
+        s, q = alloc(QuantumState(), False)
+        s = apply_unitary(s, Rot(q, ((c, -eps), (eps, c))))
+        assert dense(s).tolist() == [1, 0]
+        path = []
+        assert measure(s, q, shot_rng(0, 0), path)[0] is False
+        assert path == [(0.0, False)]
+
+    def test_product_state_width_is_linear(self):
+        # 16 coins measured at the end: one vector over all live qubits
+        # would hold 2^16 amplitudes (a traced peak of about 45 MB); in
+        # cells of their own they hold two each (about 2 MB in all)
+        program = parse_program(coin_block_source(16)).program
+        tracemalloc.start()
+        try:
+            rep = run_program(program, "coins", seed=0, shots=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rep.outcomes.values()) == 100 and rep.errors == 0
+        assert peak <= 8_000_000, peak
 
 
 class TestRunProgram:
@@ -392,7 +460,7 @@ class TestRuntimeAssertions:
     def test_entangled_half_bell(self):
         # partial-trace oracle: reduced purity of half a Bell pair is 1/2
         s, qa, qb = self.bell_state()
-        rho = reduced_density(s, [qa])
+        rho = reduced_density(s, qa)
         purity = float(np.real(np.trace(rho @ rho)))
         assert abs(purity - 0.5) < 1e-9
         a = Entangled(Emb(Var("e")))
