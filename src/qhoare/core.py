@@ -13,6 +13,7 @@ assertions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -319,11 +320,6 @@ class Seq:
 
     stmts: tuple  # tuple[Stmt, ...]
     ret: Ret
-
-
-def bound_names(s: Stmt) -> tuple:
-    """The names statement ``s`` binds for the rest of its block."""
-    return s.pattern if isinstance(s, BindRun) else (s.binder,)
 
 
 # ---------------------------------------------------------------------------
@@ -796,113 +792,131 @@ def pretty(node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free variables (term, ghost and heap names share one result set)
+# Child traversal.  The walks over the AST (``free_vars`` and ``subst``
+# below, ``typecheck.alpha_normalize``) have cases only for the nodes they
+# treat specially: name leaves, binder forms and, in ``subst``, ``Emb``,
+# ``IdAt`` and the constructors whose fields it coerces between sorts.
+# Every other node's children they reach through ``children`` or
+# ``map_children``, the one reader of node fields.
 
 
-def free_vars(node) -> set:
-    match node:
-        case None | UnitT() | BoolT() | QbitT() | UT() | PureT() | MatrixT():
-            return set()
-        case TensorT(a, b):
-            return free_vars(a) | free_vars(b)
-        case PiT(x, dom, cod):
-            return free_vars(dom) | (free_vars(cod) - {x})
-        case HoareT(vctx, hctx, pre, binder, result, post):
-            bound = {x for x, _ in vctx} | set(hctx)
-            out = set()
-            for _, a in vctx:
-                out |= free_vars(a)
-            out |= free_vars(pre) - bound
-            out |= free_vars(result) - bound
-            out |= free_vars(post) - bound - set(binder)
-            return out
-        case Var(name) | GhostRef(name) | HVar(name) | ARef(name):
-            return {name}
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case Ascribe(term, ty):
-            return free_vars(term) | free_vars(ty)
-        case Emb(elim):
-            return free_vars(elim)
-        case UnitVal() | BoolLit() | MatrixLit() | Ket() | KetVec() \
-                | WildcardState() | Top() | Bot() | Emp() | HEmpty():
-            return set()
-        case Lam(x, body):
-            return free_vars(body) - {x}
-        case Do(body):
-            return free_vars(body)
-        case Pair(a, b):
-            return free_vars(a) | free_vars(b)
-        case IfTerm(c, t, e) | IfCmd(c, t, e):
-            return free_vars(c) | free_vars(t) | free_vars(e)
-        case MkQbit(m) | MeasQbit(m) | ApplyU(m):
-            return free_vars(m)
-        case Seq(stmts, ret):
-            out, bound = set(), set()
-            for s in stmts:
-                out |= free_vars(s) - bound
-                bound.update(bound_names(s))
-            return out | (free_vars(ret) - bound)
-        case Ret(value) | BindRun(_, value):
-            return free_vars(value)
-        case BindCmd(_, cmd):
-            return free_vars(cmd)
-        case LetEq(_, ann, value):
-            return free_vars(ann) | free_vars(value)
-        case Upd(base, loc, value):
-            return free_vars(base) | free_vars(loc) | free_vars(value)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Compose(l, r):
-            return free_vars(l) | free_vars(r)
-        case Replace(l, r):
-            return free_vars(l) | free_vars(r)
-        case Not(body):
-            return free_vars(body)
-        case ExistsVar(x, ty, body) | ForallVar(x, ty, body):
-            return free_vars(ty) | (free_vars(body) - {x})
-        case ExistsHeap(h, body) | ForallHeap(h, body):
-            return free_vars(body) - {h}
-        case IdAt(ty, l, r):
-            return free_vars(ty) | free_vars(l) | free_vars(r)
-        case HeapId(l, r):
-            return free_vars(l) | free_vars(r)
-        case InDom(h, loc):
-            return free_vars(h) | free_vars(loc)
-        case PointsTo(loc, state) | Lookup(loc, state):
-            return free_vars(loc) | free_vars(state)
-        case MemberOf(term, cands):
-            out = free_vars(term)
-            for c in cands:
-                out |= free_vars(c)
-            return out
-        case CellGroup(items):
-            out = set()
-            for i in items:
-                out |= free_vars(i)
-            return out
-        case Entangled(t):
-            return free_vars(t)
-        case Decl(_, sig, body):
-            return free_vars(sig) | free_vars(body)
-        case Program(decls):
-            out = set()
-            declared = set()
-            for d in decls:
-                out |= free_vars(d) - declared
-                declared.add(d.name)
-            return out
-    raise TypeError(f"free_vars: unknown node {node!r}")
+# The AST classes.  A ``Span`` is not a node: spans take part in neither
+# equality nor traversal.
+_NODES = frozenset(
+    cls for cls in list(globals().values())
+    if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")
+    and cls is not Span
+)
+
+# The AST classes without fields, which every walk returns as they are; a
+# walk tests for them first, so the commonest leaves (types, ``emp``) skip
+# its cases.
+_FIELDLESS = frozenset(cls for cls in _NODES if not cls.__dataclass_fields__)
+
+
+def _field_values(node):
+    # A frozen dataclass instance's ``__dict__`` holds exactly its fields,
+    # in declaration order: ``__init__`` sets them in that order.
+    if type(node) not in _NODES:
+        raise TypeError(f"not an AST node: {node!r}")
+    return node.__dict__.values()
+
+
+def _nodes_in(values) -> list:
+    out = []
+    for v in values:
+        if type(v) in _NODES:
+            out.append(v)
+        elif type(v) is tuple:
+            out += _nodes_in(v)
+    return out
+
+
+def children(node) -> list:
+    """The AST nodes in the fields of ``node``, in field order, looking
+    into tuple fields, nested ones too.  Raises ``TypeError`` if ``node``
+    is not a node."""
+    return _nodes_in(_field_values(node))
+
+
+def _map_value(v, fn):
+    if type(v) in _NODES:
+        return fn(v)
+    if type(v) is tuple:
+        new = tuple(_map_value(i, fn) for i in v)
+        return v if all(map(operator.is_, new, v)) else new
+    return v
+
+
+def map_children(node, fn):
+    """``node`` with each of its ``children`` ``c`` replaced by ``fn(c)``;
+    ``node`` itself when every ``fn(c)`` is ``c``."""
+    old = _field_values(node)
+    new = [_map_value(v, fn) for v in old]
+    return node if all(map(operator.is_, new, old)) else type(node)(*new)
+
+
+def bound_names(item: Stmt | Ret | Decl) -> tuple:
+    """The names a statement binds for the rest of its block, or a
+    declaration for the rest of its program."""
+    match item:
+        case BindRun(pattern):
+            return pattern
+        case BindCmd(x) | LetEq(x) | Decl(x):
+            return (x,)
+    return ()
 
 
 # ---------------------------------------------------------------------------
-# Capture-avoiding substitution of terms/states for names
+# Free variables (term, ghost and heap names share one result set).  A
+# binder form removes its bound names from the free names of the fields in
+# their scope; any other node has the free names of its children.
+
+
+def free_vars(node) -> set:
+    if type(node) in _FIELDLESS:
+        return set()
+    match node:
+        case Var(name) | GhostRef(name) | HVar(name) | ARef(name):
+            return {name}
+        case PiT(x, ty, body) | ExistsVar(x, ty, body) \
+                | ForallVar(x, ty, body):
+            return free_vars(ty) | (free_vars(body) - {x})
+        case Lam(x, body) | ExistsHeap(x, body) | ForallHeap(x, body):
+            return free_vars(body) - {x}
+        case HoareT(vctx, hctx, pre, binder, result, post):
+            bound = {x for x, _ in vctx} | set(hctx)
+            out = set().union(*(free_vars(a) for _, a in vctx))
+            out |= (free_vars(pre) | free_vars(result)) - bound
+            return out | (free_vars(post) - bound - set(binder))
+        case Seq() | Program():
+            # each item binds names for the items after it
+            out, bound = set(), set()
+            for item in children(node):
+                out |= free_vars(item) - bound
+                bound.update(bound_names(item))
+            return out
+    out = set()
+    for c in children(node):
+        out |= free_vars(c)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Capture-avoiding substitution of terms/states/heaps for names.  A binder
+# of ``PiT``, ``Lam`` or a quantifier is renamed to a fresh ``%rN`` when a
+# replacement would capture it; ``HoareT``, ``Seq`` and ``Program`` only stop
+# substituting for the names they bind.  ``Pair``, ``Upd``, ``PointsTo``,
+# ``Lookup`` and ``MemberOf`` coerce what is substituted into each field to
+# the field's sort, and the type index of ``IdAt`` is left alone.
 
 
 _rename_counter = [0]
 
 
-def _rename_fresh(base: str) -> str:
-    _rename_counter[0] += 1
-    return f"%r{_rename_counter[0]}"
+def binder_var(node):
+    """The leaf class of the names that binder form ``node`` binds."""
+    return HVar if isinstance(node, (ExistsHeap, ForallHeap)) else Var
 
 
 def _as_state(v):
@@ -923,45 +937,46 @@ def _as_intro(v):
     return v
 
 
-def _range_fvs(mapping: dict) -> set:
-    out = set()
-    for v in mapping.values():
-        out |= free_vars(v)
-    return out
-
-
 def _drop(mapping: dict, names) -> dict:
     return {k: v for k, v in mapping.items() if k not in names}
 
 
+def _subst_under(node, x, body, mapping: dict) -> tuple:
+    """``x`` and ``body`` of binder form ``node`` after substituting
+    ``mapping`` under ``x``, which is first renamed if a replacement would
+    capture it."""
+    m = _drop(mapping, {x})
+    if m and x in set().union(*map(free_vars, m.values())):
+        _rename_counter[0] += 1
+        nx = f"%r{_rename_counter[0]}"
+        body = subst(body, {x: binder_var(node)(nx)})
+        x = nx
+    return x, subst(body, m)
+
+
 def subst(node, mapping: dict):
     """Substitute ``mapping`` (name -> term/state/heap) throughout ``node``."""
-    if not mapping:
+    if not mapping or type(node) in _FIELDLESS:
         return node
-
-    def binder_adjust(x, body_nodes, m):
-        # Rename the binder if a replacement would capture it.
-        m = _drop(m, {x})
-        if not m:
-            return x, body_nodes, m
-        if x in _range_fvs(m):
-            nx = _rename_fresh(x.lstrip("%"))
-            ren = {x: Var(nx)}
-            body_nodes = [subst(b, ren) for b in body_nodes]
-            return nx, body_nodes, m
-        return x, body_nodes, m
-
     match node:
-        case None | UnitT() | BoolT() | QbitT() | UT() | PureT() | MatrixT() \
-                | UnitVal() | BoolLit() | MatrixLit() | Ket() | KetVec() \
-                | WildcardState() | Top() | Bot() | Emp() | HEmpty() | ARef():
-            return node
-        case TensorT(a, b):
-            return TensorT(subst(a, mapping), subst(b, mapping))
-        case PiT(x, dom, cod):
-            dom = subst(dom, mapping)
-            x, [cod], m = binder_adjust(x, [cod], mapping)
-            return PiT(x, dom, subst(cod, m))
+        case Var(name):
+            return mapping.get(name, node)
+        case GhostRef(name):
+            return _as_state(mapping.get(name, node))
+        case HVar(name):
+            v = mapping.get(name)
+            return v if isinstance(v, (HVar, HEmpty, Upd)) else node
+        case Emb(elim):
+            inner = subst(elim, mapping)
+            return Emb(inner) if isinstance(inner, (Var, App, Ascribe)) \
+                else inner
+        case PiT(x, ty, body) | ExistsVar(x, ty, body) \
+                | ForallVar(x, ty, body):
+            ty = subst(ty, mapping)
+            x, body = _subst_under(node, x, body, mapping)
+            return type(node)(x, ty, body)
+        case Lam(x, body) | ExistsHeap(x, body) | ForallHeap(x, body):
+            return type(node)(*_subst_under(node, x, body, mapping))
         case HoareT(vctx, hctx, pre, binder, result, post):
             bound = {x for x, _ in vctx} | set(hctx) | set(binder)
             m = _drop(mapping, bound)
@@ -970,102 +985,29 @@ def subst(node, mapping: dict):
             vctx = tuple((x, subst(a, mapping)) for x, a in vctx)
             return HoareT(vctx, hctx, subst(pre, m), binder,
                           subst(result, m), subst(post, m))
-        case Var(name):
-            return mapping.get(name, node)
-        case GhostRef(name):
-            return _as_state(mapping.get(name, node))
-        case App(fn, arg):
-            return App(subst(fn, mapping), subst(arg, mapping))
-        case Ascribe(term, ty):
-            return Ascribe(subst(term, mapping), subst(ty, mapping))
-        case Emb(elim):
-            inner = subst(elim, mapping)
-            return inner if not isinstance(inner, (Var, App, Ascribe)) \
-                else Emb(inner)
-        case Lam(x, body):
-            x, [body], m = binder_adjust(x, [body], mapping)
-            return Lam(x, subst(body, m))
-        case Do(body):
-            return Do(subst(body, mapping))
+        case Seq() | Program():
+            # each item binds names for the items after it
+            def item(c):
+                nonlocal mapping
+                out = subst(c, mapping)
+                mapping = _drop(mapping, bound_names(c))
+                return out
+            return map_children(node, item)
+        case IdAt(ty, l, r):
+            return IdAt(ty, subst(l, mapping), subst(r, mapping))
         case Pair(a, b):
-            return Pair(_as_intro(subst(a, mapping)), _as_intro(subst(b, mapping)))
-        case IfTerm(c, t, e):
-            return IfTerm(subst(c, mapping), subst(t, mapping), subst(e, mapping))
-        case IfCmd(c, t, e):
-            return IfCmd(subst(c, mapping), subst(t, mapping), subst(e, mapping))
-        case MkQbit(m):
-            return MkQbit(subst(m, mapping))
-        case MeasQbit(m):
-            return MeasQbit(subst(m, mapping))
-        case ApplyU(m):
-            return ApplyU(subst(m, mapping))
-        case Ret(value, span):
-            return Ret(subst(value, mapping), span)
-        case Seq(stmts, ret):
-            # a statement's binders scope over the statements after it
-            out = []
-            for s in stmts:
-                out.append(subst(s, mapping))
-                mapping = _drop(mapping, bound_names(s))
-            return Seq(tuple(out), subst(ret, mapping))
-        case BindRun(pat, src, span):
-            return BindRun(pat, subst(src, mapping), span)
-        case BindCmd(x, cmd, span):
-            return BindCmd(x, subst(cmd, mapping), span)
-        case LetEq(x, ann, value, span):
-            return LetEq(x, subst(ann, mapping), subst(value, mapping), span)
-        case HVar(name):
-            v = mapping.get(name)
-            return v if isinstance(v, (HVar, HEmpty, Upd)) else node
+            return Pair(_as_intro(subst(a, mapping)),
+                        _as_intro(subst(b, mapping)))
         case Upd(base, loc, value):
             return Upd(subst(base, mapping), _as_intro(subst(loc, mapping)),
                        _as_state(subst(value, mapping)))
-        case And(l, r):
-            return And(subst(l, mapping), subst(r, mapping))
-        case Or(l, r):
-            return Or(subst(l, mapping), subst(r, mapping))
-        case Implies(l, r):
-            return Implies(subst(l, mapping), subst(r, mapping))
-        case Compose(l, r):
-            return Compose(subst(l, mapping), subst(r, mapping))
-        case Replace(l, r):
-            return Replace(subst(l, mapping), subst(r, mapping))
-        case CellGroup(items):
-            return CellGroup(tuple(subst(i, mapping) for i in items))
-        case Not(body):
-            return Not(subst(body, mapping))
-        case ExistsVar(x, ty, body):
-            ty = subst(ty, mapping)
-            x, [body], m = binder_adjust(x, [body], mapping)
-            return ExistsVar(x, ty, subst(body, m))
-        case ForallVar(x, ty, body):
-            ty = subst(ty, mapping)
-            x, [body], m = binder_adjust(x, [body], mapping)
-            return ForallVar(x, ty, subst(body, m))
-        case ExistsHeap(h, body):
-            m = _drop(mapping, {h})
-            return ExistsHeap(h, subst(body, m))
-        case ForallHeap(h, body):
-            m = _drop(mapping, {h})
-            return ForallHeap(h, subst(body, m))
-        case IdAt(ty, l, r):
-            return IdAt(ty, subst(l, mapping), subst(r, mapping))
-        case HeapId(l, r):
-            return HeapId(subst(l, mapping), subst(r, mapping))
-        case InDom(h, loc):
-            return InDom(subst(h, mapping), subst(loc, mapping))
-        case PointsTo(loc, state):
-            return PointsTo(_as_intro(subst(loc, mapping)),
-                            _as_state(subst(state, mapping)))
-        case Lookup(loc, state):
-            return Lookup(_as_intro(subst(loc, mapping)),
-                          _as_state(subst(state, mapping)))
+        case PointsTo(loc, state) | Lookup(loc, state):
+            return type(node)(_as_intro(subst(loc, mapping)),
+                              _as_state(subst(state, mapping)))
         case MemberOf(term, cands):
             return MemberOf(subst(term, mapping),
                             tuple(_as_state(subst(c, mapping)) for c in cands))
-        case Entangled(t):
-            return Entangled(subst(t, mapping))
-    raise TypeError(f"subst: unknown node {node!r}")
+    return map_children(node, lambda c: subst(c, mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ outside a transformer's footprint are returned bit-identical.  Unitaries
 are applied to the merged cell's amplitudes held as a ``(2,)*n`` tensor, one
 axis per qubit: a rotation contracts one axis with its 2x2 matrix and a
 quantum conditional recurses into the two slices along the control's axis,
-so no 2^n x 2^n matrix is built.  The kernel and the projection that
+so no 2^n x 2^n matrix is built.  The kernel and the split that
 measurement reads are :mod:`qhoare.sim`'s, whose runtime state is cells of
 concrete vectors too.
 """
@@ -34,7 +34,7 @@ from .core import (
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
     InDom, Top, strip_emb,
 )
-from .sim import NORM_TOL, UnitaryExpr, apply_to_tensor, footprint, project
+from .sim import NORM_TOL, UnitaryExpr, apply_to_tensor, footprint, split
 
 PRUNE_TOL = 1e-9
 
@@ -239,8 +239,7 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
     n = len(cell.qubits)
     if refine:
         branches = []
-        for value in (False, True):
-            sub, weight = project(vec, idx, n, value)
+        for value, (sub, weight) in zip((False, True), split(vec, idx, n)):
             if weight <= PRUNE_TOL:
                 continue
             if rest_qubits:
@@ -260,8 +259,7 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
     if not cell.state.exact:
         return [MeasBranch(None, heap_with(UNKNOWN_STATE), delta)]
     # keep the rest only if the measured qubit factors out
-    sub0, w0 = project(vec, idx, n, False)
-    sub1, w1 = project(vec, idx, n, True)
+    (sub0, w0), (sub1, w1) = split(vec, idx, n)
     if w0 <= PRUNE_TOL or w1 <= PRUNE_TOL:
         sub, w = (sub1, w1) if w0 <= PRUNE_TOL else (sub0, w0)
         rest = SymState("concrete", tuple((sub / w).tolist()))

@@ -166,12 +166,13 @@ def apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
     raise SimulationError(f"bad unitary expression {u!r}")
 
 
-def project(vec: np.ndarray, pos: int, n: int, value: bool):
-    """The part of ``vec``, a vector over ``n`` qubits, where the qubit at
-    ``pos`` is ``value``, without that qubit's axis, and its norm."""
-    t = vec.reshape([2] * n)
-    sub = np.take(t, 1 if value else 0, axis=pos).reshape(-1)
-    return sub, float(np.linalg.norm(sub))
+def split(vec: np.ndarray, pos: int, n: int) -> tuple:
+    """The parts of ``vec``, a vector over ``n`` qubits, where the qubit at
+    ``pos`` is false and where it is true, each without that qubit's axis
+    and paired with its norm."""
+    t = vec.reshape(2 ** pos, 2, 2 ** (n - pos - 1))
+    halves = t[:, 0].reshape(-1), t[:, 1].reshape(-1)
+    return tuple((sub, float(np.linalg.norm(sub))) for sub in halves)
 
 
 def is_unitary(matrix, tol: float = NORM_TOL) -> bool:
@@ -355,22 +356,30 @@ def measure(s: QuantumState, q: int, rng, path: Optional[list] = None):
     When ``path`` is a list, ``(p_true, outcome)`` is appended to it before
     the posterior is formed, so a zero-probability outcome is recorded too.
     """
-    qubits, vec = s.cells[s.index(q)]
-    p_true = project(vec, qubits.index(q), len(qubits), True)[1] ** 2
+    halves = _halves(s, q)
+    p_true = halves[True][1] ** 2
     outcome = draw(rng, p_true)
     if path is not None:
         path.append((p_true, outcome))
-    return outcome, collapse(s, q, outcome)
+    return outcome, _posterior(s, q, *halves[outcome])
 
 
 def collapse(s: QuantumState, q: int, outcome: bool):
     """The posterior of :func:`measure` once ``q`` came out ``outcome``."""
-    i = s.index(q)
-    qubits, vec = s.cells[i]
-    pos = qubits.index(q)
-    sub, weight = project(vec, pos, len(qubits), outcome)
+    return _posterior(s, q, *_halves(s, q)[outcome])
+
+
+def _halves(s: QuantumState, q: int) -> tuple:
+    qubits, vec = s.cells[s.index(q)]
+    return split(vec, qubits.index(q), len(qubits))
+
+
+def _posterior(s: QuantumState, q: int, sub: np.ndarray, weight: float):
     if weight <= 0:
         raise SimulationError("measurement of zero-probability outcome")
+    i = s.index(q)
+    qubits = s.cells[i][0]
+    pos = qubits.index(q)
     sub = sub / weight
     sub[np.abs(sub) <= PRUNE_TOL] = 0
     rest = qubits[:pos] + qubits[pos + 1:]
@@ -596,7 +605,10 @@ def _state_reference(expr, ghosts: dict):
 
 
 def _qubit_pure_state(state: QuantumState, q: int):
-    """Reduced state of one qubit if nearly pure, else None."""
+    """Reduced state of one qubit if it is live and nearly pure, else
+    None."""
+    if not state.holds(q):
+        return None
     rho = reduced_density(state, q)
     purity = float(np.real(np.trace(rho @ rho)))
     if purity < 1 - FIDELITY_TOL:
@@ -703,7 +715,12 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
             case _:
                 return UNKNOWN
 
-    return go(assertion)
+    try:
+        return go(assertion)
+    finally:
+        # go and value_of reach themselves through their closures; without
+        # this the cycle keeps ``state`` alive until a garbage collection
+        del go, value_of
 
 
 # ---------------------------------------------------------------------------

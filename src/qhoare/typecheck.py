@@ -36,12 +36,13 @@ from . import heap as heaplib
 from . import sim as simlib
 from .core import (
     And, App, ApplyU, ARef, Ascribe, Assn, BindCmd, BindRun, BoolLit, BoolT,
-    Bot, Compose, Decl, Do, Emb, Emp, ExistsVar, GhostRef, HoareT, IdAt,
-    IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit, MatrixT,
-    MeasQbit, MkQbit, NameSupply, Or, Pair, PiT, PointsTo, Program, PureT,
-    QbitT, ReductionError, Seq, Span, TensorT, Top, Ty, UNKNOWN, UnitT,
-    UnitVal, UT, Var, WildcardState, free_vars, mk_intro, normal_form,
-    pretty, subst, CUR_HEAP,
+    Bot, Compose, Decl, Do, Emb, Emp, ExistsHeap, ExistsVar, ForallHeap,
+    ForallVar, GhostRef, HoareT, HVar, IdAt, IfCmd, IfTerm, Ket, KetVec, Lam,
+    LetEq, Lookup, MatrixLit, MatrixT, MeasQbit, MkQbit, NameSupply, Or,
+    Pair, PiT, PointsTo, Program, PureT, QbitT, ReductionError, Seq, Span,
+    TensorT, Top, Ty, UNKNOWN, UnitT, UnitVal, UT, Var, WildcardState,
+    binder_var, free_vars, map_children, mk_intro, normal_form, pretty,
+    subst, CUR_HEAP,
 )
 from .heap import (
     AbsBranch, Cell, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -81,6 +82,9 @@ class CheckError(Exception):
 
 
 def alpha_normalize(node):
+    """``node`` with the names bound by Π, Hoare types, λ and quantifiers
+    renamed ``%a1``, ``%a2``, ... in order, so α-equivalent types
+    normalize equal."""
     counter = [0]
 
     def fresh():
@@ -89,48 +93,24 @@ def alpha_normalize(node):
 
     def ren(n):
         match n:
-            case PiT(x, dom, cod):
+            case PiT(x, ty, body) | ExistsVar(x, ty, body) \
+                    | ForallVar(x, ty, body):
                 nx = fresh()
-                return PiT(nx, ren(dom), ren(subst(cod, {x: Var(nx)})))
+                body = subst(body, {x: Var(nx)})
+                return type(n)(nx, ren(ty), ren(body))
+            case Lam(x, body) | ExistsHeap(x, body) | ForallHeap(x, body):
+                nx = fresh()
+                return type(n)(nx, ren(subst(body, {x: binder_var(n)(nx)})))
             case HoareT(vctx, hctx, pre, binder, result, post):
-                m = {}
-                nvctx = []
-                for x, t in vctx:
-                    nx = fresh()
-                    m[x] = Var(nx)
-                    nvctx.append((nx, ren(t)))
+                nvctx = tuple((fresh(), ren(t)) for _, t in vctx)
+                nhctx = tuple(fresh() for _ in hctx)
                 nbinder = tuple(fresh() for _ in binder)
-                bm = dict(m)
-                for old, new in zip(binder, nbinder):
-                    bm[old] = Var(new)
-                return HoareT(tuple(nvctx), hctx, ren(subst(pre, m)),
-                              nbinder, ren(subst(result, m)),
-                              ren(subst(post, bm)))
-            case Lam(x, body):
-                nx = fresh()
-                return Lam(nx, ren(subst(body, {x: Var(nx)})))
-            case ExistsVar(x, t, body):
-                nx = fresh()
-                return ExistsVar(nx, ren(t), ren(subst(body, {x: Var(nx)})))
-            case _:
-                pass
-        # generic structural recursion over dataclasses
-        if hasattr(n, "__dataclass_fields__"):
-            kwargs = {}
-            for f in n.__dataclass_fields__:
-                v = getattr(n, f)
-                if f == "span":
-                    kwargs[f] = None
-                elif isinstance(v, tuple):
-                    kwargs[f] = tuple(
-                        ren(i) if hasattr(i, "__dataclass_fields__")
-                        else i for i in v)
-                elif hasattr(v, "__dataclass_fields__"):
-                    kwargs[f] = ren(v)
-                else:
-                    kwargs[f] = v
-            return type(n)(**kwargs)
-        return n
+                m = {x: Var(nx) for (x, _), (nx, _) in zip(vctx, nvctx)}
+                m |= {h: HVar(nh) for h, nh in zip(hctx, nhctx)}
+                bm = m | {r: Var(nr) for r, nr in zip(binder, nbinder)}
+                return HoareT(nvctx, nhctx, ren(subst(pre, m)), nbinder,
+                              ren(subst(result, m)), ren(subst(post, bm)))
+        return map_children(n, ren)
 
     return ren(node)
 

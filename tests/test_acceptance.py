@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from qhoare.cli import main as cli_main
-from qhoare.core import (CellGroup, GhostRef, PureT, Var, free_vars, pretty,
-                         subst)
+from qhoare.core import (CellGroup, GhostRef, PureT, Var, children,
+                         free_vars, map_children, pretty, subst)
 from qhoare.parser import parse_assertion, parse_program
 from qhoare.prover import discharge_all
 from qhoare.sim import (
@@ -77,37 +77,16 @@ def _alpha_trace(a):
         if isinstance(n, (Var, GhostRef)):
             if n.name not in order and not n.name.startswith("P"):
                 order.append(n.name)
-        elif hasattr(n, "__dataclass_fields__"):
-            for f in n.__dataclass_fields__:
-                v = getattr(n, f)
-                if isinstance(v, tuple):
-                    for i in v:
-                        if hasattr(i, "__dataclass_fields__"):
-                            collect(i)
-                elif hasattr(v, "__dataclass_fields__"):
-                    collect(v)
+        for c in children(n):
+            collect(c)
 
     collect(a)
     renamed = subst(a, {name: Var(f"v{i}") for i, name in enumerate(order)})
 
     def sort_groups(n):
+        n = map_children(n, sort_groups)
         if isinstance(n, CellGroup):
-            items = tuple(sorted((sort_groups(i) for i in n.items),
-                                 key=pretty))
-            return CellGroup(items)
-        if hasattr(n, "__dataclass_fields__"):
-            kwargs = {}
-            for f in n.__dataclass_fields__:
-                v = getattr(n, f)
-                if isinstance(v, tuple):
-                    kwargs[f] = tuple(
-                        sort_groups(i) if hasattr(i, "__dataclass_fields__")
-                        else i for i in v)
-                elif hasattr(v, "__dataclass_fields__"):
-                    kwargs[f] = sort_groups(v)
-                else:
-                    kwargs[f] = v
-            return type(n)(**kwargs)
+            return CellGroup(tuple(sorted(n.items, key=pretty)))
         return n
 
     return sort_groups(renamed)

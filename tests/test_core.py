@@ -1,15 +1,25 @@
-"""AST pretty-printing, free variables, derived assertion forms, and the
-well-formedness of signatures."""
+"""AST pretty-printing, free variables, the traversals over every node
+class, derived assertion forms, and the well-formedness of signatures."""
 
+import dataclasses
+
+import pytest
+
+from qhoare import core
 from qhoare.cli import main
 from qhoare.core import (
-    CUR_HEAP, And, App, BoolLit, BoolT, Emb, Emp, ExistsVar, GhostRef,
-    HeapId, HEmpty, HoareT, HVar, IdAt, Ket, Lam, MemberOf, Or, Pair, PiT,
-    PointsTo, QbitT, Top, UnitVal, Upd, Var, WildcardState, free_vars,
-    pretty,
+    CUR_HEAP, And, App, ApplyU, ARef, Ascribe, BindCmd, BindRun, BoolLit,
+    BoolT, Bot, CellGroup, Compose, Decl, Do, Emb, Emp, Entangled,
+    ExistsHeap, ExistsVar, ForallHeap, ForallVar, GhostRef, HeapId, HEmpty,
+    HoareT, HVar, IdAt, IfCmd, IfTerm, Implies, InDom, Ket, KetVec, Lam,
+    LetEq, Lookup, MatrixLit, MatrixT, MeasQbit, MemberOf, MkQbit, Not, Or,
+    Pair, PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, Seq, TensorT,
+    Top, UnitT, UnitVal, Upd, UT, Var, WildcardState, children, free_vars,
+    map_children, pretty, subst,
 )
 from qhoare.heap import Cell, SymbolicHeap, concrete, opaque
 from qhoare.prover import Model, eval_in_model
+from qhoare.typecheck import alpha_normalize, types_equal
 from genlib import KETS
 
 
@@ -65,6 +75,158 @@ class TestFreeVars:
                 "H", "X", "Y", "Z", "ifQ", "rot", "cond", "mempty",
                 "mappend"}
             assert leftovers == set(), (name, leftovers)
+
+
+X, Y = Emb(Var("x")), Emb(Var("y"))
+X0 = PointsTo(X, Ket("0"))
+
+# One node of every AST class of ``core`` with its free names.
+TRAVERSAL_EXAMPLES = [
+    (UnitT(), set()), (BoolT(), set()), (QbitT(), set()), (UT(), set()),
+    (PureT(), set()), (MatrixT(), set()),
+    (TensorT(BoolT(), QbitT()), set()),
+    (PiT("x", QbitT(), HoareT((), (), X0, ("r",), BoolT(), Emp())), set()),
+    (HoareT((("g", PureT()),), ("h",), PointsTo(X, GhostRef("g")), ("r",),
+            BoolT(), And(HeapId(HVar("h"), HVar("k")),
+                         IdAt(None, Emb(Var("r")), Y))),
+     {"x", "k", "y"}),
+    (Var("x"), {"x"}), (App(Var("f"), X), {"f", "x"}),
+    (Ascribe(X, QbitT()), {"x"}), (Emb(Var("x")), {"x"}),
+    (UnitVal(), set()), (Lam("y", Emb(App(Var("f"), Y))), {"f"}),
+    (Do(Seq((), Ret(X))), {"x"}), (BoolLit(True), set()),
+    (Pair(X, Y), {"x", "y"}), (IfTerm(X, Y, BoolLit(False)), {"x", "y"}),
+    (MatrixLit(((1, 0), (0, 1))), set()),
+    (Ket("+"), set()), (KetVec((1, 0)), set()), (GhostRef("x"), {"x"}),
+    (WildcardState(), set()),
+    (MkQbit(X), {"x"}), (MeasQbit(X), {"x"}),
+    (ApplyU(Emb(App(Var("H"), X))), {"H", "x"}), (IfCmd(X, Y, Y), {"x", "y"}),
+    (Ret(X), {"x"}), (BindRun(("a", "b"), Var("x")), {"x"}),
+    (BindCmd("q", MkQbit(X)), {"x"}), (LetEq("b", BoolT(), X), {"x"}),
+    (Seq((BindCmd("q", MkQbit(X)), LetEq("b", BoolT(), Emb(Var("q")))),
+         Ret(Pair(Emb(Var("q")), Emb(Var("b"))))), {"x"}),
+    (HVar("h"), {"h"}), (HEmpty(), set()),
+    (Upd(HVar("h"), X, Ket("0")), {"h", "x"}),
+    (Top(), set()), (Bot(), set()), (And(X0, Top()), {"x"}),
+    (Or(X0, Emp()), {"x"}), (Implies(X0, Bot()), {"x"}), (Not(X0), {"x"}),
+    (ExistsVar("y", QbitT(), And(X0, IdAt(None, X, Y))), {"x"}),
+    (ForallVar("y", QbitT(), And(X0, IdAt(None, X, Y))), {"x"}),
+    (ExistsHeap("h", HeapId(HVar("h"), HVar("k"))), {"k"}),
+    (ForallHeap("h", HeapId(HVar("h"), HVar("k"))), {"k"}),
+    (IdAt(None, X, Y), {"x", "y"}), (HeapId(HVar("h"), HEmpty()), {"h"}),
+    (InDom(HVar("h"), X), {"h", "x"}), (Emp(), set()), (X0, {"x"}),
+    (Lookup(X, GhostRef("g")), {"x", "g"}),
+    (MemberOf(X, (Ket("+"), GhostRef("g"))), {"x", "g"}),
+    (Entangled(X), {"x"}), (Compose(ARef("P0"), X0), {"P0", "x"}),
+    (Replace(X0, Emp()), {"x"}),
+    (CellGroup((X0, PointsTo(Y, Ket("1")))), {"x", "y"}),
+    (ARef("P0"), {"P0"}), (Decl("f", BoolT(), X), {"x"}),
+    (Program((Decl("f", BoolT(), X), Decl("g", BoolT(), Emb(Var("f"))))),
+     {"x"}),
+]
+
+
+def _by_class(node, *rest):
+    """A test case named after the class of its first value, ``node``."""
+    return pytest.param(node, *rest, id=type(node).__name__)
+
+
+# Binder forms that occur in types, each with a bound name renamed;
+# ``alpha_normalize`` renames them.
+TYPE_BINDER_VARIANTS = [
+    _by_class(
+        PiT("x", QbitT(), HoareT((), (), X0, ("r",), BoolT(), Emp())),
+        PiT("z", QbitT(), HoareT((), (), PointsTo(Emb(Var("z")), Ket("0")),
+                                 ("r",), BoolT(), Emp()))),
+    _by_class(
+        HoareT((("g", PureT()),), ("h",), PointsTo(X, GhostRef("g")),
+               ("r",), BoolT(), And(HeapId(HVar("h"), HVar("k")),
+                                    IdAt(None, Emb(Var("r")), Y))),
+        HoareT((("u", PureT()),), ("j",), PointsTo(X, GhostRef("u")),
+               ("s",), BoolT(), And(HeapId(HVar("j"), HVar("k")),
+                                    IdAt(None, Emb(Var("s")), Y)))),
+    _by_class(Lam("y", Emb(App(Var("f"), Y))),
+              Lam("z", Emb(App(Var("f"), Emb(Var("z")))))),
+    *[_by_class(q("y", QbitT(), And(X0, IdAt(None, X, Y))),
+                q("z", QbitT(), And(X0, IdAt(None, X, Emb(Var("z"))))))
+      for q in (ExistsVar, ForallVar)],
+    *[_by_class(q("h", HeapId(HVar("h"), HVar("k"))),
+                q("j", HeapId(HVar("j"), HVar("k"))))
+      for q in (ExistsHeap, ForallHeap)],
+]
+
+# Binder forms of programs, which never occur in a type, each with a bound
+# name renamed.
+PROGRAM_BINDER_VARIANTS = [
+    _by_class(
+        Seq((BindCmd("q", MkQbit(X)), LetEq("b", BoolT(), Emb(Var("q")))),
+            Ret(Pair(Emb(Var("q")), Emb(Var("b"))))),
+        Seq((BindCmd("p", MkQbit(X)), LetEq("c", BoolT(), Emb(Var("p")))),
+            Ret(Pair(Emb(Var("p")), Emb(Var("c")))))),
+    _by_class(
+        Program((Decl("f", BoolT(), X), Decl("g", BoolT(), Emb(Var("f"))))),
+        Program((Decl("e", BoolT(), X), Decl("g", BoolT(), Emb(Var("e")))))),
+]
+
+
+class TestTraversal:
+    """``free_vars``, ``subst`` and ``alpha_normalize`` over one node of
+    every AST class."""
+
+    def test_examples_cover_every_node_class(self):
+        classes = {c for c in vars(core).values()
+                   if isinstance(c, type) and dataclasses.is_dataclass(c)
+                   and c is not core.Span}
+        assert {type(n) for n, _ in TRAVERSAL_EXAMPLES} == classes
+
+    @pytest.mark.parametrize(
+        "node, fvs", [_by_class(n, fvs) for n, fvs in TRAVERSAL_EXAMPLES])
+    def test_every_node_class(self, node, fvs):
+        assert free_vars(node) == fvs
+        assert subst(node, {}) is node
+        assert subst(node, {"unused": Var("w")}) == node
+        if "x" in fvs:
+            assert free_vars(subst(node, {"x": Var("w")})) == \
+                fvs - {"x"} | {"w"}
+        assert types_equal(node, node)
+        assert free_vars(alpha_normalize(node)) == fvs
+
+    @pytest.mark.parametrize("node, renamed", TYPE_BINDER_VARIANTS)
+    def test_renaming_a_bound_name_in_a_type(self, node, renamed):
+        assert node != renamed
+        assert free_vars(renamed) == free_vars(node)
+        assert types_equal(node, renamed)
+
+    @pytest.mark.parametrize("node, renamed", PROGRAM_BINDER_VARIANTS)
+    def test_renaming_a_bound_name_in_a_program(self, node, renamed):
+        assert node != renamed
+        assert free_vars(renamed) == free_vars(node)
+
+    @pytest.mark.parametrize("node, name, value", [
+        _by_class(PiT("x", QbitT(), HoareT((), (), And(X0, IdAt(None, X, Y)),
+                                           ("r",), BoolT(), Emp())),
+                  "y", Var("x")),
+        _by_class(Lam("y", Emb(App(Var("f"), Y))), "f", Var("y")),
+        *[_by_class(q("y", QbitT(), IdAt(None, X, Y)), "x", Var("y"))
+          for q in (ExistsVar, ForallVar)],
+        *[_by_class(q("h", HeapId(HVar("h"), HVar("k"))), "k", HVar("h"))
+          for q in (ExistsHeap, ForallHeap)],
+    ])
+    def test_substitution_avoids_capture(self, node, name, value):
+        # ``value`` names the binder of ``node``: it must stay free
+        assert free_vars(subst(node, {name: value})) == \
+            free_vars(node) - {name} | free_vars(value)
+
+    def test_children_in_field_order(self):
+        ty = HoareT((("g", PureT()),), ("h",), X0, ("r",), BoolT(), Emp())
+        assert children(ty) == [PureT(), X0, BoolT(), Emp()]
+        assert map_children(ty, lambda c: c) is ty
+        assert map_children(ty, lambda c: Top() if c == Emp() else c) == \
+            HoareT((("g", PureT()),), ("h",), X0, ("r",), BoolT(), Top())
+
+    def test_unknown_node_rejected(self):
+        for walk in (free_vars, lambda n: subst(n, {"x": Var("w")})):
+            with pytest.raises(TypeError):
+                walk(42)
 
 
 class TestDerivedForms:

@@ -485,6 +485,24 @@ class TestRuntimeAssertions:
         a = IdAt(None, Emb(Var("r")), Ket("0"))
         assert check_assertion_runtime(a, {"r": qa}, s) is UNKNOWN
 
+    def test_measured_qubit_uncheckable(self):
+        s, q = alloc(QuantumState(), False)
+        _, s = measure(s, q, shot_rng(1, 0))
+        a = IdAt(None, Emb(Var("r")), Ket("0"))
+        assert check_assertion_runtime(a, {"r": q}, s) is UNKNOWN
+        b = IdAt(None, Emb(Var("r")), Emb(Var("r")))
+        assert check_assertion_runtime(b, {"r": q}, s) is UNKNOWN
+
+    def test_postcondition_on_measured_qubit_counts_per_shot(self):
+        prog = parse_program(
+            "f : {emp} r : Qbit {Id(r, |0\\>)} = do q <= mkQbit false; "
+            "b <= measQbit q; return q").program
+        rep = run_program(prog, "f", seed=1, shots=20)
+        assert rep.errors == 0
+        assert rep.as_dict()["assertions"] == [
+            {"text": "Id(r, |0\\>)", "pass": 0, "fail": 0,
+             "uncheckable": 20}]
+
     def test_emp(self):
         assert check_assertion_runtime(Emp(), {}, QuantumState()) is True
         s, _ = alloc(QuantumState(), False)

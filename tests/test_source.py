@@ -1,4 +1,5 @@
-"""The package source itself: every top-level name is used."""
+"""The package source itself: every top-level name is used, and one module
+reads the fields of AST nodes."""
 
 import ast
 import pathlib
@@ -38,3 +39,11 @@ def test_no_unreferenced_top_level_names():
     # perfbench's per-layer tracer wraps heap.unitary_matrix by name and
     # reports its calls, so it stays although nothing here calls it
     assert unreferenced_top_level_names() == {"heap.unitary_matrix"}
+
+
+def test_one_module_reads_node_fields():
+    # core.children and core.map_children are the one reader of node
+    # fields; every other walk over the AST goes through them
+    readers = {path.name for path in SRC_DIR.glob("*.py")
+               if "__dataclass_fields__" in path.read_text()}
+    assert readers == {"core.py"}

@@ -451,3 +451,15 @@ class TestAlphaEquality:
         assert types_equal(t1, t2)
         t3 = parse_type("{emp} r : Bool {Id(r, true)}")
         assert not types_equal(t1, t3)
+
+    @pytest.mark.parametrize("f_post, g_post", [
+        ("forall x : Bool. Id(x, x)", "forall y : Bool. Id(y, y)"),
+        ("exists h : heap. HId(h, h)", "exists k : heap. HId(k, k)"),
+        ("forall h : heap. HId(h, h)", "forall k : heap. HId(k, k)"),
+    ])
+    def test_quantifier_alpha(self, f_post, g_post):
+        # g's type differs from f's only in the name of a bound variable
+        checked = check_program(parse_program(
+            f"f : {{emp}} r : Bool {{{f_post}}} = do return true\n"
+            f"g : {{emp}} r : Bool {{{g_post}}} = f\n").program)
+        assert [d.error for d in checked.decls] == [None, None]
