@@ -904,11 +904,12 @@ def free_vars(node) -> set:
 
 # ---------------------------------------------------------------------------
 # Capture-avoiding substitution of terms/states/heaps for names.  A binder
-# of ``PiT``, ``Lam`` or a quantifier is renamed to a fresh ``%rN`` when a
-# replacement would capture it; ``HoareT``, ``Seq`` and ``Program`` only stop
-# substituting for the names they bind.  ``Pair``, ``Upd``, ``PointsTo``,
-# ``Lookup`` and ``MemberOf`` coerce what is substituted into each field to
-# the field's sort, and the type index of ``IdAt`` is left alone.
+# of ``PiT``, ``Lam`` or a quantifier, and a ghost, heap name or result
+# binder of ``HoareT``, is renamed to a fresh ``%rN`` when a replacement
+# would capture it; ``Seq`` and ``Program`` only stop substituting for the
+# names they bind.  ``Pair``, ``Upd``, ``PointsTo``, ``Lookup`` and
+# ``MemberOf`` coerce what is substituted into each field to the field's
+# sort, and the type index of ``IdAt`` is left alone.
 
 
 _rename_counter = [0]
@@ -941,14 +942,30 @@ def _drop(mapping: dict, names) -> dict:
     return {k: v for k, v in mapping.items() if k not in names}
 
 
+def _fresh_name() -> str:
+    _rename_counter[0] += 1
+    return f"%r{_rename_counter[0]}"
+
+
+def _rename_captured(names: tuple, mapping: dict, leaf) -> tuple:
+    """``names`` with each one that a replacement in ``mapping`` would
+    capture renamed to a fresh ``%rN``, and that renaming as a map from
+    old names to ``leaf`` nodes."""
+    caught = set().union(*map(free_vars, mapping.values()))
+    if caught.isdisjoint(names):
+        return names, {}
+    renaming = {x: leaf(_fresh_name()) for x in names if x in caught}
+    return (tuple(renaming[x].name if x in renaming else x for x in names),
+            renaming)
+
+
 def _subst_under(node, x, body, mapping: dict) -> tuple:
     """``x`` and ``body`` of binder form ``node`` after substituting
     ``mapping`` under ``x``, which is first renamed if a replacement would
     capture it."""
     m = _drop(mapping, {x})
     if m and x in set().union(*map(free_vars, m.values())):
-        _rename_counter[0] += 1
-        nx = f"%r{_rename_counter[0]}"
+        nx = _fresh_name()
         body = subst(body, {x: binder_var(node)(nx)})
         x = nx
     return x, subst(body, m)
@@ -978,13 +995,20 @@ def subst(node, mapping: dict):
         case Lam(x, body) | ExistsHeap(x, body) | ForallHeap(x, body):
             return type(node)(*_subst_under(node, x, body, mapping))
         case HoareT(vctx, hctx, pre, binder, result, post):
-            bound = {x for x, _ in vctx} | set(hctx) | set(binder)
-            m = _drop(mapping, bound)
+            # ghosts and heap names scope over pre, result and post; the
+            # result binder over post only
+            m = _drop(mapping, {x for x, _ in vctx} | set(hctx))
             if not m:
                 return node
-            vctx = tuple((x, subst(a, mapping)) for x, a in vctx)
-            return HoareT(vctx, hctx, subst(pre, m), binder,
-                          subst(result, m), subst(post, m))
+            mp = _drop(m, binder)
+            ghosts, r = _rename_captured(tuple(x for x, _ in vctx), m, Var)
+            hctx, rh = _rename_captured(hctx, m, HVar)
+            binder, rb = _rename_captured(binder, mp, Var)
+            r |= rh
+            vctx = tuple((g, subst(a, mapping))
+                         for g, (_, a) in zip(ghosts, vctx))
+            return HoareT(vctx, hctx, subst(pre, m | r), binder,
+                          subst(result, m | r), subst(post, mp | r | rb))
         case Seq() | Program():
             # each item binds names for the items after it
             def item(c):

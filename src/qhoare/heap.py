@@ -23,14 +23,14 @@ concrete vectors too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import (
     CUR_HEAP, And, Assn, CellGroup, Emp, GhostRef, HEmpty, HeapId, HVar,
-    IdAt, Ket, KetVec, KET_AMPS, NameSupply, Or, Pair, PointsTo, Replace,
+    IdAt, Ket, KetVec, KET_AMPS, Or, Pair, PointsTo, Replace,
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
     InDom, Top, strip_emb,
 )
@@ -102,6 +102,27 @@ class SymbolicHeap:
     def without(self, cells) -> tuple:
         drop = set(id(c) for c in cells)
         return tuple(c for c in self.cells if id(c) not in drop)
+
+
+@dataclass
+class Model:
+    """A symbolic heap with the values of names (``env``) and of heap
+    variables (``hvars``).
+
+    One record serves as a disjunct of an assertion's heap denotation
+    (:func:`heap_from_assertion`), a branch the checker runs a ``do`` block
+    over, and a model the prover evaluates an obligation in.  ``result`` is
+    the value the block returns in the branch, set when the block ends.
+    """
+
+    heap: SymbolicHeap
+    env: dict = field(default_factory=dict)
+    hvars: dict = field(default_factory=dict)
+    result: object = None
+
+    def copy(self) -> "Model":
+        """The branch with its own ``env`` and ``hvars`` and no result."""
+        return Model(self.heap, dict(self.env), dict(self.hvars))
 
 
 @dataclass(frozen=True)
@@ -367,18 +388,6 @@ def heap_to_assertions(h: SymbolicHeap, render=state_expr) -> list:
 # Building heap models from assertions
 
 
-@dataclass
-class AbsBranch:
-    """One disjunct of an assertion's heap denotation."""
-
-    cells: list
-    env: dict
-    assumed: list
-
-    def copy(self) -> "AbsBranch":
-        return AbsBranch(list(self.cells), dict(self.env), list(self.assumed))
-
-
 def _state_of_expr(expr, kind_of) -> Optional[SymState]:
     match expr:
         case Ket(kind):
@@ -419,19 +428,19 @@ def _merge_states(a: SymState, b: SymState) -> Optional[SymState]:
     return a
 
 
-def _add_cell(branch: AbsBranch, qubits: tuple, state: SymState) -> bool:
-    for i, c in enumerate(branch.cells):
+def _add_cell(cells: list, qubits: tuple, state: SymState) -> bool:
+    for i, c in enumerate(cells):
         if set(c.qubits) & set(qubits):
             if c.qubits == qubits:
                 merged = _merge_states(c.state, state)
                 if merged is None:
                     return False
-                branch.cells[i] = Cell(qubits, merged)
+                cells[i] = Cell(qubits, merged)
                 return True
             merged_qubits = tuple(dict.fromkeys(c.qubits + qubits))
-            branch.cells[i] = Cell(merged_qubits, UNKNOWN_STATE)
+            cells[i] = Cell(merged_qubits, UNKNOWN_STATE)
             return True
-    branch.cells.append(Cell(qubits, state))
+    cells.append(Cell(qubits, state))
     return True
 
 
@@ -453,40 +462,30 @@ def _pair_names(m):
     return None
 
 
-def heap_from_assertion(a: Assn, kind_of, supply: NameSupply = None) -> list:
-    """Denote an assertion as a set of abstract heap branches.
+def heap_from_assertion(a: Assn, kind_of) -> list:
+    """Denote an assertion as a set of heap branches.
 
     ``kind_of(name)`` classifies free names as "qubit", "bool", "pure" or
-    "unknown".  Atoms outside the modelled fragment are recorded on the
-    branch as assumed facts.  Returns a list of :class:`AbsBranch`; an
-    unsatisfiable assertion yields the empty list.
+    "unknown".  Atoms outside the modelled fragment add nothing to a
+    branch.  Returns a list of :class:`Model`; an unsatisfiable assertion
+    yields the empty list.
     """
-    supply = supply or NameSupply()
 
     def product(lhs: list, rhs: list) -> list:
         out = []
         for bl in lhs:
             for br in rhs:
-                merged = bl.copy()
-                ok = True
-                for c in br.cells:
-                    if not _add_cell(merged, c.qubits, c.state):
-                        ok = False
-                        break
-                if not ok:
+                cells = list(bl.heap.cells)
+                if not all(_add_cell(cells, c.qubits, c.state)
+                           for c in br.heap.cells):
                     continue
-                for k, v in br.env.items():
-                    if k in merged.env and merged.env[k] != v:
-                        ok = False
-                        break
-                    merged.env[k] = v
-                if ok:
-                    merged.assumed.extend(br.assumed)
-                    out.append(merged)
+                env = dict(bl.env)
+                if all(env.setdefault(k, v) == v for k, v in br.env.items()):
+                    out.append(Model(SymbolicHeap(tuple(cells)), env))
         return out
 
-    def single(cells=(), env=None, assumed=()) -> list:
-        return [AbsBranch(list(cells), dict(env or {}), list(assumed))]
+    def single(*cells, env=None) -> list:
+        return [Model(SymbolicHeap(cells), env or {})]
 
     def go(a) -> list:
         match a:
@@ -505,48 +504,46 @@ def heap_from_assertion(a: Assn, kind_of, supply: NameSupply = None) -> list:
                 lname = _term_name(l)
                 if lname is not None and kind_of(lname) == "qubit":
                     if isinstance(r, WildcardState):
-                        return single(cells=[Cell((lname,), UNKNOWN_STATE)])
+                        return single(Cell((lname,), UNKNOWN_STATE))
                     rname = _term_name(r)
                     if rname is not None and kind_of(rname) == "qubit":
-                        return [
-                            AbsBranch([Cell((lname,), basis_claim(v)),
-                                       Cell((rname,), basis_claim(v))], {}, [])
-                            for v in (False, True)
-                        ]
+                        return [Model(SymbolicHeap((
+                                    Cell((lname,), basis_claim(v)),
+                                    Cell((rname,), basis_claim(v)))), {})
+                                for v in (False, True)]
                     st = _state_of_expr(r, kind_of)
                     if st is not None:
-                        return single(cells=[Cell((lname,), st)])
-                    return single(assumed=[a])
+                        return single(Cell((lname,), st))
+                    return single()
                 if lname is not None and kind_of(lname) == "bool":
                     rv = strip_emb(r)
                     if isinstance(rv, BoolLit):
                         return single(env={lname: rv.value})
                     rname = _term_name(r)
                     if rname is not None and kind_of(rname) == "bool":
-                        return [AbsBranch([], {lname: v, rname: v}, [])
+                        return [Model(SymbolicHeap(), {lname: v, rname: v})
                                 for v in (False, True)]
-                return single(assumed=[a])
+                return single()
             case PointsTo(loc, st) | Lookup(loc, st):
                 qubits = _pair_names(loc)
                 if qubits is None:
                     name = _term_name(loc)
                     qubits = (name,) if name else None
                 if qubits is None:
-                    return single(assumed=[a])
+                    return single()
                 state = _state_of_expr(st, kind_of) or UNKNOWN_STATE
-                return single(cells=[Cell(tuple(qubits), state)])
+                return single(Cell(tuple(qubits), state))
             case Entangled(t):
                 name = _term_name(t)
                 if name is None:
-                    return single(assumed=[a])
-                return single(cells=[Cell((name,), UNKNOWN_STATE)],
-                              assumed=[a])
+                    return single()
+                return single(Cell((name,), UNKNOWN_STATE))
             case _:
-                return single(assumed=[a])
+                return single()
 
     branches = go(a)
     for b in branches:
-        check_disjoint(b.cells)
+        check_disjoint(b.heap.cells)
     return branches
 
 

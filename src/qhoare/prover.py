@@ -37,7 +37,9 @@ from .core import (
     UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and,
     kleene_not, kleene_or, pretty, strip_emb, CUR_HEAP, KET_AMPS,
 )
-from .heap import Cell, SymbolicHeap, SymState
+from .heap import (
+    Cell, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD, opaque,
+)
 
 ALLOCATION = "allocationVC"
 POSTCONDITION = "postconditionVC"
@@ -49,22 +51,15 @@ MODEL_CAP = 300_000
 
 
 @dataclass
-class Model:
-    """One hypothesis branch: a concrete-ish heap plus value bindings."""
-
-    heap: SymbolicHeap
-    env: dict = field(default_factory=dict)
-    hvars: dict = field(default_factory=dict)  # heap variable assignment
-
-
-@dataclass
 class Obligation:
     """A verification condition.
 
     ``var_ctx`` is any re-iterable sequence of ``(name, type)`` pairs.  The
     checker passes a :class:`qhoare.typecheck.VarCtx`, a read-only view
     over the context it shares between the obligations of one block; the
-    pairs are materialized each time the view is read.
+    pairs are materialized each time the view is read.  ``models`` are
+    the checker's branches at the obligation, one :class:`Model` each; an
+    obligation without them is decided by enumeration.
     """
 
     kind: str
@@ -74,7 +69,7 @@ class Obligation:
     heap_ctx: tuple = ()
     span: Optional[Span] = None
     note: str = ""
-    models: Optional[list] = None  # list[Model] when produced by checking
+    models: Optional[list] = None
     decl: str = ""
 
 
@@ -93,8 +88,12 @@ class Verdict:
 # Three-valued evaluation over a model
 
 
-_BASIS0 = np.asarray(KET_AMPS["0"])
-_BASIS1 = np.asarray(KET_AMPS["1"])
+# The literal state of each named ket, and the state a qubit of a
+# multi-qubit concrete cell has in one basis branch: _BASIS[exact][bit]
+_KETS = {kind: SymState("concrete", amps) for kind, amps in KET_AMPS.items()}
+_BASIS = {True: (_KETS["0"], _KETS["1"]),
+          False: tuple(SymState("concrete", KET_AMPS[k], exact=False)
+                       for k in ("0", "1"))}
 
 
 def _phase_equal(u, v) -> bool:
@@ -106,85 +105,62 @@ def _phase_equal(u, v) -> bool:
 
 
 def _basis_value_of_vec(vec) -> Optional[bool]:
-    if _phase_equal(vec, _BASIS0):
+    if _phase_equal(vec, KET_AMPS["0"]):
         return False
-    if _phase_equal(vec, _BASIS1):
+    if _phase_equal(vec, KET_AMPS["1"]):
         return True
     return None
 
 
-# View states: ("vec", amps, exact) | ("basis", bool, exact)
-#            | ("opaque", name) | ("unknown",)
-
-
-def _state_view(state: SymState) -> tuple:
-    """The view of a cell's whole state, without splitting into basis
-    branches."""
-    if state.kind == "concrete":
-        return ("vec", state.amps, state.exact)
-    if state.kind == "opaque":
-        return ("opaque", state.name)
-    return ("unknown",)
-
-
 def basis_views(heap: SymbolicHeap) -> list:
-    """Expand multi-qubit concrete cells into computational-basis branches."""
+    """Expand multi-qubit concrete cells into computational-basis branches.
+
+    A view maps each allocated qubit to a :class:`SymState`: a one-qubit
+    cell's own state; ``|0>`` or ``|1>``, with the cell's exactness, for a
+    qubit of a multi-qubit concrete cell; the unknown state otherwise.
+    """
     views = [dict()]
     for cell in heap.cells:
         if len(cell.qubits) == 1:
-            entry = _state_view(cell.state)
             for v in views:
-                v[cell.qubits[0]] = entry
+                v[cell.qubits[0]] = cell.state
             continue
         if cell.state.kind == "concrete":
             vec = cell.state.vector()
             n = len(cell.qubits)
-            exact = cell.state.exact
+            basis = _BASIS[cell.state.exact]
             assignments = [
-                [bool((idx >> (n - 1 - k)) & 1) for k in range(n)]
+                [basis[(idx >> (n - 1 - k)) & 1] for k in range(n)]
                 for idx in np.flatnonzero(np.abs(vec) > PHASE_TOL).tolist()]
             new_views = []
             for v in views:
-                for bits in assignments:
+                for states in assignments:
                     nv = dict(v)
-                    for q, b in zip(cell.qubits, bits):
-                        nv[q] = ("basis", b, exact)
+                    nv.update(zip(cell.qubits, states))
                     new_views.append(nv)
             views = new_views
         else:
             for v in views:
                 for q in cell.qubits:
-                    v[q] = ("unknown",)
+                    v[q] = UNKNOWN_STATE
     return views
 
 
-def _compare_states(a, b):
-    """Three-valued equality of two view states / literal states; the
-    wildcard ``-`` equals any state."""
-    ka, kb = a[0], b[0]
-    if ka == "wildcard" or kb == "wildcard":
+def _compare_states(a: SymState, b: SymState):
+    """Three-valued equality of two states.  The wildcard ``-`` equals
+    any state; two states not both exact differ only when both are basis
+    states."""
+    if a.kind == "wildcard" or b.kind == "wildcard":
         return True
-    if ka == "unknown" or kb == "unknown":
+    if a.kind == "unknown" or b.kind == "unknown":
         return UNKNOWN
-    if ka == "opaque" or kb == "opaque":
-        if ka == kb == "opaque":
-            return True if a[1] == b[1] else UNKNOWN
-        return UNKNOWN
-    if ka == "basis" and kb == "basis":
-        return a[1] == b[1]
-    if ka == "basis" or kb == "basis":
-        basis, other = (a, b) if ka == "basis" else (b, a)
-        ov = _basis_value_of_vec(other[1])
-        if ov is not None:
-            return basis[1] == ov
-        # non-basis vector against a basis claim
-        return False if basis[2] and other[2] else UNKNOWN
-    # vec vs vec
-    if _phase_equal(a[1], b[1]):
+    if a.kind == "opaque" or b.kind == "opaque":
+        return True if a.kind == b.kind and a.name == b.name else UNKNOWN
+    if _phase_equal(a.amps, b.amps):
         return True
-    if a[2] and b[2]:
+    if a.exact and b.exact:
         return False
-    va, vb = _basis_value_of_vec(a[1]), _basis_value_of_vec(b[1])
+    va, vb = _basis_value_of_vec(a.amps), _basis_value_of_vec(b.amps)
     if va is not None and vb is not None:
         return va == vb
     return UNKNOWN
@@ -195,16 +171,24 @@ def _loc_key(names: tuple) -> str:
     return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
 
-def _literal_state(expr, ghosts_ok=True):
+def _literal_state(expr) -> Optional[SymState]:
+    """The state a ket, amplitude vector, ghost or wildcard denotes."""
     if isinstance(expr, Ket):
-        return ("vec", expr.amplitudes(), True)
+        return _KETS[expr.kind]
     if isinstance(expr, KetVec):
-        return ("vec", expr.amps, True)
-    if isinstance(expr, GhostRef) and ghosts_ok:
-        return ("opaque", expr.name)
+        return SymState("concrete", expr.amps)
+    if isinstance(expr, GhostRef):
+        return opaque(expr.name)
     if isinstance(expr, WildcardState):
-        return ("wildcard",)
+        return WILDCARD
     return None
+
+
+def _state_matches(state: SymState, expr):
+    """Three-valued equality of ``state`` and the state ``expr`` denotes;
+    unknown when ``expr`` denotes none."""
+    lit = _literal_state(expr)
+    return UNKNOWN if lit is None else _compare_states(state, lit)
 
 
 class _Evaluator:
@@ -237,9 +221,7 @@ class _Evaluator:
         return UNKNOWN
 
     def qubit_view(self, q: str):
-        if q in self.view:
-            return self.view[q]
-        return None  # not allocated
+        return self.view.get(q)  # None when not allocated
 
     def eval_id(self, l, r):
         lv, rv = self.term_value(l), self.term_value(r)
@@ -270,10 +252,7 @@ class _Evaluator:
             st = self.qubit_view(qside[1])
             if st is None:
                 return False
-            lit = _literal_state(other)
-            if lit is None:
-                return UNKNOWN
-            return _compare_states(st, lit)
+            return _state_matches(st, other)
         if isinstance(lv, tuple) and isinstance(rv, tuple):
             if len(lv) != len(rv):
                 return False
@@ -306,17 +285,13 @@ class _Evaluator:
             if names is None:
                 return None
             lit = _literal_state(h.value)
-            return {**base, _loc_key(names): lit or ("unknown",)}
+            return {**base, _loc_key(names): lit or UNKNOWN_STATE}
         return None
 
     def heap_cells_map(self, heap: SymbolicHeap):
-        out = {}
-        for c in heap.cells:
-            if len(c.qubits) == 1 or c.state.kind == "concrete":
-                out[_loc_key(c.qubits)] = _state_view(c.state)
-            else:
-                out[_loc_key(c.qubits)] = ("unknown",)
-        return out
+        return {_loc_key(c.qubits):
+                c.state if len(c.qubits) == 1 or c.state.kind == "concrete"
+                else UNKNOWN_STATE for c in heap.cells}
 
     def current_heap_map(self):
         return self.heap_cells_map(self.model.heap)
@@ -365,7 +340,7 @@ class _Evaluator:
                 if len(cells) != 1 or tuple(sorted(cells[0].qubits)) != \
                         tuple(sorted(names)):
                     return False
-                return self._cell_state_match(cells[0], st)
+                return _state_matches(cells[0].state, st)
             case Lookup(loc, st):
                 names = self._loc_names(loc)
                 if names is None:
@@ -374,15 +349,12 @@ class _Evaluator:
                     view = self.qubit_view(names[0])
                     if view is None:
                         return False
-                    lit = _literal_state(st)
-                    if lit is None:
-                        return UNKNOWN
-                    return _compare_states(view, lit)
+                    return _state_matches(view, st)
                 cell = self.model.heap.find(names[0])
                 if cell is None or tuple(sorted(cell.qubits)) != \
                         tuple(sorted(names)):
                     return False
-                return self._cell_state_match(cell, st)
+                return _state_matches(cell.state, st)
             case InDom(h, loc):
                 names = self._loc_names(loc)
                 if names is None:
@@ -428,12 +400,6 @@ class _Evaluator:
                 return UNKNOWN
         return UNKNOWN
 
-    def _cell_state_match(self, cell: Cell, st):
-        lit = _literal_state(st)
-        if lit is None:
-            return UNKNOWN
-        return _compare_states(_state_view(cell.state), lit)
-
 
 def eval_in_model(a: Assn, model: Model):
     """Three-valued truth of ``a`` in ``model``: true in every basis view."""
@@ -475,10 +441,8 @@ def _mentioned(a: Assn, locs: list, states: list, ghosts: list,
             add(locs, m.name)
         elif isinstance(m, Pair):
             term_locs(m.first), term_locs(m.second)
-        elif isinstance(m, Ket):
-            add(states, ("vec", m.amplitudes(), True))
-        elif isinstance(m, KetVec):
-            add(states, ("vec", m.amps, True))
+        elif isinstance(m, (Ket, KetVec)):
+            add(states, _literal_state(m))
         elif isinstance(m, GhostRef):
             add(ghosts, m.name)
 
@@ -515,16 +479,10 @@ def _mentioned(a: Assn, locs: list, states: list, ghosts: list,
 
 
 def _enumerate_heaps(locations: list, states: list):
-    options = [None] + list(range(len(states)))
-    for combo in itertools.product(options, repeat=len(locations)):
-        cells = tuple(
-            Cell((loc,), SymState("concrete", states[i][1],
-                                  exact=states[i][2])
-                 if states[i][0] == "vec"
-                 else SymState("opaque", name=states[i][1]))
-            for loc, i in zip(locations, combo) if i is not None
-        )
-        yield SymbolicHeap(cells)
+    for combo in itertools.product([None] + states, repeat=len(locations)):
+        yield SymbolicHeap(tuple(Cell((loc,), st)
+                                 for loc, st in zip(locations, combo)
+                                 if st is not None))
 
 
 def entails(ob: Obligation) -> Verdict:
@@ -601,12 +559,11 @@ def _entails_enumerate(ob: Obligation) -> Verdict:
         locs.append(f"%loc{spare}")
         spare += 1
 
-    alphabet = [("vec", KET_AMPS[k], True) for k in ("0", "1", "+", "-")]
+    alphabet = [_KETS[k] for k in ("0", "1", "+", "-")]
     for s in states:
         if s not in alphabet:
             alphabet.append(s)
-    for g in ghosts:
-        alphabet.append(("opaque", g))
+    alphabet.extend(map(opaque, ghosts))
 
     heap_var_names = [h for h in hvars if h != CUR_HEAP]
     for h in ob.heap_ctx:

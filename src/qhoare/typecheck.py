@@ -5,8 +5,10 @@ against a given type.  Canonical forms are beta-normal and eta-long,
 computed by substitution-based reduction followed by type-directed eta
 expansion; no reductions happen under ``do``.
 
-Checking a ``do`` block walks the computation over a set of symbolic
-branches, each a symbolic heap plus value bindings.  Quantum commands
+Checking a ``do`` block walks the computation over a set of branches,
+each a :class:`qhoare.heap.Model`: a symbolic heap plus value bindings.
+The precondition's heap denotation gives the first branches, and each
+obligation takes a copy of a branch as its model.  Quantum commands
 delegate to the transformers in :mod:`qhoare.heap`; measurements case-split
 on outcomes with projected residual states (the refinement extension) unless
 literal mode is selected.  Suspended-computation binds are checked
@@ -45,13 +47,11 @@ from .core import (
     subst, CUR_HEAP,
 )
 from .heap import (
-    AbsBranch, Cell, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
+    Cell, Model, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
     delta_assertion, footprint_qubits, heap_from_assertion,
     heap_to_assertions, sp_apply_unitary, sp_init, sp_measure,
 )
-from .prover import (
-    ALLOCATION, CALL_PRE, POSTCONDITION, UNITARITY, Model, Obligation,
-)
+from .prover import ALLOCATION, CALL_PRE, POSTCONDITION, UNITARITY, Obligation
 from .sim import UnitaryError, eval_unitary
 
 BRANCH_CAP = 64
@@ -201,17 +201,6 @@ class CheckedProgram:
             if d.name == name:
                 return d
         raise KeyError(name)
-
-
-@dataclass
-class _Branch:
-    heap: SymbolicHeap
-    env: dict
-    assumed: list = field(default_factory=list)
-    result: object = None
-
-    def copy(self) -> "_Branch":
-        return _Branch(self.heap, dict(self.env), list(self.assumed))
 
 
 class _Scope(dict):
@@ -498,9 +487,9 @@ class Checker:
                 f"declared {pretty(hoare.result)}", self._span)
         models = []
         for b in out:
-            env = dict(b.env)
-            self._bind_pattern(env, hoare.binder, b.result)
-            models.append(Model(b.heap, env))
+            model = b.copy()
+            self._bind_pattern(model.env, hoare.binder, b.result)
+            models.append(model)
         bound = {x for x, _ in self._binders}
         unbound = tuple((x, hoare.result) for x in hoare.binder
                         if x not in ctx and x not in bound)
@@ -522,22 +511,17 @@ class Checker:
         """The heap branches of ``a``; an assertion that puts one qubit in
         two cells is a type error at ``span``."""
         try:
-            return heap_from_assertion(a, kind, self.supply)
+            return heap_from_assertion(a, kind)
         except heaplib.HeapError as e:
             raise CheckError(str(e), span) from None
 
     def _initial_branches(self, ctx: dict, pre: Assn) -> list:
-        abs_branches = self._heap_branches(pre, self._kind_of(ctx),
-                                           self._span)
-        out = []
-        for ab in abs_branches:
-            env = dict(ab.env)
+        branches = self._heap_branches(pre, self._kind_of(ctx), self._span)
+        for b in branches:
             for x, t in ctx.items():
                 if isinstance(t, PureT):
-                    env.setdefault(x, GhostRef(x))
-            out.append(_Branch(SymbolicHeap(tuple(ab.cells)), env,
-                               list(ab.assumed)))
-        return out
+                    b.env.setdefault(x, GhostRef(x))
+        return branches
 
     def _bind_pattern(self, env: dict, pattern, value) -> None:
         if len(pattern) == 1:
@@ -551,7 +535,7 @@ class Checker:
                 env[name] = UNKNOWN
 
     def _hypotheses(self, branches: list) -> list:
-        def branch_assn(b: _Branch) -> Assn:
+        def branch_assn(b: Model) -> Assn:
             parts = heap_to_assertions(b.heap, render=self._render)
             for k, v in b.env.items():
                 if v is True or v is False:
@@ -766,7 +750,7 @@ class Checker:
                 tc = self.check(ctx, target, QbitT())
                 self._emit(
                     ALLOCATION, Lookup(tc, WildcardState()),
-                    [Model(b.heap, dict(b.env)) for b in branches],
+                    [b.copy() for b in branches],
                     var_ctx=self._obligation_ctx(ctx),
                     hyps=self._hypotheses(branches),
                     note="measured qubit must be allocated", span=span)
@@ -830,7 +814,7 @@ class Checker:
                     out.append(b)
                     self._record_delta(span, op, res.delta)
                     if res.residual:
-                        residual_models.append(Model(b.heap, dict(b.env)))
+                        residual_models.append(b.copy())
                         residual_cell = res.delta.produced[0]
                 if residual_models:
                     g = self.supply.fresh("u")
@@ -853,8 +837,7 @@ class Checker:
                               for q in simlib.footprint(by_name)))
                     self._emit(
                         ALLOCATION, concl,
-                        [Model(b.heap, dict(b.env)) for b, _ in
-                         missing_models],
+                        [b.copy() for b, _ in missing_models],
                         var_ctx=self._obligation_ctx(ctx),
                         note="unitary footprint must be allocated",
                         span=span)
@@ -961,7 +944,7 @@ class Checker:
         kind = self._kind_of(ctx2)
         self._emit(
             CALL_PRE, _small_footprint(pre),
-            [Model(b.heap, dict(b.env)) for b in branches],
+            [b.copy() for b in branches],
             var_ctx=self._obligation_ctx(
                 ctx, more=tuple(ghost_ctx.items())),
             hyps=self._hypotheses(branches),
@@ -994,7 +977,7 @@ class Checker:
                                           [where.get(x, x) for x in fq])
             for pb in post_branches:
                 nb = b.copy()
-                produced = _rename_cells(pb.cells, where)
+                produced = _rename_cells(pb.heap.cells, where)
                 renamed = {}  # a produced qubit whose name the frame holds
                 try:
                     cells = framed.cells + produced
@@ -1007,7 +990,6 @@ class Checker:
                     cells = framed.cells + produced
                 nb.heap = SymbolicHeap(cells)
                 nb.env.update(pb.env)
-                nb.assumed.extend(pb.assumed)
                 value = self._call_result_value(pat, pat_kinds, pb, where,
                                                 renamed)
                 self._bind_pattern(nb.env, pat, value)
@@ -1016,7 +998,7 @@ class Checker:
                     span, op, heaplib.HeapDelta(consumed, produced))
         return out, result_ty
 
-    def _call_result_value(self, pat, kinds: dict, pb: AbsBranch,
+    def _call_result_value(self, pat, kinds: dict, pb: Model,
                            where: dict, renamed: dict):
         def component(name):
             t = kinds.get(name)

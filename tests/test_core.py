@@ -210,11 +210,25 @@ class TestTraversal:
           for q in (ExistsVar, ForallVar)],
         *[_by_class(q("h", HeapId(HVar("h"), HVar("k"))), "k", HVar("h"))
           for q in (ExistsHeap, ForallHeap)],
+        pytest.param(HoareT((("y", BoolT()),), (), IdAt(None, X, Y), ("r",),
+                            BoolT(), Emp()), "x", Var("y"), id="HoareT-ghost"),
+        pytest.param(HoareT((), ("h",), HeapId(HVar("h"), HVar("k")), ("r",),
+                            BoolT(), Emp()), "k", HVar("h"), id="HoareT-heap"),
+        pytest.param(HoareT((), (), Emp(), ("r",), BoolT(),
+                            IdAt(None, Emb(Var("r")), X)), "x", Var("r"),
+                     id="HoareT-result"),
     ])
     def test_substitution_avoids_capture(self, node, name, value):
         # ``value`` names the binder of ``node``: it must stay free
         assert free_vars(subst(node, {name: value})) == \
             free_vars(node) - {name} | free_vars(value)
+
+    def test_result_binder_scopes_over_postcondition_only(self):
+        r_true = IdAt(None, Emb(Var("r")), BoolLit(True))
+        ty = HoareT((), (), r_true, ("r",), BoolT(), r_true)
+        assert subst(ty, {"r": BoolLit(False)}) == HoareT(
+            (), (), IdAt(None, BoolLit(False), BoolLit(True)), ("r",),
+            BoolT(), r_true)
 
     def test_children_in_field_order(self):
         ty = HoareT((("g", PureT()),), ("h",), X0, ("r",), BoolT(), Emp())

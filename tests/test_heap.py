@@ -380,11 +380,11 @@ class TestHeapFromAssertion:
                 "m": "bool"}.get(name, "unknown")
 
     def test_emp(self):
-        assert heap_from_assertion(Emp(), self.kind_of)[0].cells == []
+        assert heap_from_assertion(Emp(), self.kind_of)[0].heap.cells == ()
 
     def test_round_trip_single_cell(self):
         heap = h_of(Cell(("q",), KETP))
         (assn,) = heap_to_assertions(heap)
         branches = heap_from_assertion(assn, self.kind_of)
         assert len(branches) == 1
-        assert branches[0].cells == [Cell(("q",), KETP)]
+        assert branches[0].heap.cells == (Cell(("q",), KETP),)

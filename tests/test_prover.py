@@ -7,14 +7,17 @@ import random
 import pytest
 
 from qhoare.core import (
-    And, BoolLit, BoolT, Bot, Emb, Emp, HeapId, HEmpty, HVar, IdAt, InDom,
-    Ket, Lookup, MemberOf, Not, Or, Implies, Pair, PointsTo, Top, UNKNOWN,
-    Upd, Var, WildcardState, pretty, KET_TEXT,
+    And, BoolLit, BoolT, Bot, Emb, Emp, GhostRef, HeapId, HEmpty, HVar, IdAt,
+    InDom, Ket, Lookup, MemberOf, Not, Or, Implies, Pair, PointsTo, Top,
+    UNKNOWN, Upd, Var, WildcardState, pretty, KET_TEXT,
 )
-from qhoare.heap import Cell, SymbolicHeap, concrete
+from qhoare.heap import (
+    Cell, SymbolicHeap, SymState, UNKNOWN_STATE, basis_claim, concrete,
+    opaque,
+)
 from qhoare.prover import (
     ALLOCATION, Model, Obligation, POSTCONDITION, Verdict, discharge_all,
-    entails, _describe_model,
+    entails, eval_in_model, _describe_model,
 )
 
 LOCS = ["a", "b", "c"]
@@ -298,6 +301,34 @@ class TestEntailsExamples:
         v = entails(ob)
         assert v.status == "unknown"
         assert v.residual is not None
+
+
+# Each model's row holds one verdict per atom of STATE_ATOMS: T true, F
+# false, ? unknown.  A qubit of a two-qubit cell is compared in each of the
+# cell's basis branches, as |0> or |1> with the cell's exactness.
+COMPARED = [Ket("0"), Ket("1"), Ket("+"), GhostRef("g"), WildcardState()]
+STATE_ATOMS = ([IdAt(None, Emb(Var("qa")), s) for s in COMPARED]
+               + [Lookup(Emb(Var("qa")), s) for s in COMPARED]
+               + [IdAt(None, Emb(Var("qa")), Emb(Var("qb")))])
+STATE_TABLE = [
+    (("qa", "qb"), concrete([S, 0, 0, S]), "FFF?TFFF?TT"),
+    (("qa", "qb"), SymState("concrete", (S, 0, 0, S), exact=False),
+     "FF??TFF??TT"),
+    (("qa",), concrete(KET_VECS["+"]), "FFT?TFFT?TF"),
+    (("qa",), concrete(KET_VECS["0"]), "TFF?TTFF?TF"),
+    (("qa",), basis_claim(True), "FT??TFT??TF"),
+    (("qa",), opaque("g"), "???TT???TTF"),
+    (("qa",), UNKNOWN_STATE, "????T????TF"),
+]
+
+
+class TestStateComparison:
+    @pytest.mark.parametrize("qubits, state, row", STATE_TABLE)
+    def test_atom_verdicts(self, qubits, state, row):
+        model = Model(SymbolicHeap((Cell(qubits, state),)), {})
+        text = {True: "T", False: "F", UNKNOWN: "?"}
+        assert "".join(text[eval_in_model(a, model)]
+                       for a in STATE_ATOMS) == row
 
 
 class TestCountermodels:

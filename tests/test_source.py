@@ -47,3 +47,43 @@ def test_one_module_reads_node_fields():
     readers = {path.name for path in SRC_DIR.glob("*.py")
                if "__dataclass_fields__" in path.read_text()}
     assert readers == {"core.py"}
+
+
+def test_tracer_names_are_called(capsys):
+    # the benchmark's traced round times each layer through the module
+    # names it wraps; a layer that calls around its wrapped name would
+    # report 0 s and 0 calls without any error
+    import sys
+    perfbench = pathlib.Path(__file__).parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        import spans
+        import worker
+    finally:
+        sys.path.remove(str(perfbench))
+    from qhoare import cli
+
+    class NamingTracer(spans.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.names = []
+
+        def span(self, name, fn, on_call=None):
+            self.names.append(name)
+            return super().span(name, fn, on_call)
+
+    corpus = pathlib.Path(__file__).parent / "corpus"
+    tracer = NamingTracer()
+    worker.install_tracer(tracer)
+    try:
+        for name in ("bellpair.qh", "teleport.qh", "hqw.qh"):
+            cli.main(["check", "--format", "json", str(corpus / name)])
+        for name, decl in (("bellpair.qh", "bell"), ("rnd.qh", "rnd")):
+            cli.main(["run", "--shots", "10", str(corpus / name), decl])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    called = {name for _, name in tracer.totals()}
+    # nothing in src/ calls these two; ROADMAP item 2 deletes them
+    assert set(tracer.names) - called <= {"heap.unitary_matrix",
+                                          "heap.cell_assertion"}

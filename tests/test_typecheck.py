@@ -463,3 +463,17 @@ class TestAlphaEquality:
             f"f : {{emp}} r : Bool {{{f_post}}} = do return true\n"
             f"g : {{emp}} r : Bool {{{g_post}}} = f\n").program)
         assert [d.error for d in checked.decls] == [None, None]
+
+
+class TestCaptureAvoidance:
+    @pytest.mark.parametrize("x", ["r", "y"])
+    def test_call_result_name_does_not_capture_argument(self, x):
+        # f's result binder r scopes over its postcondition only, so an
+        # argument named r stays the argument
+        checked = check_program(parse_program(
+            "f : \\Pi x : Bool. {emp} r : Bool {Id(r, x)} = \\x. do return x\n"
+            f"g : \\Pi {x} : Bool. {{emp}} s : Bool {{Id(s, {x})}}\n"
+            f"  = \\{x}. do t <- f {x}; return t\n").program)
+        g = checked.decl("g")
+        assert g.error is None
+        assert discharge_all(g.obligations).status == "verified"
