@@ -1,8 +1,10 @@
-"""The package source itself: every top-level name is used, and one module
-reads the fields of AST nodes."""
+"""The package source itself: every top-level name is used, one module
+reads the fields of AST nodes, and every name the benchmark tracer wraps
+is called."""
 
 import ast
 import pathlib
+import sys
 
 import qhoare
 
@@ -53,7 +55,6 @@ def test_tracer_names_are_called(capsys):
     # the benchmark's traced round times each layer through the module
     # names it wraps; a layer that calls around its wrapped name would
     # report 0 s and 0 calls without any error
-    import sys
     perfbench = pathlib.Path(__file__).parent.parent / "perfbench"
     sys.path.insert(0, str(perfbench))
     try:
@@ -84,6 +85,6 @@ def test_tracer_names_are_called(capsys):
         tracer.uninstall()
     capsys.readouterr()
     called = {name for _, name in tracer.totals()}
-    # nothing in src/ calls these two; ROADMAP item 2 deletes them
+    # nothing in src/ calls these two; only the tracer holds them up
     assert set(tracer.names) - called <= {"heap.unitary_matrix",
                                           "heap.cell_assertion"}
