@@ -13,6 +13,7 @@ assertions.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -912,7 +913,7 @@ def free_vars(node) -> set:
 # sort, and the type index of ``IdAt`` is left alone.
 
 
-_rename_counter = [0]
+_fresh_names = itertools.count(1)
 
 
 def binder_var(node):
@@ -942,33 +943,28 @@ def _drop(mapping: dict, names) -> dict:
     return {k: v for k, v in mapping.items() if k not in names}
 
 
-def _fresh_name() -> str:
-    _rename_counter[0] += 1
-    return f"%r{_rename_counter[0]}"
+def _captured(mapping: dict) -> set:
+    """The names that the replacements in ``mapping`` would capture."""
+    return set().union(*map(free_vars, mapping.values()))
 
 
-def _rename_captured(names: tuple, mapping: dict, leaf) -> tuple:
-    """``names`` with each one that a replacement in ``mapping`` would
-    capture renamed to a fresh ``%rN``, and that renaming as a map from
-    old names to ``leaf`` nodes."""
-    caught = set().union(*map(free_vars, mapping.values()))
+def _rename_captured(names: tuple, caught: set, leaf) -> tuple:
+    """``names`` with each one in ``caught`` renamed to a fresh ``%rN``,
+    and that renaming as a map from old names to ``leaf`` nodes."""
     if caught.isdisjoint(names):
         return names, {}
-    renaming = {x: leaf(_fresh_name()) for x in names if x in caught}
+    renaming = {x: leaf(f"%r{next(_fresh_names)}") for x in names if x in caught}
     return (tuple(renaming[x].name if x in renaming else x for x in names),
             renaming)
 
 
 def _subst_under(node, x, body, mapping: dict) -> tuple:
     """``x`` and ``body`` of binder form ``node`` after substituting
-    ``mapping`` under ``x``, which is first renamed if a replacement would
+    ``mapping`` under ``x``, which is renamed if a replacement would
     capture it."""
     m = _drop(mapping, {x})
-    if m and x in set().union(*map(free_vars, m.values())):
-        nx = _fresh_name()
-        body = subst(body, {x: binder_var(node)(nx)})
-        x = nx
-    return x, subst(body, m)
+    (x,), r = _rename_captured((x,), _captured(m), binder_var(node))
+    return x, subst(body, m | r)
 
 
 def subst(node, mapping: dict):
@@ -1001,9 +997,12 @@ def subst(node, mapping: dict):
             if not m:
                 return node
             mp = _drop(m, binder)
-            ghosts, r = _rename_captured(tuple(x for x, _ in vctx), m, Var)
-            hctx, rh = _rename_captured(hctx, m, HVar)
-            binder, rb = _rename_captured(binder, mp, Var)
+            caught = _captured(m)
+            ghosts, r = _rename_captured(tuple(x for x, _ in vctx), caught,
+                                         Var)
+            hctx, rh = _rename_captured(hctx, caught, HVar)
+            binder, rb = _rename_captured(
+                binder, caught if len(mp) == len(m) else _captured(mp), Var)
             r |= rh
             vctx = tuple((g, subst(a, mapping))
                          for g, (_, a) in zip(ghosts, vctx))

@@ -62,6 +62,12 @@ def test_tracer_names_are_called(capsys):
         import worker
     finally:
         sys.path.remove(str(perfbench))
+        # spans, worker and what worker imports (checks, speed) have
+        # generic names; keep them out of other tests' imports
+        for name, module in list(sys.modules.items()):
+            if pathlib.Path(getattr(module, "__file__", None) or "").parent \
+                    == perfbench:
+                del sys.modules[name]
     from qhoare import cli
 
     class NamingTracer(spans.Tracer):
