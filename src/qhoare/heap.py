@@ -106,8 +106,7 @@ class SymbolicHeap:
 
 @dataclass
 class Model:
-    """A symbolic heap with the values of names (``env``) and of heap
-    variables (``hvars``).
+    """A symbolic heap with the values of names (``env``).
 
     One record serves as a disjunct of an assertion's heap denotation
     (:func:`heap_from_assertion`), a branch the checker runs a ``do`` block
@@ -117,12 +116,11 @@ class Model:
 
     heap: SymbolicHeap
     env: dict = field(default_factory=dict)
-    hvars: dict = field(default_factory=dict)
     result: object = None
 
     def copy(self) -> "Model":
-        """The branch with its own ``env`` and ``hvars`` and no result."""
-        return Model(self.heap, dict(self.env), dict(self.hvars))
+        """The branch with its own ``env`` and no result."""
+        return Model(self.heap, dict(self.env))
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,14 @@ every branch.  Inexact states (relational claims produced when modelling a
 callee's postcondition) decide basis-diagonal comparisons only; everything
 else about them is honestly Unknown.
 
-Obligations produced by the type checker carry their branch models
-directly.  Free-standing sequents are decided by bounded enumeration over
-the mentioned locations (plus spares, at least three total), boolean
-variables, and the single-qubit ket alphabet extended with any mentioned
-ghosts; sequents outside the fragment come back Unknown.
+Every obligation carries its models, the type checker's branches at the
+point it was emitted, and is decided in exactly those: Proved when the
+conclusion holds in each, Refuted when it fails in one, Unknown otherwise.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,15 +27,16 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    And, ARef, Assn, BoolLit, BoolT, Bot, CellGroup, Compose, Emp,
+    And, ARef, Assn, BoolLit, Bot, CellGroup, Compose, Emp,
     Entangled, ExistsHeap, ExistsVar, ForallHeap, ForallVar, GhostRef,
     HeapE, HeapId, HEmpty, HVar, IdAt, InDom, Ket, KetVec, Lookup, MemberOf,
-    Not, Or, Implies, Pair, PointsTo, QbitT, Replace, Span, Top, UNKNOWN,
+    Not, Or, Implies, Pair, PointsTo, Replace, Span, Top, UNKNOWN,
     UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and,
     kleene_not, kleene_or, pretty, strip_emb, CUR_HEAP, KET_AMPS,
 )
 from .heap import (
     Cell, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD, opaque,
+    state_expr,
 )
 
 ALLOCATION = "allocationVC"
@@ -47,7 +45,6 @@ CALL_PRE = "callPreVC"
 UNITARITY = "unitarityVC"
 
 PHASE_TOL = 1e-9
-MODEL_CAP = 300_000
 
 
 @dataclass
@@ -58,18 +55,19 @@ class Obligation:
     checker passes a :class:`qhoare.typecheck.VarCtx`, a read-only view
     over the context it shares between the obligations of one block; the
     pairs are materialized each time the view is read.  ``models`` are
-    the checker's branches at the obligation, one :class:`Model` each; an
-    obligation without them is decided by enumeration.
+    the checker's branches at the obligation, one :class:`Model` each, and
+    the prover decides the obligation in them alone; ``hypotheses``
+    describe the same branches as assertions, for the reports.
     """
 
     kind: str
     conclusion: Assn
+    models: list
     hypotheses: list = field(default_factory=list)
     var_ctx: Sequence = ()
     heap_ctx: tuple = ()
     span: Optional[Span] = None
     note: str = ""
-    models: Optional[list] = None
     decl: str = ""
 
 
@@ -166,9 +164,27 @@ def _compare_states(a: SymState, b: SymState):
     return UNKNOWN
 
 
-def _loc_key(names: tuple) -> str:
-    """The key of the cell at locations ``names`` in a heap denotation."""
-    return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
+def _in_order(state: SymState, qubits: tuple, names: tuple) -> SymState:
+    """``state``, held by a cell over ``qubits``, read with its qubits in
+    the order ``names``, a permutation of ``qubits``.  An opaque state
+    names one order only, so read in another it is unknown.  A vector not
+    of the cell's size equals no state of it and is kept as it is."""
+    if state.kind == "opaque" and names != qubits:
+        return UNKNOWN_STATE
+    if names == qubits or state.kind != "concrete" \
+            or len(state.amps) != 2 ** len(qubits):
+        return state
+    axes = [qubits.index(q) for q in names]
+    vec = state.vector().reshape((2,) * len(qubits)).transpose(axes)
+    return SymState("concrete", tuple(vec.reshape(-1).tolist()),
+                    exact=state.exact)
+
+
+def _keyed(names: tuple, state: SymState) -> tuple:
+    """The entry of a heap denotation for the cell at locations ``names``:
+    its sorted locations and ``state`` read in that order."""
+    key = tuple(sorted(names))
+    return key, _in_order(state, names, key)
 
 
 def _literal_state(expr) -> Optional[SymState]:
@@ -201,15 +217,8 @@ class _Evaluator:
     def term_value(self, m):
         m = strip_emb(m)
         if isinstance(m, Var):
-            name = m.name
-            if name in self.model.env:
-                v = self.model.env[name]
-                if isinstance(v, str):
-                    return ("qubit", v)
-                return v
-            if self.model.heap.find(name) is not None or name in self.view:
-                return ("qubit", name)
-            return ("loc", name)
+            v = self.model.env.get(m.name, m.name)
+            return ("qubit", v) if isinstance(v, str) else v
         if isinstance(m, BoolLit):
             return m.value
         if isinstance(m, UnitVal):
@@ -231,15 +240,15 @@ class _Evaluator:
         if isinstance(rv, WildcardState) or isinstance(lv, WildcardState):
             # the wildcard matches any definite value or allocated state
             other = lv if isinstance(rv, WildcardState) else rv
-            if isinstance(other, tuple) and other and other[0] in ("qubit", "loc"):
+            if isinstance(other, tuple) and other and other[0] == "qubit":
                 return self.qubit_view(other[1]) is not None
             return True if other is not UNKNOWN else UNKNOWN
         if lv is UNKNOWN or rv is UNKNOWN:
             return UNKNOWN
         if isinstance(lv, bool) and isinstance(rv, bool):
             return lv == rv
-        lq = lv[0] in ("qubit", "loc") if isinstance(lv, tuple) and lv else False
-        rq = rv[0] in ("qubit", "loc") if isinstance(rv, tuple) and rv else False
+        lq = isinstance(lv, tuple) and bool(lv) and lv[0] == "qubit"
+        rq = isinstance(rv, tuple) and bool(rv) and rv[0] == "qubit"
         if lq or rq:
             if lq and rq:
                 if lv[1] == rv[1]:
@@ -268,13 +277,13 @@ class _Evaluator:
     # --- heap expressions
 
     def heap_denotation(self, h: HeapE):
-        """Concrete map location-key -> view state, or None when unknown."""
-        if isinstance(h, HVar):
-            if h.name == CUR_HEAP:
-                return self.current_heap_map()
-            if h.name in self.model.hvars:
-                return self.heap_cells_map(self.model.hvars[h.name])
-            return None
+        """Concrete map from sorted locations to cell state, or None when
+        unknown."""
+        if isinstance(h, HVar) and h.name == CUR_HEAP:
+            return dict(
+                _keyed(c.qubits, c.state if len(c.qubits) == 1
+                       or c.state.kind == "concrete" else UNKNOWN_STATE)
+                for c in self.model.heap.cells)
         if isinstance(h, HEmpty):
             return {}
         if isinstance(h, Upd):
@@ -284,28 +293,21 @@ class _Evaluator:
             names = self._loc_names(h.loc)
             if names is None:
                 return None
-            lit = _literal_state(h.value)
-            return {**base, _loc_key(names): lit or UNKNOWN_STATE}
+            key, state = _keyed(names,
+                                _literal_state(h.value) or UNKNOWN_STATE)
+            return {**base, key: state}
         return None
-
-    def heap_cells_map(self, heap: SymbolicHeap):
-        return {_loc_key(c.qubits):
-                c.state if len(c.qubits) == 1 or c.state.kind == "concrete"
-                else UNKNOWN_STATE for c in heap.cells}
-
-    def current_heap_map(self):
-        return self.heap_cells_map(self.model.heap)
 
     def _loc_names(self, loc):
         loc = strip_emb(loc)
         if isinstance(loc, Pair):
             a, b = self.term_value(loc.first), self.term_value(loc.second)
-            if (isinstance(a, tuple) and a[0] in ("qubit", "loc")
-                    and isinstance(b, tuple) and b[0] in ("qubit", "loc")):
+            if (isinstance(a, tuple) and a[0] == "qubit"
+                    and isinstance(b, tuple) and b[0] == "qubit"):
                 return (a[1], b[1])
             return None
         v = self.term_value(loc)
-        if isinstance(v, tuple) and v and v[0] in ("qubit", "loc"):
+        if isinstance(v, tuple) and v and v[0] == "qubit":
             return (v[1],)
         return None
 
@@ -337,10 +339,10 @@ class _Evaluator:
                 if names is None:
                     return UNKNOWN
                 cells = self.model.heap.cells
-                if len(cells) != 1 or tuple(sorted(cells[0].qubits)) != \
-                        tuple(sorted(names)):
+                if len(cells) != 1 or sorted(cells[0].qubits) != sorted(names):
                     return False
-                return _state_matches(cells[0].state, st)
+                return _state_matches(
+                    _in_order(cells[0].state, cells[0].qubits, names), st)
             case Lookup(loc, st):
                 names = self._loc_names(loc)
                 if names is None:
@@ -351,10 +353,10 @@ class _Evaluator:
                         return False
                     return _state_matches(view, st)
                 cell = self.model.heap.find(names[0])
-                if cell is None or tuple(sorted(cell.qubits)) != \
-                        tuple(sorted(names)):
+                if cell is None or sorted(cell.qubits) != sorted(names):
                     return False
-                return _state_matches(cell.state, st)
+                return _state_matches(
+                    _in_order(cell.state, cell.qubits, names), st)
             case InDom(h, loc):
                 names = self._loc_names(loc)
                 if names is None:
@@ -364,7 +366,7 @@ class _Evaluator:
                 den = self.heap_denotation(h)
                 if den is None:
                     return UNKNOWN
-                return _loc_key(names) in den
+                return tuple(sorted(names)) in den
             case HeapId(l, r):
                 dl, dr = self.heap_denotation(l), self.heap_denotation(r)
                 if dl is None or dr is None:
@@ -377,7 +379,7 @@ class _Evaluator:
                 return out
             case Entangled(t):
                 v = self.term_value(t)
-                if not (isinstance(v, tuple) and v and v[0] in ("qubit", "loc")):
+                if not (isinstance(v, tuple) and v and v[0] == "qubit"):
                     return UNKNOWN
                 cell = self.model.heap.find(v[1])
                 if cell is None:
@@ -412,86 +414,6 @@ def eval_in_model(a: Assn, model: Model):
     return result
 
 
-# ---------------------------------------------------------------------------
-# Fragment check and enumeration
-
-
-def _in_fragment(a: Assn) -> bool:
-    match a:
-        case Top() | Bot() | Emp() | IdAt() | HeapId() | InDom() | \
-                PointsTo() | Lookup() | MemberOf() | Entangled():
-            return True
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return _in_fragment(l) and _in_fragment(r)
-        case Not(b):
-            return _in_fragment(b)
-        case _:
-            return False
-
-
-def _mentioned(a: Assn, locs: list, states: list, ghosts: list,
-               hvars: list) -> None:
-    def add(seq, item):
-        if item not in seq:
-            seq.append(item)
-
-    def term_locs(m):
-        m = strip_emb(m)
-        if isinstance(m, Var):
-            add(locs, m.name)
-        elif isinstance(m, Pair):
-            term_locs(m.first), term_locs(m.second)
-        elif isinstance(m, (Ket, KetVec)):
-            add(states, _literal_state(m))
-        elif isinstance(m, GhostRef):
-            add(ghosts, m.name)
-
-    def heap_walk(h):
-        if isinstance(h, HVar):
-            add(hvars, h.name)
-        elif isinstance(h, Upd):
-            heap_walk(h.base)
-            term_locs(h.loc)
-            term_locs(h.value)
-
-    match a:
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            _mentioned(l, locs, states, ghosts, hvars)
-            _mentioned(r, locs, states, ghosts, hvars)
-        case Not(b):
-            _mentioned(b, locs, states, ghosts, hvars)
-        case IdAt(_, l, r):
-            term_locs(l), term_locs(r)
-        case MemberOf(t, cands):
-            term_locs(t)
-            for c in cands:
-                term_locs(c)
-        case PointsTo(loc, st) | Lookup(loc, st):
-            term_locs(loc), term_locs(st)
-        case InDom(h, loc):
-            heap_walk(h), term_locs(loc)
-        case HeapId(l, r):
-            heap_walk(l), heap_walk(r)
-        case Entangled(t):
-            term_locs(t)
-        case _:
-            pass
-
-
-def _enumerate_heaps(locations: list, states: list):
-    for combo in itertools.product([None] + states, repeat=len(locations)):
-        yield SymbolicHeap(tuple(Cell((loc,), st)
-                                 for loc, st in zip(locations, combo)
-                                 if st is not None))
-
-
-def entails(ob: Obligation) -> Verdict:
-    """Decide one obligation; total, never raises."""
-    if ob.models is not None:
-        return _entails_models(ob)
-    return _entails_enumerate(ob)
-
-
 def _unknown_residual(conclusion: Assn, models: list) -> Assn:
     undecided = []
     for c in conjuncts(conclusion):
@@ -502,7 +424,8 @@ def _unknown_residual(conclusion: Assn, models: list) -> Assn:
     return functools.reduce(And, undecided)
 
 
-def _entails_models(ob: Obligation) -> Verdict:
+def entails(ob: Obligation) -> Verdict:
+    """Decide one obligation in its models; total, never raises."""
     relevant = []  # models where the conclusion is undecided
     for model in ob.models:
         v = eval_in_model(ob.conclusion, model)
@@ -533,79 +456,11 @@ def _value_text(v) -> str:
 
 
 def _describe_model(model: Model) -> dict:
-    from .heap import state_expr
     cells = {", ".join(c.qubits): pretty(state_expr(c.state))
              for c in model.heap.cells}
     env = {k: _value_text(v) for k, v in model.env.items()
            if isinstance(v, (bool, str, tuple))}
     return {"heap": cells if cells else {"": "empty"}, "env": env}
-
-
-def _entails_enumerate(ob: Obligation) -> Verdict:
-    formulas = list(ob.hypotheses) + [ob.conclusion]
-    for f in formulas:
-        if not _in_fragment(f):
-            return Verdict("unknown", residual=ob.conclusion)
-
-    locs, states, ghosts, hvars = [], [], [], []
-    for f in formulas:
-        _mentioned(f, locs, states, ghosts, hvars)
-
-    bool_vars = [x for x, t in ob.var_ctx if isinstance(t, BoolT)]
-    qubit_vars = [x for x, t in ob.var_ctx if isinstance(t, QbitT)]
-    locs = [l for l in locs if l not in bool_vars]
-    spare = 0
-    while len(locs) < 3:
-        locs.append(f"%loc{spare}")
-        spare += 1
-
-    alphabet = [_KETS[k] for k in ("0", "1", "+", "-")]
-    for s in states:
-        if s not in alphabet:
-            alphabet.append(s)
-    alphabet.extend(map(opaque, ghosts))
-
-    heap_var_names = [h for h in hvars if h != CUR_HEAP]
-    for h in ob.heap_ctx:
-        if h not in heap_var_names and h != CUR_HEAP:
-            heap_var_names.append(h)
-
-    n_heaps = (len(alphabet) + 1) ** len(locs)
-    total = n_heaps * (n_heaps ** len(heap_var_names)) * \
-        (2 ** len(bool_vars)) * (max(1, len(locs)) ** len(qubit_vars))
-    if total > MODEL_CAP:
-        return Verdict("unknown", residual=ob.conclusion)
-
-    unknown = False
-    bool_opts = list(itertools.product([False, True], repeat=len(bool_vars)))
-    qubit_opts = list(itertools.product(locs, repeat=len(qubit_vars)))
-    heaps = list(_enumerate_heaps(locs, alphabet))
-    hvar_opts = list(itertools.product(heaps, repeat=len(heap_var_names)))
-
-    for cur in heaps:
-        for bvals in bool_opts:
-            for qvals in qubit_opts:
-                env = dict(zip(bool_vars, bvals))
-                env.update(zip(qubit_vars, qvals))
-                for hvals in hvar_opts:
-                    model = Model(cur, env,
-                                  dict(zip(heap_var_names, hvals)))
-                    hyp = True
-                    for h in ob.hypotheses:
-                        hyp = kleene_and(hyp, eval_in_model(h, model))
-                        if hyp is False:
-                            break
-                    if hyp is False:
-                        continue
-                    concl = eval_in_model(ob.conclusion, model)
-                    if hyp is True and concl is False:
-                        return Verdict(
-                            "refuted", countermodel=_describe_model(model))
-                    if concl is not True:
-                        unknown = True
-    if unknown:
-        return Verdict("unknown", residual=ob.conclusion)
-    return Verdict("proved")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ literal mode is selected.  Suspended-computation binds are checked
 modularly: the callee's precondition becomes a call obligation, its
 footprint is framed out, and its postcondition's heap denotation is spliced
 in.  The block's strongest postcondition is its final branch set, which the
-postconditionVC carries: as models for the prover and as the rendered
-hypotheses it must show entail the declared postcondition.
+postconditionVC carries as models for the prover.
 
 All verification conditions are collected for the prover.  A
 :class:`Checker` checks its program's declarations in order and shares

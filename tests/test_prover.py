@@ -1,6 +1,9 @@
-"""Entailment checking against an independent brute-force model
-enumerator for the small-heap fragment."""
+"""Entailment checking against an independent brute-force oracle for the
+small-heap fragment: the prover evaluates every formula as the oracle does
+in each of the oracle's models, and decides a sequent in the models of its
+hypotheses as the oracle decides it."""
 
+import functools
 import itertools
 import random
 
@@ -9,14 +12,14 @@ import pytest
 from qhoare.core import (
     And, BoolLit, BoolT, Bot, Emb, Emp, GhostRef, HeapId, HEmpty, HVar, IdAt,
     InDom, Ket, Lookup, MemberOf, Not, Or, Implies, Pair, PointsTo, Top,
-    UNKNOWN, Upd, Var, WildcardState, pretty, KET_TEXT,
+    KetVec, UNKNOWN, Upd, Var, WildcardState, pretty, KET_TEXT,
 )
 from qhoare.heap import (
     Cell, SymbolicHeap, SymState, UNKNOWN_STATE, basis_claim, concrete,
     opaque,
 )
 from qhoare.prover import (
-    ALLOCATION, Model, Obligation, POSTCONDITION, Verdict, discharge_all,
+    Model, Obligation, POSTCONDITION, Verdict, discharge_all,
     entails, eval_in_model, _describe_model,
 )
 
@@ -103,10 +106,10 @@ def oracle_eval(a, heap, env):
     raise ValueError(a)
 
 
-def oracle_models():
+def oracle_models(locs=LOCS):
     state_opts = [None] + KETS
-    for combo in itertools.product(state_opts, repeat=len(LOCS)):
-        heap = {loc: s for loc, s in zip(LOCS, combo) if s is not None}
+    for combo in itertools.product(state_opts, repeat=len(locs)):
+        heap = {loc: s for loc, s in zip(locs, combo) if s is not None}
         for bvals in itertools.product([False, True], repeat=len(BOOLS)):
             yield heap, dict(zip(BOOLS, bvals))
 
@@ -117,6 +120,31 @@ def oracle_countermodel(hyps, concl):
                 not oracle_eval(concl, heap, env):
             return heap, env
     return None
+
+
+@functools.cache
+def universe(locs=tuple(LOCS)):
+    """Each oracle model over ``locs`` with the prover's :class:`Model` of
+    it: one one-qubit concrete cell per allocated location."""
+    return tuple(
+        (heap, env, Model(SymbolicHeap(tuple(
+            Cell((loc,), concrete(KET_VECS[k])) for loc, k in heap.items())),
+            dict(env)))
+        for heap, env in oracle_models(locs))
+
+
+def models_of(hyps, locs=tuple(LOCS)):
+    """The prover's models over ``locs`` in which every hypothesis holds."""
+    return [m for _, _, m in universe(locs)
+            if all(eval_in_model(h, m) is True for h in hyps)]
+
+
+def sequent(concl, hyps, locs=tuple(LOCS)):
+    """The obligation ``hyps ==> concl``, decided in :func:`models_of`
+    ``hyps``."""
+    return Obligation(kind=POSTCONDITION, conclusion=concl, hypotheses=hyps,
+                      var_ctx=tuple((b, BoolT()) for b in BOOLS),
+                      models=models_of(hyps, locs))
 
 
 # --- sequent generator over the fragment -------------------------------------
@@ -180,13 +208,42 @@ class SeqGen:
             return Not(self.assertion(depth - 1))
         return self.atom()
 
-    def obligation(self):
+    def sequent(self):
+        """Hypotheses and a conclusion."""
         hyps = [self.assertion(self.rng.randrange(3))
                 for _ in range(self.rng.randrange(3))]
         concl = self.assertion(self.rng.randrange(1, 4))
-        return Obligation(
-            kind=POSTCONDITION, conclusion=concl, hypotheses=hyps,
-            var_ctx=tuple((b, BoolT()) for b in BOOLS))
+        return hyps, concl
+
+
+def assert_agrees(hyps, concl):
+    """Check the prover against the oracle on ``hyps ==> concl``: each
+    formula has the oracle's truth value in every model, and the verdict in
+    the models of the hypotheses is proved exactly when the oracle finds no
+    countermodel, and refuted with a countermodel that falsifies the
+    sequent otherwise.  Returns the verdict's status."""
+    label = (pretty(concl), [pretty(h) for h in hyps])
+    models = []  # the models of the hypotheses
+    for heap, env, model in universe():
+        values = [eval_in_model(f, model) for f in hyps + [concl]]
+        assert values == [oracle_eval(f, heap, env) for f in hyps + [concl]], \
+            (label, heap, env)
+        if all(values[:-1]):
+            models.append(model)
+    verdict = entails(Obligation(kind=POSTCONDITION, conclusion=concl,
+                                 hypotheses=hyps, models=models))
+    counter = oracle_countermodel(hyps, concl)
+    if verdict.status == "proved":
+        assert counter is None, label
+    elif verdict.status == "refuted":
+        assert counter is not None, label
+        # the reported countermodel itself falsifies the sequent
+        heap, env = rebuild_model(verdict.countermodel)
+        assert all(oracle_eval(h, heap, env) for h in hyps), label
+        assert not oracle_eval(concl, heap, env), label
+    else:
+        pytest.fail(f"unknown verdict inside the fragment: {label}")
+    return verdict.status
 
 
 def rebuild_model(countermodel):
@@ -209,6 +266,7 @@ def rebuild_model(countermodel):
 # --- unit tests ---------------------------------------------------------------
 
 Q = Emb(Var("q"))
+Q_LOCS = ("q", "a")  # the locations of the models of sequents about Q
 
 
 def heap_is(chain):
@@ -221,8 +279,8 @@ class TestNormalizeHeapExpr:
     def test_shadowing(self):
         # the later update of a location wins
         h = Upd(Upd(HEmpty(), Q, Ket("0")), Q, Ket("1"))
-        ob = Obligation(kind=POSTCONDITION, conclusion=PointsTo(Q, Ket("1")),
-                        hypotheses=[heap_is(h)])
+        ob = sequent(PointsTo(Q, Ket("1")), [heap_is(h)], Q_LOCS)
+        assert ob.models
         assert entails(ob).status == "proved"
         ob.conclusion = Lookup(Q, Ket("0"))
         assert entails(ob).status == "refuted"
@@ -231,22 +289,21 @@ class TestNormalizeHeapExpr:
         # the order of updates to distinct locations does not matter
         a, b = Emb(Var("a")), Emb(Var("b"))
         h = Upd(Upd(HEmpty(), b, Ket("1")), a, Ket("0"))
-        ob = Obligation(kind=POSTCONDITION,
-                        conclusion=heap_is(
-                            Upd(Upd(HEmpty(), a, Ket("0")), b, Ket("1"))),
-                        hypotheses=[heap_is(h)])
+        ob = sequent(heap_is(Upd(Upd(HEmpty(), a, Ket("0")), b, Ket("1"))),
+                     [heap_is(h)])
+        assert ob.models
         assert entails(ob).status == "proved"
 
     def test_seleq_resolution_valid_over_small_heaps(self):
         # brute-force over heaps with <= 2 cells: whenever the current heap
         # equals upd(empty, q, |0>), looking up q yields |0>
         chain = Upd(HEmpty(), Q, Ket("0"))
-        for heap, env in oracle_models():
+        for heap, env in oracle_models(Q_LOCS):
             if oracle_eval(HeapId(HVar("%h"), chain), heap, env):
                 assert oracle_eval(Lookup(Q, Ket("0")), heap, env)
-        ob = Obligation(kind=POSTCONDITION,
-                        conclusion=Lookup(Q, Ket("0")),
-                        hypotheses=[HeapId(HVar("%h"), chain)])
+        ob = sequent(Lookup(Q, Ket("0")), [HeapId(HVar("%h"), chain)],
+                     Q_LOCS)
+        assert ob.models
         assert entails(ob).status == "proved"
 
     def test_long_chains_agree_with_oracle(self):
@@ -255,13 +312,8 @@ class TestNormalizeHeapExpr:
         gen = SeqGen(3)
         proved = refuted = 0
         for _ in range(200):
-            concl = HeapId(gen.heap_expr(2), gen.heap_expr(2))
-            ob = Obligation(kind=POSTCONDITION, conclusion=concl,
-                            var_ctx=tuple((x, BoolT()) for x in BOOLS))
-            status = entails(ob).status
-            counter = oracle_countermodel([], concl)
-            assert status == ("proved" if counter is None else "refuted"), \
-                pretty(concl)
+            status = assert_agrees(
+                [], HeapId(gen.heap_expr(2), gen.heap_expr(2)))
             proved += status == "proved"
             refuted += status == "refuted"
         assert proved > 10 and refuted > 10
@@ -269,16 +321,13 @@ class TestNormalizeHeapExpr:
 
 class TestEntailsExamples:
     def test_points_to_implies_allocated(self):
-        ob = Obligation(kind=ALLOCATION,
-                        conclusion=Lookup(Q, WildcardState()),
-                        hypotheses=[PointsTo(Q, Ket("0"))])
+        ob = sequent(Lookup(Q, WildcardState()), [PointsTo(Q, Ket("0"))],
+                     Q_LOCS)
+        assert ob.models
         assert entails(ob).status == "proved"
 
     def test_emp_refutes_allocation(self):
-        ob = Obligation(kind=ALLOCATION,
-                        conclusion=Lookup(Q, WildcardState()),
-                        hypotheses=[Emp()])
-        v = entails(ob)
+        v = entails(sequent(Lookup(Q, WildcardState()), [Emp()], Q_LOCS))
         assert v.status == "refuted"
         assert v.countermodel is not None
         assert v.countermodel["heap"] in ({}, {"": "empty"})
@@ -331,6 +380,50 @@ class TestStateComparison:
                        for a in STATE_ATOMS) == row
 
 
+def pair(first, second):
+    return Pair(Emb(Var(first)), Emb(Var(second)))
+
+
+def vec(*amps):
+    return KetVec(tuple(complex(z) for z in amps))
+
+
+class TestQubitOrder:
+    """A cell over ``(qa, qb)`` read at the location ``(qb, qa)`` holds its
+    state with the two qubits swapped."""
+
+    # qa = |0>, qb = |1>, and qa = |0>, qb = |+>
+    KET01 = Model(SymbolicHeap((Cell(("qa", "qb"),
+                                     concrete([0, 1, 0, 0])),)), {})
+    KET0P = Model(SymbolicHeap((Cell(("qa", "qb"),
+                                     concrete([S, S, 0, 0])),)), {})
+
+    @pytest.mark.parametrize("atom", [PointsTo, Lookup])
+    def test_cell_read_in_written_order(self, atom):
+        ab, ba = pair("qa", "qb"), pair("qb", "qa")
+        assert eval_in_model(atom(ab, vec(0, 1, 0, 0)), self.KET01) is True
+        assert eval_in_model(atom(ba, vec(0, 0, 1, 0)), self.KET01) is True
+        assert eval_in_model(atom(ba, vec(0, 1, 0, 0)), self.KET01) is False
+        assert eval_in_model(atom(ba, vec(S, 0, S, 0)), self.KET0P) is True
+        assert eval_in_model(atom(ba, vec(S, S, 0, 0)), self.KET0P) is False
+
+    def test_heap_equality_keys_cells_by_their_qubits(self):
+        ba = pair("qb", "qa")
+        true = heap_is(Upd(HEmpty(), ba, vec(0, 0, 1, 0)))
+        false = heap_is(Upd(HEmpty(), ba, vec(0, 1, 0, 0)))
+        assert eval_in_model(true, self.KET01) is True
+        assert eval_in_model(false, self.KET01) is False
+        swapped = HeapId(Upd(HEmpty(), pair("qa", "qb"), vec(S, S, 0, 0)),
+                         Upd(HEmpty(), ba, vec(S, 0, S, 0)))
+        assert eval_in_model(swapped, Model(SymbolicHeap(), {})) is True
+
+    def test_domain_of_a_pair_location(self):
+        h = Upd(HEmpty(), pair("qa", "qb"), vec(0, 1, 0, 0))
+        for loc in (pair("qa", "qb"), pair("qb", "qa")):
+            assert eval_in_model(InDom(h, loc),
+                                 Model(SymbolicHeap(), {})) is True
+
+
 class TestCountermodels:
     def test_env_values_render_like_run_results(self):
         env = {"b": True, "q": "qa", "p": (None, ("qa", UNKNOWN)),
@@ -367,44 +460,22 @@ class TestDischargeAll:
 
 class TestBruteForceAgreement:
     def test_agreement_on_small_fragment(self):
-        proved = refuted = 0
-        for seed in range(230):
-            ob = SeqGen(seed).obligation()
-            verdict = entails(ob)
-            counter = oracle_countermodel(ob.hypotheses, ob.conclusion)
-            label = (pretty(ob.conclusion),
-                     [pretty(h) for h in ob.hypotheses])
-            if verdict.status == "proved":
-                proved += 1
-                assert counter is None, label
-            elif verdict.status == "refuted":
-                refuted += 1
-                assert counter is not None, label
-                # the reported countermodel itself falsifies the sequent
-                heap, env = rebuild_model(verdict.countermodel)
-                assert all(oracle_eval(h, heap, env)
-                           for h in ob.hypotheses), label
-                assert not oracle_eval(ob.conclusion, heap, env), label
-            else:
-                pytest.fail(f"unknown verdict inside the fragment: {label}")
-        # exact agreement in the other direction
-        for seed in range(230):
-            ob = SeqGen(seed).obligation()
-            counter = oracle_countermodel(ob.hypotheses, ob.conclusion)
-            verdict = entails(ob)
-            assert (verdict.status == "proved") == (counter is None)
-        assert proved > 10 and refuted > 10
+        statuses = [assert_agrees(*SeqGen(seed).sequent())
+                    for seed in range(230)]
+        assert statuses.count("proved") > 10
+        assert statuses.count("refuted") > 10
 
     def test_monotonicity(self):
-        # adding a hypothesis never turns proved into refuted
+        # a proved verdict is never refuted in the models that an added
+        # hypothesis keeps
         for seed in range(120):
             gen = SeqGen(seed + 5000)
-            ob = gen.obligation()
-            before = entails(ob).status
+            hyps, concl = gen.sequent()
+            ob = sequent(concl, hyps)
             extra = gen.assertion(2)
-            ob2 = Obligation(kind=ob.kind, conclusion=ob.conclusion,
-                             hypotheses=ob.hypotheses + [extra],
-                             var_ctx=ob.var_ctx)
-            after = entails(ob2).status
-            if before == "proved":
-                assert after != "refuted"
+            kept = [m for m in ob.models if eval_in_model(extra, m) is True]
+            after = Obligation(kind=ob.kind, conclusion=ob.conclusion,
+                               hypotheses=ob.hypotheses + [extra],
+                               var_ctx=ob.var_ctx, models=kept)
+            if entails(ob).status == "proved":
+                assert entails(after).status != "refuted"

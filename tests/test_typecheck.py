@@ -477,3 +477,43 @@ class TestCaptureAvoidance:
         g = checked.decl("g")
         assert g.error is None
         assert discharge_all(g.obligations).status == "verified"
+
+
+class TestQubitOrder:
+    """A postcondition about a cell may name its qubits in any order; the
+    state is read in the order written.  After the block, qa = |0> and
+    qb = |1>, so (qb, qa) holds |10> = vec(0, 0, 1, 0)."""
+
+    BLOCK = ("do qa <= mkQbit false; qb <= mkQbit true; "
+             "applyU (ifQ qa (X qb)); return (qa, qb)")
+
+    @pytest.mark.parametrize("post, status", [
+        ("(b, a) |-> |vec(0, 0, 1, 0)\\>", "verified"),
+        ("(b, a) |-> |vec(0, 1, 0, 0)\\>", "refuted"),
+        ("(b, a) ~> |vec(0, 0, 1, 0)\\>", "verified"),
+        ("(b, a) ~> |vec(0, 1, 0, 0)\\>", "refuted"),
+        ("HId(%h, upd(empty, (b, a), |vec(0, 0, 1, 0)\\>))", "verified"),
+        ("HId(%h, upd(empty, (b, a), |vec(0, 1, 0, 0)\\>))", "refuted"),
+        ("(a, b) |-> |vec(0, 1, 0, 0)\\>", "verified"),
+    ])
+    def test_pair_postcondition(self, post, status):
+        checked = check_program(parse_program(
+            f"f : {{emp}} (a, b) : (Qbit, Qbit) {{{post}}} = {self.BLOCK}\n"
+        ).program)
+        f = checked.decl("f")
+        assert f.error is None
+        assert discharge_all(f.obligations).status == status
+
+    @pytest.mark.parametrize("post, status", [
+        ("(a, b) |-> x", "verified"),
+        # a ghost state of the pair read with its qubits swapped is not known
+        ("(b, a) |-> x", "conditional"),
+    ])
+    def test_ghost_pair_postcondition(self, post, status):
+        checked = check_program(parse_program(
+            "f : \\Pi a : Qbit. \\Pi b : Qbit. x : Pure.\n"
+            f"    {{(a, b) |-> x}} r : 1 {{{post}}} = \\a. \\b. do return ()\n"
+        ).program)
+        f = checked.decl("f")
+        assert f.error is None
+        assert discharge_all(f.obligations).status == status
