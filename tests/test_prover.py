@@ -133,18 +133,15 @@ def universe(locs=tuple(LOCS)):
         for heap, env in oracle_models(locs))
 
 
-def models_of(hyps, locs=tuple(LOCS)):
-    """The prover's models over ``locs`` in which every hypothesis holds."""
-    return [m for _, _, m in universe(locs)
-            if all(eval_in_model(h, m) is True for h in hyps)]
-
-
 def sequent(concl, hyps, locs=tuple(LOCS)):
-    """The obligation ``hyps ==> concl``, decided in :func:`models_of`
-    ``hyps``."""
+    """The obligation ``hyps ==> concl`` whose models are those of
+    :func:`universe` ``locs`` in which the prover finds every hypothesis
+    true."""
+    models = [m for _, _, m in universe(locs)
+              if all(eval_in_model(h, m) is True for h in hyps)]
     return Obligation(kind=POSTCONDITION, conclusion=concl, hypotheses=hyps,
                       var_ctx=tuple((b, BoolT()) for b in BOOLS),
-                      models=models_of(hyps, locs))
+                      models=models)
 
 
 # --- sequent generator over the fragment -------------------------------------
