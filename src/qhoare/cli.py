@@ -361,18 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, trace, verify and run .qh programs.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, runnable=False):
-        sp.add_argument("--strict", action="store_true",
-                        help="treat conditional verification as failure")
+    def common(sp, strict=True, json=True):
+        if strict:
+            sp.add_argument("--strict", action="store_true",
+                            help="treat conditional verification as failure")
         sp.add_argument("--literal-measurement", action="store_true",
                         help="disable measurement outcome refinement")
-        sp.add_argument("--format", choices=("text", "json"),
-                        default="text")
-        if runnable:
-            sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--shots", type=int, default=1000)
-            sp.add_argument("--force", action="store_true",
-                            help="run even when statically refuted")
+        if json:
+            sp.add_argument("--format", choices=("text", "json"),
+                            default="text")
 
     sp = sub.add_parser("check", help="type-check and discharge conditions")
     sp.add_argument("files", nargs="+")
@@ -383,13 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
                                       "assertion after each step")
     sp.add_argument("file")
     sp.add_argument("decl")
-    common(sp)
+    common(sp, json=False)
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser("run", help="execute a declaration on the simulator")
     sp.add_argument("file")
     sp.add_argument("decl")
-    common(sp, runnable=True)
+    common(sp, strict=False)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--shots", type=int, default=1000)
+    sp.add_argument("--force", action="store_true",
+                    help="run even when statically refuted")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("vcs", help="list verification conditions")

@@ -3,7 +3,8 @@
 A symbolic heap maps pairwise-disjoint groups of qubit names (cells) to
 pure-state descriptions.  Cell states come in four flavours:
 
-* ``concrete`` and exact: the amplitude vector is fully known;
+* ``concrete`` and exact: the amplitude vector, a read-only array, is
+  fully known;
 * ``concrete`` and inexact: a computational-basis claim that holds in this
   verification branch only, the relational reading of specifications such
   as ``Id(a, b)`` over qubits;
@@ -12,13 +13,11 @@ pure-state descriptions.  Cell states come in four flavours:
 
 Transformers are pure functions from heaps to heaps plus a
 :class:`HeapDelta` describing the consumed and produced fragments; cells
-outside a transformer's footprint are returned bit-identical.  Unitaries
-are applied to the merged cell's amplitudes held as a ``(2,)*n`` tensor, one
-axis per qubit: a rotation contracts one axis with its 2x2 matrix and a
-quantum conditional recurses into the two slices along the control's axis,
-so no 2^n x 2^n matrix is built.  The kernel and the split that
-measurement reads are :mod:`qhoare.sim`'s, whose runtime state is cells of
-concrete vectors too.
+outside a transformer's footprint are returned bit-identical.  Every
+operation on concrete amplitudes is :mod:`qhoare.sim`'s, whose runtime
+state is cells of the same vectors: ``apply_to_cells`` joins the touched
+cells and applies a unitary to them as a ``(2,)*n`` tensor without building
+a 2^n x 2^n matrix, and ``split`` gives measurement both outcomes' parts.
 """
 
 from __future__ import annotations
@@ -34,7 +33,9 @@ from .core import (
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
     InDom, Top, strip_emb,
 )
-from .sim import NORM_TOL, UnitaryExpr, apply_to_tensor, footprint, split
+from .sim import (
+    NORM_TOL, UnitaryExpr, apply_to_cells, apply_to_tensor, footprint, split,
+)
 
 PRUNE_TOL = 1e-9
 
@@ -45,13 +46,22 @@ class HeapError(Exception):
 
 @dataclass(frozen=True)
 class SymState:
+    """A cell state.  A concrete one's ``amps`` is a read-only complex
+    array (an array given is taken over).  Equality and hash read ``_key``,
+    its bytes with ``-0.0`` made ``0.0``: equality of the numbers."""
+
     kind: str  # "concrete" | "opaque" | "unknown" | "wildcard"
-    amps: Optional[tuple] = None
+    amps: Optional[np.ndarray] = field(default=None, compare=False)
     name: Optional[str] = None
     exact: bool = True
+    _key: Optional[bytes] = field(default=None, init=False, repr=False)
 
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.amps, dtype=complex)
+    def __post_init__(self):
+        if self.amps is not None:
+            amps = np.asarray(self.amps, dtype=complex)
+            amps.flags.writeable = False
+            object.__setattr__(self, "amps", amps)
+            object.__setattr__(self, "_key", (amps + 0.0).tobytes())
 
 
 UNKNOWN_STATE = SymState("unknown", exact=False)
@@ -59,13 +69,15 @@ WILDCARD = SymState("wildcard", exact=False)
 
 
 def concrete(amps, exact: bool = True) -> SymState:
-    v = np.asarray(amps, dtype=complex)
+    """A concrete state of the amplitudes ``amps``, a copy of them; their
+    norm must be 1 within 1e-6, and is made 1."""
+    v = np.array(amps, dtype=complex)
     n = np.linalg.norm(v)
     if abs(n - 1.0) > 1e-6:
         raise HeapError(f"state vector norm {n} is not 1")
     if abs(n - 1.0) > 1e-15:  # scrub accumulated float drift
         v = v / n
-    return SymState("concrete", tuple(v.tolist()), exact=exact)
+    return SymState("concrete", v, exact=exact)
 
 
 def basis_claim(value: bool) -> SymState:
@@ -198,21 +210,13 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
             raise HeapError(f"qubit {q!r} is not allocated")
         if cell not in touched:
             touched.append(cell)
-    merged_qubits = tuple(q for c in touched for q in c.qubits)
-    computable = all(c.state.kind == "concrete" and c.state.exact
-                     for c in touched)
-    if computable:
-        joint = touched[0].state.vector()
-        for c in touched[1:]:
-            joint = np.kron(joint, c.state.vector())
-        t = joint.reshape((2,) * len(merged_qubits))
-        new_state = concrete(
-            apply_to_tensor(u, t, merged_qubits).reshape(-1))
-        residual = False
+    if all(c.state.kind == "concrete" and c.state.exact for c in touched):
+        qubits, vec = apply_to_cells(
+            u, [(c.qubits, c.state.amps) for c in touched])
+        new_cell, residual = Cell(qubits, SymState("concrete", vec)), False
     else:
-        new_state = UNKNOWN_STATE
-        residual = True
-    new_cell = Cell(merged_qubits, new_state)
+        qubits = tuple(q for c in touched for q in c.qubits)
+        new_cell, residual = Cell(qubits, UNKNOWN_STATE), True
     cells = h.without(touched) + (new_cell,)
     delta = HeapDelta(tuple(touched), (new_cell,))
     return ApplyResult(SymbolicHeap(cells), delta, residual)
@@ -241,53 +245,40 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
     rest_qubits = cell.qubits[:idx] + cell.qubits[idx + 1:]
     delta = HeapDelta((Cell((q,), WILDCARD),), ())
 
-    def heap_with(rest_state: Optional[SymState]) -> SymbolicHeap:
+    def heap_with(rest: Optional[np.ndarray], exact: bool = True):
+        """The heap with the rest of ``cell`` holding the amplitudes
+        ``rest``, or an unknown state where ``rest`` is None."""
         cells = h.without([cell])
-        if rest_qubits and rest_state is not None:
-            cells = cells + (Cell(rest_qubits, rest_state),)
+        if rest_qubits:
+            state = UNKNOWN_STATE if rest is None \
+                else SymState("concrete", rest, exact=exact)
+            cells = cells + (Cell(rest_qubits, state),)
         return SymbolicHeap(cells)
 
     if cell.state.kind != "concrete":
-        residual = UNKNOWN_STATE if rest_qubits else None
-        if refine:
-            return [MeasBranch(v, heap_with(residual), delta)
-                    for v in (False, True)]
-        return [MeasBranch(None, heap_with(residual), delta)]
-
-    vec = cell.state.vector()
-    n = len(cell.qubits)
+        return [MeasBranch(v, heap_with(None), delta)
+                for v in ((False, True) if refine else (None,))]
+    halves = split(cell.state.amps, idx, len(cell.qubits))
     if refine:
-        branches = []
-        for value, (sub, weight) in zip((False, True), split(vec, idx, n)):
-            if weight <= PRUNE_TOL:
-                continue
-            if rest_qubits:
-                rest = SymState("concrete",
-                                tuple((sub / weight).tolist()),
-                                exact=cell.state.exact)
-            else:
-                rest = None
-            branches.append(MeasBranch(value, heap_with(rest), delta))
+        branches = [MeasBranch(v, heap_with(sub, cell.state.exact), delta)
+                    for v, (sub, weight) in zip((False, True), halves)
+                    if weight > PRUNE_TOL]
         if not branches:
             raise HeapError("all measurement outcomes have zero amplitude")
         return branches
 
-    # literal rule: no outcome refinement
-    if not rest_qubits:
-        return [MeasBranch(None, heap_with(None), delta)]
+    # literal rule: no outcome refinement; the rest is kept only if the
+    # measured qubit factors out
+    (r0, w0), (r1, w1) = halves
     if not cell.state.exact:
-        return [MeasBranch(None, heap_with(UNKNOWN_STATE), delta)]
-    # keep the rest only if the measured qubit factors out
-    (sub0, w0), (sub1, w1) = split(vec, idx, n)
-    if w0 <= PRUNE_TOL or w1 <= PRUNE_TOL:
-        sub, w = (sub1, w1) if w0 <= PRUNE_TOL else (sub0, w0)
-        rest = SymState("concrete", tuple((sub / w).tolist()))
-        return [MeasBranch(None, heap_with(rest), delta)]
-    r0, r1 = sub0 / w0, sub1 / w1
-    if abs(abs(np.vdot(r0, r1)) - 1.0) < NORM_TOL:
-        rest = SymState("concrete", tuple(r0.tolist()))
-        return [MeasBranch(None, heap_with(rest), delta)]
-    return [MeasBranch(None, heap_with(UNKNOWN_STATE), delta)]
+        rest = None
+    elif w0 <= PRUNE_TOL:
+        rest = r1
+    elif w1 <= PRUNE_TOL or abs(abs(np.vdot(r0, r1)) - 1.0) < NORM_TOL:
+        rest = r0
+    else:
+        rest = None
+    return [MeasBranch(None, heap_with(rest), delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +319,7 @@ def state_expr(state: SymState):
         return GhostRef(state.name)
     if state.kind in ("unknown", "wildcard"):
         return WildcardState()
-    vec = _phase_canonical(state.vector())
+    vec = _phase_canonical(state.amps)
     if len(vec) in _KETS_BY_LENGTH:
         kinds, amps = _KETS_BY_LENGTH[len(vec)]
         hits = np.flatnonzero(_close(vec, amps))
@@ -390,7 +381,7 @@ def _state_of_expr(expr, kind_of) -> Optional[SymState]:
     match expr:
         case Ket(kind):
             if kind in ("0", "1"):
-                return SymState("concrete", KET_AMPS[kind], exact=False)
+                return basis_claim(kind == "1")
             return concrete(KET_AMPS[kind])
         case KetVec(amps):
             return concrete(amps)
@@ -407,20 +398,18 @@ def _state_of_expr(expr, kind_of) -> Optional[SymState]:
 
 def _merge_states(a: SymState, b: SymState) -> Optional[SymState]:
     # Combine two claims about the same qubit; None means contradiction.
-    if a == b:
-        return a
     if a.kind == "unknown":
         return b
     if b.kind == "unknown":
         return a
     if a.kind == "concrete" and b.kind == "concrete":
-        va, vb = _phase_canonical(a.vector()), _phase_canonical(b.vector())
+        va, vb = _phase_canonical(a.amps), _phase_canonical(b.amps)
         if len(va) == len(vb) and _close(va, vb):
             return a if a.exact else b
         if a.exact and b.exact:
             return None
-        basis = {tuple(KET_AMPS["0"]), tuple(KET_AMPS["1"])}
-        if a.amps in basis and b.amps in basis:
+        basis = {basis_claim(v)._key for v in (False, True)}
+        if a._key in basis and b._key in basis:
             return None  # contradictory basis claims
         return a if a.exact else b
     return a

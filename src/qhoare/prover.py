@@ -5,7 +5,9 @@ is classified Proved, Refuted (with a concrete finite countermodel) or
 Unknown (with the unproven residual); the checker is total.
 
 Semantics: models are finite quantum heaps whose cells hold states drawn
-from the ket-literal alphabet plus opaque ghost constants.  Multi-qubit
+from the ket-literal alphabet plus opaque ghost constants; a concrete
+state is a read-only array, and its reduced density and purity are
+:mod:`qhoare.sim`'s.  Multi-qubit
 cells are evaluated by splitting into their nonzero computational-basis
 branches: a formula holds of a cell in superposition when it holds in
 every branch.  Inexact states (relational claims produced when modelling a
@@ -35,9 +37,10 @@ from .core import (
     kleene_not, kleene_or, pretty, strip_emb, CUR_HEAP, KET_AMPS,
 )
 from .heap import (
-    Cell, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD, opaque,
-    state_expr,
+    Cell, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD,
+    basis_claim, opaque, state_expr,
 )
+from .sim import purity, reduced_density
 
 ALLOCATION = "allocationVC"
 POSTCONDITION = "postconditionVC"
@@ -90,23 +93,19 @@ class Verdict:
 # multi-qubit concrete cell has in one basis branch: _BASIS[exact][bit]
 _KETS = {kind: SymState("concrete", amps) for kind, amps in KET_AMPS.items()}
 _BASIS = {True: (_KETS["0"], _KETS["1"]),
-          False: tuple(SymState("concrete", KET_AMPS[k], exact=False)
-                       for k in ("0", "1"))}
+          False: (basis_claim(False), basis_claim(True))}
 
 
-def _phase_equal(u, v) -> bool:
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+def _phase_equal(u: np.ndarray, v: np.ndarray) -> bool:
     if u.shape != v.shape:
         return False
     return bool(abs(abs(np.vdot(u, v)) - 1.0) < PHASE_TOL)
 
 
-def _basis_value_of_vec(vec) -> Optional[bool]:
-    if _phase_equal(vec, KET_AMPS["0"]):
-        return False
-    if _phase_equal(vec, KET_AMPS["1"]):
-        return True
+def _basis_value_of_vec(vec: np.ndarray) -> Optional[bool]:
+    for bit, ket in zip((False, True), _BASIS[True]):
+        if _phase_equal(vec, ket.amps):
+            return bit
     return None
 
 
@@ -124,7 +123,7 @@ def basis_views(heap: SymbolicHeap) -> list:
                 v[cell.qubits[0]] = cell.state
             continue
         if cell.state.kind == "concrete":
-            vec = cell.state.vector()
+            vec = cell.state.amps
             n = len(cell.qubits)
             basis = _BASIS[cell.state.exact]
             assignments = [
@@ -175,9 +174,8 @@ def _in_order(state: SymState, qubits: tuple, names: tuple) -> SymState:
             or len(state.amps) != 2 ** len(qubits):
         return state
     axes = [qubits.index(q) for q in names]
-    vec = state.vector().reshape((2,) * len(qubits)).transpose(axes)
-    return SymState("concrete", tuple(vec.reshape(-1).tolist()),
-                    exact=state.exact)
+    vec = state.amps.reshape((2,) * len(qubits)).transpose(axes)
+    return SymState("concrete", vec.reshape(-1), exact=state.exact)
 
 
 def _keyed(names: tuple, state: SymState) -> tuple:
@@ -366,7 +364,7 @@ class _Evaluator:
                 den = self.heap_denotation(h)
                 if den is None:
                     return UNKNOWN
-                return tuple(sorted(names)) in den
+                return all(any(n in key for key in den) for n in names)
             case HeapId(l, r):
                 dl, dr = self.heap_denotation(l), self.heap_denotation(r)
                 if dl is None or dr is None:
@@ -389,13 +387,8 @@ class _Evaluator:
                     return UNKNOWN
                 if len(cell.qubits) == 1:
                     return False
-                vec = st.vector().reshape([2] * len(cell.qubits))
-                i = cell.qubits.index(v[1])
-                order = [i] + [k for k in range(len(cell.qubits)) if k != i]
-                t2 = np.transpose(vec, order).reshape(2, -1)
-                rho = t2 @ t2.conj().T
-                purity = float(np.real(np.trace(rho @ rho)))
-                return purity < 1 - PHASE_TOL
+                rho = reduced_density(cell.qubits, st.amps, v[1])
+                return purity(rho) < 1 - PHASE_TOL
             case ExistsVar() | ForallVar() | ExistsHeap() | ForallHeap():
                 return UNKNOWN
             case Compose() | Replace() | CellGroup() | ARef():

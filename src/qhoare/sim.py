@@ -1,13 +1,15 @@
 """Seeded statevector execution of programs, QIO style.
 
 The quantum state is a product of disjoint cells of live qubits, each with
-its dense amplitude vector, as in the checker's heaps.  A unitary joins the
-cells it touches and goes through :func:`apply_to_tensor`, the checker's
-kernel too; amplitudes at or below 1e-12 are zeroed and each vector is kept
-normalized.  Unitaries form a monoid built from ``mempty``/``mappend`` over
-single-qubit rotations and the ``cond``/``ifQ`` conditionals.  Measured
-qubits are retired: their index is never reused and further use is a
-dynamic error.
+its dense amplitude vector, as in the checker's heaps.  This module holds
+the one copy of each operation on such a cell that both engines use: a
+unitary joins the cells it touches (:func:`apply_to_cells`, through the
+kernel :func:`apply_to_tensor`), zeroes amplitudes at or below
+``PRUNE_TOL`` and renormalizes; :func:`split` and :func:`reduced_density`
+read one qubit of a cell.  Unitaries form a monoid built from
+``mempty``/``mappend`` over single-qubit rotations and the ``cond``/``ifQ``
+conditionals.  Measured qubits are retired: their index is never reused
+and further use is a dynamic error.
 
 One state is confined to one shot; shots draw from independent deterministic
 PRNG streams derived from (seed, shot index), so equal seeds give
@@ -168,11 +170,51 @@ def apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
 
 def split(vec: np.ndarray, pos: int, n: int) -> tuple:
     """The parts of ``vec``, a vector over ``n`` qubits, where the qubit at
-    ``pos`` is false and where it is true, each without that qubit's axis
-    and paired with its norm."""
+    ``pos`` is false and where it is true, without that qubit's axis: each
+    ``(part, weight)``, ``part`` renormalized and pruned at ``PRUNE_TOL``
+    unless ``weight``, its norm, is 0."""
     t = vec.reshape(2 ** pos, 2, 2 ** (n - pos - 1))
-    halves = t[:, 0].reshape(-1), t[:, 1].reshape(-1)
-    return tuple((sub, float(np.linalg.norm(sub))) for sub in halves)
+    halves = []
+    for sub in (t[:, 0].reshape(-1), t[:, 1].reshape(-1)):
+        weight = float(np.linalg.norm(sub))
+        if weight > 0:
+            sub = sub / weight
+            sub[np.abs(sub) <= PRUNE_TOL] = 0
+        halves.append((sub, weight))
+    return tuple(halves)
+
+
+def apply_to_cells(u: UnitaryExpr, cells) -> tuple:
+    """The ``(qubits, vector)`` cell that ``u`` makes of ``cells``, such
+    pairs covering its footprint: their join (``np.kron`` in list order)
+    with ``u`` applied, pruned at ``PRUNE_TOL`` and renormalized."""
+    qubits, vec = cells[0]
+    for more, v in cells[1:]:
+        qubits += more
+        vec = np.kron(vec, v)
+    vec = apply_to_tensor(u, vec.reshape((2,) * len(qubits)),
+                          qubits).reshape(-1)
+    vec[np.abs(vec) <= PRUNE_TOL] = 0  # a fresh array: u touches a qubit
+    # scrub float drift from validated-but-inexact rotation matrices
+    norm_sq = float(np.vdot(vec, vec).real)
+    if abs(norm_sq - 1.0) > 1e-6:
+        raise SimulationError(f"unitary application lost norm: {norm_sq}")
+    if abs(norm_sq - 1.0) > 1e-15:
+        vec = vec / math.sqrt(norm_sq)
+    return qubits, vec
+
+
+def reduced_density(qubits: tuple, vec: np.ndarray, q) -> np.ndarray:
+    """Density matrix of qubit ``q`` of the cell ``(qubits, vec)``: the
+    partial trace over the cell's other qubits."""
+    t = np.moveaxis(vec.reshape((2,) * len(qubits)), qubits.index(q), 0)
+    t = t.reshape(2, -1)
+    return t @ t.conj().T
+
+
+def purity(rho: np.ndarray) -> float:
+    """``tr(rho^2)``: 1 for a pure state, 1/2 for a maximally mixed qubit."""
+    return float(np.real(np.trace(rho @ rho)))
 
 
 def is_unitary(matrix, tol: float = NORM_TOL) -> bool:
@@ -316,28 +358,12 @@ def alloc(s: QuantumState, b: bool):
 
 
 def apply_unitary(s: QuantumState, u: UnitaryExpr) -> QuantumState:
-    touched = []
-    for q in footprint(u):
-        i = s.index(q)
-        if i not in touched:
-            touched.append(i)
+    touched = list(dict.fromkeys(map(s.index, footprint(u))))
     if not touched:
         return s
-    qubits, vec = s.cells[touched[0]]
-    for i in touched[1:]:
-        qubits += s.cells[i][0]
-        vec = np.kron(vec, s.cells[i][1])
-    vec = apply_to_tensor(u, vec.reshape((2,) * len(qubits)),
-                          qubits).reshape(-1)
-    vec[np.abs(vec) <= PRUNE_TOL] = 0  # a fresh array: u touches a qubit
-    # scrub float drift from validated-but-inexact rotation matrices
-    norm_sq = float(np.vdot(vec, vec).real)
-    if abs(norm_sq - 1.0) > 1e-6:
-        raise SimulationError(f"unitary application lost norm: {norm_sq}")
-    if abs(norm_sq - 1.0) > 1e-15:
-        vec = vec / math.sqrt(norm_sq)
+    cell = apply_to_cells(u, [s.cells[i] for i in touched])
     cells = tuple(c for i, c in enumerate(s.cells) if i not in touched)
-    return QuantumState(cells + ((qubits, vec),), s.next_index, s.retired)
+    return QuantumState(cells + (cell,), s.next_index, s.retired)
 
 
 def draw(rng, p_true: float) -> bool:
@@ -378,22 +404,9 @@ def _posterior(s: QuantumState, q: int, sub: np.ndarray, weight: float):
     if weight <= 0:
         raise SimulationError("measurement of zero-probability outcome")
     i = s.index(q)
-    qubits = s.cells[i][0]
-    pos = qubits.index(q)
-    sub = sub / weight
-    sub[np.abs(sub) <= PRUNE_TOL] = 0
-    rest = qubits[:pos] + qubits[pos + 1:]
+    rest = tuple(x for x in s.cells[i][0] if x != q)
     cells = s.cells[:i] + (((rest, sub),) if rest else ()) + s.cells[i + 1:]
     return QuantumState(cells, s.next_index, s.retired | {q})
-
-
-def reduced_density(s: QuantumState, q: int) -> np.ndarray:
-    """Density matrix of live qubit ``q``: the partial trace of its cell
-    over the cell's other qubits."""
-    qubits, vec = s.cells[s.index(q)]
-    t = np.moveaxis(vec.reshape((2,) * len(qubits)), qubits.index(q), 0)
-    t = t.reshape(2, -1)
-    return t @ t.conj().T
 
 
 def states_equal_up_to_phase(u, v, tol: float = NORM_TOL) -> bool:
@@ -609,9 +622,8 @@ def _qubit_pure_state(state: QuantumState, q: int):
     None."""
     if not state.holds(q):
         return None
-    rho = reduced_density(state, q)
-    purity = float(np.real(np.trace(rho @ rho)))
-    if purity < 1 - FIDELITY_TOL:
+    rho = reduced_density(*state.cells[state.index(q)], q)
+    if purity(rho) < 1 - FIDELITY_TOL:
         return None
     vals, vecs = np.linalg.eigh(rho)
     return vecs[:, int(np.argmax(vals))]
@@ -709,9 +721,8 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
                 v = value_of(t)
                 if not isinstance(v, int) or not state.holds(v):
                     return UNKNOWN
-                rho = reduced_density(state, v)
-                purity = float(np.real(np.trace(rho @ rho)))
-                return bool(purity <= 0.5 + ENTANGLE_SLACK)
+                rho = reduced_density(*state.cells[state.index(v)], v)
+                return purity(rho) <= 0.5 + ENTANGLE_SLACK
             case _:
                 return UNKNOWN
 

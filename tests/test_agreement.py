@@ -68,7 +68,7 @@ def exact_cells_match(model, live, vec):
             perm = np.transpose(
                 vec.reshape([2] * n),
                 pos + [i for i in range(n) if i not in pos]).reshape(-1)
-            if not states_equal_up_to_phase(perm, st.vector()):
+            if not states_equal_up_to_phase(perm, st.amps):
                 return False
         # joint factor checks for proper sub-cells are not needed for
         # this corpus: exact cells always span the whole final state
@@ -84,7 +84,7 @@ def component_matches(component, model, live):
         st = cell.state
         if st.kind != "concrete" or st.exact:
             continue
-        v = st.vector()
+        v = st.amps
         idx = int(np.argmax(np.abs(v)))
         k = len(cell.qubits)
         branch_bits = tuple(bool((idx >> (k - 1 - j)) & 1)
@@ -261,7 +261,7 @@ def runtime_state(cells):
     """The runtime state holding the vectors of exact heap cells over
     qubits 0..n-1."""
     n = sum(len(c.qubits) for c in cells)
-    return QuantumState(tuple((c.qubits, c.state.vector()) for c in cells), n)
+    return QuantumState(tuple((c.qubits, c.state.amps) for c in cells), n)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -278,6 +278,11 @@ def test_tensor_route_matches_sparse_route(seed):
         sym = sp_apply_unitary(SymbolicHeap(tuple(cells)), u)
         assert not sym.residual
         run = apply_unitary(runtime_state(cells), u)
+        # both engines make one cell of the touched ones, bit for bit
+        # (none where u touches no qubit)
+        for cell in sym.delta.produced:
+            assert run.cells[-1][0] == cell.qubits
+            assert np.array_equal(run.cells[-1][1], cell.state.amps)
         for state in (runtime_state(sym.heap.cells), run):
             got = state_vector(state)[1]
             overlap = np.vdot(got, want)

@@ -151,6 +151,19 @@ class TestInProcessMain:
         assert got == code
         assert text in {"out": out, "err": err}[stream]
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--format", "json"],
+        ["run", "--strict"],
+    ], ids=["trace-format", "run-strict"])
+    def test_option_a_command_does_not_read_is_a_usage_error(self, argv,
+                                                             capsys):
+        # trace prints text only and run has no conditional verdict
+        code, out, err = run_cli(
+            argv[:1] + [corpus("bellpair.qh"), "bell"] + argv[1:], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[1]}" in err
+
     def test_alternating_run_options_do_not_leak(self, capsys):
         bell = ["run", corpus("bellpair.qh"), "bell", "--format", "json"]
         for _ in range(2):

@@ -56,12 +56,27 @@ KETM = concrete([S, -S])
 PHIP = concrete([S, 0, 0, S])
 
 
+class TestSymState:
+    def test_amplitudes_are_read_only(self):
+        state = concrete([S, S])
+        with pytest.raises(ValueError):
+            state.amps[0] = 1
+
+    def test_signed_zeros_are_equal(self):
+        # the render memo keys on states, so equal amplitudes must hash equal
+        a = SymState("concrete", (complex(0.0, 0.0), complex(1.0, 0.0)))
+        b = SymState("concrete", (complex(-0.0, -0.0), complex(1.0, -0.0)))
+        assert a == b and hash(a) == hash(b)
+        assert a != SymState("concrete", (0j, 1 + 0j), exact=False)
+        assert a != SymState("concrete", (1e-300j, 1 + 0j))
+
+
 class TestClassicalToState:
     def test_false_is_ket0(self):
-        assert classical_to_state(False).amps == (1 + 0j, 0j)
+        assert tuple(classical_to_state(False).amps) == (1 + 0j, 0j)
 
     def test_true_is_ket1(self):
-        assert classical_to_state(True).amps == (0j, 1 + 0j)
+        assert tuple(classical_to_state(True).amps) == (0j, 1 + 0j)
 
     def test_init_then_measure_round_trips(self):
         for b in (False, True):
@@ -247,7 +262,7 @@ class TestRendering:
                          for _ in range(n))
             state = SymState("concrete", amps)
             want = tuple(complex(round(z.real, 12) + 1j * round(z.imag, 12))
-                         for z in _phase_canonical(state.vector()))
+                         for z in _phase_canonical(state.amps))
             got = state_expr(state)
             assert isinstance(got, KetVec)
             assert repr(got.amps) == repr(want)
@@ -266,7 +281,7 @@ class TestRendering:
             noise *= scale * (1e-9 + 1e-5 * np.abs(ref)) / np.abs(noise)
             phase = np.exp(2j * np.pi * rng.random())
             amps = tuple((phase * (ref + noise)).tolist())
-            vec = _phase_canonical(SymState("concrete", amps).vector())
+            vec = _phase_canonical(SymState("concrete", amps).amps)
             want = next((k for k, a in KET_AMPS.items() if len(a) == len(vec)
                          and np.allclose(vec, np.asarray(a), atol=1e-9)),
                         None)
@@ -294,8 +309,8 @@ class TestRendering:
             b /= np.linalg.norm(b)
             sa = SymState("concrete", tuple(a.tolist()), exact=True)
             sb = SymState("concrete", tuple(b.tolist()), exact=True)
-            close = np.allclose(_phase_canonical(sa.vector()),
-                                _phase_canonical(sb.vector()), atol=1e-9)
+            close = np.allclose(_phase_canonical(sa.amps),
+                                _phase_canonical(sb.amps), atol=1e-9)
             seen.add(close)
             # two exact states merge to the first when close, else clash
             assert _merge_states(sa, sb) == (sa if close else None)
@@ -348,7 +363,7 @@ class TestProperties:
                 # unit norm of concrete states
                 for cell in h2.cells:
                     if cell.state.kind == "concrete":
-                        assert abs(np.linalg.norm(cell.state.vector()) - 1) \
+                        assert abs(np.linalg.norm(cell.state.amps) - 1) \
                             < 1e-9
             checked += 1
         assert checked >= 200

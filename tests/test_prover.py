@@ -420,6 +420,15 @@ class TestQubitOrder:
             assert eval_in_model(InDom(h, loc),
                                  Model(SymbolicHeap(), {})) is True
 
+    def test_domain_holds_each_qubit_of_a_pair_cell(self):
+        # a name is in the domain when some cell holds it
+        h = Upd(HEmpty(), pair("qa", "qb"), vec(0, 1, 0, 0))
+        empty = Model(SymbolicHeap(), {})
+        for name, held in (("qa", True), ("qb", True), ("qc", False)):
+            assert eval_in_model(InDom(h, Emb(Var(name))), empty) is held
+        one = Upd(HEmpty(), Emb(Var("qa")), Ket("0"))
+        assert eval_in_model(InDom(one, Emb(Var("qb"))), empty) is False
+
 
 class TestCountermodels:
     def test_env_values_render_like_run_results(self):

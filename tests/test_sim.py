@@ -460,7 +460,7 @@ class TestRuntimeAssertions:
     def test_entangled_half_bell(self):
         # partial-trace oracle: reduced purity of half a Bell pair is 1/2
         s, qa, qb = self.bell_state()
-        rho = reduced_density(s, qa)
+        rho = reduced_density(*s.cells[s.index(qa)], qa)
         purity = float(np.real(np.trace(rho @ rho)))
         assert abs(purity - 0.5) < 1e-9
         a = Entangled(Emb(Var("e")))

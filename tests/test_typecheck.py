@@ -505,6 +505,21 @@ class TestQubitOrder:
         assert discharge_all(f.obligations).status == status
 
     @pytest.mark.parametrize("post, status", [
+        # each qubit of a pair cell is in the heap's domain
+        ("indom(upd(empty, (a, b), |vec(0, 1, 0, 0)\\>), a)", "verified"),
+        ("indom(upd(empty, (a, b), |vec(0, 1, 0, 0)\\>), b)", "verified"),
+        ("indom(upd(empty, a, |0\\>), b)", "refuted"),
+    ])
+    def test_domain_of_an_explicit_heap(self, post, status):
+        checked = check_program(parse_program(
+            f"f : {{emp}} (a, b) : (Qbit, Qbit) {{{post}}} = "
+            "do qa <= mkQbit false; qb <= mkQbit true; return (qa, qb)\n"
+        ).program)
+        f = checked.decl("f")
+        assert f.error is None
+        assert discharge_all(f.obligations).status == status
+
+    @pytest.mark.parametrize("post, status", [
         ("(a, b) |-> x", "verified"),
         # a ghost state of the pair read with its qubits swapped is not known
         ("(b, a) |-> x", "conditional"),
