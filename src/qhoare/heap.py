@@ -23,7 +23,7 @@ a 2^n x 2^n matrix, and ``split`` gives measurement both outcomes' parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,24 +44,30 @@ class HeapError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymState:
     """A cell state.  A concrete one's ``amps`` is a read-only complex
     array (an array given is taken over).  Equality and hash read ``_key``,
-    its bytes with ``-0.0`` made ``0.0``: equality of the numbers."""
+    its bytes with ``-0.0`` made ``0.0`` (made on first use)."""
 
     kind: str  # "concrete" | "opaque" | "unknown" | "wildcard"
     amps: Optional[np.ndarray] = field(default=None, compare=False)
     name: Optional[str] = None
     exact: bool = True
-    _key: Optional[bytes] = field(default=None, init=False, repr=False)
+    _key: Optional[bytes] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.amps is not None:
             amps = np.asarray(self.amps, dtype=complex)
-            amps.flags.writeable = False
+            amps.setflags(write=False)
             object.__setattr__(self, "amps", amps)
-            object.__setattr__(self, "_key", (amps + 0.0).tobytes())
+
+    def __getattr__(self, name):  # only reached while ``_key`` is unset
+        if name != "_key":
+            raise AttributeError(name)
+        key = None if self.amps is None else (self.amps + 0.0).tobytes()
+        object.__setattr__(self, "_key", key)
+        return key
 
 
 UNKNOWN_STATE = SymState("unknown", exact=False)
@@ -89,13 +95,13 @@ def opaque(name: str) -> SymState:
     return SymState("opaque", name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     qubits: tuple  # nonempty, ordered
     state: SymState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicHeap:
     cells: tuple = ()
 
@@ -112,8 +118,8 @@ class SymbolicHeap:
         return out
 
     def without(self, cells) -> tuple:
-        drop = set(id(c) for c in cells)
-        return tuple(c for c in self.cells if id(c) not in drop)
+        drop = {id(c) for c in cells}
+        return tuple([c for c in self.cells if id(c) not in drop])
 
 
 @dataclass
@@ -135,8 +141,7 @@ class Model:
         return Model(self.heap, dict(self.env))
 
 
-@dataclass(frozen=True)
-class HeapDelta:
+class HeapDelta(NamedTuple):
     consumed: tuple  # tuple[Cell, ...]
     produced: tuple
 
@@ -184,8 +189,7 @@ def unitary_matrix(u: UnitaryExpr, order: tuple) -> np.ndarray:
     return apply_to_tensor(u, columns, order).reshape(dim, dim)
 
 
-@dataclass(frozen=True)
-class ApplyResult:
+class ApplyResult(NamedTuple):
     heap: SymbolicHeap
     delta: HeapDelta
     residual: bool  # True when the result state could not be computed
@@ -194,29 +198,28 @@ class ApplyResult:
 def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
     """Apply ``u``'s denotation to the touched cells, merging them into one.
 
-    All footprint qubits must be allocated (the caller discharges the
-    allocation obligation first).  When any touched state is opaque,
-    unknown, or only a basis claim, the merged cell becomes unknown and
-    ``residual`` is set so the caller can emit the corresponding
-    verification condition.
+    A footprint qubit that is not allocated is a :class:`HeapError`.  When
+    any touched state is opaque, unknown, or only a basis claim, the merged
+    cell becomes unknown and ``residual`` is set so the caller can emit the
+    corresponding verification condition.
     """
-    fp = footprint(u)
-    if not fp:
-        return ApplyResult(h, EMPTY_DELTA, False)
-    touched = []
-    for q in fp:
+    touched, residual = [], False
+    for q in footprint(u):
         cell = h.find(q)
         if cell is None:
             raise HeapError(f"qubit {q!r} is not allocated")
         if cell not in touched:
             touched.append(cell)
-    if all(c.state.kind == "concrete" and c.state.exact for c in touched):
+            residual |= cell.state.kind != "concrete" or not cell.state.exact
+    if not touched:
+        return ApplyResult(h, EMPTY_DELTA, False)
+    if residual:
+        new_cell = Cell(tuple(q for c in touched for q in c.qubits),
+                        UNKNOWN_STATE)
+    else:
         qubits, vec = apply_to_cells(
             u, [(c.qubits, c.state.amps) for c in touched])
-        new_cell, residual = Cell(qubits, SymState("concrete", vec)), False
-    else:
-        qubits = tuple(q for c in touched for q in c.qubits)
-        new_cell, residual = Cell(qubits, UNKNOWN_STATE), True
+        new_cell = Cell(qubits, SymState("concrete", vec))
     cells = h.without(touched) + (new_cell,)
     delta = HeapDelta(tuple(touched), (new_cell,))
     return ApplyResult(SymbolicHeap(cells), delta, residual)
@@ -474,6 +477,13 @@ def heap_from_assertion(a: Assn, kind_of) -> list:
     def single(*cells, env=None) -> list:
         return [Model(SymbolicHeap(cells), env or {})]
 
+    def written(qubits: tuple, state: SymState) -> list:
+        n = 2 ** len(qubits)
+        if state.amps is not None and len(state.amps) != n:
+            raise HeapError(f"a state of {len(state.amps)} amplitudes at "
+                            f"{len(qubits)} qubit(s), which take {n}")
+        return single(Cell(qubits, state))
+
     def go(a) -> list:
         match a:
             case Top() | Emp():
@@ -500,7 +510,7 @@ def heap_from_assertion(a: Assn, kind_of) -> list:
                                 for v in (False, True)]
                     st = _state_of_expr(r, kind_of)
                     if st is not None:
-                        return single(Cell((lname,), st))
+                        return written((lname,), st)
                     return single()
                 if lname is not None and kind_of(lname) == "bool":
                     rv = strip_emb(r)
@@ -519,7 +529,7 @@ def heap_from_assertion(a: Assn, kind_of) -> list:
                 if qubits is None:
                     return single()
                 state = _state_of_expr(st, kind_of) or UNKNOWN_STATE
-                return single(Cell(tuple(qubits), state))
+                return written(tuple(qubits), state)
             case Entangled(t):
                 name = _term_name(t)
                 if name is None:

@@ -106,8 +106,16 @@ class MAppend:
 
 @dataclass(frozen=True)
 class Rot:
+    """A one-qubit gate; ``array``, ``matrix`` read-only, is built once."""
+
     qubit: object
     matrix: tuple  # 2x2, tuple of tuples of complex
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        array = np.array(self.matrix, dtype=complex)
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
 
 
 @dataclass(frozen=True)
@@ -126,6 +134,8 @@ def if_q(qubit, u: UnitaryExpr) -> Cond:
 
 def footprint(u: UnitaryExpr) -> list:
     """Qubits touched by ``u`` in first-touch order."""
+    if isinstance(u, Rot):
+        return [u.qubit]
     out = []
 
     def go(u):
@@ -150,14 +160,13 @@ def apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
     (length 2 each) and whose trailing axes, if any, form a batch.  The
     result is a fresh array unless ``u`` touches no qubit."""
     match u:
+        case Rot(q):
+            i = order.index(q)
+            return (u.array @ t.reshape(2 ** i, 2, -1)).reshape(t.shape)
         case MEmpty():
             return t
         case MAppend(a, b):
             return apply_to_tensor(b, apply_to_tensor(a, t, order), order)
-        case Rot(q, m):
-            i = order.index(q)
-            m = np.asarray(m, dtype=complex)
-            return (m @ t.reshape(2 ** i, 2, -1)).reshape(t.shape)
         case Cond(q, fb, tb):
             i = order.index(q)
             rest = order[:i] + order[i + 1:]

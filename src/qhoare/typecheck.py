@@ -31,7 +31,7 @@ from collections import ChainMap
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import heap as heaplib
 from . import sim as simlib
@@ -182,12 +182,19 @@ class TraceStep:
 
 @dataclass
 class DeclResult:
+    """A checked declaration; :attr:`trace` renders its deltas when read."""
+
     name: str
     signature: Ty
     canonical: Optional[object] = None
     obligations: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
     error: Optional[CheckError] = None
+    events: list = field(default_factory=list, repr=False, compare=False)
+    render: object = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def trace(self) -> list:
+        return _assemble_trace(self.events, self.render)
 
 
 @dataclass
@@ -225,8 +232,7 @@ class _Scope(dict):
         return _Prefix(self._base, self._local, len(self._local))
 
 
-@dataclass(frozen=True)
-class _Prefix:
+class _Prefix(NamedTuple):
     base: object  # _Prefix of the enclosing block, or entry (name, ty) pairs
     local: list
     length: int
@@ -309,7 +315,7 @@ class Checker:
     def _reset_decl_state(self, decl_name: str):
         self._decl = decl_name
         self._obs = []
-        self._events = []  # (span, op_id, delta assertion, refined)
+        self._events = []  # (span, op_id, heap delta, refined)
         self._op_counter = 0
         # (name, type) of each statement binder and callee ghost, in
         # program order; read by VarCtx and by check_do's unbound tail
@@ -334,7 +340,7 @@ class Checker:
             result.canonical = self.check(ctx, decl.body, decl.signature,
                                           span=decl.span)
             result.obligations = self._obs
-            result.trace = self._assemble_trace()
+            result.events, result.render = self._events, self._render
         except CheckError as e:
             result.error = e
         else:
@@ -558,11 +564,8 @@ class Checker:
         return ob
 
     def _record_delta(self, span, op_id, delta, refined=False):
-        if delta.is_empty():
-            return
-        self._events.append(
-            (span, op_id, delta_assertion(delta, render=self._render),
-             refined))
+        if not delta.is_empty():
+            self._events.append((span, op_id, delta, refined))
 
     def _render(self, state):
         """``state_expr(state)``, computed once per distinct state.  Equal
@@ -572,33 +575,6 @@ class Checker:
         if expr is None:
             expr = self._renders[state] = heaplib.state_expr(state)
         return expr
-
-    def _assemble_trace(self) -> list:
-        steps = []
-        for span, op_id, assn, refined in self._events:
-            if steps and steps[-1][0] == span:
-                steps[-1][1].setdefault(op_id, []).append(assn)
-                steps[-1][2] = steps[-1][2] or refined
-            else:
-                steps.append([span, {op_id: [assn]}, refined])
-        out = []
-        for span, by_op, refined in steps:
-            chain_items = []
-            alternatives = 0
-            for op_id in sorted(by_op):
-                unique = []
-                for a in by_op[op_id]:
-                    if a not in unique:
-                        unique.append(a)
-                chain_items.append(unique[0])
-                alternatives = max(alternatives, len(unique) - 1)
-            label = ARef(f"P{len(out)}")
-            chain = chain_items[-1]
-            for item in reversed(chain_items[:-1]):
-                chain = Compose(item, chain)
-            out.append(TraceStep(span, Compose(label, chain), refined,
-                                 alternatives))
-        return out
 
     def _eval_value(self, ctx: dict, m, env: dict):
         m = _strip(m)
@@ -786,28 +762,25 @@ class Checker:
                             b.env[binder] = None
                         return branches, UnitT()
                     raise CheckError(e.message, span)
-                rots = _rot_matrices(units[0])
+                rots = _rot_count(units[0])
                 if rots:
                     self._emit(
                         UNITARITY, Top(), [Model(SymbolicHeap(), {})],
                         var_ctx=self._obligation_ctx(ctx),
-                        note=f"{len(rots)} rotation matrix(es) validated "
+                        note=f"{rots} rotation matrix(es) validated "
                              f"unitary", span=span)
-                missing_models = []
-                residual_models = []
+                missing_models, residual_models, out = [], [], []
                 residual_cell = None
-                out = []
                 for b, u in zip(branches, units):
-                    fp = simlib.footprint(u)
-                    missing = [q for q in fp if b.heap.find(q) is None]
-                    if missing:
-                        missing_models.append((b, missing))
+                    try:
+                        res = sp_apply_unitary(b.heap, u)
+                    except heaplib.HeapError:  # a qubit is not allocated
+                        missing_models.append(b)
                         nb = b.copy()
                         nb.env[binder] = None
                         out.append(nb)
                         continue
                     # one branch in, one out: update it in place
-                    res = sp_apply_unitary(b.heap, u)
                     b.heap = res.heap
                     b.env[binder] = None
                     out.append(b)
@@ -835,8 +808,7 @@ class Checker:
                         And, (Lookup(Emb(Var(q)), WildcardState())
                               for q in simlib.footprint(by_name)))
                     self._emit(
-                        ALLOCATION, concl,
-                        [b.copy() for b, _ in missing_models],
+                        ALLOCATION, concl, missing_models,
                         var_ctx=self._obligation_ctx(ctx),
                         note="unitary footprint must be allocated",
                         span=span)
@@ -882,11 +854,11 @@ class Checker:
         if memo is None:
             memo = self._gates[uterm] = (sorted(free_vars(uterm)), {})
         names, units = memo
-        types = tuple(ctx.get(x, self.decl_types.get(x)) for x in names)
-        qvars = tuple(x for x in names if isinstance(ctx.get(x), QbitT))
+        types = tuple([ctx.get(x, self.decl_types.get(x)) for x in names])
+        qvars = [x for x in names if isinstance(ctx.get(x), QbitT)]
         out = []
         for env in envs:
-            qubits = tuple(_qubit_of(env, x) for x in qvars)
+            qubits = tuple([_qubit_of(env, x) for x in qvars])
             u = units.get((types, qubits))
             if u is None:
                 uc = self.check(ctx, uterm, UT())
@@ -1016,27 +988,51 @@ class Checker:
         return tuple(component(p) for p in pat)
 
 
+def _assemble_trace(events: list, render) -> list:
+    """One step per span of ``(span, op_id, delta, refined)`` events, its
+    deltas rendered with ``render``, composed, and alternatives counted."""
+    steps = []
+    for span, op_id, delta, refined in events:
+        assn = delta_assertion(delta, render=render)
+        if steps and steps[-1][0] == span:
+            steps[-1][1].setdefault(op_id, []).append(assn)
+            steps[-1][2] = steps[-1][2] or refined
+        else:
+            steps.append([span, {op_id: [assn]}, refined])
+    out = []
+    for span, by_op, refined in steps:
+        chain_items = []
+        alternatives = 0
+        for op_id in sorted(by_op):
+            unique = []
+            for a in by_op[op_id]:
+                if a not in unique:
+                    unique.append(a)
+            chain_items.append(unique[0])
+            alternatives = max(alternatives, len(unique) - 1)
+        label = ARef(f"P{len(out)}")
+        chain = chain_items[-1]
+        for item in reversed(chain_items[:-1]):
+            chain = Compose(item, chain)
+        out.append(TraceStep(span, Compose(label, chain), refined,
+                             alternatives))
+    return out
+
+
 def _as_elim(m):
     if isinstance(m, Emb):
         return m.elim
     return m
 
 
-def _rot_matrices(u) -> list:
-    out = []
-
-    def go(u):
-        match u:
-            case simlib.Rot(_, m):
-                out.append(m)
-            case simlib.MAppend(a, b):
-                go(a), go(b)
-            case simlib.Cond(_, fb, tb):
-                go(fb), go(tb)
-            case _:
-                pass
-    go(u)
-    return out
+def _rot_count(u) -> int:
+    """The number of rotation matrices in ``u``."""
+    match u:
+        case simlib.Rot():
+            return 1
+        case simlib.MAppend(a, b) | simlib.Cond(_, a, b):
+            return _rot_count(a) + _rot_count(b)
+    return 0
 
 
 def _qubit_of(env: dict, x: str) -> str:

@@ -923,6 +923,39 @@ class TestCalleePostcondition:
         assert f"{path}: share: conditional\n" in out
 
 
+class TestWrittenVectorLength:
+    # a written vector of 4 amplitudes at one qubit: the first gate or
+    # measurement on its cell would reshape it to a qubit's 2
+    @pytest.mark.parametrize("pre", [
+        "a |-> |vec(0.6, 0, 0, 0.8)\\>",
+        "a \\in {|0\\>, |vec(0.6, 0, 0, 0.8)\\>}",
+    ])
+    @pytest.mark.parametrize("stmt", ["applyU (H a)", "b <= measQbit a"])
+    def test_length_that_does_not_fit_is_a_type_error(
+            self, tmp_path, capsys, pre, stmt):
+        path = tmp_path / "len.qh"
+        path.write_text(
+            f"g : \\Pi a : Qbit. {{{pre}}} r : 1 {{T}}\n"
+            f"  = \\a. do {stmt}; return ()\n")
+        for args in (["check"], ["vcs"], ["trace", "g"], ["run", "g"]):
+            code, _, err = run_cli([args[0], str(path), *args[1:]], capsys)
+            assert code == 2, (args, err)
+        _, out, _ = run_cli(["check", str(path)], capsys)
+        assert out == (f"{path}: g: type-error (1:1: a state of 4 amplitudes "
+                       f"at 1 qubit(s), which take 2)\n")
+
+    def test_pair_location(self, tmp_path, capsys):
+        path = tmp_path / "pair.qh"
+        path.write_text(
+            "k : \\Pi a : Qbit. \\Pi b : Qbit. {(a, b) |-> |vec(1, 0)\\>}"
+            " r : 1 {T}\n"
+            "  = \\a. \\b. do applyU (H a); return ()\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 2
+        assert out == (f"{path}: k: type-error (1:1: a state of 2 amplitudes "
+                       f"at 2 qubit(s), which take 4)\n")
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark opening a file is not part of its source."""
 

@@ -181,6 +181,23 @@ class TestApplyUnitary:
         with pytest.raises(SimulationError):
             apply_unitary(s, Rot(q, GATES["X"]))
 
+    def test_rot_array_is_shared_and_read_only(self):
+        # every application of a gate term reads one array: a kernel that
+        # wrote into it would change every later application of the gate
+        u = eval_unitary(parse_term("H a"), {"a": 0}.__getitem__)
+        assert np.array_equal(u.array, np.array(u.matrix, dtype=complex))
+        assert u.array.dtype == complex
+        with pytest.raises(ValueError):
+            u.array[0, 0] = 0
+        s, q = alloc(QuantumState(), False)
+        apply_unitary(apply_unitary(s, u), u)
+        assert np.array_equal(u.array, np.array(GATES["H"], dtype=complex))
+        # equality and hash read the tuple matrix, not the array
+        v = Rot(0, tuple(tuple(row) for row in u.matrix))
+        assert v == u and hash(v) == hash(u)
+        assert v.array is not u.array
+        assert Rot(0, GATES["X"]) != u
+
 
 class TestMeasure:
     def test_ket0_deterministic(self):

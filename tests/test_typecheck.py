@@ -228,6 +228,30 @@ class TestComputations:
         assert texts[4] == \
             "P4 \\o ((qa |-> -) -o emp) \\o ((qb |-> -) -o emp)"
 
+    def test_gate_on_a_qubit_missing_in_one_branch(self):
+        # `p` is measured in the branch where `b` is true only: the gate
+        # applies in the other branch, and the allocationVC takes the
+        # branch without `p` as its one model
+        program = parse_program(
+            "n : {emp} r : Bool {T}\n"
+            "  = do q <= mkQbit false;\n"
+            "       p <= mkQbit false;\n"
+            "       applyU (H q);\n"
+            "       b <= measQbit q;\n"
+            "       c <= if b then (do x <= measQbit p; return ())\n"
+            "            else (do applyU (X p); return ());\n"
+            "       applyU (H p);\n"
+            "       return b\n").program
+        dr = check_program(program).decl("n")
+        (ob,) = [o for o in dr.obligations
+                 if o.note == "unitary footprint must be allocated"]
+        assert pretty(ob.conclusion) == "p ~> -"
+        (model,) = ob.models
+        assert model.env["b"] is True and model.heap.find("p") is None
+        assert pretty(dr.trace[-1].assertion) == (
+            "P6 \\o ((p |-> |1\\>) -o (p |-> |-\\>))")
+        assert discharge_all(dr.obligations).status == "refuted"
+
     def test_existential_closure_in_sp(self, checked_corpus):
         # the strongest postcondition is the postconditionVC's hypotheses;
         # the machine names in it are bound by the obligation's context,
@@ -410,6 +434,14 @@ class TestCorpusVerification:
                     assert rep.errors == 0
 
 
+def _counted(fn, calls):
+    """``fn``, appending its first argument to ``calls`` on each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestCheckerMemos:
     def test_each_gate_and_each_state_computed_once(self, monkeypatch):
         # a 900-gate block over three qubits repeats a few dozen gate
@@ -421,22 +453,37 @@ class TestCheckerMemos:
         gates = {s.command.unitary for s in program.decls[0].body.body.stmts
                  if isinstance(s.command, ApplyU)}
         evals, renders = [], []
-
-        def counted(fn, calls):
-            def wrapper(*args):
-                calls.append(args[0])
-                return fn(*args)
-            return wrapper
-
         monkeypatch.setattr(typecheck, "eval_unitary",
-                            counted(typecheck.eval_unitary, evals))
+                            _counted(typecheck.eval_unitary, evals))
         monkeypatch.setattr(heap, "state_expr",
-                            counted(heap.state_expr, renders))
+                            _counted(heap.state_expr, renders))
         dr = check_program(program).decls[0]
         assert dr.error is None
         assert len(evals) == len(gates) < 30
+        steps = len(dr.trace)  # renders the trace
         assert len(renders) == len(set(renders))
-        assert len(renders) < len(dr.trace)
+        assert len(renders) < steps
+
+    def test_trace_is_rendered_on_first_read(self, monkeypatch):
+        # check, vcs and run never read the trace, so checking renders no
+        # heap delta; the first read renders each step and later reads
+        # reuse them
+        from qhoare import cli, typecheck
+        source = gate_block_source(300)
+        program = parse_program(source).program
+        renders = []
+        monkeypatch.setattr(typecheck, "delta_assertion",
+                            _counted(typecheck.delta_assertion, renders))
+        checked = check_program(program)
+        assert cli.decl_status(program, "gates") == "verified"
+        assert renders == []
+        steps = checked.decls[0].trace
+        rendered = len(renders)
+        assert rendered >= len(steps) > 300
+        assert checked.decls[0].trace is steps
+        out = cli.render_trace(source, checked, "gates") + "\n"
+        assert out == (GOLDEN_DIR / "trace_genlib_gates.txt").read_text()
+        assert len(renders) == rendered
 
 
 class TestAlphaEquality:
