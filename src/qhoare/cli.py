@@ -12,9 +12,9 @@ raises ``SystemExit``, and reuses the argument parser built at import.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .core import Program, pretty
@@ -128,8 +128,38 @@ def _exit_for(report: Report, strict: bool) -> int:
     return EXIT_OK
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for what reports hold
+    (dicts with string keys, lists, str, int, bool, None); else TypeError."""
+    parts = []
+    put = parts.append
+
+    def write(o, pad: str) -> None:
+        if isinstance(o, str):
+            put(_quote(o))
+        elif isinstance(o, dict):
+            inner, sep = pad + "  ", "{"
+            for k in sorted(o):
+                put(sep + inner + _quote(k) + ": ")
+                write(o[k], inner)
+                sep = ","
+            put(pad + "}" if o else "{}")
+        elif isinstance(o, list):
+            inner, sep = pad + "  ", "["
+            for v in o:
+                put(sep + inner)
+                write(v, inner)
+                sep = ","
+            put(pad + "]" if o else "[]")
+        elif o is None or isinstance(o, bool):
+            put("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        else:
+            raise TypeError(f"{type(o).__name__} is not a report value")
+
+    write(obj, "\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +174,7 @@ def cmd_check(args) -> int:
             continue
         report, _ = analyze(path, source, args.literal_measurement)
         if args.format == "json":
-            _emit_json(report.as_dict())
+            print(_dumps(report.as_dict()))
         else:
             for d in report.diagnostics:
                 print(d)
@@ -308,7 +338,7 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":
-        _emit_json(rep.as_dict())
+        print(_dumps(rep.as_dict()))
     else:
         print(f"{args.decl}: seed={rep.seed} shots={rep.shots}")
         for value, count in sorted(rep.outcomes.items()):
@@ -331,13 +361,13 @@ def cmd_vcs(args) -> int:
     report, checked = analyze(args.file, source, args.literal_measurement)
     if checked is None:
         if args.format == "json":
-            _emit_json(report.as_dict())
+            print(_dumps(report.as_dict()))
         else:
             for d in report.diagnostics:
                 print(d)
         return EXIT_ERROR
     if args.format == "json":
-        _emit_json(report.as_dict())
+        print(_dumps(report.as_dict()))
     else:
         for decl in report.decls:
             print(f"{decl.name}: {decl.status}")

@@ -564,6 +564,12 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt_real(re)}{sign}{imtxt}"
 
 
+def _fmt_amps(amps) -> str:
+    """The amplitudes ``amps`` as ``a, b, ...``; every zero, signed or
+    not, is ``0`` without a call to :func:`_fmt_complex`."""
+    return ", ".join(["0" if z == 0 else _fmt_complex(z) for z in amps])
+
+
 def _pp_pattern(pat: Pattern) -> str:
     if len(pat) == 1:
         return pat[0]
@@ -632,15 +638,11 @@ def _pp_term(m) -> str:
         case IfTerm(c, t, e):
             return f"if {_pp_term(c)} then {_pp_term(t)} else {_pp_term(e)}"
         case MatrixLit(rows):
-            rtxt = [
-                "(" + ", ".join(_fmt_complex(z) for z in row) + ")"
-                for row in rows
-            ]
-            return "(" + ", ".join(rtxt) + ")"
+            return "(" + ", ".join(f"({_fmt_amps(r)})" for r in rows) + ")"
         case Ket(kind):
             return KET_TEXT[kind]
         case KetVec(amps):
-            return "|vec(" + ", ".join(_fmt_complex(z) for z in amps) + ")\\>"
+            return "|vec(" + _fmt_amps(amps) + ")\\>"
         case GhostRef(name):
             return name
         case WildcardState():

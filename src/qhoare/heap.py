@@ -38,10 +38,15 @@ from .sim import (
 )
 
 PRUNE_TOL = 1e-9
+MAX_WIDTH = 21  # the most qubits one cell may hold: 2 ** 21 amplitudes
 
 
 class HeapError(Exception):
     pass
+
+
+class WidthError(HeapError):
+    """A gate would join a cell wider than :data:`MAX_WIDTH`."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,10 +203,11 @@ class ApplyResult(NamedTuple):
 def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
     """Apply ``u``'s denotation to the touched cells, merging them into one.
 
-    A footprint qubit that is not allocated is a :class:`HeapError`.  When
-    any touched state is opaque, unknown, or only a basis claim, the merged
-    cell becomes unknown and ``residual`` is set so the caller can emit the
-    corresponding verification condition.
+    A footprint qubit that is not allocated is a :class:`HeapError`, and a
+    merged cell of more than :data:`MAX_WIDTH` qubits a :class:`WidthError`.
+    When any touched state is opaque, unknown, or only a basis claim, the
+    merged cell becomes unknown and ``residual`` is set so the caller can
+    emit the corresponding verification condition.
     """
     touched, residual = [], False
     for q in footprint(u):
@@ -213,6 +219,10 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
             residual |= cell.state.kind != "concrete" or not cell.state.exact
     if not touched:
         return ApplyResult(h, EMPTY_DELTA, False)
+    width = sum(len(c.qubits) for c in touched)
+    if width > MAX_WIDTH:
+        raise WidthError(f"the gate joins a cell of {width} qubits, more "
+                         f"than the {MAX_WIDTH} that heap.MAX_WIDTH allows")
     if residual:
         new_cell = Cell(tuple(q for c in touched for q in c.qubits),
                         UNKNOWN_STATE)
@@ -289,10 +299,12 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
 
 
 def _phase_canonical(vec: np.ndarray) -> np.ndarray:
-    for z in vec:
-        if abs(z) > 1e-12:
-            return vec * (abs(z) / z)
-    return vec
+    """``vec`` rephased so that its first amplitude above 1e-12 is > 0."""
+    big = np.flatnonzero(np.abs(vec) > 1e-12)
+    if not big.size:
+        return vec
+    z = vec[big[0]]
+    return vec * (abs(z) / z)
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:

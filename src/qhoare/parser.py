@@ -73,6 +73,10 @@ class ParseError(Exception):
         self.span = span
 
 
+class LiteralError(ParseError):
+    """A literal that no other reading of the source could parse."""
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -470,8 +474,17 @@ class _Parser:
                     self.expect("COMMA", "',' between matrix rows")
             self.expect("RPAREN", "')' closing matrix")
             return MatrixLit((rows[0], rows[1]))
+        except LiteralError:
+            raise
         except ParseError:
             return None
+
+    def number(self) -> float:
+        t = self.advance()
+        if (value := float(t.text)) == float("inf"):  # too large a float
+            raise LiteralError(f"numeric literal {t.text} is not finite",
+                               t.span)
+        return value
 
     def parse_complex(self) -> complex:
         sign = 1.0
@@ -480,8 +493,7 @@ class _Parser:
             sign = -1.0
         t = self.peek()
         if t.kind == "NUMBER":
-            self.advance()
-            mag = float(t.text)
+            mag = self.number()
             if self.at_name("i"):
                 self.advance()
                 value = complex(0.0, sign * mag)
@@ -495,7 +507,7 @@ class _Parser:
         if value.imag == 0 and (self.at("PLUS") or self.at("MINUS")):
             imsign = 1.0 if self.advance().kind == "PLUS" else -1.0
             if self.at("NUMBER"):
-                mag = float(self.advance().text)
+                mag = self.number()
                 self.expect_kw("i")
             elif self.at_name("i"):
                 self.advance()
@@ -735,6 +747,8 @@ class _Parser:
                 return MemberOf(term, tuple(cands))
             if isinstance(term, Emb) and isinstance(term.elim, Var):
                 return ARef(term.elim.name)
+        except LiteralError:
+            raise
         except ParseError:
             pass
         self.restore(mark)

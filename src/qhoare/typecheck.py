@@ -774,6 +774,8 @@ class Checker:
                 for b, u in zip(branches, units):
                     try:
                         res = sp_apply_unitary(b.heap, u)
+                    except heaplib.WidthError as e:
+                        raise CheckError(str(e), span) from None
                     except heaplib.HeapError:  # a qubit is not allocated
                         missing_models.append(b)
                         nb = b.copy()

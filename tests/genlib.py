@@ -290,3 +290,24 @@ def coin_block_source(n: int) -> str:
     body.append(f"return {value}")
     return (f"coins : {{emp}} r : {ty} {{emp}}\n    = do "
             + ";\n         ".join(body) + "\n")
+
+
+def ghz_source(n: int) -> str:
+    """GHZ-n: qubit k is entangled through a control at (k - 1) // 2, so
+    most controls sit in the middle of the merged cell."""
+    qs = [f"q{k}" for k in range(n)]
+    body = [f"{qs[0]} <= mkQbit false", f"applyU (H {qs[0]})"]
+    for k in range(1, n):
+        body += [f"{qs[k]} <= mkQbit false",
+                 f"applyU (ifQ {qs[(k - 1) // 2]} (X {qs[k]}))"]
+    body += [f"m{k} <= measQbit {q}" for k, q in enumerate(qs)]
+
+    def nest(items):
+        if len(items) == 1:
+            return items[0]
+        return f"({items[0]}, {nest(items[1:])})"
+
+    body.append(f"return (m0, {nest([f'm{k}' for k in range(1, n)])})")
+    head = (f"ghz : {{emp}} (a, r) : (Bool, {nest(['Bool'] * (n - 1))}) "
+            f"{{emp /\\ Id(r, {nest(['a'] * (n - 1))})}}\n")
+    return head + "    = do " + ";\n         ".join(body) + "\n"

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON schemas, byte stability."""
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -8,18 +9,22 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
-from qhoare.cli import analyze, decl_status, main
+from qhoare.cli import _dumps, analyze, decl_status, main
 from qhoare.core import HoareT
+from qhoare.heap import MAX_WIDTH
 from qhoare.parser import parse_program, tokenize
+from qhoare.sim import run_program
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
 from genlib import (
-    gate_block_source, measure_block_source, straight_line_source,
+    gate_block_source, ghz_source, measure_block_source,
+    straight_line_source,
 )
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
@@ -371,6 +376,69 @@ class TestJsonOutputs:
                    if line.startswith("['")]
         assert len(headers) == len(calls)
         assert outputs[0] == outputs[1]
+
+
+def benchmark_programs(seed: int) -> list:
+    """The programs of every family of the benchmark's generator at
+    ``seed``, loaded without putting its module on the import path."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses looks the module up
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return (gen.deep_family(seed) + gen.wide_family(seed)
+            + gen.coins_family(seed))
+
+
+def reference_dumps(obj) -> str:
+    """How reports were written before ``cli._dumps``."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("golden", sorted(GOLDEN_DIR.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_goldens(self, golden):
+        obj = json.loads(golden.read_text())
+        assert _dumps(obj) == reference_dumps(obj)
+
+    def test_benchmark_family_reports(self):
+        for prog in benchmark_programs(1):
+            report = analyze(prog.file, prog.source)[0].as_dict()
+            assert _dumps(report) == reference_dumps(report), prog.file
+            parsed = parse_program(prog.source, prog.file)
+            run = run_program(parsed.program, prog.decl, seed=1,
+                              shots=20).as_dict()
+            assert _dumps(run) == reference_dumps(run), prog.file
+
+    @pytest.mark.parametrize("obj", [
+        "caf\u00e9 \u91cf\u5b50 \U0001F600",
+        "line\u2028separator\u2029paragraph",
+        'say "hi" \\ back\\slash /',
+        "".join(map(chr, range(32))) + "\x7f",
+        {}, [], {"a": {}, "b": [], "c": [[]], "d": [{}],
+                 "e": {"f": {"g": []}}},
+        {"t": True, "f": False, "n": None, "z": 0, "neg": -7,
+         "big": 2 ** 70},
+        [True, False, None, 0], True, False, None, 0,
+        {"": "empty", "B": 1, "a": 2, "\u00e9": 3, "\u2028": [4],
+         'a"b': {"\\": None}},
+        [{"decls": [{"obligations": [], "error": None}],
+          "diagnostics": ["1:1: \t"]}],
+    ])
+    def test_hand_made(self, obj):
+        assert _dumps(obj) == reference_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        1.5, float("nan"), (1, 2), b"x", {1: "a"}, {"a": [0.0]},
+        {None: 1},
+    ])
+    def test_other_values_are_type_errors(self, obj):
+        with pytest.raises(TypeError):
+            _dumps(obj)
 
 
 class TestTrace:
@@ -1009,27 +1077,6 @@ class TestConsoleEntry:
         assert "verified" in proc.stdout
 
 
-def ghz_source(n: int) -> str:
-    """GHZ-n: qubit k is entangled through a control at (k - 1) // 2, so
-    most controls sit in the middle of the merged cell."""
-    qs = [f"q{k}" for k in range(n)]
-    body = [f"{qs[0]} <= mkQbit false", f"applyU (H {qs[0]})"]
-    for k in range(1, n):
-        body += [f"{qs[k]} <= mkQbit false",
-                 f"applyU (ifQ {qs[(k - 1) // 2]} (X {qs[k]}))"]
-    body += [f"m{k} <= measQbit {q}" for k, q in enumerate(qs)]
-
-    def nest(items):
-        if len(items) == 1:
-            return items[0]
-        return f"({items[0]}, {nest(items[1:])})"
-
-    body.append(f"return (m0, {nest([f'm{k}' for k in range(1, n)])})")
-    head = (f"ghz : {{emp}} (a, r) : (Bool, {nest(['Bool'] * (n - 1))}) "
-            f"{{emp /\\ Id(r, {nest(['a'] * (n - 1))})}}\n")
-    return head + "    = do " + ";\n         ".join(body) + "\n"
-
-
 class TestWidth:
     @pytest.mark.parametrize("n", range(4, 15))
     def test_ghz_verifies(self, n, tmp_path, capsys):
@@ -1040,6 +1087,53 @@ class TestWidth:
         assert code == 0
         report = json.loads(out)
         assert [d["status"] for d in report["decls"]] == ["verified"]
+
+    def test_cell_past_the_cap_is_a_type_error(self, tmp_path, capsys):
+        # the last gate joins qubit n - 1 to a cell of MAX_WIDTH qubits
+        n = MAX_WIDTH + 1
+        source = ghz_source(n)
+        path = tmp_path / f"ghz{n}.qh"
+        path.write_text(source)
+        stmt = f"applyU (ifQ q{(n - 2) // 2} (X q{n - 1}))"
+        lines = source.splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if stmt in text)
+        where = f"{line}:{lines[line - 1].index(stmt) + 1}"
+        start = time.perf_counter()
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (
+            2, f"{path}: ghz: type-error ({where}: the gate joins a cell of "
+               f"{n} qubits, more than the {MAX_WIDTH} that heap.MAX_WIDTH "
+               f"allows)\n")
+        assert elapsed < 1.0
+        assert run_cli(["run", str(path), "ghz", "--shots", "1"],
+                       capsys)[0] == 2
+
+
+class TestNonFiniteLiteral:
+    """A numeric literal too large for a float is a parse error at the
+    literal, under every command."""
+
+    @pytest.mark.parametrize("source", [
+        "g : {emp} r : 1 {T} = do q <= mkQbit false; "
+        "applyU (rot q ((1e999, 0), (0, 1))); return ()\n",
+        "g : {emp} r : 1 {T} = do q <= mkQbit false; "
+        "applyU (rot q ((1, 0), (0, 1e999i))); return ()\n",
+        "g : \\Pi a : Qbit. {a |-> |vec(1e999, 0)\\>} r : 1 {T}\n"
+        "  = \\a. do return ()\n",
+    ], ids=["matrix", "imaginary", "vector"])
+    @pytest.mark.parametrize("args", [["check"], ["vcs"], ["trace", "g"],
+                                      ["run", "g"]],
+                             ids=["check", "vcs", "trace", "run"])
+    def test_parse_error_at_the_literal(self, source, args, tmp_path,
+                                        capsys):
+        path = tmp_path / "inf.qh"
+        path.write_text(source)
+        code, out, _ = run_cli([args[0], str(path), *args[1:]], capsys)
+        col = source.index("1e999") + 1
+        assert (code, out) == (
+            2, f"{path}:1:{col}: error: numeric literal 1e999 is not "
+               f"finite\n")
 
 
 def stack_depth() -> int:

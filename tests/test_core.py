@@ -2,7 +2,9 @@
 class, derived assertion forms, and the well-formedness of signatures."""
 
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
 from qhoare import core
@@ -52,6 +54,44 @@ class TestPretty:
     def test_membership(self):
         a = MemberOf(Emb(Var("a")), (Ket("+"), Ket("-")))
         assert pretty(a) == "a \\in {|+\\>, |-\\>}"
+
+
+def reference_pretty(node) -> str:
+    """How vectors and matrices were written before ``core._fmt_amps``:
+    ``_fmt_complex`` on every entry."""
+    if isinstance(node, KetVec):
+        return ("|vec(" + ", ".join(core._fmt_complex(z) for z in node.amps)
+                + ")\\>")
+    rows = ["(" + ", ".join(core._fmt_complex(z) for z in row) + ")"
+            for row in node.rows]
+    return "(" + ", ".join(rows) + ")"
+
+
+AMPS = [0j, -0.0, complex(0, -0.0), complex(-0.0, -0.0), 1e-300, 1, -1j,
+        0.5 + 0.5j]
+
+
+class TestAmplitudeText:
+    @pytest.mark.parametrize("pair", itertools.product(AMPS, repeat=2))
+    def test_vectors(self, pair):
+        vec = KetVec(pair)
+        assert pretty(vec) == reference_pretty(vec)
+
+    def test_rounded_vectors(self):
+        # rounded as heap.state_expr rounds: tiny parts become signed zeros
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            v = rng.normal(size=8) + 1j * rng.normal(size=8)
+            v[rng.random(8) < 0.5] *= 1e-13
+            rounded = np.round(v.real, 12) + 1j * np.round(v.imag, 12)
+            vec = KetVec(tuple(rounded.tolist()))
+            assert pretty(vec) == reference_pretty(vec)
+
+    @pytest.mark.parametrize("row", itertools.product(AMPS, repeat=2))
+    def test_matrices(self, row):
+        for other in AMPS:
+            m = MatrixLit((row, (other, row[0])))
+            assert pretty(m) == reference_pretty(m)
 
 
 class TestFreeVars:

@@ -317,6 +317,37 @@ class TestRendering:
         assert seen == {True, False}
 
 
+def phase_canonical_loop(vec):
+    """``_phase_canonical`` as it scanned the vector before numpy did."""
+    for z in vec:
+        if abs(z) > 1e-12:
+            return vec * (abs(z) / z)
+    return vec
+
+
+def _phase_inputs():
+    rng = np.random.default_rng(11)
+    for n in (2, 4, 8, 64):
+        yield rng.normal(size=n) + 1j * rng.normal(size=n)
+    for lead in (1e-13, -1e-13j, 1e-12, 2e-12, -2e-12j, 2e-12 + 2e-12j):
+        for k in (1, 3):
+            v = rng.normal(size=8) + 1j * rng.normal(size=8)
+            v[:k] = lead
+            yield v
+    yield np.zeros(16, dtype=complex)
+    for phase in (1, -1, 1j, (1 - 1j) * S):
+        ones = np.zeros(16, dtype=complex)
+        ones[-1] = phase
+        yield ones
+
+
+@pytest.mark.parametrize("vec", _phase_inputs())
+def test_phase_canonical_matches_loop(vec):
+    got, want = _phase_canonical(vec), phase_canonical_loop(vec)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestProperties:
     def rand_heap(self, rng):
         cells = []
