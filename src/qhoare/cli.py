@@ -133,7 +133,6 @@ def _dumps(obj) -> str:
     (dicts with string keys, lists, str, int, bool, None); else TypeError."""
     parts = []
     put = parts.append
-
     def write(o, pad: str) -> None:
         if isinstance(o, str):
             put(_quote(o))

@@ -300,10 +300,10 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
 
 def _phase_canonical(vec: np.ndarray) -> np.ndarray:
     """``vec`` rephased so that its first amplitude above 1e-12 is > 0."""
-    big = np.flatnonzero(np.abs(vec) > 1e-12)
-    if not big.size:
-        return vec
-    z = vec[big[0]]
+    z = vec[0]
+    if abs(z) <= 1e-12:  # past a leading zero, search with numpy
+        big = np.flatnonzero(np.abs(vec) > 1e-12)
+        z = vec[big[0]] if big.size else 1  # 1: nothing to rephase by
     return vec * (abs(z) / z)
 
 
