@@ -38,7 +38,7 @@ from .sim import (
 )
 
 PRUNE_TOL = 1e-9
-MAX_WIDTH = 21  # the most qubits one cell may hold: 2 ** 21 amplitudes
+MAX_WIDTH = 21  # most qubits in one cell: 2 ** MAX_WIDTH amplitudes
 
 
 class HeapError(Exception):
@@ -301,7 +301,7 @@ def sp_measure(h: SymbolicHeap, q: str, refine: bool = True):
 def _phase_canonical(vec: np.ndarray) -> np.ndarray:
     """``vec`` rephased so that its first amplitude above 1e-12 is > 0."""
     z = vec[0]
-    if abs(z) <= 1e-12:  # past a leading zero, search with numpy
+    if abs(z) <= 1e-12:  # rare: most states lead with a nonzero amplitude
         big = np.flatnonzero(np.abs(vec) > 1e-12)
         z = vec[big[0]] if big.size else 1  # 1: nothing to rephase by
     return vec * (abs(z) / z)
