@@ -1056,6 +1056,13 @@ def strip_emb(m):
     return m
 
 
+def strip_coercions(m):
+    """``m`` without its ``Emb`` wrappers and ascriptions."""
+    while isinstance(m, (Emb, Ascribe)):
+        m = m.elim if isinstance(m, Emb) else m.term
+    return m
+
+
 def normal_form(m):
     """Beta-normal form of a term, with ``if`` on a literal chosen.
 
@@ -1072,11 +1079,10 @@ def normal_form(m):
         case App(fn, arg):
             rf = normal_form(fn)
             ra = normal_form(arg)
-            target = rf.elim if isinstance(rf, Emb) else rf
+            target = strip_emb(rf)
             if isinstance(target, Lam):
-                return normal_form(subst(
-                    target.body,
-                    {target.binder: ra.elim if isinstance(ra, Emb) else ra}))
+                return normal_form(subst(target.body,
+                                         {target.binder: strip_emb(ra)}))
             if isinstance(target, (Var, App)):
                 return App(target, ra if not isinstance(ra, (Var, App))
                            else Emb(ra))
@@ -1121,6 +1127,32 @@ def kleene_or(a, b):
 
 def kleene_not(a):
     return UNKNOWN if a is UNKNOWN else (not a)
+
+
+def kleene_eval(a: "Assn", atom):
+    """Kleene's strong three-valued truth of ``a``.  The connectives are
+    read here, and ``t \\in {c, ...}`` as the ``Or`` of ``Id(t, c)``;
+    ``atom(b)`` gives the truth of every other subformula ``b``."""
+    match a:
+        case And(l, r):
+            return kleene_and(kleene_eval(l, atom), kleene_eval(r, atom))
+        case Or(l, r):
+            return kleene_or(kleene_eval(l, atom), kleene_eval(r, atom))
+        case Implies(l, r):
+            return kleene_or(kleene_not(kleene_eval(l, atom)),
+                             kleene_eval(r, atom))
+        case Not(b):
+            return kleene_not(kleene_eval(b, atom))
+        case Top():
+            return True
+        case Bot():
+            return False
+        case MemberOf(t, cands):
+            out = False
+            for c in cands:
+                out = kleene_or(out, atom(IdAt(None, t, c)))
+            return out
+    return atom(a)
 
 
 def conjuncts(a: "Assn") -> list:

@@ -91,9 +91,15 @@ def concrete(amps, exact: bool = True) -> SymState:
     return SymState("concrete", v, exact=exact)
 
 
+# |0> and |1>, exact and as per-branch claims: BASIS[exact][bit]
+BASIS = {exact: (SymState("concrete", KET_AMPS["0"], exact=exact),
+                 SymState("concrete", KET_AMPS["1"], exact=exact))
+         for exact in (True, False)}
+
+
 def basis_claim(value: bool) -> SymState:
     """Inexact single-qubit basis state: a per-branch claim about the value."""
-    return SymState("concrete", KET_AMPS["1" if value else "0"], exact=False)
+    return BASIS[False][bool(value)]
 
 
 def opaque(name: str) -> SymState:
@@ -173,7 +179,7 @@ def check_disjoint(cells) -> None:
 def classical_to_state(b: bool) -> SymState:
     """Quantum state for a classical boolean: ``|1>`` for true, ``|0>``
     otherwise."""
-    return concrete(KET_AMPS["1" if b else "0"])
+    return BASIS[True][bool(b)]
 
 
 def sp_init(h: SymbolicHeap, init: bool, fresh: str):
@@ -423,7 +429,7 @@ def _merge_states(a: SymState, b: SymState) -> Optional[SymState]:
             return a if a.exact else b
         if a.exact and b.exact:
             return None
-        basis = {basis_claim(v)._key for v in (False, True)}
+        basis = {s._key for s in BASIS[False]}
         if a._key in basis and b._key in basis:
             return None  # contradictory basis claims
         return a if a.exact else b

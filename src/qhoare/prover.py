@@ -29,18 +29,16 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    And, ARef, Assn, BoolLit, Bot, CellGroup, Compose, Emp,
-    Entangled, ExistsHeap, ExistsVar, ForallHeap, ForallVar, GhostRef,
-    HeapE, HeapId, HEmpty, HVar, IdAt, InDom, Ket, KetVec, Lookup, MemberOf,
-    Not, Or, Implies, Pair, PointsTo, Replace, Span, Top, UNKNOWN,
-    UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and,
-    kleene_not, kleene_or, pretty, strip_emb, CUR_HEAP, KET_AMPS,
+    And, Assn, BoolLit, Emp, Entangled, GhostRef, HeapE, HeapId, HEmpty,
+    HVar, IdAt, InDom, Ket, KetVec, Lookup, Pair, PointsTo, Span, UNKNOWN,
+    UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and, kleene_eval,
+    pretty, strip_emb, CUR_HEAP, KET_AMPS,
 )
 from .heap import (
-    Cell, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD,
-    basis_claim, opaque, state_expr,
+    BASIS, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD, opaque,
+    state_expr,
 )
-from .sim import purity, reduced_density
+from .sim import purity, reduced_density, render_value
 
 ALLOCATION = "allocationVC"
 POSTCONDITION = "postconditionVC"
@@ -89,11 +87,8 @@ class Verdict:
 # Three-valued evaluation over a model
 
 
-# The literal state of each named ket, and the state a qubit of a
-# multi-qubit concrete cell has in one basis branch: _BASIS[exact][bit]
+# The literal state of each named ket
 _KETS = {kind: SymState("concrete", amps) for kind, amps in KET_AMPS.items()}
-_BASIS = {True: (_KETS["0"], _KETS["1"]),
-          False: (basis_claim(False), basis_claim(True))}
 
 
 def _phase_equal(u: np.ndarray, v: np.ndarray) -> bool:
@@ -103,7 +98,7 @@ def _phase_equal(u: np.ndarray, v: np.ndarray) -> bool:
 
 
 def _basis_value_of_vec(vec: np.ndarray) -> Optional[bool]:
-    for bit, ket in zip((False, True), _BASIS[True]):
+    for bit, ket in zip((False, True), BASIS[True]):
         if _phase_equal(vec, ket.amps):
             return bit
     return None
@@ -125,7 +120,7 @@ def basis_views(heap: SymbolicHeap) -> list:
         if cell.state.kind == "concrete":
             vec = cell.state.amps
             n = len(cell.qubits)
-            basis = _BASIS[cell.state.exact]
+            basis = BASIS[cell.state.exact]
             assignments = [
                 [basis[(idx >> (n - 1 - k)) & 1] for k in range(n)]
                 for idx in np.flatnonzero(np.abs(vec) > PHASE_TOL).tolist()]
@@ -311,27 +306,14 @@ class _Evaluator:
 
     # --- atoms
 
-    def eval(self, a: Assn):
+    def atom(self, a: Assn):
+        """Truth of ``a``, which is not a connective: those are read by
+        :func:`kleene_eval`."""
         match a:
-            case Top():
-                return True
-            case Bot():
-                return False
             case Emp():
                 return len(self.model.heap.cells) == 0
-            case And(l, r):
-                return kleene_and(self.eval(l), self.eval(r))
-            case Or(l, r):
-                return kleene_or(self.eval(l), self.eval(r))
-            case Implies(l, r):
-                return kleene_or(kleene_not(self.eval(l)), self.eval(r))
-            case Not(b):
-                return kleene_not(self.eval(b))
             case IdAt(_, l, r):
                 return self.eval_id(l, r)
-            case MemberOf(t, cands):
-                return functools.reduce(
-                    kleene_or, (self.eval_id(t, c) for c in cands), False)
             case PointsTo(loc, st):
                 names = self._loc_names(loc)
                 if names is None:
@@ -389,10 +371,6 @@ class _Evaluator:
                     return False
                 rho = reduced_density(cell.qubits, st.amps, v[1])
                 return purity(rho) < 1 - PHASE_TOL
-            case ExistsVar() | ForallVar() | ExistsHeap() | ForallHeap():
-                return UNKNOWN
-            case Compose() | Replace() | CellGroup() | ARef():
-                return UNKNOWN
         return UNKNOWN
 
 
@@ -400,7 +378,7 @@ def eval_in_model(a: Assn, model: Model):
     """Three-valued truth of ``a`` in ``model``: true in every basis view."""
     result = True
     for view in basis_views(model.heap):
-        v = _Evaluator(model, view).eval(a)
+        v = kleene_eval(a, _Evaluator(model, view).atom)
         if v is False:
             return False
         result = kleene_and(result, v)
@@ -432,26 +410,10 @@ def entails(ob: Obligation) -> Verdict:
     return Verdict("proved")
 
 
-def _value_text(v) -> str:
-    """A countermodel value as ``run`` writes results: ``true``/``false``,
-    qubits by name, ``()`` for unit and ``unknown`` where undecided."""
-    if v is UNKNOWN:
-        return "unknown"
-    if v is None:
-        return "()"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, tuple):
-        return "(" + ", ".join(map(_value_text, v)) + ")"
-    return pretty(v)
-
-
 def _describe_model(model: Model) -> dict:
     cells = {", ".join(c.qubits): pretty(state_expr(c.state))
              for c in model.heap.cells}
-    env = {k: _value_text(v) for k, v in model.env.items()
+    env = {k: render_value(v) for k, v in model.env.items()
            if isinstance(v, (bool, str, tuple))}
     return {"heap": cells if cells else {"": "empty"}, "env": env}
 

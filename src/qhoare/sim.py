@@ -41,7 +41,6 @@ start, through :func:`shot_rng`.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -51,11 +50,11 @@ import numpy as np
 
 from . import core
 from .core import (
-    And, App, ApplyU, Ascribe, BindCmd, BindRun, BoolLit, Bot, Do, Emb, Emp,
-    Entangled, HoareT, IdAt, IfCmd, IfTerm, Implies, Ket, KetVec, Lam, LetEq,
-    Lookup, MatrixLit, MeasQbit, MemberOf, MkQbit, Not, Or, Pair, PiT,
-    PointsTo, Program, Seq, Top, UNKNOWN, UnitVal, Var, WildcardState,
-    GhostRef, conjuncts, kleene_and, kleene_not, kleene_or, pretty,
+    App, ApplyU, Ascribe, BindCmd, BindRun, BoolLit, Do, Emb, Emp, Entangled,
+    HoareT, IdAt, IfCmd, IfTerm, Ket, KetVec, Lam, LetEq, Lookup, MatrixLit,
+    MeasQbit, MkQbit, Pair, PiT, PointsTo, Program, Seq, UNKNOWN, UnitVal,
+    Var, WildcardState, GhostRef, conjuncts, kleene_eval, pretty,
+    strip_coercions,
 )
 
 NORM_TOL = 1e-9
@@ -243,20 +242,13 @@ def _as_tuple_matrix(matrix) -> tuple:
 def _spine(term):
     """Unfold an application chain into (head name, [args])."""
     args = []
-    t = term
-    while True:
-        match t:
-            case Emb(inner):
-                t = inner
-            case Ascribe(inner, _):
-                t = inner
-            case App(fn, arg):
-                args.append(arg)
-                t = fn
-            case Var(name):
-                return name, list(reversed(args))
-            case _:
-                return None, []
+    t = strip_coercions(term)
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = strip_coercions(t.fn)
+    if isinstance(t, Var):
+        return t.name, args[::-1]
+    return None, []
 
 
 def eval_unitary(term, resolve) -> UnitaryExpr:
@@ -339,12 +331,11 @@ class QuantumState:
     their tensor product.  No vector is changed in place, so states share
     them."""
 
-    __slots__ = ("cells", "next_index", "retired")
+    __slots__ = ("cells", "next_index")
 
-    def __init__(self, cells=(), next_index=0, retired=frozenset()):
+    def __init__(self, cells=(), next_index=0):
         self.cells = cells
         self.next_index = next_index
-        self.retired = retired
 
     def holds(self, q) -> bool:
         return any(q in qubits for qubits, _ in self.cells)
@@ -354,7 +345,8 @@ class QuantumState:
         for i, (qubits, _) in enumerate(self.cells):
             if q in qubits:
                 return i
-        if q in self.retired:
+        # a qubit leaves the state only when it is measured
+        if q in range(self.next_index):
             raise SimulationError(f"qubit {q} was measured and retired")
         raise SimulationError(f"qubit {q} is not allocated")
 
@@ -363,7 +355,7 @@ def alloc(s: QuantumState, b: bool):
     """Allocate one qubit initialized to ``|1>`` if ``b`` else ``|0>``."""
     q = s.next_index
     vec = np.array([0, 1] if b else [1, 0], dtype=complex)
-    return QuantumState(s.cells + (((q,), vec),), q + 1, s.retired), q
+    return QuantumState(s.cells + (((q,), vec),), q + 1), q
 
 
 def apply_unitary(s: QuantumState, u: UnitaryExpr) -> QuantumState:
@@ -372,7 +364,7 @@ def apply_unitary(s: QuantumState, u: UnitaryExpr) -> QuantumState:
         return s
     cell = apply_to_cells(u, [s.cells[i] for i in touched])
     cells = tuple(c for i, c in enumerate(s.cells) if i not in touched)
-    return QuantumState(cells + (cell,), s.next_index, s.retired)
+    return QuantumState(cells + (cell,), s.next_index)
 
 
 def draw(rng, p_true: float) -> bool:
@@ -415,7 +407,7 @@ def _posterior(s: QuantumState, q: int, sub: np.ndarray, weight: float):
     i = s.index(q)
     rest = tuple(x for x in s.cells[i][0] if x != q)
     cells = s.cells[:i] + (((rest, sub),) if rest else ()) + s.cells[i + 1:]
-    return QuantumState(cells, s.next_index, s.retired | {q})
+    return QuantumState(cells, s.next_index)
 
 
 def states_equal_up_to_phase(u, v, tol: float = NORM_TOL) -> bool:
@@ -475,9 +467,7 @@ class Interpreter:
 
     def eval_term(self, m, env: dict):
         match m:
-            case Emb(inner):
-                return self.eval_term(inner, env)
-            case Ascribe(inner, _):
+            case Emb(inner) | Ascribe(inner, _):
                 return self.eval_term(inner, env)
             case Var(name):
                 if name in env:
@@ -638,6 +628,35 @@ def _qubit_pure_state(state: QuantumState, q: int):
     return vecs[:, int(np.argmax(vals))]
 
 
+def _is_qubit(v) -> bool:
+    """Whether runtime value ``v`` is a qubit: an int, but not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _assertion_value(term, env: dict, ghosts: dict):
+    """The runtime value of an assertion's term, UNKNOWN when it has none."""
+    m = strip_coercions(term)
+    if isinstance(m, Var):
+        if m.name in env:
+            return env[m.name]
+        if m.name in ghosts:
+            return GhostRef(m.name)
+        return UNKNOWN
+    if isinstance(m, BoolLit):
+        return m.value
+    if isinstance(m, UnitVal):
+        return None
+    if isinstance(m, Pair):
+        a = _assertion_value(m.first, env, ghosts)
+        b = _assertion_value(m.second, env, ghosts)
+        if a is UNKNOWN or b is UNKNOWN:
+            return UNKNOWN
+        return (a, b)
+    if isinstance(m, (Ket, KetVec, GhostRef, WildcardState)):
+        return m
+    return UNKNOWN
+
+
 def check_assertion_runtime(assertion, env: dict, state: QuantumState,
                             ghosts: Optional[dict] = None):
     """Evaluate the runtime-checkable fragment of an assertion.
@@ -645,29 +664,6 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
     Returns True, False, or :data:`qhoare.core.UNKNOWN` when uncheckable.
     """
     ghosts = ghosts or {}
-
-    def value_of(term):
-        m = term
-        while isinstance(m, (Emb, Ascribe)):
-            m = m.elim if isinstance(m, Emb) else m.term
-        if isinstance(m, Var):
-            if m.name in env:
-                return env[m.name]
-            if m.name in ghosts:
-                return GhostRef(m.name)
-            return UNKNOWN
-        if isinstance(m, BoolLit):
-            return m.value
-        if isinstance(m, UnitVal):
-            return None
-        if isinstance(m, Pair):
-            a, b = value_of(m.first), value_of(m.second)
-            if a is UNKNOWN or b is UNKNOWN:
-                return UNKNOWN
-            return (a, b)
-        if isinstance(m, (Ket, KetVec, GhostRef, WildcardState)):
-            return m
-        return UNKNOWN
 
     def qubit_matches(q: int, ref) -> object:
         if isinstance(ref, WildcardState):
@@ -683,64 +679,44 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
         fid = abs(np.vdot(vec, psi)) ** 2
         return bool(fid >= 1 - FIDELITY_TOL)
 
-    def go(a):
+    def atom(a):
         match a:
-            case Top():
-                return True
-            case Bot():
-                return False
             case Emp():
                 return not state.cells
-            case And(l, r):
-                return kleene_and(go(l), go(r))
-            case Or(l, r):
-                return kleene_or(go(l), go(r))
-            case Not(b):
-                return kleene_not(go(b))
-            case Implies(l, r):
-                return kleene_or(kleene_not(go(l)), go(r))
             case IdAt(_, l, r):
-                lv, rv = value_of(l), value_of(r)
+                lv = _assertion_value(l, env, ghosts)
+                rv = _assertion_value(r, env, ghosts)
                 if lv is UNKNOWN or rv is UNKNOWN:
                     return UNKNOWN
                 if isinstance(lv, bool) and isinstance(rv, bool):
                     return lv == rv
                 if isinstance(lv, tuple) and isinstance(rv, tuple):
                     return lv == rv
-                if isinstance(lv, int):
-                    if isinstance(rv, int):
+                if _is_qubit(lv):
+                    if _is_qubit(rv):
                         pl = _qubit_pure_state(state, lv)
                         pr = _qubit_pure_state(state, rv)
                         if pl is None or pr is None:
                             return UNKNOWN
                         return states_equal_up_to_phase(pl, pr, FIDELITY_TOL)
                     return qubit_matches(lv, rv)
-                if isinstance(rv, int):
+                if _is_qubit(rv):
                     return qubit_matches(rv, lv)
                 return UNKNOWN
-            case MemberOf(t, cands):
-                return functools.reduce(
-                    kleene_or, (go(IdAt(None, t, c)) for c in cands), False)
             case Lookup(loc, _) | PointsTo(loc, _):
-                v = value_of(loc)
-                if isinstance(v, int):
+                v = _assertion_value(loc, env, ghosts)
+                if _is_qubit(v):
                     return state.holds(v)
                 return UNKNOWN
             case Entangled(t):
-                v = value_of(t)
-                if not isinstance(v, int) or not state.holds(v):
+                v = _assertion_value(t, env, ghosts)
+                if not _is_qubit(v) or not state.holds(v):
                     return UNKNOWN
                 rho = reduced_density(*state.cells[state.index(v)], v)
                 return purity(rho) <= 0.5 + ENTANGLE_SLACK
-            case _:
-                return UNKNOWN
+        return UNKNOWN
 
-    try:
-        return go(assertion)
-    finally:
-        # go and value_of reach themselves through their closures; without
-        # this the cycle keeps ``state`` alive until a garbage collection
-        del go, value_of
+    return kleene_eval(assertion, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -797,17 +773,24 @@ class RunReport:
 
 
 def render_value(v) -> str:
+    """A value as ``run`` writes results and the prover writes the values
+    of a countermodel: qubits as ``q0`` at runtime and by name in the
+    checker's models, ``unknown`` where a model leaves a value undecided."""
     if v is None:
         return "()"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return f"q{v}"
+    if isinstance(v, str):
+        return v
     if isinstance(v, tuple):
-        return "(" + ", ".join(render_value(x) for x in v) + ")"
-    if isinstance(v, (Ket, KetVec, MatrixLit)):
-        return pretty(v)
-    return "<computation>"  # a Suspended, DeclCall or Closure
+        return "(" + ", ".join(map(render_value, v)) + ")"
+    if v is UNKNOWN:
+        return "unknown"
+    if isinstance(v, (Closure, Suspended, DeclCall)):
+        return "<computation>"
+    return pretty(v)  # a ket, matrix or ghost
 
 
 class _Branch:

@@ -43,7 +43,7 @@ from .core import (
     Pair, PiT, PointsTo, Program, PureT, QbitT, ReductionError, Seq, Span,
     TensorT, Top, Ty, UNKNOWN, UnitT, UnitVal, UT, Var, WildcardState,
     binder_var, free_vars, map_children, mk_intro, normal_form, pretty,
-    subst, CUR_HEAP,
+    strip_coercions, strip_emb, subst, CUR_HEAP,
 )
 from .heap import (
     Cell, Model, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -122,16 +122,6 @@ def types_equal(a: Ty, b: Ty) -> bool:
 # Normalization: beta reduction + type-directed eta expansion
 
 
-def _strip(m):
-    while True:
-        if isinstance(m, Emb) and not isinstance(m.elim, (Var, App)):
-            m = m.elim
-        elif isinstance(m, Ascribe):
-            m = m.term
-        else:
-            return m
-
-
 def _eta(m, ty: Ty, counter: list):
     m = mk_intro(m)
     match ty:
@@ -142,7 +132,7 @@ def _eta(m, ty: Ty, counter: list):
                                 counter))
             counter[0] += 1
             fresh = f"%e{counter[0]}"
-            target = m.elim if isinstance(m, Emb) else m
+            target = strip_emb(m)
             if not isinstance(target, (Var, App)):
                 return m
             return Lam(fresh, _eta(Emb(App(target, Emb(Var(fresh)))),
@@ -411,9 +401,8 @@ class Checker:
                         f"cannot apply a value of type {pretty(fty)}",
                         self._span)
                 ac = self.check(ctx, arg, fty.domain)
-                at = ac.elim if isinstance(ac, Emb) else ac
-                rty = subst(fty.codomain, {fty.binder: at})
-                canonical = normalize(App(_as_elim(fc), ac), rty)
+                rty = subst(fty.codomain, {fty.binder: strip_emb(ac)})
+                canonical = normalize(App(strip_emb(fc), ac), rty)
                 return rty, canonical
             case Ascribe(term, ty):
                 self.check_type(ctx, ty)
@@ -577,13 +566,13 @@ class Checker:
         return expr
 
     def _eval_value(self, ctx: dict, m, env: dict):
-        m = _strip(m)
+        m = strip_coercions(m)
         match m:
             case BoolLit(v):
                 return v
             case UnitVal():
                 return None
-            case Emb(Var(name)) | Var(name):
+            case Var(name):
                 if name in env:
                     return env[name]
                 t = ctx.get(name)
@@ -680,7 +669,7 @@ class Checker:
         return branches, rty
 
     def _synth_intro(self, ctx: dict, m):
-        m2 = _strip(m)
+        m2 = strip_coercions(m)
         match m2:
             case BoolLit():
                 return BoolT(), m2
@@ -688,8 +677,8 @@ class Checker:
                 return UnitT(), m2
             case Ket() | KetVec():
                 return PureT(), m2
-            case Emb(k):
-                return self.synth(ctx, k)
+            case Var() | App():
+                return self.synth(ctx, m2)
             case Pair(a, b):
                 lt, lc = self._synth_intro(ctx, a)
                 rt, rc = self._synth_intro(ctx, b)
@@ -826,9 +815,9 @@ class Checker:
                     else:
                         for value in (True, False):
                             nb = b.copy()
-                            s = _strip(sc)
-                            if isinstance(s, Emb) and isinstance(s.elim, Var):
-                                nb.env[s.elim.name] = value
+                            s = strip_coercions(sc)
+                            if isinstance(s, Var):
+                                nb.env[s.name] = value
                             taken[value].append(nb)
                 tb, tty = self._run_branch(ctx, taken[True], then_t, span)
                 eb, ety = self._run_branch(ctx, taken[False], else_t, span)
@@ -872,7 +861,7 @@ class Checker:
 
     def _run_branch(self, ctx: dict, branches: list, term, span):
         """Type and run one conditional branch over the given branch set."""
-        t = _strip(term)
+        t = strip_coercions(term)
         if isinstance(t, Do):
             out, rty = self._steps(ctx, branches, t.body, None, span)
             return out, rty
@@ -1019,12 +1008,6 @@ def _assemble_trace(events: list, render) -> list:
         out.append(TraceStep(span, Compose(label, chain), refined,
                              alternatives))
     return out
-
-
-def _as_elim(m):
-    if isinstance(m, Emb):
-        return m.elim
-    return m
 
 
 def _rot_count(u) -> int:

@@ -3,6 +3,7 @@ class, derived assertion forms, and the well-formedness of signatures."""
 
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from qhoare.core import (
     HoareT, HVar, IdAt, IfCmd, IfTerm, Implies, InDom, Ket, KetVec, Lam,
     LetEq, Lookup, MatrixLit, MatrixT, MeasQbit, MemberOf, MkQbit, Not, Or,
     Pair, PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, Seq, TensorT,
-    Top, UnitT, UnitVal, Upd, UT, Var, WildcardState, children, free_vars,
-    map_children, pretty, subst,
+    Top, UNKNOWN, UnitT, UnitVal, Upd, UT, Var, WildcardState, children,
+    free_vars, kleene_eval, map_children, pretty, strip_coercions, strip_emb,
+    subst,
 )
 from qhoare.heap import Cell, SymbolicHeap, concrete, opaque
 from qhoare.prover import Model, eval_in_model
@@ -281,6 +283,137 @@ class TestTraversal:
         for walk in (free_vars, lambda n: subst(n, {"x": Var("w")})):
             with pytest.raises(TypeError):
                 walk(42)
+
+
+# Kleene's strong three-valued tables over the order false < unknown < true
+TRUTHS = (False, UNKNOWN, True)
+RANK = {False: 0, UNKNOWN: 1, True: 2}
+
+
+def kleene_min(a, b):
+    return TRUTHS[min(RANK[a], RANK[b])]
+
+
+def kleene_max(a, b):
+    return TRUTHS[max(RANK[a], RANK[b])]
+
+
+def kleene_neg(a):
+    return TRUTHS[2 - RANK[a]]
+
+
+class TestKleeneEval:
+    """``core.kleene_eval`` against Kleene's strong truth tables, with atoms
+    ``ARef("T")``, ``ARef("F")`` and ``ARef("U")`` read by a stub."""
+
+    ATOMS = {True: ARef("T"), False: ARef("F"), UNKNOWN: ARef("U")}
+    TRUTH_OF = {"T": True, "F": False, "U": UNKNOWN}
+
+    def atom(self, a):
+        return self.TRUTH_OF[a.name]
+
+    def test_constants_and_atoms(self):
+        assert kleene_eval(Top(), self.atom) is True
+        assert kleene_eval(Bot(), self.atom) is False
+        for truth, a in self.ATOMS.items():
+            assert kleene_eval(a, self.atom) is truth
+
+    def test_binary_connectives(self):
+        for (x, a), (y, b) in itertools.product(self.ATOMS.items(),
+                                                 repeat=2):
+            assert kleene_eval(And(a, b), self.atom) is kleene_min(x, y)
+            assert kleene_eval(Or(a, b), self.atom) is kleene_max(x, y)
+            assert kleene_eval(Implies(a, b), self.atom) \
+                is kleene_max(kleene_neg(x), y)
+
+    def test_negation(self):
+        for x, a in self.ATOMS.items():
+            assert kleene_eval(Not(a), self.atom) is kleene_neg(x)
+
+    def test_nesting(self):
+        def oracle(a):
+            match a:
+                case And(l, r):
+                    return kleene_min(oracle(l), oracle(r))
+                case Or(l, r):
+                    return kleene_max(oracle(l), oracle(r))
+                case Implies(l, r):
+                    return kleene_max(kleene_neg(oracle(l)), oracle(r))
+                case Not(b):
+                    return kleene_neg(oracle(b))
+                case Top():
+                    return True
+                case Bot():
+                    return False
+            return self.atom(a)
+
+        rng = random.Random(7)
+        leaves = list(self.ATOMS.values()) + [Top(), Bot()]
+
+        def formula(depth):
+            if depth == 0:
+                return rng.choice(leaves)
+            k = rng.randrange(5)
+            if k == 0:
+                return Not(formula(depth - 1))
+            if k == 4:
+                return rng.choice(leaves)
+            return (And, Or, Implies)[k - 1](formula(depth - 1),
+                                             formula(depth - 1))
+
+        for _ in range(300):
+            a = formula(4)
+            assert kleene_eval(a, self.atom) is oracle(a)
+
+    def test_membership_is_an_or_of_ids(self):
+        t = Emb(Var("x"))
+        truth = {"0": False, "1": UNKNOWN, "+": True}
+        seen = []
+
+        def atom(a):
+            assert isinstance(a, IdAt) and a.ty is None and a.left == t
+            seen.append(a.right)
+            return truth[a.right.kind]
+
+        for cands in itertools.chain.from_iterable(
+                itertools.permutations(truth, n) for n in (1, 2, 3)):
+            seen.clear()
+            kets = tuple(Ket(k) for k in cands)
+            expected = False
+            for k in cands:
+                expected = kleene_max(expected, truth[k])
+            assert kleene_eval(MemberOf(t, kets), atom) is expected
+            assert tuple(seen) == kets
+
+    def test_other_forms_are_atoms(self):
+        seen = []
+
+        def atom(a):
+            seen.append(a)
+            return UNKNOWN
+
+        forms = [Emp(), IdAt(None, Emb(Var("x")), BoolLit(True)),
+                 PointsTo(Emb(Var("q")), Ket("0")), Entangled(Emb(Var("q"))),
+                 ExistsVar("x", BoolT(), Top()), ForallHeap("h", Top())]
+        for a in forms:
+            assert kleene_eval(a, atom) is UNKNOWN
+        assert seen == forms
+
+
+class TestPeelers:
+    def test_strip_emb_keeps_an_ascription(self):
+        asc = Ascribe(Emb(Var("x")), BoolT())
+        assert strip_emb(Emb(asc)) == asc
+        assert strip_emb(Emb(Var("x"))) == Var("x")
+        assert strip_emb(BoolLit(True)) == BoolLit(True)
+
+    def test_strip_coercions_peels_both_wrappers(self):
+        assert strip_coercions(
+            Emb(Ascribe(Emb(Var("x")), BoolT()))) == Var("x")
+        app = App(Var("H"), Emb(Var("q")))
+        assert strip_coercions(Ascribe(Emb(app), UT())) == app
+        assert strip_coercions(Pair(Emb(Var("a")), Emb(Var("b")))) \
+            == Pair(Emb(Var("a")), Emb(Var("b")))
 
 
 class TestDerivedForms:

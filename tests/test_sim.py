@@ -9,18 +9,18 @@ import pytest
 
 from qhoare import sim, typecheck
 from qhoare.core import (
-    And, BoolLit, Emb, Emp, Entangled, ForallHeap, IdAt, Ket, MatrixLit,
-    QbitT, Top, UNKNOWN, UT, Var, pretty,
+    And, BoolLit, Emb, Emp, Entangled, ForallHeap, GhostRef, IdAt, Ket,
+    KetVec, MatrixLit, PointsTo, QbitT, Top, UNKNOWN, UT, Var, pretty,
 )
 from qhoare.parser import parse_program, parse_term
 from conftest import state_vector
 from genlib import coin_block_source, straight_line_source
 from qhoare.sim import (
-    Cond, GATES, Interpreter, MAppend, MEmpty, QuantumState, Rot,
-    SimulationError, UnitaryError, alloc, apply_unitary,
-    check_assertion_runtime, eval_unitary, footprint, if_q, is_unitary,
-    measure, reduced_density, run_program, shot_rng,
-    states_equal_up_to_phase,
+    Closure, Cond, DeclCall, GATES, Interpreter, MAppend, MEmpty,
+    QuantumState, Rot, SimulationError, Suspended, UnitaryError, alloc,
+    apply_unitary, check_assertion_runtime, eval_unitary, footprint, if_q,
+    is_unitary, measure, reduced_density, render_value, run_program,
+    shot_rng, states_equal_up_to_phase,
 )
 
 S = 2 ** -0.5
@@ -344,7 +344,10 @@ class TestCells:
         assert [qubits for qubits, _ in s.cells] == [(qb,)]
         assert dense(s).tolist() == ([0, 1] if a else [1, 0])
         _, s = measure(s, qb, shot_rng(1, 0))
-        assert s.cells == () and s.retired == {qa, qb}
+        assert s.cells == ()
+        for q in (qa, qb):
+            with pytest.raises(SimulationError, match="measured and retired"):
+                s.index(q)
 
     def test_amplitudes_at_prune_tol_are_zeroed(self):
         # a rotation by 1e-13 leaves an amplitude below PRUNE_TOL, so the
@@ -459,6 +462,31 @@ bad : {emp} r : Bool {T}
 """
 
 
+class TestRenderValue:
+    """One writer for the values of ``run`` results and of the prover's
+    countermodels."""
+
+    def test_runtime_values(self):
+        assert render_value(None) == "()"
+        assert render_value(0) == "q0"
+        assert render_value(12) == "q12"
+        assert render_value((True, (0, False))) == "(true, (q0, false))"
+        for v in (Closure("x", Emb(Var("x")), ()), Suspended(None, ()),
+                  DeclCall("f", (1,))):
+            assert render_value(v) == "<computation>"
+        for v in (Ket("+"), KetVec((0.6 + 0j, 0.8 + 0j)),
+                  MatrixLit(((0, 1), (1, 0)))):
+            assert render_value(v) == pretty(v)
+
+    def test_checker_values(self):
+        assert render_value("qa") == "qa"
+        assert render_value(UNKNOWN) == "unknown"
+        assert render_value((UNKNOWN, ("qa", False))) \
+            == "(unknown, (qa, false))"
+        assert render_value(GhostRef("g")) == "g"
+        assert render_value((GhostRef("g"), None)) == "(g, ())"
+
+
 class TestRuntimeAssertions:
     def bell_state(self):
         s, qa = alloc(QuantumState(), False)
@@ -528,6 +556,35 @@ class TestRuntimeAssertions:
     def test_quantified_uncheckable(self):
         a = ForallHeap("h", Top())
         assert check_assertion_runtime(a, {}, QuantumState()) is UNKNOWN
+
+    def test_a_bool_is_not_a_qubit(self):
+        # true == 1 in Python, but a Bool never names qubit 1
+        s, qa = alloc(QuantumState(), False)
+        s, qb = alloc(s, True)
+        assert qb == 1  # the qubit that true would alias
+        r = Emb(Var("r"))
+        env = {"r": True, "q": qb}
+        for a in (PointsTo(r, Ket("1")), Entangled(r),
+                  IdAt(None, r, Emb(Var("q"))), IdAt(None, Emb(Var("q")), r)):
+            assert check_assertion_runtime(a, env, s) is UNKNOWN, pretty(a)
+        assert check_assertion_runtime(
+            IdAt(None, Emb(Var("q")), Ket("1")), env, s) is True
+
+    def test_a_bool_result_is_not_a_qubit_when_run(self):
+        prog = parse_program(
+            "f : {emp} r : Bool {Id(r, true) /\\ r ~> -}\n"
+            "  = do a <= mkQbit false; b <= mkQbit false; return true\n"
+            "g : {emp} (r, q) : (Bool, Qbit) {Id(r, q) /\\ Id(q, r)}\n"
+            "  = do a <= mkQbit false; b <= mkQbit true; return (true, b)\n"
+        ).program
+        f = run_program(prog, "f", seed=1, shots=10).as_dict()
+        assert f["assertions"] == [
+            {"text": "Id(r, true)", "pass": 10, "fail": 0, "uncheckable": 0},
+            {"text": "r ~> -", "pass": 0, "fail": 0, "uncheckable": 10}]
+        g = run_program(prog, "g", seed=1, shots=10).as_dict()
+        assert g["assertions"] == [
+            {"text": text, "pass": 0, "fail": 0, "uncheckable": 10}
+            for text in ("Id(q, r)", "Id(r, q)")]
 
     def test_ghost_reference(self):
         s, q = alloc(QuantumState(), False)

@@ -1,6 +1,6 @@
-"""The package source itself: every top-level name is used, one module
-reads the fields of AST nodes, and every name the benchmark tracer wraps
-is called."""
+"""The package source itself: every top-level name and every import is
+used, one module reads the fields of AST nodes, and every name the
+benchmark tracer wraps is called."""
 
 import ast
 import pathlib
@@ -41,6 +41,36 @@ def test_no_unreferenced_top_level_names():
     # perfbench's per-layer tracer wraps heap.unitary_matrix by name and
     # reports its calls, so it stays although nothing here calls it
     assert unreferenced_top_level_names() == {"heap.unitary_matrix"}
+
+
+def unused_imports() -> set:
+    """``module.name`` of each name that a module of the package imports
+    and neither loads nor exports in its ``__all__``."""
+    out = set()
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and [
+                    t.id for t in node.targets
+                    if isinstance(t, ast.Name)] == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        out |= {f"{path.stem}.{name}" for name in imported - used}
+    return out
+
+
+def test_every_import_is_used():
+    # perfbench's per-layer tracer wraps typecheck.cell_assertion by name,
+    # so typecheck imports it although nothing there calls it
+    assert unused_imports() == {"typecheck.cell_assertion"}
 
 
 def test_one_module_reads_node_fields():
