@@ -211,11 +211,13 @@ def _read(path: str) -> Optional[str]:
 def cmd_trace(args) -> int:
     if (source := _read(args.file)) is None:
         return EXIT_ERROR
-    report, checked = analyze(args.file, source, args.literal_measurement)
-    if checked is None:
-        for d in report.diagnostics:
-            print(d)
+    parsed = parse_program(source, args.file)
+    if not parsed.ok:
+        for d in parsed.diagnostics:
+            print(d.render())
         return EXIT_ERROR
+    checked = check_program(parsed.program,
+                            literal_measurement=args.literal_measurement)
     try:
         dr = checked.decl(args.decl)
     except KeyError:
@@ -226,11 +228,9 @@ def cmd_trace(args) -> int:
         print(f"{args.file}: {args.decl}: type-error: {dr.error.message}",
               file=sys.stderr)
         return EXIT_ERROR
+    status = discharge_all(dr.obligations).status
     print(render_trace(source, checked, args.decl))
-    for decl in report.decls:
-        if decl.name == args.decl:
-            return _exit_for(Report(args.file, decl.status), args.strict)
-    return EXIT_OK
+    return _exit_for(Report(args.file, status), args.strict)
 
 
 def render_trace(source: str, checked: CheckedProgram, name: str) -> str:

@@ -736,10 +736,17 @@ def _pp_assn(a: "Assn", prec: int) -> str:
             return "(" + ", ".join(_pp_assn(i, 0) for i in items) + ")"
         case Implies(l, r):
             return wrap(f"{_pp_assn(l, 3)} => {_pp_assn(r, 2)}", 2)
-        case Or(l, r):
-            return wrap(f"{_pp_assn(l, 3)} \\/ {_pp_assn(r, 4)}", 3)
-        case And(l, r):
-            return wrap(f"{_pp_assn(l, 4)} /\\ {_pp_assn(r, 5)}", 4)
+        case Or() | And():
+            # the left spine in a loop: a left operand at equal precedence
+            # takes no parentheses, and checker chains are long
+            op, level = (" \\/ ", 3) if isinstance(a, Or) else (" /\\ ", 4)
+            chain, rights = type(a), []
+            while type(a) is chain:
+                rights.append(a.right)
+                a = a.left
+            parts = [_pp_assn(a, level)]
+            parts.extend(_pp_assn(r, level + 1) for r in reversed(rights))
+            return wrap(op.join(parts), level)
         case Not(body):
             return f"~{_pp_assn(body, 6)}"
         case ExistsVar(x, ty, body):

@@ -17,13 +17,16 @@ else about them is honestly Unknown.
 Every obligation carries its models, the type checker's branches at the
 point it was emitted, and is decided in exactly those: Proved when the
 conclusion holds in each, Refuted when it fails in one, Unknown otherwise.
+Models that agree on the heap and on the values of the conclusion's free
+names are evaluated once.  The hypotheses are never read here: they are
+report text, built when a report prints them.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,8 +34,8 @@ import numpy as np
 from .core import (
     And, Assn, BoolLit, Emp, Entangled, GhostRef, HeapE, HeapId, HEmpty,
     HVar, IdAt, InDom, Ket, KetVec, Lookup, Pair, PointsTo, Span, UNKNOWN,
-    UnitVal, Upd, Var, WildcardState, conjuncts, kleene_and, kleene_eval,
-    pretty, strip_emb, CUR_HEAP, KET_AMPS,
+    UnitVal, Upd, Var, WildcardState, conjuncts, free_vars, kleene_and,
+    kleene_eval, pretty, strip_emb, CUR_HEAP, KET_AMPS,
 )
 from .heap import (
     BASIS, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD, opaque,
@@ -48,6 +51,28 @@ UNITARITY = "unitarityVC"
 PHASE_TOL = 1e-9
 
 
+class _BuiltOnRead:
+    """A dataclass field that takes a function of no arguments in place of
+    its value; the first read calls it and keeps the result."""
+
+    def __init__(self, default):
+        self._default = default
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, ob, owner=None):
+        if ob is None:  # the dataclass asks for the default
+            return self._default
+        value = ob.__dict__[self._slot]
+        if callable(value):
+            value = ob.__dict__[self._slot] = value()
+        return value
+
+    def __set__(self, ob, value):
+        ob.__dict__[self._slot] = value
+
+
 @dataclass
 class Obligation:
     """A verification condition.
@@ -58,13 +83,16 @@ class Obligation:
     pairs are materialized each time the view is read.  ``models`` are
     the checker's branches at the obligation, one :class:`Model` each, and
     the prover decides the obligation in them alone; ``hypotheses``
-    describe the same branches as assertions, for the reports.
+    describe the same branches as assertions, for the reports.  They may
+    be given as a function of no arguments, which the first read of
+    ``hypotheses`` calls and whose list it keeps: the checker gives one,
+    so only a report that prints the hypotheses builds them.
     """
 
     kind: str
     conclusion: Assn
     models: list
-    hypotheses: list = field(default_factory=list)
+    hypotheses: list = _BuiltOnRead(list)
     var_ctx: Sequence = ()
     heap_ctx: tuple = ()
     span: Optional[Span] = None
@@ -395,10 +423,32 @@ def _unknown_residual(conclusion: Assn, models: list) -> Assn:
     return functools.reduce(And, undecided)
 
 
+_ABSENT = object()  # the value of a name a model does not bind
+
+
+def _distinct(models: list, conclusion: Assn) -> list:
+    """The first of each group of ``models`` that agree on the heap and on
+    the values of ``conclusion``'s free names, in first-occurrence order.
+    The conclusion reads nothing else of a model, so it has one truth
+    value in each group."""
+    if len(models) < 2:
+        return models
+    names = sorted(free_vars(conclusion))
+    firsts = {}
+    for model in models:
+        env = model.env
+        key = (model.heap, tuple([env.get(x, _ABSENT) for x in names]))
+        firsts.setdefault(key, model)
+    return list(firsts.values())
+
+
 def entails(ob: Obligation) -> Verdict:
-    """Decide one obligation in its models; total, never raises."""
+    """Decide one obligation in its models; total, never raises.
+
+    A refuting model is the first in ``ob.models`` order: the models of a
+    group agree, so none refutes before the first of its group."""
     relevant = []  # models where the conclusion is undecided
-    for model in ob.models:
+    for model in _distinct(ob.models, ob.conclusion):
         v = eval_in_model(ob.conclusion, model)
         if v is False:
             return Verdict("refuted", countermodel=_describe_model(model))

@@ -297,9 +297,11 @@ class Checker:
         self.literal = literal_measurement
         self.supply = NameSupply()
         self.decl_types = {}
-        # memos for this checker's program; see _gate and _render
+        # memos for this checker's program; see _gate and _render_once.
+        # The render memo holds no reference to the checker, so neither do
+        # the hypotheses an obligation builds with it
         self._gates = {}
-        self._renders = {}
+        self._render = functools.partial(_render_once, {})
         self._reset_decl_state("")
 
     def _reset_decl_state(self, decl_name: str):
@@ -491,7 +493,7 @@ class Checker:
             POSTCONDITION, hoare.post, models,
             var_ctx=self._obligation_ctx(ctx, tail=unbound),
             heap_ctx=hoare.heap_ctx or ("%h0",),
-            hyps=self._hypotheses(out),
+            hyps=functools.partial(_hypotheses, out, self._render),
             note="declared postcondition")
         return Do(comp)
 
@@ -528,24 +530,11 @@ class Checker:
             for name in pattern:
                 env[name] = UNKNOWN
 
-    def _hypotheses(self, branches: list) -> list:
-        def branch_assn(b: Model) -> Assn:
-            parts = heap_to_assertions(b.heap, render=self._render)
-            for k, v in b.env.items():
-                if v is True or v is False:
-                    parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
-            return functools.reduce(And, parts)
-
-        if not branches:
-            return [Bot()]
-        return [functools.reduce(Or, map(branch_assn, branches))]
-
     def _emit(self, kind: str, conclusion: Assn, models, var_ctx=(),
-              heap_ctx=("%h0",), hyps=None, note: str = "",
+              heap_ctx=("%h0",), hyps=list, note: str = "",
               span: Optional[Span] = None):
         ob = Obligation(
-            kind=kind, conclusion=conclusion,
-            hypotheses=hyps if hyps is not None else [],
+            kind=kind, conclusion=conclusion, hypotheses=hyps,
             var_ctx=var_ctx, heap_ctx=tuple(heap_ctx),
             span=span or self._span, note=note, models=models,
             decl=self._decl)
@@ -555,15 +544,6 @@ class Checker:
     def _record_delta(self, span, op_id, delta, refined=False):
         if not delta.is_empty():
             self._events.append((span, op_id, delta, refined))
-
-    def _render(self, state):
-        """``state_expr(state)``, computed once per distinct state.  Equal
-        states render alike: equal amplitudes differ at most in the sign
-        of a zero, and a zero prints as ``0`` either way."""
-        expr = self._renders.get(state)
-        if expr is None:
-            expr = self._renders[state] = heaplib.state_expr(state)
-        return expr
 
     def _eval_value(self, ctx: dict, m, env: dict):
         m = strip_coercions(m)
@@ -669,7 +649,7 @@ class Checker:
         return branches, rty
 
     def _synth_intro(self, ctx: dict, m):
-        m2 = strip_coercions(m)
+        m2 = strip_emb(m)
         match m2:
             case BoolLit():
                 return BoolT(), m2
@@ -677,7 +657,7 @@ class Checker:
                 return UnitT(), m2
             case Ket() | KetVec():
                 return PureT(), m2
-            case Var() | App():
+            case Var() | App() | Ascribe():  # synth checks an ascription
                 return self.synth(ctx, m2)
             case Pair(a, b):
                 lt, lc = self._synth_intro(ctx, a)
@@ -712,11 +692,11 @@ class Checker:
 
             case MeasQbit(target):
                 tc = self.check(ctx, target, QbitT())
+                models = [b.copy() for b in branches]
                 self._emit(
-                    ALLOCATION, Lookup(tc, WildcardState()),
-                    [b.copy() for b in branches],
+                    ALLOCATION, Lookup(tc, WildcardState()), models,
                     var_ctx=self._obligation_ctx(ctx),
-                    hyps=self._hypotheses(branches),
+                    hyps=functools.partial(_hypotheses, models, self._render),
                     note="measured qubit must be allocated", span=span)
                 out = []
                 for b in branches:
@@ -860,12 +840,15 @@ class Checker:
         return out
 
     def _run_branch(self, ctx: dict, branches: list, term, span):
-        """Type and run one conditional branch over the given branch set."""
-        t = strip_coercions(term)
-        if isinstance(t, Do):
-            out, rty = self._steps(ctx, branches, t.body, None, span)
-            return out, rty
-        rty, tc = self._synth_intro(ctx, t)
+        """Type and run one conditional branch over the given branch set.
+
+        A ``do`` block is run in place, ascribed or not, as the runtime
+        runs it; any other term is a value, and its ascription is
+        checked."""
+        block = strip_coercions(term)
+        if isinstance(block, Do):
+            return self._steps(ctx, branches, block.body, None, span)
+        rty, tc = self._synth_intro(ctx, term)
         for b in branches:
             b.result = self._eval_value(ctx, tc, b.env)
         return branches, rty
@@ -904,12 +887,12 @@ class Checker:
         for g, gty in ghost_ctx.items():
             self._binders.append((g, gty))
         kind = self._kind_of(ctx2)
+        models = [b.copy() for b in branches]
         self._emit(
-            CALL_PRE, _small_footprint(pre),
-            [b.copy() for b in branches],
+            CALL_PRE, _small_footprint(pre), models,
             var_ctx=self._obligation_ctx(
                 ctx, more=tuple(ghost_ctx.items())),
-            hyps=self._hypotheses(branches),
+            hyps=functools.partial(_hypotheses, models, self._render),
             note="precondition of the computation being run", span=span)
 
         # frame: consume the callee footprint, splice in its postcondition
@@ -977,6 +960,34 @@ class Checker:
         if len(pat) == 1:
             return component(pat[0])
         return tuple(component(p) for p in pat)
+
+
+def _render_once(renders: dict, state):
+    """``state_expr(state)``, computed once per distinct state and kept in
+    ``renders``.  Equal states render alike: equal amplitudes differ at
+    most in the sign of a zero, and a zero prints as ``0`` either way."""
+    expr = renders.get(state)
+    if expr is None:
+        expr = renders[state] = heaplib.state_expr(state)
+    return expr
+
+
+def _hypotheses(branches: list, render) -> list:
+    """``branches`` as assertions, one disjunct per branch, with states
+    written by ``render``.  An obligation builds them when a report reads
+    them, so it passes branches that no later statement changes: its own
+    model copies, or a block's final branches (``applyU`` updates live
+    ones in place)."""
+    def branch_assn(b: Model) -> Assn:
+        parts = heap_to_assertions(b.heap, render=render)
+        for k, v in b.env.items():
+            if v is True or v is False:
+                parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
+        return functools.reduce(And, parts)
+
+    if not branches:
+        return [Bot()]
+    return [functools.reduce(Or, map(branch_assn, branches))]
 
 
 def _assemble_trace(events: list, render) -> list:

@@ -511,6 +511,47 @@ class TestMeasureBlockGolden:
         assert out == (GOLDEN_DIR / "trace_genlib_measure.txt").read_text()
 
 
+class TestHypothesesOnDemand:
+    """Hypotheses are report text: `check` and `vcs` print them, while
+    `run` and `trace` decide verdicts from the models and build none."""
+
+    @pytest.fixture
+    def block(self, tmp_path):
+        path = tmp_path / "meas.qh"
+        path.write_text(measure_block_source(200))
+        return str(path)
+
+    @staticmethod
+    def built(argv, monkeypatch, capsys) -> int:
+        from qhoare import typecheck
+        calls = []
+        wrapped = typecheck.heap_to_assertions
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(typecheck, "heap_to_assertions", counted)
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_run_and_trace_build_none(self, command, block, monkeypatch,
+                                      capsys):
+        shots = ["--shots", "10"] if command == "run" else []
+        for path, decl in ((corpus("bellpair.qh"), "testBell"),
+                           (block, "meas")):
+            assert self.built([command, path, decl] + shots, monkeypatch,
+                              capsys) == 0
+
+    @pytest.mark.parametrize("command", ["check", "vcs"])
+    def test_reports_build_them(self, command, block, monkeypatch, capsys):
+        for path in (corpus("bellpair.qh"), block):
+            assert self.built([command, path], monkeypatch, capsys) > 0
+
+
 class TestRepeatedGates:
     """Each occurrence of a gate keeps its own obligations and diagnostics,
     however often the same gate term repeats."""
@@ -1214,3 +1255,93 @@ class TestFuzz:
                 if code == 3:
                     crashes.append((source, args, err))
         assert crashes == []
+
+
+class TestAscriptionsInBranches:
+    """An ascribed value in a conditional branch is checked against its
+    ascription; an ascribed `do` block is run in place, as the runtime
+    runs it."""
+
+    BRANCH_VALUE = (
+        "f : {emp} r : Bool {T}\n"
+        "  = do x <= mkQbit false;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then (true : Qbit) else (false : Qbit);\n"
+        "       return z\n")
+    BRANCH_RETURN = (
+        "f : {emp} r : Bool {T}\n"
+        "  = do x <= mkQbit false;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then do return (true : Qbit)\n"
+        "            else do return (false : Qbit);\n"
+        "       return z\n")
+    WELL_TYPED = (
+        "g : {emp} r : Bool {Id(r, true)}\n"
+        "  = do x <= mkQbit false;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then (true : Bool) else (true : Bool);\n"
+        "       return z\n")
+    ASCRIBED_BLOCK = (
+        "f : {emp} r : {emp} s : Bool {T} {T}\n"
+        "  = do x <= mkQbit false;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then (do return true : {emp} s : Bool {T})\n"
+        "            else (do return false : {emp} s : Bool {T});\n"
+        "       return z\n")
+
+    @pytest.mark.parametrize("source, where", [
+        (BRANCH_VALUE, "4:8"), (BRANCH_RETURN, "4:26")],
+        ids=["value", "return"])
+    def test_ill_typed_ascription_is_a_type_error(self, source, where,
+                                                  tmp_path, capsys):
+        path = tmp_path / "asc.qh"
+        path.write_text(source)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (2, f"{path}: f: type-error ({where}: term "
+                                  f"true does not have type Qbit)\n")
+        code, out, err = run_cli(["run", str(path), "f"], capsys)
+        assert (code, out, err) == (2, "", f"{path}: f: type-error\n")
+
+    def test_well_typed_ascription_verifies_and_runs(self, tmp_path, capsys):
+        path = tmp_path / "asc.qh"
+        path.write_text(self.WELL_TYPED)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (0, f"{path}: g: verified\n")
+        code, out, _ = run_cli(["run", str(path), "g", "--shots", "5"],
+                               capsys)
+        assert code == 0
+        assert "  true: 5\n" in out and "pass=5 fail=0" in out
+
+    def test_ascribed_block_runs_in_place(self, tmp_path, capsys):
+        path = tmp_path / "asc.qh"
+        path.write_text(self.ASCRIBED_BLOCK)
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (2, f"{path}: f: type-error (6:8: expected "
+                                  f"{{emp}} s : Bool {{T}}, found Bool)\n")
+
+
+class TestCountermodelOfRepeatedModels:
+    # `b` is `y`: the models of the postcondition run through (x, y) =
+    # FF, FT, TF, TT, and FT and TT refute it with one heap and one `b`
+    SOURCE = (
+        "two : {emp} (a, b) : (Bool, Bool) {Id(b, false)}\n"
+        "    = do q <= mkQbit false;\n"
+        "         applyU (H q);\n"
+        "         x <= measQbit q;\n"
+        "         p <= mkQbit false;\n"
+        "         applyU (H p);\n"
+        "         y <= measQbit p;\n"
+        "         return (x, y)\n")
+
+    def test_the_first_refuting_model_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "two.qh"
+        path.write_text(self.SOURCE)
+        code, out, _ = run_cli(["check", "--format", "json", str(path)],
+                               capsys)
+        assert code == 1
+        (post,) = [ob for ob in json.loads(out)["decls"][0]["obligations"]
+                   if ob["kind"] == "postconditionVC"]
+        assert _dumps(post["countermodel"]) == _dumps({
+            "env": {"a": "false", "b": "true", "p": "p", "q": "q",
+                    "x": "false", "y": "true"},
+            "heap": {"": "empty"}})

@@ -2,6 +2,7 @@
 class, derived assertion forms, and the well-formedness of signatures."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -56,6 +57,56 @@ class TestPretty:
     def test_membership(self):
         a = MemberOf(Emb(Var("a")), (Ket("+"), Ket("-")))
         assert pretty(a) == "a \\in {|+\\>, |-\\>}"
+
+
+def recursive_pretty(a, prec: int = 0) -> str:
+    """How `And` and `Or` were written before `_pp_assn` read the left
+    spine of a chain in a loop: one recursive call per connective."""
+    if isinstance(a, (And, Or)):
+        op, level = (" \\/ ", 3) if isinstance(a, Or) else (" /\\ ", 4)
+        txt = (recursive_pretty(a.left, level) + op
+               + recursive_pretty(a.right, level + 1))
+        return f"({txt})" if prec > level else txt
+    return core._pp_assn(a, prec)
+
+
+class TestLongChains:
+    # the checker's hypotheses are And chains, one conjunct per Bool
+    # binding of a branch, joined by an Or chain, one disjunct per branch
+    ATOMS = [Emp(), Top(), IdAt(None, Emb(Var("b")), BoolLit(True)),
+             PointsTo(Emb(Var("q")), Ket("+")), Not(Emp()),
+             Implies(Emp(), Top()), Lookup(Emb(Var("q")), WildcardState())]
+
+    def tree(self, rng, depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(self.ATOMS)
+        return rng.choice((And, Or))(self.tree(rng, depth - 1),
+                                     self.tree(rng, depth - 1))
+
+    def test_short_chains_print_as_before(self):
+        rng = random.Random(26)
+        for _ in range(500):
+            a = self.tree(rng, 6)
+            assert pretty(a) == recursive_pretty(a)
+        for op in (And, Or):
+            a = functools.reduce(op, self.ATOMS)
+            assert pretty(a) == recursive_pretty(a)
+            assert pretty(Not(a)) == "~(" + recursive_pretty(a) + ")"
+
+    @pytest.mark.parametrize("op, sep", [(And, " /\\ "), (Or, " \\/ ")])
+    def test_5000_links_at_the_default_recursion_limit(self, op, sep):
+        atoms = [IdAt(None, Emb(Var(f"b{i}")), BoolLit(i % 2 == 0))
+                 for i in range(5000)]
+        assert pretty(functools.reduce(op, atoms)) == \
+            sep.join(pretty(a) for a in atoms)
+
+    def test_hypothesis_shape(self):
+        bindings = [IdAt(None, Emb(Var(f"b{i}")), BoolLit(True))
+                    for i in range(3000)]
+        branch = functools.reduce(And, [Emp()] + bindings)
+        text = pretty(functools.reduce(Or, [branch] * 4))
+        assert text == " \\/ ".join([pretty(branch)] * 4)
+        assert text.count(" /\\ ") == 4 * 3000
 
 
 def reference_pretty(node) -> str:

@@ -12,16 +12,19 @@ import pytest
 from qhoare.core import (
     And, BoolLit, BoolT, Bot, Emb, Emp, GhostRef, HeapId, HEmpty, HVar, IdAt,
     InDom, Ket, Lookup, MemberOf, Not, Or, Implies, Pair, PointsTo, Top,
-    KetVec, UNKNOWN, Upd, Var, WildcardState, pretty, KET_TEXT,
+    KetVec, UNKNOWN, Upd, Var, WildcardState, free_vars, pretty, KET_TEXT,
 )
 from qhoare.heap import (
     Cell, SymbolicHeap, SymState, UNKNOWN_STATE, basis_claim, concrete,
     opaque,
 )
+from qhoare import prover
+from qhoare.parser import parse_program
 from qhoare.prover import (
     Model, Obligation, POSTCONDITION, Verdict, discharge_all,
     entails, eval_in_model, _describe_model,
 )
+from qhoare.typecheck import check_program
 
 LOCS = ["a", "b", "c"]
 KETS = ["0", "1", "+", "-"]
@@ -462,6 +465,76 @@ class TestDischargeAll:
                           conclusion=IdAt(None, Q, Ket("0")),
                           models=[model])]
         assert discharge_all(obs).status == "conditional"
+
+
+def checked_obligations():
+    """Every obligation of the corpus, the negative files, the other swept
+    programs and a few `genlib` blocks."""
+    from genlib import coin_block_source, ghz_source, measure_block_source
+    from test_typecheck import swept_sources
+    sources = swept_sources() + [measure_block_source(40),
+                                 coin_block_source(6), ghz_source(6)]
+    for source in sources:
+        parsed = parse_program(source)
+        if parsed.ok:
+            for dr in check_program(parsed.program).decls:
+                yield from dr.obligations
+
+
+class TestDistinctModels:
+    """`entails` evaluates one model per group of models that agree on
+    the heap and on the values of the conclusion's free names."""
+
+    def test_the_conclusion_reads_only_the_heap_and_its_free_names(self):
+        evaluations = 0
+        for ob in checked_obligations():
+            names = free_vars(ob.conclusion)
+            for m in ob.models:
+                cut = Model(m.heap, {x: v for x, v in m.env.items()
+                                     if x in names})
+                assert eval_in_model(ob.conclusion, m) is \
+                    eval_in_model(ob.conclusion, cut), (ob.kind, m)
+                evaluations += 1
+        assert evaluations > 600
+
+    def test_each_distinct_model_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, model):
+            calls.append(model)
+            return eval_in_model(a, model)
+
+        monkeypatch.setattr(prover, "eval_in_model", counted)
+        heaps = [SymbolicHeap((Cell(("q",), concrete([1, 0])),)),
+                 SymbolicHeap((Cell(("q",), opaque("g")),))]
+        models = [Model(h, {"x": x, "y": y})
+                  for h in heaps for x in (True, False) for y in (True, False)]
+        concl = Or(IdAt(None, Emb(Var("x")), BoolLit(True)),
+                   PointsTo(Q, Ket("0")))
+        verdict = entails(Obligation(kind=POSTCONDITION, conclusion=concl,
+                                     models=models))
+        assert verdict == Verdict("unknown", residual=concl)
+        # four groups by heap and x, each evaluated by its first model;
+        # the last is undecided, so the residual's one conjunct reads it
+        # again
+        assert calls == [models[0], models[2], models[4], models[6],
+                         models[6]]
+
+    def test_countermodel_is_the_first_refuting_model(self):
+        # models 1 and 3 refute the conclusion and agree on the heap and
+        # on x; they differ in y, which the countermodel shows
+        models = [Model(SymbolicHeap(), {"x": True, "y": True}),
+                  Model(SymbolicHeap(), {"x": False, "y": True}),
+                  Model(SymbolicHeap(), {"x": True, "y": False}),
+                  Model(SymbolicHeap(), {"x": False, "y": False})]
+        ob = Obligation(kind=POSTCONDITION,
+                        conclusion=IdAt(None, Emb(Var("x")), BoolLit(True)),
+                        models=models)
+        assert entails(ob) == Verdict("refuted", countermodel={
+            "heap": {"": "empty"}, "env": {"x": "false", "y": "true"}})
+        ob.models = models[::-1]
+        assert entails(ob).countermodel["env"] == {"x": "false",
+                                                   "y": "false"}
 
 
 class TestBruteForceAgreement:

@@ -1,9 +1,11 @@
 """Bidirectional checking, canonical forms, and computation judgments."""
 
 import dataclasses
+import gc
 import json
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -197,6 +199,58 @@ class TestComputations:
         assert ob.hypotheses == [Emp()]
         (model,) = ob.models
         assert model.env["r"] is True
+
+    def test_hypotheses_describe_the_branches_where_emitted(self):
+        # hypotheses are built when first read, after the whole block is
+        # checked; `applyU` updates the checker's live branches in place,
+        # yet each obligation reads the branches as they were at its
+        # statement, and the postcondition's omit the result pattern
+        program = parse_program(
+            "snap : {emp} r : Bool {T}\n"
+            "     = do q <= mkQbit false;\n"
+            "          p <= mkQbit false;\n"
+            "          applyU (H p);\n"
+            "          c <= measQbit p;\n"
+            "          applyU (H q);\n"
+            "          d <= measQbit q;\n"
+            "          return c\n").program
+        result = check_program(program).decl("snap")
+        hyps = [(ob.kind, [pretty(h) for h in ob.hypotheses])
+                for ob in result.obligations if ob.kind != "unitarityVC"]
+        assert hyps == [
+            ("allocationVC",
+             ["HId(%h, upd(upd(empty, p, |+\\>), q, |0\\>))"]),
+            ("allocationVC",
+             ["q |-> |+\\> /\\ Id(c, false) \\/ q |-> |+\\> /\\ Id(c, true)"]),
+            ("postconditionVC",
+             ["emp /\\ Id(c, false) /\\ Id(d, false) \\/ "
+              "emp /\\ Id(c, false) /\\ Id(d, true) \\/ "
+              "emp /\\ Id(c, true) /\\ Id(d, false) \\/ "
+              "emp /\\ Id(c, true) /\\ Id(d, true)"])]
+
+    def test_unread_hypotheses_keep_no_checker_alive(self):
+        # an obligation holds what builds its hypotheses; if that reached
+        # the checker, which holds the obligations, each checked program
+        # would wait for the cyclic collector, and `run` would grow its
+        # peak memory
+        program = parse_program(
+            "f : {emp} r : Bool {T}\n"
+            "  = do q <= mkQbit false; applyU (H q); c <= measQbit q;\n"
+            "       p <- g; return c\n"
+            "g : {emp} r : Bool {T} = do return true\n").program
+        gc.disable()
+        try:
+            checker = Checker(program)
+            results = [checker.check_decl(d) for d in program.decls[::-1]]
+            alive = weakref.ref(checker)
+            del checker
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert {ob.kind for r in results for ob in r.obligations} >= {
+            "allocationVC", "callPreVC", "postconditionVC"}
+        assert all(ob.hypotheses for r in results for ob in r.obligations
+                   if ob.kind != "unitarityVC")
 
     def test_hqw_sp_entails_declared_post(self, corpus):
         program = corpus["hqw.qh"]
