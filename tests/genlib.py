@@ -2,6 +2,7 @@
 and property tests."""
 
 import random
+import re
 
 from qhoare.core import (
     And, App, ARef, Ascribe, BindCmd, BindRun, BoolLit, BoolT, Bot,
@@ -12,6 +13,7 @@ from qhoare.core import (
     PiT, PointsTo, Program, PureT, QbitT, Replace, Ret, Seq, TensorT, Top,
     UnitT, UnitVal, Upd, UT, Var, WildcardState, ApplyU,
 )
+from qhoare.parser import tokenize
 
 NAMES = ["x", "y", "z", "f", "g", "qa", "qb", "a", "b", "c", "m1", "w"]
 HNAMES = ["h", "h1", "g0"]
@@ -311,3 +313,42 @@ def ghz_source(n: int) -> str:
     head = (f"ghz : {{emp}} (a, r) : (Bool, {nest(['Bool'] * (n - 1))}) "
             f"{{emp /\\ Id(r, {nest(['a'] * (n - 1))})}}\n")
     return head + "    = do " + ";\n         ".join(body) + "\n"
+
+
+def token_layout(source: str) -> tuple:
+    """The tokens of ``source`` and the text around them: ``seps[i]``
+    precedes ``tokens[i]``, and ``seps[-1]`` follows the last token."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+    seps, tokens, pos = [], [], 0
+    for tok in tokenize(source, [], "<fuzz>")[:-1]:  # drop EOF
+        at = line_starts[tok.span.line - 1] + tok.span.col - 1
+        seps.append(source[pos:at])
+        tokens.append(tok.text)
+        pos = at + len(tok.text)
+    seps.append(source[pos:])
+    return seps, tokens
+
+
+def token_mutants(sources: list, seed: int, n: int):
+    """``n`` mutants of ``sources``, each with 1-3 tokens deleted,
+    duplicated, swapped or replaced by a token of any of them; the
+    whitespace between tokens is kept."""
+    rng = random.Random(seed)
+    layouts = [token_layout(s) for s in sources]
+    pool = sorted({t for _, tokens in layouts for t in tokens})
+    for _ in range(n):
+        seps, tokens = rng.choice(layouts)
+        tokens = list(tokens)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens))
+            op = rng.randrange(4)
+            if op == 0:
+                tokens[i] = ""
+            elif op == 1:
+                tokens[i] = f"{tokens[i]} {tokens[i]}"
+            elif op == 2:
+                j = rng.randrange(len(tokens))
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+            else:
+                tokens[i] = rng.choice(pool)
+        yield "".join(map("".join, zip(seps, tokens))) + seps[-1]

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import os
 import pathlib
-import random
 import re
 import subprocess
 import sys
@@ -17,14 +16,14 @@ import pytest
 from qhoare.cli import _dumps, analyze, decl_status, main
 from qhoare.core import HoareT
 from qhoare.heap import MAX_WIDTH
-from qhoare.parser import parse_program, tokenize
+from qhoare.parser import parse_program
 from qhoare.sim import run_program
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
 from genlib import (
     gate_block_source, ghz_source, measure_block_source,
-    straight_line_source,
+    straight_line_source, token_mutants,
 )
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
@@ -1207,47 +1206,16 @@ class TestDepth:
         assert {key: c for key, c in codes.items() if c != 0} == {}
 
 
-def token_layout(source: str) -> tuple:
-    """The tokens of ``source`` and the text around them: ``seps[i]``
-    precedes ``tokens[i]``, and ``seps[-1]`` follows the last token."""
-    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
-    seps, tokens, pos = [], [], 0
-    for tok in tokenize(source, [], "<fuzz>")[:-1]:  # drop EOF
-        at = line_starts[tok.span.line - 1] + tok.span.col - 1
-        seps.append(source[pos:at])
-        tokens.append(tok.text)
-        pos = at + len(tok.text)
-    seps.append(source[pos:])
-    return seps, tokens
-
-
 class TestFuzz:
     def test_token_mutations_never_exit_3(self, tmp_path, capsys):
         # Delete, duplicate, swap or replace tokens of the corpus and
         # negative files, keeping the whitespace: whatever the result,
         # `check` and `vcs` report it, never an internal error (exit 3).
-        rng = random.Random(7)
-        layouts = [token_layout(p.read_text())
-                   for p in CORPUS_FILES + NEGATIVE_FILES]
-        pool = sorted({t for _, tokens in layouts for t in tokens})
         path = tmp_path / "mutant.qh"
         crashes = []
-        for _ in range(1000):
-            seps, tokens = rng.choice(layouts)
-            tokens = list(tokens)
-            for _ in range(rng.randint(1, 3)):
-                i = rng.randrange(len(tokens))
-                op = rng.randrange(4)
-                if op == 0:
-                    tokens[i] = ""
-                elif op == 1:
-                    tokens[i] = f"{tokens[i]} {tokens[i]}"
-                elif op == 2:
-                    j = rng.randrange(len(tokens))
-                    tokens[i], tokens[j] = tokens[j], tokens[i]
-                else:
-                    tokens[i] = rng.choice(pool)
-            source = "".join(map("".join, zip(seps, tokens))) + seps[-1]
+        for source in token_mutants(
+                [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES], 7,
+                1000):
             path.write_text(source)
             for args in (["check"], ["vcs", "--format", "json"]):
                 code, _, err = run_cli([args[0], str(path), *args[1:]],

@@ -1,18 +1,22 @@
 """Parsing, diagnostics, round-trips, and mutation robustness."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from qhoare.core import (
-    And, BindCmd, Do, Emp, IdAt, MemberOf, Ket, Ret, Top, pretty,
+    And, BindCmd, Do, Emp, IdAt, MemberOf, Ket, Ret, Top, children, pretty,
 )
 from qhoare.parser import (
     parse_assertion, parse_program, parse_term, ParseResult, tokenize,
 )
-from genlib import Gen
-from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
+from genlib import (
+    Gen, coin_block_source, gate_block_source, ghz_source,
+    measure_block_source, straight_line_source, token_mutants,
+)
+from conftest import CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
 
 
 def comp_steps(comp):
@@ -151,6 +155,78 @@ class TestTokenGolden:
     def test_tokens_match_golden(self):
         assert token_golden_text() == \
             (GOLDEN_DIR / "tokens.json").read_text()
+
+
+def parse_golden_sources() -> dict:
+    """The inputs of golden/parse.json: the corpus, negative and token
+    edge inputs, the genlib blocks, programs and assertions of the
+    grammar generator, and the curated and token mutations."""
+    files = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
+    sources = {f"{p.parent.name}/{p.name}": text
+               for p, text in zip(CORPUS_FILES + NEGATIVE_FILES, files)}
+    sources.update(TOKEN_EDGE_INPUTS)
+    sources.update({
+        "straight_line_source(30)": straight_line_source(30),
+        "gate_block_source(30, 1)": gate_block_source(30, 1),
+        "measure_block_source(20)": measure_block_source(20),
+        "coin_block_source(4)": coin_block_source(4),
+        "ghz_source(5)": ghz_source(5),
+    })
+    sources.update({f"Gen({seed}).program()": pretty(Gen(seed).program())
+                    for seed in range(40)})
+    sources.update({f"assertion:Gen({seed})": pretty(Gen(seed).assertion(3))
+                    for seed in range(1000, 1040)})
+    testbell = (CORPUS_DIR / "testbell.qh").read_text()
+    sources.update({f"MUTATIONS[{i}]": m(testbell)
+                    for i, m in enumerate(MUTATIONS)})
+    sources.update({f"token_mutants(7)[{i}]": text for i, text in
+                    enumerate(token_mutants(files, 7, 300))})
+    return sources
+
+
+def span_rows(node) -> list:
+    """``[index, line, col, length]`` of every node with a span, indexed
+    in ``children`` pre-order."""
+    rows, stack, index = [], [node], 0
+    while stack:
+        n = stack.pop()
+        span = getattr(n, "span", None)
+        if span is not None:
+            rows.append([index, span.line, span.col, span.length])
+        index += 1
+        stack.extend(reversed(children(n)))
+    return rows
+
+
+def parse_golden_text() -> str:
+    """For each input of :func:`parse_golden_sources`, ``pretty`` of what
+    parses, the spans of its nodes and the rendered diagnostics, as JSON.
+    A mutant keeps the SHA-256 of its ``pretty`` text and spans instead."""
+    entries = []
+    for name, source in parse_golden_sources().items():
+        if name.startswith("assertion:"):
+            res = parse_assertion(source, name)
+            node = None if isinstance(res, ParseResult) else res
+            diags = res.diagnostics if node is None else []
+        else:
+            res = parse_program(source, name)
+            node, diags = res.program, res.diagnostics
+        text = None if node is None else pretty(node)
+        spans = None if node is None else span_rows(node)
+        entry = {"diagnostics": [d.render() for d in diags]}
+        if "mutant" in name:
+            entry["sha256"] = hashlib.sha256(
+                json.dumps([text, spans]).encode()).hexdigest()
+        else:
+            entry.update(pretty=text, spans=spans)
+        entries.append(f" {json.dumps(name)}: {json.dumps(entry)}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
+class TestParseGolden:
+    def test_parse_matches_golden(self):
+        assert parse_golden_text() == \
+            (GOLDEN_DIR / "parse.json").read_text()
 
 
 class TestRoundTripProperty:
