@@ -33,6 +33,8 @@ EXIT_INTERNAL = 3
 class DeclReport:
     name: str
     status: str  # verified | conditional | refuted | type-error | parse-error
+    # (Obligation, Verdict) pairs in report order; only ``as_dict``, which
+    # the JSON reports print, renders an obligation's hypotheses
     obligations: list = field(default_factory=list)
     error: Optional[str] = None
 
@@ -40,7 +42,7 @@ class DeclReport:
         return {
             "name": self.name,
             "status": self.status,
-            "obligations": self.obligations,
+            "obligations": [_verdict_dict(ob, v) for ob, v in self.obligations],
             "error": self.error,
         }
 
@@ -67,14 +69,21 @@ def _span_dict(span) -> Optional[dict]:
     return {"line": span.line, "col": span.col}
 
 
+def _residual(verdict) -> Optional[str]:
+    return None if verdict.residual is None else pretty(verdict.residual)
+
+
+def _where(span, sep: str, missing: str) -> str:
+    return missing if span is None else f"{span.line}:{span.col}{sep}"
+
+
 def _verdict_dict(ob, verdict) -> dict:
     return {
         "kind": ob.kind,
         "conclusion": pretty(ob.conclusion),
         "hypotheses": [pretty(h) for h in ob.hypotheses],
         "verdict": verdict.status,
-        "residual": pretty(verdict.residual) if verdict.residual is not None
-        else None,
+        "residual": _residual(verdict),
         "countermodel": verdict.countermodel,
         "span": _span_dict(ob.span),
         "note": ob.note,
@@ -103,8 +112,8 @@ def analyze(path: str, source: str,
             worst = max(worst, "type-error", key=lambda s: rank[s])
             continue
         proof = discharge_all(dr.obligations)
-        obs = [_verdict_dict(ob, v) for ob, v in _ordered(proof.verdicts)]
-        decls.append(DeclReport(dr.name, proof.status, obligations=obs))
+        decls.append(DeclReport(dr.name, proof.status,
+                                obligations=_ordered(proof.verdicts)))
         worst = max(worst, proof.status, key=lambda s: rank[s])
     return Report(path, worst, decls, diags), checked
 
@@ -182,14 +191,11 @@ def cmd_check(args) -> int:
                 if decl.error:
                     line += f" ({decl.error})"
                 print(line)
-                for ob in decl.obligations:
-                    if ob["verdict"] != "proved":
-                        spot = ob["span"]
-                        where = f"{spot['line']}:{spot['col']}: " if spot \
-                            else ""
-                        print(f"    {where}{ob['kind']} {ob['verdict']}: "
-                              f"{ob['conclusion']}"
-                              + (f"  ({ob['note']})" if ob["note"] else ""))
+                for ob, v in decl.obligations:
+                    if v.status != "proved":
+                        print(f"    {_where(ob.span, ': ', '')}{ob.kind} "
+                              f"{v.status}: {pretty(ob.conclusion)}"
+                              + (f"  ({ob.note})" if ob.note else ""))
         code = max(code, _exit_for(report, args.strict))
     return code
 
@@ -370,13 +376,11 @@ def cmd_vcs(args) -> int:
     else:
         for decl in report.decls:
             print(f"{decl.name}: {decl.status}")
-            for ob in decl.obligations:
-                spot = ob["span"]
-                where = f"{spot['line']}:{spot['col']}" if spot else "-"
-                print(f"  [{where}] {ob['kind']}: {ob['verdict']}")
-                print(f"      |- {ob['conclusion']}")
-                if ob["residual"]:
-                    print(f"      residual: {ob['residual']}")
+            for ob, v in decl.obligations:
+                print(f"  [{_where(ob.span, '', '-')}] {ob.kind}: {v.status}")
+                print(f"      |- {pretty(ob.conclusion)}")
+                if residual := _residual(v):
+                    print(f"      residual: {residual}")
     return _exit_for(report, args.strict)
 
 

@@ -775,30 +775,30 @@ def _pp_assn(a: "Assn", prec: int) -> str:
     raise TypeError(f"not an assertion: {a!r}")
 
 
+def _pp_program(p: Program) -> str:
+    return "\n\n".join(map(_pp_decl, p.decls)) + ("\n" if p.decls else "")
+
+
+def _pp_decl(d: Decl) -> str:
+    return f"{d.name} : {_pp_ty(d.signature)}\n    = {_pp_term(d.body)}"
+
+
+# the renderer of each class of node but the assertions
+_PRETTY = {cls: render for classes, render in (
+    ((Program,), _pp_program), ((Decl,), _pp_decl), ((Seq,), _pp_comp),
+    ((UnitT, BoolT, QbitT, UT, PureT, MatrixT, TensorT, PiT, HoareT), _pp_ty),
+    ((Var, App, Ascribe, Emb, UnitVal, Lam, Do, BoolLit, Pair, IfTerm,
+      MatrixLit, Ket, KetVec, GhostRef, WildcardState), _pp_term),
+    ((MkQbit, MeasQbit, ApplyU, IfCmd), _pp_cmd),
+    ((Ret, BindRun, BindCmd, LetEq), _pp_stmt),
+    ((HVar, HEmpty, Upd), _pp_heap),
+) for cls in classes}
+
+
 def pretty(node) -> str:
     """Render any AST node in the surface syntax."""
-    if isinstance(node, Program):
-        return "\n\n".join(pretty(d) for d in node.decls) + (
-            "\n" if node.decls else ""
-        )
-    if isinstance(node, Decl):
-        return f"{node.name} : {_pp_ty(node.signature)}\n    = {_pp_term(node.body)}"
-    if isinstance(node, (UnitT, BoolT, QbitT, UT, PureT, MatrixT, TensorT,
-                         PiT, HoareT)):
-        return _pp_ty(node)
-    if isinstance(node, (Var, App, Ascribe, Emb, UnitVal, Lam, Do, BoolLit,
-                         Pair, IfTerm, MatrixLit, Ket, KetVec, GhostRef,
-                         WildcardState)):
-        return _pp_term(node)
-    if isinstance(node, (MkQbit, MeasQbit, ApplyU, IfCmd)):
-        return _pp_cmd(node)
-    if isinstance(node, Seq):
-        return _pp_comp(node)
-    if isinstance(node, (Ret, BindRun, BindCmd, LetEq)):
-        return _pp_stmt(node)
-    if isinstance(node, (HVar, HEmpty, Upd)):
-        return _pp_heap(node)
-    return _pp_assn(node, 0)
+    render = _PRETTY.get(type(node))
+    return _pp_assn(node, 0) if render is None else render(node)
 
 
 # ---------------------------------------------------------------------------
@@ -906,6 +906,13 @@ def free_vars(node) -> set:
                 out |= free_vars(item) - bound
                 bound.update(bound_names(item))
             return out
+        case And() | Or():
+            # the left spine in a loop: written chains are long
+            out = set()
+            while isinstance(node, (And, Or)):
+                out |= free_vars(node.right)
+                node = node.left
+            return out | free_vars(node)
     out = set()
     for c in children(node):
         out |= free_vars(c)
@@ -1141,10 +1148,18 @@ def kleene_eval(a: "Assn", atom):
     read here, and ``t \\in {c, ...}`` as the ``Or`` of ``Id(t, c)``;
     ``atom(b)`` gives the truth of every other subformula ``b``."""
     match a:
-        case And(l, r):
-            return kleene_and(kleene_eval(l, atom), kleene_eval(r, atom))
-        case Or(l, r):
-            return kleene_or(kleene_eval(l, atom), kleene_eval(r, atom))
+        case And() | Or():
+            # the left spine in a loop, operands left to right: written
+            # chains are long
+            chain, rights = type(a), []
+            while type(a) is chain:
+                rights.append(a.right)
+                a = a.left
+            op = kleene_and if chain is And else kleene_or
+            out = kleene_eval(a, atom)
+            for r in reversed(rights):
+                out = op(out, kleene_eval(r, atom))
+            return out
         case Implies(l, r):
             return kleene_or(kleene_not(kleene_eval(l, atom)),
                              kleene_eval(r, atom))
@@ -1164,6 +1179,11 @@ def kleene_eval(a: "Assn", atom):
 
 def conjuncts(a: "Assn") -> list:
     """The conjuncts of ``a`` from left to right, nested ``And`` flattened."""
-    if isinstance(a, And):
-        return conjuncts(a.left) + conjuncts(a.right)
-    return [a]
+    out, todo = [], [a]
+    while todo:
+        a = todo.pop()
+        if isinstance(a, And):
+            todo += (a.right, a.left)
+        else:
+            out.append(a)
+    return out

@@ -1,8 +1,10 @@
 """Parser for ``.qh`` sources.
 
-A one-pass lexer (one master pattern, each match skipping the whitespace
-before its token; a token is a tuple whose ``Span`` is built on demand) and
-a recursive-descent parser with limited backtracking.
+A line-wise lexer (one master pattern run over each line, each match
+skipping the whitespace before its token; a token is a plain ``(kind,
+text, line, col)`` tuple) and a recursive-descent parser with limited
+backtracking that reads the current token inline on its hot paths and
+parses assertions by precedence climbing.
 Comments run from ``--`` to end of line.  Layout is insignificant except for
 one rule that keeps the grammar deterministic: a bare command at the end of
 a ``do`` block terminates it, so a command used as a statement must carry an
@@ -17,14 +19,16 @@ Desugarings applied while parsing:
 * a command in an ``if`` branch becomes a suspended ``do`` block;
 * ``\\Pi x y : A.`` binds each name separately.
 
-Parsing is a pure function of the input text and is re-entrant.
+Parsing is a pure function of the input text and is re-entrant.  The
+leaves of one parse are shared: every use of a name is the same
+``Emb(Var(x))`` node.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     And, App, ApplyU, ARef, Ascribe, BindCmd, BindRun, BoolLit, Bot, BoolT,
@@ -36,12 +40,35 @@ from .core import (
     TensorT, Top, UnitT, UnitVal, Upd, UT, Var, WildcardState,
 )
 
-COMMAND_KEYWORDS = ("mkQbit", "measQbit", "applyU")
+COMMANDS = {"mkQbit": MkQbit, "measQbit": MeasQbit, "applyU": ApplyU}
 RESERVED = {
     "do", "return", "if", "then", "else", "true", "false",
     "mkQbit", "measQbit", "applyU", "emp", "empty", "upd",
     "exists", "forall", "Bool", "Qbit", "U", "Pure", "Matrix",
 }
+# the reserved words that cannot start a term atom
+_NOT_ATOMS = RESERVED - {"true", "false"}
+_BASE_TYPES = {"Bool": BoolT, "Qbit": QbitT, "U": UT, "Pure": PureT,
+               "Matrix": MatrixT}
+_KETS = {"|0\\>": "0", "|1\\>": "1", "|+\\>": "+", "|-\\>": "-",
+         "|\\Phi+\\>": "phi+"}
+# binary assertion connectives: precedence, and the node they build
+_CONNECTIVES = {"COMPOSE": (1, Compose), "IMPL": (2, Implies),
+                "DISJ": (3, Or), "CONJ": (4, And)}
+
+
+def _span(line: int, col: int, length: int) -> Span:
+    # A frozen dataclass's ``__init__`` sets each field through
+    # ``object.__setattr__``; filling ``__dict__`` builds the same Span at
+    # a third of the cost.
+    span = object.__new__(Span)
+    span.__dict__.update(line=line, col=col, length=length)
+    return span
+
+
+def token_span(tok: tuple) -> Span:
+    _, text, line, col = tok
+    return _span(line, col, len(text))
 
 
 @dataclass(frozen=True)
@@ -80,17 +107,17 @@ class LiteralError(ParseError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-# The alternation ends with a one-character ``BAD`` token and the empty
-# ``EOF``, so the matches of ``_MASTER`` cover the whole source.  The first
-# five kinds share no first character with any other; the order of the rest
-# decides between tokens sharing a prefix.
+# The alternation ends with a one-character ``BAD`` token, so the matches of
+# ``_MASTER`` cover every line stripped of its trailing whitespace.  The
+# first five kinds share no first character with any other; the order of
+# the rest decides between tokens sharing a prefix.
 _TOKEN_SPEC = [
     ("NAME", r"[A-Za-z_%][A-Za-z0-9_'%]*"),
     ("LPAREN", r"\("),
     ("RPAREN", r"\)"),
     ("SEMI", r";"),
     ("NUMBER", r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"),
-    ("COMMENT", r"--[^\n]*"),
+    ("COMMENT", r"--.*"),
     ("KET", r"\|\\Phi\+\\>|\|0\\>|\|1\\>|\|\+\\>|\|-\\>"),
     ("KVEC", r"\|vec\("),
     ("KETCLOSE", r"\\>"),
@@ -117,48 +144,31 @@ _TOKEN_SPEC = [
     ("PLUS", r"\+"),
     ("MINUS", r"-"),
     ("BAD", r"."),
-    ("EOF", r"\Z"),
 ]
 
-_MASTER = re.compile(r"[ \t\r\n]*(?:"
+_MASTER = re.compile(r"[ \t\r]*(?:"
                      + "|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC) + ")")
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col, len(self.text))
+_DROPPED = {"COMMENT", "BAD"}
 
 
 def tokenize(source: str, diags: list, filename: str) -> list:
-    tokens = []
-    line, line_start, end = 1, 0, 0
-    for m in _MASTER.finditer(source):
-        kind = m.lastgroup
-        start = m.start(kind)
-        # only the skipped whitespace before a token holds newlines
-        if source.find("\n", end, start) >= 0:
-            line += source.count("\n", end, start)
-            line_start = source.rfind("\n", end, start) + 1
-        end = m.end()
-        if kind == "COMMENT":
-            continue
-        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
-        tok = tuple.__new__(Token, (kind, source[start:end], line,
-                                    start - line_start + 1))
-        if kind == "BAD":
-            diags.append(Diagnostic(
-                "error", f"unexpected character {tok.text!r}", tok.span,
-                filename))
-            continue
-        tokens.append(tok)
-        if kind == "EOF":
-            return tokens
+    """The ``(kind, text, line, col)`` tuples of ``source``, ending with an
+    ``EOF`` token; each unexpected character is reported in ``diags``."""
+    lines = source.split("\n")
+    finditer = _MASTER.finditer
+    tokens = [(kind, m.group(kind), line, m.start(kind) + 1)
+              for line, text in enumerate(lines, 1)
+              for m in finditer(text.rstrip(" \t\r"))
+              for kind in (m.lastgroup,)]
+    if not _DROPPED.isdisjoint([t[0] for t in tokens]):
+        for tok in tokens:
+            if tok[0] == "BAD":
+                diags.append(Diagnostic(
+                    "error", f"unexpected character {tok[1]!r}",
+                    token_span(tok), filename))
+        tokens = [t for t in tokens if t[0] not in _DROPPED]
+    tokens.append(("EOF", "", len(lines), len(lines[-1]) + 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -172,45 +182,43 @@ class _Parser:
         self.pos = 0
         self.filename = filename
         self.supply = NameSupply()
+        self.leaves = {}  # name -> its one `Emb(Var(name))` or `BoolLit`
 
-    # --- token plumbing
+    # --- token plumbing.  The hot paths read `self.tokens[self.pos]`
+    # inline and step past a token they have matched, which is never EOF,
+    # with `self.pos += 1`.
 
-    def peek(self, k: int = 0) -> Token:
+    def peek(self, k: int = 0) -> tuple:
         return self.tokens[self.pos + k]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         t = self.tokens[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
-    def at_name(self, text: str) -> bool:
-        return self.at("NAME", text)
-
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         t = self.tokens[self.pos]
-        if t.kind != "EOF":
+        if t[0] != "EOF":
             self.pos += 1
         return t
 
-    def expect(self, kind: str, what: str) -> Token:
-        if self.at(kind):
-            return self.advance()
-        t = self.peek()
-        got = t.text or "end of input"
-        raise ParseError(f"expected {what}, found {got!r}", t.span)
+    def expect(self, kind: str, what: str) -> tuple:
+        t = self.tokens[self.pos]
+        if t[0] != kind:
+            raise self.expected(what)
+        self.pos += 1
+        return t
 
-    def save(self) -> int:
-        return self.pos
-
-    def restore(self, mark: int) -> None:
-        self.pos = mark
+    def expected(self, what: str) -> ParseError:
+        return self.fail(
+            f"expected {what}, found {self.tokens[self.pos][1] or 'end of input'!r}")
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
+        return ParseError(message, token_span(self.tokens[self.pos]))
 
     def too_deep(self) -> Diagnostic:
         # where the parser stood when the recursion limit was hit
         return Diagnostic("error", "input nested too deeply",
-                          self.peek().span, self.filename)
+                          token_span(self.tokens[self.pos]), self.filename)
 
     # --- program and declarations
 
@@ -242,8 +250,7 @@ class _Parser:
         self.pos = start + 1
         while not self.at("EOF"):
             t = self.peek()
-            if t.kind == "NAME" and t.col == 1 \
-                    and self.peek(1).kind == "COLON":
+            if t[0] == "NAME" and t[3] == 1 and self.peek(1)[0] == "COLON":
                 return
             self.advance()
 
@@ -253,17 +260,17 @@ class _Parser:
         sig = self.parse_type()
         self.expect("EQ", "'=' introducing the declaration body")
         body = self.parse_term()
-        return Decl(name_tok.text, sig, body, span=name_tok.span)
+        return Decl(name_tok[1], sig, body, span=token_span(name_tok))
 
     # --- types
 
     def parse_type(self):
-        t = self.peek()
-        if t.kind == "PI":
-            self.advance()
-            binders = [self.expect("NAME", "a binder name").text]
+        kind = self.tokens[self.pos][0]
+        if kind == "PI":
+            self.pos += 1
+            binders = [self.expect("NAME", "a binder name")[1]]
             while self.at("NAME"):  # `\Pi x y : A.` binds each name
-                binders.append(self.advance().text)
+                binders.append(self.advance()[1])
             self.expect("COLON", "':' in dependent function type")
             dom = self.parse_type()
             self.expect("DOT", "'.' closing the dependent binder")
@@ -271,45 +278,44 @@ class _Parser:
             for b in reversed(binders):
                 cod = PiT(b, dom, cod)
             return cod
-        if t.kind == "LBRACE":
+        if kind == "LBRACE":
             return self.parse_hoare([], [])
-        if t.kind == "NAME" and self.peek(1).kind == "COLON":
+        if kind == "NAME" and self.peek(1)[0] == "COLON":
             return self.parse_hoare_ctx()
         return self.parse_type_atom()
 
     def parse_type_atom(self):
-        t = self.peek()
-        if t.kind == "NUMBER" and t.text == "1":
-            self.advance()
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "NUMBER" and text == "1":
+            self.pos += 1
             return UnitT()
-        if t.kind == "NAME":
-            base = {"Bool": BoolT(), "Qbit": QbitT(), "U": UT(),
-                    "Pure": PureT(), "Matrix": MatrixT()}.get(t.text)
+        if kind == "NAME":
+            base = _BASE_TYPES.get(text)
             if base is not None:
-                self.advance()
-                return base
-            raise self.fail(f"unknown type {t.text!r}")
-        if t.kind == "LPAREN":
-            self.advance()
+                self.pos += 1
+                return base()
+            raise self.fail(f"unknown type {text!r}")
+        if kind == "LPAREN":
+            self.pos += 1
             first = self.parse_type()
             if self.at("COMMA"):
-                self.advance()
+                self.pos += 1
                 second = self.parse_type()
                 self.expect("RPAREN", "')' closing pair type")
                 return TensorT(first, second)
             self.expect("RPAREN", "')' closing type")
             return first
-        if t.kind in ("PI", "LBRACE"):
+        if kind in ("PI", "LBRACE"):
             return self.parse_type()
-        raise self.fail(f"expected a type, found {t.text or 'end of input'!r}")
+        raise self.fail(f"expected a type, found {text or 'end of input'!r}")
 
     def parse_hoare_ctx(self):
         var_ctx, heap_ctx = [], []
-        while self.at("NAME") and self.peek(1).kind == "COLON":
-            name = self.advance().text
-            self.advance()  # colon
-            if self.at_name("heap"):
-                self.advance()
+        while self.at("NAME") and self.peek(1)[0] == "COLON":
+            name = self.tokens[self.pos][1]
+            self.pos += 2  # the name and its colon
+            if self.at("NAME", "heap"):
+                self.pos += 1
                 heap_ctx.append(name)
             else:
                 var_ctx.append((name, self.parse_type_atom()))
@@ -331,44 +337,47 @@ class _Parser:
 
     def parse_pattern(self):
         if self.at("LPAREN"):
-            self.advance()
-            a = self.expect("NAME", "a binder name").text
+            self.pos += 1
+            a = self.expect("NAME", "a binder name")[1]
             self.expect("COMMA", "',' in binder pattern")
-            b = self.expect("NAME", "a binder name").text
+            b = self.expect("NAME", "a binder name")[1]
             self.expect("RPAREN", "')' closing binder pattern")
             return (a, b)
-        return (self.expect("NAME", "a binder name").text,)
+        return (self.expect("NAME", "a binder name")[1],)
 
     # --- terms
 
     def parse_term(self):
-        t = self.peek()
-        if t.kind == "LAMBDA":
-            self.advance()
-            x = self.expect("NAME", "a lambda binder")
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "LAMBDA":
+            self.pos += 1
+            x = self.expect("NAME", "a lambda binder")[1]
             self.expect("DOT", "'.' after lambda binder")
-            return Lam(x.text, self.parse_term())
-        if t.kind == "NAME" and t.text == "do":
-            self.advance()
+            return Lam(x, self.parse_term())
+        if kind == "NAME" and text == "do":
+            self.pos += 1
             return Do(self.parse_comp())
-        if t.kind == "NAME" and t.text == "if":
-            self.advance()
-            scrut = self.parse_app()
-            self.expect_kw("then")
-            tb = self.parse_branch_term()
-            self.expect_kw("else")
-            eb = self.parse_branch_term()
-            return IfTerm(scrut, tb, eb)
+        if kind == "NAME" and text == "if":
+            self.pos += 1
+            return IfTerm(*self.parse_if())
         return self.parse_app()
 
+    def parse_if(self) -> tuple:
+        # `if` already read: the scrutinee and the two branches
+        scrut = self.parse_app()
+        self.expect_kw("then")
+        tb = self.parse_branch_term()
+        self.expect_kw("else")
+        return scrut, tb, self.parse_branch_term()
+
     def expect_kw(self, kw: str) -> None:
-        if not self.at_name(kw):
+        if not self.at("NAME", kw):
             raise self.fail(f"expected {kw!r}")
-        self.advance()
+        self.pos += 1
 
     def parse_branch_term(self):
         # A bare command in branch position runs when the branch is taken.
-        if self.at("NAME") and self.peek().text in COMMAND_KEYWORDS:
+        if self.at("NAME") and self.tokens[self.pos][1] in COMMANDS:
             cmd = self.parse_command()
             x = self.supply.fresh("s")
             return Do(Seq((BindCmd(x, cmd),), Ret(Emb(Var(x)))))
@@ -379,12 +388,15 @@ class _Parser:
         # token ended; otherwise `return q` would swallow the name of the
         # following declaration.
         head = self.parse_atom()
-        while self.term_atom_start() and \
-                self.peek().line == self.tokens[self.pos - 1].line:
+        tokens = self.tokens
+        while True:
+            kind, text, line, _ = tokens[self.pos]
+            if not (kind in ("LPAREN", "KET", "KVEC", "MINUS")
+                    or kind == "NAME" and text not in _NOT_ATOMS) \
+                    or line != tokens[self.pos - 1][2]:
+                return head
             arg = self.parse_atom()
-            head_elim = self.as_elim(head)
-            head = Emb(App(head_elim, arg))
-        return head
+            head = Emb(App(self.as_elim(head), arg))
 
     def as_elim(self, m):
         if isinstance(m, Emb):
@@ -393,72 +405,67 @@ class _Parser:
             return m
         raise self.fail("only a variable, application or ascription may be applied")
 
-    def term_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind in ("LPAREN", "KET", "KVEC", "MINUS"):
-            return True
-        if t.kind == "NAME":
-            return t.text not in RESERVED or t.text in ("true", "false")
-        return False
-
     def parse_atom(self):
-        t = self.peek()
-        if t.kind == "KET":
-            self.advance()
-            kind = {"|0\\>": "0", "|1\\>": "1", "|+\\>": "+",
-                    "|-\\>": "-", "|\\Phi+\\>": "phi+"}[t.text]
-            return Ket(kind)
-        if t.kind == "KVEC":
-            self.advance()
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "NAME":
+            if text in _NOT_ATOMS:
+                raise self.fail(f"keyword {text!r} cannot appear here")
+            self.pos += 1
+            leaf = self.leaves.get(text)
+            if leaf is None:
+                leaf = self.leaves[text] = \
+                    BoolLit(text == "true") if text in ("true", "false") \
+                    else Emb(Var(text))
+            return leaf
+        if kind == "LPAREN":
+            return self.parse_parenthesized_term()
+        if kind == "KET":
+            self.pos += 1
+            return Ket(_KETS[text])
+        if kind == "KVEC":
+            self.pos += 1
             amps = [self.parse_complex()]
             while self.at("COMMA"):
-                self.advance()
+                self.pos += 1
                 amps.append(self.parse_complex())
             self.expect("RPAREN", "')' in amplitude vector")
             self.expect("KETCLOSE", "'\\>' closing amplitude vector")
             return KetVec(tuple(amps))
-        if t.kind == "MINUS":
-            self.advance()
+        if kind == "MINUS":
+            self.pos += 1
             return WildcardState()
-        if t.kind == "NAME":
-            if t.text == "true":
-                self.advance()
-                return BoolLit(True)
-            if t.text == "false":
-                self.advance()
-                return BoolLit(False)
-            if t.text in RESERVED and t.text not in ("true", "false"):
-                raise self.fail(f"keyword {t.text!r} cannot appear here")
-            self.advance()
-            return Emb(Var(t.text))
-        if t.kind == "LPAREN":
-            return self.parse_parenthesized_term()
-        raise self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+        raise self.fail(f"expected a term, found {text or 'end of input'!r}")
 
     def parse_parenthesized_term(self):
-        self.expect("LPAREN", "'('")
-        if self.at("RPAREN"):
-            self.advance()
+        # at the opening parenthesis
+        tokens = self.tokens
+        self.pos += 1
+        kind = tokens[self.pos][0]
+        if kind == "RPAREN":
+            self.pos += 1
             return UnitVal()
-        if self.at("LPAREN"):  # a matrix literal opens with its first row
-            mark = self.save()
+        if kind == "LPAREN":  # a matrix literal opens with its first row
+            mark = self.pos
             matrix = self.try_matrix()
             if matrix is not None:
                 return matrix
-            self.restore(mark)
+            self.pos = mark
         first = self.parse_term()
-        if self.at("COLON"):
-            self.advance()
+        kind = tokens[self.pos][0]
+        if kind == "RPAREN":
+            self.pos += 1
+            return first
+        if kind == "COLON":
+            self.pos += 1
             ty = self.parse_type()
             self.expect("RPAREN", "')' closing ascription")
             return Ascribe(first, ty)
-        if self.at("COMMA"):
-            self.advance()
+        if kind == "COMMA":
+            self.pos += 1
             second = self.parse_term()
             self.expect("RPAREN", "')' closing pair")
             return Pair(first, second)
-        self.expect("RPAREN", "')' closing parenthesized term")
-        return first
+        raise self.expected("')' closing parenthesized term")
 
     def try_matrix(self):
         try:
@@ -480,37 +487,40 @@ class _Parser:
             return None
 
     def number(self) -> float:
-        t = self.advance()
-        if (value := float(t.text)) == float("inf"):  # too large a float
-            raise LiteralError(f"numeric literal {t.text} is not finite",
-                               t.span)
+        # at a NUMBER token
+        t = self.tokens[self.pos]
+        self.pos += 1
+        if (value := float(t[1])) == float("inf"):  # too large a float
+            raise LiteralError(f"numeric literal {t[1]} is not finite",
+                               token_span(t))
         return value
 
     def parse_complex(self) -> complex:
+        tokens = self.tokens
         sign = 1.0
-        if self.at("MINUS"):
-            self.advance()
+        if tokens[self.pos][0] == "MINUS":
+            self.pos += 1
             sign = -1.0
-        t = self.peek()
-        if t.kind == "NUMBER":
+        if tokens[self.pos][0] == "NUMBER":
             mag = self.number()
-            if self.at_name("i"):
-                self.advance()
+            if self.at("NAME", "i"):
+                self.pos += 1
                 value = complex(0.0, sign * mag)
             else:
                 value = complex(sign * mag, 0.0)
-        elif self.at_name("i"):
-            self.advance()
+        elif self.at("NAME", "i"):
+            self.pos += 1
             value = complex(0.0, sign)
         else:
             raise self.fail("expected a numeric matrix entry")
-        if value.imag == 0 and (self.at("PLUS") or self.at("MINUS")):
-            imsign = 1.0 if self.advance().kind == "PLUS" else -1.0
-            if self.at("NUMBER"):
+        if value.imag == 0 and tokens[self.pos][0] in ("PLUS", "MINUS"):
+            imsign = 1.0 if tokens[self.pos][0] == "PLUS" else -1.0
+            self.pos += 1
+            if tokens[self.pos][0] == "NUMBER":
                 mag = self.number()
                 self.expect_kw("i")
-            elif self.at_name("i"):
-                self.advance()
+            elif self.at("NAME", "i"):
+                self.pos += 1
                 mag = 1.0
             else:
                 raise self.fail("expected imaginary part")
@@ -520,87 +530,74 @@ class _Parser:
     # --- commands and computations
 
     def parse_command(self):
-        t = self.peek()
-        if t.text == "mkQbit":
-            self.advance()
-            return MkQbit(self.parse_app())
-        if t.text == "measQbit":
-            self.advance()
-            return MeasQbit(self.parse_app())
-        if t.text == "applyU":
-            self.advance()
-            return ApplyU(self.parse_app())
-        if t.text == "if":
-            self.advance()
-            scrut = self.parse_app()
-            self.expect_kw("then")
-            tb = self.parse_branch_term()
-            self.expect_kw("else")
-            eb = self.parse_branch_term()
-            return IfCmd(scrut, tb, eb)
-        raise self.fail(f"expected a command, found {t.text or 'end of input'!r}")
+        text = self.tokens[self.pos][1]
+        command = COMMANDS.get(text)
+        if command is not None:
+            self.pos += 1
+            return command(self.parse_app())
+        if text == "if":
+            self.pos += 1
+            return IfCmd(*self.parse_if())
+        raise self.fail(f"expected a command, found {text or 'end of input'!r}")
 
     def at_command(self) -> bool:
-        t = self.peek()
-        return t.kind == "NAME" and (t.text in COMMAND_KEYWORDS or t.text == "if")
+        kind, text = self.tokens[self.pos][:2]
+        return kind == "NAME" and (text in COMMANDS or text == "if")
 
     def parse_comp(self):
-        stmts = []
+        tokens, stmts, fresh = self.tokens, [], self.supply.fresh
         while True:
-            t = self.peek()
-            span = t.span
-            if t.kind == "EOF":
-                raise ParseError("unexpected end of input inside do block",
-                                 t.span)
-            if self.at_name("return"):
-                self.advance()
-                return Seq(tuple(stmts), Ret(self.parse_term(), span=span))
-            if self.at_command():
-                cmd = self.parse_command()
-                x = self.supply.fresh("s")
-                stmts.append(BindCmd(x, cmd, span=span))
-                if not self.at("SEMI"):
-                    # trailing command: its value is returned
-                    return Seq(tuple(stmts), Ret(Emb(Var(x)), span=span))
-                self.advance()
-                continue
-            if self.at("LPAREN"):
+            kind, text, line, col = tokens[self.pos]
+            span = _span(line, col, len(text))
+            if kind == "NAME":
+                if text == "return":
+                    self.pos += 1
+                    return Seq(tuple(stmts), Ret(self.parse_term(), span=span))
+                if text in COMMANDS or text == "if":
+                    cmd = self.parse_command()
+                    x = fresh("s")
+                    stmts.append(BindCmd(x, cmd, span=span))
+                    if tokens[self.pos][0] != "SEMI":
+                        # trailing command: its value is returned
+                        return Seq(tuple(stmts), Ret(Emb(Var(x)), span=span))
+                    self.pos += 1
+                    continue
+                follow = tokens[self.pos + 1][0]
+                if follow == "BINDC":
+                    self.pos += 2
+                    stmt = BindCmd(text, self.parse_command(), span=span)
+                elif follow == "BINDR":
+                    self.pos += 2
+                    stmt = BindRun((text,), self.as_elim(self.parse_app()),
+                                   span=span)
+                elif follow == "COLON":
+                    self.pos += 2
+                    ann = self.parse_type()
+                    self.expect("EQ", "'=' in let binding")
+                    stmt = LetEq(text, ann, self.parse_term(), span=span)
+                else:
+                    raise self.fail("expected a computation step")
+            elif kind == "LPAREN":
                 stmt = self.try_tuple_bind(span)
                 if stmt is None:
                     return self.parse_terminal_pair(stmts, span)
-            elif self.at("NAME") and self.peek(1).kind == "BINDC":
-                x = self.advance().text
-                self.advance()
-                stmt = BindCmd(x, self.parse_command(), span=span)
-            elif self.at("NAME") and self.peek(1).kind == "BINDR":
-                x = self.advance().text
-                self.advance()
-                stmt = BindRun((x,), self.as_elim(self.parse_app()), span=span)
-            elif self.at("NAME") and self.peek(1).kind == "COLON":
-                x = self.advance().text
-                self.advance()
-                ann = self.parse_type()
-                self.expect("EQ", "'=' in let binding")
-                stmt = LetEq(x, ann, self.parse_term(), span=span)
+            elif kind == "EOF":
+                raise ParseError("unexpected end of input inside do block",
+                                 span)
             else:
                 raise self.fail("expected a computation step")
             stmts.append(stmt)
-            if self.at("SEMI"):
-                self.advance()
+            if tokens[self.pos][0] == "SEMI":
+                self.pos += 1
 
     def try_tuple_bind(self, span: Span):
-        if (self.peek(1).kind == "NAME" and self.peek(2).kind == "COMMA"
-                and self.peek(3).kind == "NAME"
-                and self.peek(4).kind == "RPAREN"
-                and self.peek(5).kind == "BINDR"):
-            self.advance()
-            a = self.advance().text
-            self.advance()
-            b = self.advance().text
-            self.advance()
-            self.advance()
-            return BindRun((a, b), self.as_elim(self.parse_app()), span=span)
-        return None
+        pos = self.pos
+        if [t[0] for t in self.tokens[pos + 1:pos + 6]] != \
+                ["NAME", "COMMA", "NAME", "RPAREN", "BINDR"]:
+            return None
+        a, b = self.tokens[pos + 1][1], self.tokens[pos + 3][1]
+        self.pos += 6
+        return BindRun((a, b), self.as_elim(self.parse_app()), span=span)
 
     def parse_terminal_pair(self, stmts: list, span: Span):
         # `(measQbit qa, measQbit qb)`: command components become binds.
@@ -622,126 +619,104 @@ class _Parser:
 
     # --- assertions
 
-    def parse_assertion(self):
-        return self.parse_compose()
-
-    def parse_compose(self):
-        left = self.parse_implies()
-        if self.at("COMPOSE"):
-            self.advance()
-            right = self.parse_compose()
-            return Compose(left, right)
-        return left
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.at("IMPL"):
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("DISJ"):
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self):
+    def parse_assertion(self, min_prec: int = 1):
+        # Precedence climbing over the connectives of `_CONNECTIVES`, the
+        # loosest first: `\o` and `=>` nest to the right, `\/` and `/\` to
+        # the left, so a right operand takes its own level or the next one.
         left = self.parse_unary()
-        while self.at("CONJ"):
-            self.advance()
-            left = And(left, self.parse_unary())
-        return left
+        tokens = self.tokens
+        while True:
+            prec, node = _CONNECTIVES.get(tokens[self.pos][0], (0, None))
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            left = node(left, self.parse_assertion(
+                prec if prec <= 2 else prec + 1))
 
     def parse_unary(self):
-        if self.at("TILDE"):
-            self.advance()
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "TILDE":
+            self.pos += 1
             return Not(self.parse_unary())
-        if self.at_name("exists") or self.at_name("forall"):
-            is_exists = self.advance().text == "exists"
-            x = self.expect("NAME", "a quantified name").text
+        if kind == "NAME" and text in ("exists", "forall"):
+            self.pos += 1
+            x = self.expect("NAME", "a quantified name")[1]
             self.expect("COLON", "':' in quantifier")
-            if self.at_name("heap"):
-                self.advance()
+            if self.at("NAME", "heap"):
+                self.pos += 1
                 self.expect("DOT", "'.' after quantifier")
-                body = self.parse_implies()
-                return ExistsHeap(x, body) if is_exists else ForallHeap(x, body)
+                body = self.parse_assertion(2)
+                return ExistsHeap(x, body) if text == "exists" \
+                    else ForallHeap(x, body)
             ty = self.parse_type_atom()
             self.expect("DOT", "'.' after quantifier")
-            body = self.parse_implies()
-            return ExistsVar(x, ty, body) if is_exists else ForallVar(x, ty, body)
-        return self.parse_rel()
-
-    def parse_rel(self):
+            body = self.parse_assertion(2)
+            return ExistsVar(x, ty, body) if text == "exists" \
+                else ForallVar(x, ty, body)
         left = self.parse_rel_atom()
-        if self.at("DIFF"):
-            self.advance()
-            right = self.parse_rel_atom()
-            return Replace(left, right)
+        if self.tokens[self.pos][0] == "DIFF":  # `-o` does not chain
+            self.pos += 1
+            return Replace(left, self.parse_rel_atom())
         return left
 
     def parse_rel_atom(self):
-        t = self.peek()
-        if t.kind == "NAME":
-            if t.text == "emp":
-                self.advance()
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "NAME":
+            called = self.tokens[self.pos + 1][0] == "LPAREN"
+            if text == "emp":
+                self.pos += 1
                 return Emp()
-            if t.text == "T" and not self.peek(1).kind == "LPAREN":
-                self.advance()
+            if text == "T" and not called:
+                self.pos += 1
                 return Top()
-            if t.text == "F" and not self.peek(1).kind == "LPAREN":
-                self.advance()
+            if text == "F" and not called:
+                self.pos += 1
                 return Bot()
-            if t.text == "Id" and self.peek(1).kind == "LPAREN":
+            if text == "Id" and called:
                 # names on either side stay term variables; whether one
                 # denotes a ghost state is resolved during checking
-                self.advance()
-                self.advance()
+                self.pos += 2
                 left = self.parse_term()
                 self.expect("COMMA", "',' in Id")
                 right = self.parse_term()
                 self.expect("RPAREN", "')' closing Id")
                 return IdAt(None, left, right)
-            if t.text == "HId" and self.peek(1).kind == "LPAREN":
-                self.advance()
-                self.advance()
+            if text == "HId" and called:
+                self.pos += 2
                 left = self.parse_heap_expr()
                 self.expect("COMMA", "',' in HId")
                 right = self.parse_heap_expr()
                 self.expect("RPAREN", "')' closing HId")
                 return HeapId(left, right)
-            if t.text == "indom" and self.peek(1).kind == "LPAREN":
-                self.advance()
-                self.advance()
+            if text == "indom" and called:
+                self.pos += 2
                 h = self.parse_heap_expr()
                 self.expect("COMMA", "',' in indom")
                 loc = self.parse_term()
                 self.expect("RPAREN", "')' closing indom")
                 return InDom(h, loc)
-            if t.text == "entangled" and self.peek(1).kind == "LPAREN":
-                self.advance()
-                self.advance()
+            if text == "entangled" and called:
+                self.pos += 2
                 target = self.parse_term()
                 self.expect("RPAREN", "')' closing entangled")
                 return Entangled(target)
         # relational atoms headed by a term
-        mark = self.save()
+        mark = self.pos
         try:
             term = self.parse_term()
-            follow = self.peek().kind
+            follow = self.tokens[self.pos][0]
             if follow == "PTO":
-                self.advance()
+                self.pos += 1
                 return PointsTo(term, self._state_or_term(self.parse_term()))
             if follow == "LKP":
-                self.advance()
+                self.pos += 1
                 return Lookup(term, self._state_or_term(self.parse_term()))
             if follow == "IN":
-                self.advance()
+                self.pos += 1
                 self.expect("LBRACE", "'{' opening a state set")
                 cands = [self._state_or_term(self.parse_term())]
                 while self.at("COMMA"):
-                    self.advance()
+                    self.pos += 1
                     cands.append(self._state_or_term(self.parse_term()))
                 self.expect("RBRACE", "'}' closing a state set")
                 return MemberOf(term, tuple(cands))
@@ -751,21 +726,21 @@ class _Parser:
             raise
         except ParseError:
             pass
-        self.restore(mark)
-        if self.at("LPAREN"):
-            self.advance()
+        self.pos = mark
+        if kind == "LPAREN":
+            self.pos += 1
             first = self.parse_assertion()
             if self.at("COMMA"):
                 items = [first]
                 while self.at("COMMA"):
-                    self.advance()
+                    self.pos += 1
                     items.append(self.parse_assertion())
                 self.expect("RPAREN", "')' closing heap fragment group")
                 return CellGroup(tuple(items))
             self.expect("RPAREN", "')' closing assertion")
             return first
         raise self.fail(
-            f"expected an assertion, found {self.peek().text or 'end of input'!r}")
+            f"expected an assertion, found {text or 'end of input'!r}")
 
     @staticmethod
     def _state_or_term(m):
@@ -777,14 +752,13 @@ class _Parser:
     # --- heap expressions
 
     def parse_heap_expr(self):
-        t = self.peek()
-        if t.kind == "NAME":
-            if t.text == "empty":
-                self.advance()
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "NAME":
+            if text == "empty":
+                self.pos += 1
                 return HEmpty()
-            if t.text == "upd" and self.peek(1).kind == "LPAREN":
-                self.advance()
-                self.advance()
+            if text == "upd" and self.peek(1)[0] == "LPAREN":
+                self.pos += 2
                 base = self.parse_heap_expr()
                 self.expect("COMMA", "',' in upd")
                 loc = self.parse_term()
@@ -792,8 +766,8 @@ class _Parser:
                 value = self._state_or_term(self.parse_term())
                 self.expect("RPAREN", "')' closing upd")
                 return Upd(base, loc, value)
-            self.advance()
-            return HVar(t.text)
+            self.pos += 1
+            return HVar(text)
         raise self.fail("expected a heap expression")
 
 

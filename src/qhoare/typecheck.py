@@ -30,7 +30,7 @@ import functools
 from collections import ChainMap
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import NamedTuple, Optional
 
 from . import heap as heaplib
@@ -84,34 +84,34 @@ def alpha_normalize(node):
     """``node`` with the names bound by Π, Hoare types, λ and quantifiers
     renamed ``%a1``, ``%a2``, ... in order, so α-equivalent types
     normalize equal."""
-    counter = [0]
+    return _alpha(node, count(1))
 
-    def fresh():
-        counter[0] += 1
-        return f"%a{counter[0]}"
 
-    def ren(n):
-        match n:
-            case PiT(x, ty, body) | ExistsVar(x, ty, body) \
-                    | ForallVar(x, ty, body):
-                nx = fresh()
-                body = subst(body, {x: Var(nx)})
-                return type(n)(nx, ren(ty), ren(body))
-            case Lam(x, body) | ExistsHeap(x, body) | ForallHeap(x, body):
-                nx = fresh()
-                return type(n)(nx, ren(subst(body, {x: binder_var(n)(nx)})))
-            case HoareT(vctx, hctx, pre, binder, result, post):
-                nvctx = tuple((fresh(), ren(t)) for _, t in vctx)
-                nhctx = tuple(fresh() for _ in hctx)
-                nbinder = tuple(fresh() for _ in binder)
-                m = {x: Var(nx) for (x, _), (nx, _) in zip(vctx, nvctx)}
-                m |= {h: HVar(nh) for h, nh in zip(hctx, nhctx)}
-                bm = m | {r: Var(nr) for r, nr in zip(binder, nbinder)}
-                return HoareT(nvctx, nhctx, ren(subst(pre, m)), nbinder,
-                              ren(subst(result, m)), ren(subst(post, bm)))
-        return map_children(n, ren)
-
-    return ren(node)
+def _alpha(n, numbers):
+    # A module-level walk: a nested function that calls itself closes over
+    # its own cell, a reference cycle only the collector frees.
+    match n:
+        case PiT(x, ty, body) | ExistsVar(x, ty, body) \
+                | ForallVar(x, ty, body):
+            nx = f"%a{next(numbers)}"
+            body = subst(body, {x: Var(nx)})
+            return type(n)(nx, _alpha(ty, numbers), _alpha(body, numbers))
+        case Lam(x, body) | ExistsHeap(x, body) | ForallHeap(x, body):
+            nx = f"%a{next(numbers)}"
+            return type(n)(nx, _alpha(subst(body, {x: binder_var(n)(nx)}),
+                                      numbers))
+        case HoareT(vctx, hctx, pre, binder, result, post):
+            nvctx = tuple((f"%a{next(numbers)}", _alpha(t, numbers))
+                          for _, t in vctx)
+            nhctx = tuple(f"%a{next(numbers)}" for _ in hctx)
+            nbinder = tuple(f"%a{next(numbers)}" for _ in binder)
+            m = {x: Var(nx) for (x, _), (nx, _) in zip(vctx, nvctx)}
+            m |= {h: HVar(nh) for h, nh in zip(hctx, nhctx)}
+            bm = m | {r: Var(nr) for r, nr in zip(binder, nbinder)}
+            return HoareT(nvctx, nhctx, _alpha(subst(pre, m), numbers),
+                          nbinder, _alpha(subst(result, m), numbers),
+                          _alpha(subst(post, bm), numbers))
+    return map_children(n, lambda c: _alpha(c, numbers))
 
 
 def types_equal(a: Ty, b: Ty) -> bool:

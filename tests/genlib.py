@@ -294,6 +294,16 @@ def coin_block_source(n: int) -> str:
             + ";\n         ".join(body) + "\n")
 
 
+def long_postcondition_source(n: int) -> str:
+    """A declaration whose written postcondition is ``T /\\ ... /\\ T``, a
+    left-nested chain of ``n`` conjuncts, over a block that allocates a
+    qubit and measures it."""
+    post = " /\\ ".join(["T"] * n)
+    return (f"long : {{emp}} r : Bool {{{post}}}\n"
+            "    = do q <= mkQbit false;\n"
+            "         measQbit q\n")
+
+
 def ghz_source(n: int) -> str:
     """GHZ-n: qubit k is entangled through a control at (k - 1) // 2, so
     most controls sit in the middle of the merged cell."""
@@ -320,11 +330,11 @@ def token_layout(source: str) -> tuple:
     precedes ``tokens[i]``, and ``seps[-1]`` follows the last token."""
     line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
     seps, tokens, pos = [], [], 0
-    for tok in tokenize(source, [], "<fuzz>")[:-1]:  # drop EOF
-        at = line_starts[tok.span.line - 1] + tok.span.col - 1
+    for _, text, line, col in tokenize(source, [], "<fuzz>")[:-1]:
+        at = line_starts[line - 1] + col - 1  # the EOF token is dropped
         seps.append(source[pos:at])
-        tokens.append(tok.text)
-        pos = at + len(tok.text)
+        tokens.append(text)
+        pos = at + len(text)
     seps.append(source[pos:])
     return seps, tokens
 

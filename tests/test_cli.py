@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, JSON schemas, byte stability."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -22,8 +24,8 @@ from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
 from genlib import (
-    gate_block_source, ghz_source, measure_block_source,
-    straight_line_source, token_mutants,
+    gate_block_source, ghz_source, long_postcondition_source,
+    measure_block_source, straight_line_source, token_mutants,
 )
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
@@ -510,8 +512,32 @@ class TestMeasureBlockGolden:
         assert out == (GOLDEN_DIR / "trace_genlib_measure.txt").read_text()
 
 
+def text_reports(directory: pathlib.Path) -> str:
+    """The text `check` and `vcs` reports, with their exit codes, of the
+    corpus and negative files and `measure_block_source(200)`, run from
+    copies in ``directory``."""
+    sources = {p.name: p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES}
+    sources["meas.qh"] = measure_block_source(200)
+    out = []
+    old = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name, source in sources.items():
+            pathlib.Path(name).write_text(source)
+            for command in ("check", "vcs"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main([command, name])
+                out.append(f"$ {command} {name}\n{buf.getvalue()}"
+                           f"exit {code}\n")
+    finally:
+        os.chdir(old)
+    return "".join(out)
+
+
 class TestHypothesesOnDemand:
-    """Hypotheses are report text: `check` and `vcs` print them, while
+    """Hypotheses are report text that only the JSON reports print: `check`
+    and `vcs` build them for `--format json`, while their text reports,
     `run` and `trace` decide verdicts from the models and build none."""
 
     @pytest.fixture
@@ -521,16 +547,16 @@ class TestHypothesesOnDemand:
         return str(path)
 
     @staticmethod
-    def built(argv, monkeypatch, capsys) -> int:
+    def built(argv, monkeypatch, capsys, attr="heap_to_assertions") -> int:
         from qhoare import typecheck
         calls = []
-        wrapped = typecheck.heap_to_assertions
+        wrapped = getattr(typecheck, attr)
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return wrapped(*args, **kwargs)
 
-        monkeypatch.setattr(typecheck, "heap_to_assertions", counted)
+        monkeypatch.setattr(typecheck, attr, counted)
         code, _, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         monkeypatch.undo()
@@ -548,7 +574,19 @@ class TestHypothesesOnDemand:
     @pytest.mark.parametrize("command", ["check", "vcs"])
     def test_reports_build_them(self, command, block, monkeypatch, capsys):
         for path in (corpus("bellpair.qh"), block):
-            assert self.built([command, path], monkeypatch, capsys) > 0
+            assert self.built([command, path, "--format", "json"],
+                              monkeypatch, capsys) > 0
+
+    @pytest.mark.parametrize("command", ["check", "vcs"])
+    def test_text_reports_build_none(self, command, block, monkeypatch,
+                                     capsys):
+        for path in (corpus("bellpair.qh"), block):
+            assert self.built([command, path], monkeypatch, capsys,
+                              "_hypotheses") == 0
+
+    def test_text_reports_match_golden(self, tmp_path):
+        assert text_reports(tmp_path) == \
+            (GOLDEN_DIR / "text_reports.txt").read_text()
 
 
 class TestRepeatedGates:
@@ -1204,6 +1242,20 @@ class TestDepth:
         finally:
             sys.setrecursionlimit(old)
         assert {key: c for key, c in codes.items() if c != 0} == {}
+
+
+class TestLongPostcondition:
+    def test_written_chain_of_5000_conjuncts(self, tmp_path, capsys):
+        # The walkers over assertions loop along the left spine of an
+        # `And` chain, so a long written postcondition needs no deeper
+        # stack at the default recursion limit.
+        path = tmp_path / "long.qh"
+        path.write_text(long_postcondition_source(5000))
+        codes = {}
+        for name, *rest in (["check"], ["vcs"], ["trace", "long"],
+                            ["run", "long", "--shots", "10"]):
+            codes[name] = run_cli([name, str(path), *rest], capsys)[:3:2]
+        assert codes == {name: (0, "") for name in codes}
 
 
 class TestFuzz:

@@ -142,9 +142,8 @@ def token_golden_text() -> str:
     for name, source in sources.items():
         diags = []
         rows = ",\n    ".join(
-            json.dumps([t.kind, t.text, t.span.line, t.span.col,
-                        t.span.length])
-            for t in tokenize(source, diags, name))
+            json.dumps([kind, text, line, col, len(text)])
+            for kind, text, line, col in tokenize(source, diags, name))
         entries.append(
             f' {json.dumps(name)}: {{\n  "tokens": [\n    {rows}\n  ],\n'
             f'  "diagnostics": {json.dumps([d.render() for d in diags])}\n }}')

@@ -565,6 +565,21 @@ class TestAlphaEquality:
             f"g : {{emp}} r : Bool {{{g_post}}} = f\n").program)
         assert [d.error for d in checked.decls] == [None, None]
 
+    def test_comparison_leaves_no_garbage_cycles(self):
+        # the walk that renames binders makes no reference cycle, so a
+        # comparison frees everything it built without the collector
+        t1 = parse_type("\\Pi x : Qbit. {x \\in {|0\\>}} r : Bool "
+                        "{Id(r, true) /\\ exists y : Bool. Id(y, r)}")
+        t2 = parse_type("\\Pi z : Qbit. {z \\in {|0\\>}} s : Bool "
+                        "{Id(s, true) /\\ exists w : Bool. Id(w, s)}")
+        gc.collect()
+        gc.disable()
+        try:
+            assert types_equal(t1, t2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestCaptureAvoidance:
     @pytest.mark.parametrize("x", ["r", "y"])
