@@ -195,12 +195,6 @@ class _Parser:
         t = self.tokens[self.pos]
         return t[0] == kind and (text is None or t[1] == text)
 
-    def advance(self) -> tuple:
-        t = self.tokens[self.pos]
-        if t[0] != "EOF":
-            self.pos += 1
-        return t
-
     def expect(self, kind: str, what: str) -> tuple:
         t = self.tokens[self.pos]
         if t[0] != kind:
@@ -252,7 +246,7 @@ class _Parser:
             t = self.peek()
             if t[0] == "NAME" and t[3] == 1 and self.peek(1)[0] == "COLON":
                 return
-            self.advance()
+            self.pos += 1
 
     def parse_decl(self) -> Decl:
         name_tok = self.expect("NAME", "a declaration name")
@@ -270,7 +264,8 @@ class _Parser:
             self.pos += 1
             binders = [self.expect("NAME", "a binder name")[1]]
             while self.at("NAME"):  # `\Pi x y : A.` binds each name
-                binders.append(self.advance()[1])
+                binders.append(self.tokens[self.pos][1])
+                self.pos += 1
             self.expect("COLON", "':' in dependent function type")
             dom = self.parse_type()
             self.expect("DOT", "'.' closing the dependent binder")
