@@ -20,7 +20,7 @@ from typing import Optional
 from .core import Program, pretty
 from .parser import parse_program
 from .prover import discharge_all
-from .typecheck import CheckedProgram, Checker, check_program
+from .typecheck import CheckedProgram, Checker, Hypotheses, check_program
 from .sim import run_program, SimulationError
 
 EXIT_OK = 0
@@ -34,15 +34,19 @@ class DeclReport:
     name: str
     status: str  # verified | conditional | refuted | type-error | parse-error
     # (Obligation, Verdict) pairs in report order; only ``as_dict``, which
-    # the JSON reports print, renders an obligation's hypotheses
+    # the JSON reports print, writes an obligation's hypotheses
     obligations: list = field(default_factory=list)
     error: Optional[str] = None
 
-    def as_dict(self) -> dict:
+    def as_dict(self, heap_texts: Optional[dict] = None) -> dict:
+        """The report as JSON values; ``heap_texts`` is the memo of heap
+        text that :meth:`qhoare.typecheck.Hypotheses.text` shares."""
+        heap_texts = {} if heap_texts is None else heap_texts
         return {
             "name": self.name,
             "status": self.status,
-            "obligations": [_verdict_dict(ob, v) for ob, v in self.obligations],
+            "obligations": [_verdict_dict(ob, v, heap_texts)
+                            for ob, v in self.obligations],
             "error": self.error,
         }
 
@@ -55,10 +59,11 @@ class Report:
     diagnostics: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
+        heap_texts = {}  # each distinct heap is written once per report
         return {
             "file": self.file,
             "status": self.status,
-            "decls": [d.as_dict() for d in self.decls],
+            "decls": [d.as_dict(heap_texts) for d in self.decls],
             "diagnostics": self.diagnostics,
         }
 
@@ -77,11 +82,20 @@ def _where(span, sep: str, missing: str) -> str:
     return missing if span is None else f"{span.line}:{span.col}{sep}"
 
 
-def _verdict_dict(ob, verdict) -> dict:
+def _hypothesis_text(ob, heap_texts: dict) -> list:
+    """``[pretty(h) for h in ob.hypotheses]``, written straight from the
+    checker's branches while the hypotheses are unbuilt."""
+    unbuilt = ob.hypotheses_builder
+    if isinstance(unbuilt, Hypotheses):
+        return unbuilt.text(heap_texts)
+    return [pretty(h) for h in ob.hypotheses]
+
+
+def _verdict_dict(ob, verdict, heap_texts: dict) -> dict:
     return {
         "kind": ob.kind,
         "conclusion": pretty(ob.conclusion),
-        "hypotheses": [pretty(h) for h in ob.hypotheses],
+        "hypotheses": _hypothesis_text(ob, heap_texts),
         "verdict": verdict.status,
         "residual": _residual(verdict),
         "countermodel": verdict.countermodel,
@@ -141,33 +155,36 @@ def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for what reports hold
     (dicts with string keys, lists, str, int, bool, None); else TypeError."""
     parts = []
-    put = parts.append
-    def write(o, pad: str) -> None:
-        if isinstance(o, str):
-            put(_quote(o))
-        elif isinstance(o, dict):
-            inner, sep = pad + "  ", "{"
-            for k in sorted(o):
-                put(sep + inner + _quote(k) + ": ")
-                write(o[k], inner)
-                sep = ","
-            put(pad + "}" if o else "{}")
-        elif isinstance(o, list):
-            inner, sep = pad + "  ", "["
-            for v in o:
-                put(sep + inner)
-                write(v, inner)
-                sep = ","
-            put(pad + "]" if o else "[]")
-        elif o is None or isinstance(o, bool):
-            put("null" if o is None else "true" if o else "false")
-        elif isinstance(o, int):
-            put(int.__repr__(o))
-        else:
-            raise TypeError(f"{type(o).__name__} is not a report value")
-
-    write(obj, "\n")
+    _write(obj, "\n", parts.append)
     return "".join(parts)
+
+
+def _write(o, pad: str, put) -> None:
+    # A module-level walk: a nested function that calls itself closes over
+    # its own cell, a reference cycle that would keep every part written
+    # alive until the collector runs.
+    if isinstance(o, str):
+        put(_quote(o))
+    elif isinstance(o, dict):
+        inner, sep = pad + "  ", "{"
+        for k in sorted(o):
+            put(sep + inner + _quote(k) + ": ")
+            _write(o[k], inner, put)
+            sep = ","
+        put(pad + "}" if o else "{}")
+    elif isinstance(o, list):
+        inner, sep = pad + "  ", "["
+        for v in o:
+            put(sep + inner)
+            _write(v, inner, put)
+            sep = ","
+        put(pad + "]" if o else "[]")
+    elif o is None or isinstance(o, bool):
+        put("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    else:
+        raise TypeError(f"{type(o).__name__} is not a report value")
 
 
 # ---------------------------------------------------------------------------

@@ -1046,6 +1046,20 @@ def subst(node, mapping: dict):
         case MemberOf(term, cands):
             return MemberOf(subst(term, mapping),
                             tuple(_as_state(subst(c, mapping)) for c in cands))
+        case And() | Or():
+            # the left spine in a loop, each link kept when nothing in it
+            # changes: written chains are long
+            chain, spine = type(node), []
+            while type(node) is chain:
+                spine.append(node)
+                node = node.left
+            out = subst(node, mapping)
+            for link in reversed(spine):
+                right = subst(link.right, mapping)
+                if out is not link.left or right is not link.right:
+                    link = chain(out, right)
+                out = link
+            return out
     return map_children(node, lambda c: subst(c, mapping))
 
 

@@ -478,119 +478,140 @@ def heap_from_assertion(a: Assn, kind_of) -> list:
     branch.  Returns a list of :class:`Model`; an unsatisfiable assertion
     yields the empty list.
     """
-
-    def product(lhs: list, rhs: list) -> list:
-        out = []
-        for bl in lhs:
-            for br in rhs:
-                cells = list(bl.heap.cells)
-                if not all(_add_cell(cells, c.qubits, c.state)
-                           for c in br.heap.cells):
-                    continue
-                env = dict(bl.env)
-                if all(env.setdefault(k, v) == v for k, v in br.env.items()):
-                    out.append(Model(SymbolicHeap(tuple(cells)), env))
-        return out
-
-    def single(*cells, env=None) -> list:
-        return [Model(SymbolicHeap(cells), env or {})]
-
-    def written(qubits: tuple, state: SymState) -> list:
-        n = 2 ** len(qubits)
-        if state.amps is not None and len(state.amps) != n:
-            raise HeapError(f"a state of {len(state.amps)} amplitudes at "
-                            f"{len(qubits)} qubit(s), which take {n}")
-        return single(Cell(qubits, state))
-
-    def go(a) -> list:
-        match a:
-            case Top() | Emp():
-                return single()
-            case And(l, r):
-                return product(go(l), go(r))
-            case Or(l, r):
-                return go(l) + go(r)
-            case MemberOf(term, cands):
-                out = []
-                for c in cands:
-                    out.extend(go(IdAt(None, term, c)))
-                return out
-            case IdAt(_, l, r):
-                lname = _term_name(l)
-                if lname is not None and kind_of(lname) == "qubit":
-                    if isinstance(r, WildcardState):
-                        return single(Cell((lname,), UNKNOWN_STATE))
-                    rname = _term_name(r)
-                    if rname is not None and kind_of(rname) == "qubit":
-                        return [Model(SymbolicHeap((
-                                    Cell((lname,), basis_claim(v)),
-                                    Cell((rname,), basis_claim(v)))), {})
-                                for v in (False, True)]
-                    st = _state_of_expr(r, kind_of)
-                    if st is not None:
-                        return written((lname,), st)
-                    return single()
-                if lname is not None and kind_of(lname) == "bool":
-                    rv = strip_emb(r)
-                    if isinstance(rv, BoolLit):
-                        return single(env={lname: rv.value})
-                    rname = _term_name(r)
-                    if rname is not None and kind_of(rname) == "bool":
-                        return [Model(SymbolicHeap(), {lname: v, rname: v})
-                                for v in (False, True)]
-                return single()
-            case PointsTo(loc, st) | Lookup(loc, st):
-                qubits = _pair_names(loc)
-                if qubits is None:
-                    name = _term_name(loc)
-                    qubits = (name,) if name else None
-                if qubits is None:
-                    return single()
-                state = _state_of_expr(st, kind_of) or UNKNOWN_STATE
-                return written(tuple(qubits), state)
-            case Entangled(t):
-                name = _term_name(t)
-                if name is None:
-                    return single()
-                return single(Cell((name,), UNKNOWN_STATE))
-            case _:
-                return single()
-
-    branches = go(a)
+    branches = _denote(a, kind_of)
     for b in branches:
         check_disjoint(b.heap.cells)
     return branches
 
 
+# The walks below are module-level: a nested function that calls itself
+# closes over its own cell, a reference cycle only the collector frees.
+
+
+def _product(lhs: list, rhs: list) -> list:
+    out = []
+    for bl in lhs:
+        for br in rhs:
+            cells = list(bl.heap.cells)
+            if not all(_add_cell(cells, c.qubits, c.state)
+                       for c in br.heap.cells):
+                continue
+            env = dict(bl.env)
+            if all(env.setdefault(k, v) == v for k, v in br.env.items()):
+                out.append(Model(SymbolicHeap(tuple(cells)), env))
+    return out
+
+
+def _single(*cells, env=None) -> list:
+    return [Model(SymbolicHeap(cells), env or {})]
+
+
+def _written(qubits: tuple, state: SymState) -> list:
+    n = 2 ** len(qubits)
+    if state.amps is not None and len(state.amps) != n:
+        raise HeapError(f"a state of {len(state.amps)} amplitudes at "
+                        f"{len(qubits)} qubit(s), which take {n}")
+    return _single(Cell(qubits, state))
+
+
+def _denote(a, kind_of) -> list:
+    match a:
+        case Top() | Emp():
+            return _single()
+        case And() | Or():
+            # the left spine in a loop, operands left to right: written
+            # chains are long
+            chain, rights = type(a), []
+            while type(a) is chain:
+                rights.append(a.right)
+                a = a.left
+            out = _denote(a, kind_of)
+            for r in reversed(rights):
+                if chain is And:
+                    out = _product(out, _denote(r, kind_of))
+                else:
+                    out += _denote(r, kind_of)
+            return out
+        case MemberOf(term, cands):
+            out = []
+            for c in cands:
+                out.extend(_denote(IdAt(None, term, c), kind_of))
+            return out
+        case IdAt(_, l, r):
+            lname = _term_name(l)
+            if lname is not None and kind_of(lname) == "qubit":
+                if isinstance(r, WildcardState):
+                    return _single(Cell((lname,), UNKNOWN_STATE))
+                rname = _term_name(r)
+                if rname is not None and kind_of(rname) == "qubit":
+                    return [Model(SymbolicHeap((
+                                Cell((lname,), basis_claim(v)),
+                                Cell((rname,), basis_claim(v)))), {})
+                            for v in (False, True)]
+                st = _state_of_expr(r, kind_of)
+                if st is not None:
+                    return _written((lname,), st)
+                return _single()
+            if lname is not None and kind_of(lname) == "bool":
+                rv = strip_emb(r)
+                if isinstance(rv, BoolLit):
+                    return _single(env={lname: rv.value})
+                rname = _term_name(r)
+                if rname is not None and kind_of(rname) == "bool":
+                    return [Model(SymbolicHeap(), {lname: v, rname: v})
+                            for v in (False, True)]
+            return _single()
+        case PointsTo(loc, st) | Lookup(loc, st):
+            qubits = _pair_names(loc)
+            if qubits is None:
+                name = _term_name(loc)
+                qubits = (name,) if name else None
+            if qubits is None:
+                return _single()
+            state = _state_of_expr(st, kind_of) or UNKNOWN_STATE
+            return _written(tuple(qubits), state)
+        case Entangled(t):
+            name = _term_name(t)
+            if name is None:
+                return _single()
+            return _single(Cell((name,), UNKNOWN_STATE))
+        case _:
+            return _single()
+
+
 def footprint_qubits(a: Assn, kind_of) -> list:
     """Qubit names an assertion's heap denotation talks about, in order."""
     out = []
+    _footprint(a, kind_of, out)
+    return out
 
+
+def _footprint(a, kind_of, out: list) -> None:
     def add(name):
         if name and kind_of(name) == "qubit" and name not in out:
             out.append(name)
 
-    def go(a):
-        match a:
-            case And(l, r) | Or(l, r):
-                go(l), go(r)
-            case MemberOf(term, _):
-                add(_term_name(term))
-            case IdAt(_, l, r):
-                add(_term_name(l))
-                add(_term_name(r))
-            case PointsTo(loc, _) | Lookup(loc, _):
-                pair = _pair_names(loc)
-                if pair:
-                    add(pair[0]), add(pair[1])
-                else:
-                    add(_term_name(loc))
-            case Entangled(t):
-                add(_term_name(t))
-            case InDom(_, loc):
+    match a:
+        case And() | Or():
+            # the left spine in a loop, operands left to right
+            rights = []
+            while isinstance(a, (And, Or)):
+                rights.append(a.right)
+                a = a.left
+            for b in (a, *reversed(rights)):
+                _footprint(b, kind_of, out)
+        case MemberOf(term, _):
+            add(_term_name(term))
+        case IdAt(_, l, r):
+            add(_term_name(l))
+            add(_term_name(r))
+        case PointsTo(loc, _) | Lookup(loc, _):
+            pair = _pair_names(loc)
+            if pair:
+                add(pair[0]), add(pair[1])
+            else:
                 add(_term_name(loc))
-            case _:
-                pass
-
-    go(a)
-    return out
+        case Entangled(t):
+            add(_term_name(t))
+        case InDom(_, loc):
+            add(_term_name(loc))

@@ -86,7 +86,9 @@ class Obligation:
     describe the same branches as assertions, for the reports.  They may
     be given as a function of no arguments, which the first read of
     ``hypotheses`` calls and whose list it keeps: the checker gives one,
-    so only a report that prints the hypotheses builds them.
+    so only a report that prints the hypotheses builds them, and
+    :attr:`hypotheses_builder` lets a report write them without building
+    them.
     """
 
     kind: str
@@ -98,6 +100,13 @@ class Obligation:
     span: Optional[Span] = None
     note: str = ""
     decl: str = ""
+
+    @property
+    def hypotheses_builder(self):
+        """The function given for ``hypotheses`` while no read has called
+        it yet, else None."""
+        value = self.__dict__["_hypotheses"]
+        return value if callable(value) else None
 
 
 @dataclass

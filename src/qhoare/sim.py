@@ -136,22 +136,23 @@ def footprint(u: UnitaryExpr) -> list:
     if isinstance(u, Rot):
         return [u.qubit]
     out = []
-
-    def go(u):
-        match u:
-            case MEmpty():
-                pass
-            case MAppend(a, b):
-                go(a), go(b)
-            case Rot(q, _):
-                if q not in out:
-                    out.append(q)
-            case Cond(q, fb, tb):
-                if q not in out:
-                    out.append(q)
-                go(fb), go(tb)
-    go(u)
+    _touch(u, out)
     return out
+
+
+def _touch(u: UnitaryExpr, out: list) -> None:
+    # A module-level walk: a nested function that calls itself closes over
+    # its own cell, a reference cycle only the collector frees.
+    match u:
+        case MAppend(a, b):
+            _touch(a, out), _touch(b, out)
+        case Rot(q, _):
+            if q not in out:
+                out.append(q)
+        case Cond(q, fb, tb):
+            if q not in out:
+                out.append(q)
+            _touch(fb, out), _touch(tb, out)
 
 
 def apply_to_tensor(u: UnitaryExpr, t: np.ndarray, order: tuple):
@@ -886,8 +887,12 @@ def run_program(program: Program, entry: str, seed: int = 0,
         raise SimulationError(
             f"precondition of {entry!r} fails in the {where} state")
     interp = Interpreter(program)
-    posts = conjuncts(sig.post)
-    texts = [pretty(conj) for conj in posts]
+    # one verdict per distinct conjunct text, the first of each: the report
+    # counts shots by text, so a repeated conjunct would count them twice
+    first = {}
+    for conj in conjuncts(sig.post):
+        first.setdefault(pretty(conj), conj)
+    texts, posts = list(first), list(first.values())
 
     def finish(run, *run_args):
         """Run the rest of a shot: its path drawn, snapshots and leaf."""

@@ -493,7 +493,7 @@ class Checker:
             POSTCONDITION, hoare.post, models,
             var_ctx=self._obligation_ctx(ctx, tail=unbound),
             heap_ctx=hoare.heap_ctx or ("%h0",),
-            hyps=functools.partial(_hypotheses, out, self._render),
+            hyps=Hypotheses(out, self._render),
             note="declared postcondition")
         return Do(comp)
 
@@ -696,7 +696,7 @@ class Checker:
                 self._emit(
                     ALLOCATION, Lookup(tc, WildcardState()), models,
                     var_ctx=self._obligation_ctx(ctx),
-                    hyps=functools.partial(_hypotheses, models, self._render),
+                    hyps=Hypotheses(models, self._render),
                     note="measured qubit must be allocated", span=span)
                 out = []
                 for b in branches:
@@ -892,7 +892,7 @@ class Checker:
             CALL_PRE, _small_footprint(pre), models,
             var_ctx=self._obligation_ctx(
                 ctx, more=tuple(ghost_ctx.items())),
-            hyps=functools.partial(_hypotheses, models, self._render),
+            hyps=Hypotheses(models, self._render),
             note="precondition of the computation being run", span=span)
 
         # frame: consume the callee footprint, splice in its postcondition
@@ -972,22 +972,73 @@ def _render_once(renders: dict, state):
     return expr
 
 
-def _hypotheses(branches: list, render) -> list:
-    """``branches`` as assertions, one disjunct per branch, with states
-    written by ``render``.  An obligation builds them when a report reads
-    them, so it passes branches that no later statement changes: its own
-    model copies, or a block's final branches (``applyU`` updates live
-    ones in place)."""
-    def branch_assn(b: Model) -> Assn:
-        parts = heap_to_assertions(b.heap, render=render)
-        for k, v in b.env.items():
-            if v is True or v is False:
-                parts.append(IdAt(None, Emb(Var(k)), BoolLit(v)))
-        return functools.reduce(And, parts)
+class Hypotheses:
+    """An obligation's hypotheses, as the branches the checker kept for it:
+    one disjunct per branch.  Calling it builds them as assertions, which
+    the first read of ``Obligation.hypotheses`` does; :meth:`text` writes
+    the same assertions as text without building them.  The branches are
+    ones that no later statement changes: the obligation's own model
+    copies, or a block's final branches (``applyU`` updates live ones in
+    place).  States are written by ``render``."""
 
+    __slots__ = ("branches", "render")
+
+    def __init__(self, branches: list, render):
+        self.branches = branches
+        self.render = render
+
+    def __call__(self) -> list:
+        return _hypotheses(self.branches, self.render)
+
+    def text(self, heap_texts: dict) -> list:
+        """``[pretty(h) for h in self()]``, written from the branches.
+        ``heap_texts`` maps each heap written so far to the text of its
+        parts; a report shares it between its obligations, so each
+        distinct heap is written once (equal heaps write alike, as
+        :func:`_render_once` says of states)."""
+        def heap_parts(h: SymbolicHeap) -> list:
+            parts = heap_texts.get(h)
+            if parts is None:
+                parts = heap_texts[h] = [
+                    pretty(a) for a in heap_to_assertions(h, self.render)]
+            return parts
+
+        if not self.branches:
+            return [pretty(Bot())]
+        # every part is an atom, which a chain prints without parentheses
+        return [" \\/ ".join(
+            [" /\\ ".join(_branch_parts(b, heap_parts, _binding_text))
+             for b in self.branches])]
+
+
+def _branch_parts(b: Model, heap_parts, binding) -> list:
+    """The conjuncts of branch ``b``'s hypothesis: ``heap_parts(b.heap)``,
+    then ``binding(name, value)`` for each ``Bool`` binding, in env order.
+    The assertions and the text of the hypotheses both read this."""
+    parts = list(heap_parts(b.heap))
+    parts += [binding(k, v) for k, v in b.env.items()
+              if v is True or v is False]
+    return parts
+
+
+def _binding_assertion(name: str, value: bool) -> Assn:
+    return IdAt(None, Emb(Var(name)), BoolLit(value))
+
+
+def _binding_text(name: str, value: bool) -> str:
+    return f"Id({name}, {'true' if value else 'false'})"
+
+
+def _hypotheses(branches: list, render) -> list:
+    """``branches`` as assertions, one ``Or`` disjunct per branch, each the
+    ``And`` of its :func:`_branch_parts`, with states written by
+    ``render``."""
     if not branches:
         return [Bot()]
-    return [functools.reduce(Or, map(branch_assn, branches))]
+    heap_parts = functools.partial(heap_to_assertions, render=render)
+    return [functools.reduce(Or, [
+        functools.reduce(And, _branch_parts(b, heap_parts, _binding_assertion))
+        for b in branches])]
 
 
 def _assemble_trace(events: list, render) -> list:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -16,16 +17,18 @@ import jsonschema
 import pytest
 
 from qhoare.cli import _dumps, analyze, decl_status, main
-from qhoare.core import HoareT
+from qhoare.core import HoareT, pretty
 from qhoare.heap import MAX_WIDTH
 from qhoare.parser import parse_program
 from qhoare.sim import run_program
+from qhoare.typecheck import Hypotheses
 from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
 from genlib import (
-    gate_block_source, ghz_source, long_postcondition_source,
-    measure_block_source, straight_line_source, token_mutants,
+    Gen, coin_block_source, gate_block_source, ghz_source,
+    long_postcondition_source, measure_block_source, straight_line_source,
+    token_mutants,
 )
 
 SCHEMA_DIR = (pathlib.Path(__file__).parent.parent / "src" / "qhoare" /
@@ -589,6 +592,60 @@ class TestHypothesesOnDemand:
             (GOLDEN_DIR / "text_reports.txt").read_text()
 
 
+# obligations with no branch, whose hypotheses are `F`: each precondition
+# makes two contradictory claims
+NO_BRANCH_SOURCE = """\
+f : \\Pi b : Bool. {Id(b, true) /\\ Id(b, false)} r : Bool {T}
+  = \\b. do return b
+g : \\Pi q : Qbit. {q |-> |0\\> /\\ q |-> |1\\>} r : Bool {T}
+  = \\q. do measQbit q
+"""
+
+
+class TestHypothesisText:
+    """A JSON report writes each obligation's hypotheses from the branches
+    the checker kept for it, without building them as assertions; the
+    text is what printing the built assertions gives."""
+
+    @staticmethod
+    def sources():
+        for path in CORPUS_FILES + NEGATIVE_FILES:
+            yield path.name, path.read_text()
+        yield "no-branch", NO_BRANCH_SOURCE
+        yield "coins6", coin_block_source(6)
+        yield "measure200", measure_block_source(200)
+        for n in range(4, 12):
+            yield f"ghz{n}", ghz_source(n)
+        for seed in range(40):
+            yield f"gen{seed}", pretty(Gen(seed).program())
+
+    def test_text_is_the_printed_assertions(self):
+        written = set()
+        for name, source in self.sources():
+            report, _ = analyze(name, source)
+            obligations = [ob for d in report.decls for ob, _ in d.obligations]
+            unbuilt = [isinstance(ob.hypotheses_builder, Hypotheses)
+                       for ob in obligations]
+            got = [ob["hypotheses"] for d in report.as_dict()["decls"]
+                   for ob in d["obligations"]]
+            want = [[pretty(h) for h in ob.hypotheses] for ob in obligations]
+            assert got == want, name
+            written.update(h for hs, u in zip(got, unbuilt) if u for h in hs)
+        assert "F" in written
+        assert any(" \\/ " in h and " /\\ " in h for h in written)
+        assert any(h.startswith("HId(") for h in written)
+
+    def test_a_read_builds_the_assertions_the_text_was_written_from(self):
+        report, _ = analyze("bellpair.qh",
+                            (CORPUS_DIR / "bellpair.qh").read_text())
+        first = report.as_dict()
+        for d in report.decls:
+            for ob, _ in d.obligations:
+                assert ob.hypotheses is ob.hypotheses  # built once, kept
+                assert ob.hypotheses_builder is None
+        assert report.as_dict() == first
+
+
 class TestRepeatedGates:
     """Each occurrence of a gate keeps its own obligations and diagnostics,
     however often the same gate term repeats."""
@@ -837,6 +894,25 @@ class TestRun:
         payload = json.loads(out)
         assert payload["errors"] == payload["shots"] == 5
         assert payload["outcomes"] == []
+
+    @pytest.mark.parametrize("source, texts", [
+        ("f : {emp} r : Bool {T /\\ T /\\ emp} = do return true\n",
+         ["T", "emp"]),
+        ("f : {emp} r : Bool {Id(r, true) /\\ emp /\\ Id(r, true)}\n"
+         "  = do return true\n", ["Id(r, true)", "emp"]),
+        (long_postcondition_source(5000).replace("long", "f"), ["T"]),
+    ], ids=["T-twice", "Id-twice", "5000-T"])
+    def test_a_repeated_conjunct_counts_each_shot_once(self, source, texts,
+                                                       tmp_path, capsys):
+        path = tmp_path / "dup.qh"
+        path.write_text(source)
+        code, out, _ = run_cli(["run", str(path), "f", "--shots", "10",
+                                "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(a["text"] for a in payload["assertions"]) == texts
+        for a in payload["assertions"]:
+            assert (a["pass"], a["fail"], a["uncheckable"]) == (10, 0, 0)
 
     def test_modular_testbell_outcomes_agree(self, capsys):
         code, out, _ = run_cli(
@@ -1244,6 +1320,9 @@ class TestDepth:
         assert {key: c for key, c in codes.items() if c != 0} == {}
 
 
+CALLER_OF_LONG = "caller : {emp} r : Bool {T} = do x <- long; return x\n"
+
+
 class TestLongPostcondition:
     def test_written_chain_of_5000_conjuncts(self, tmp_path, capsys):
         # The walkers over assertions loop along the left spine of an
@@ -1256,6 +1335,20 @@ class TestLongPostcondition:
                             ["run", "long", "--shots", "10"]):
             codes[name] = run_cli([name, str(path), *rest], capsys)[:3:2]
         assert codes == {name: (0, "") for name in codes}
+
+    def test_caller_of_a_written_chain_of_5000_conjuncts(self, tmp_path,
+                                                         capsys):
+        # the caller substitutes into the callee's postcondition and
+        # denotes it as heap branches, each along the chain in a loop
+        path = tmp_path / "caller.qh"
+        path.write_text(long_postcondition_source(5000) + CALLER_OF_LONG)
+        codes = {}
+        for name, *rest in (["check"], ["check", "--format", "json"],
+                            ["vcs"], ["trace", "caller"],
+                            ["run", "caller", "--shots", "10"]):
+            code, out, err = run_cli([name, str(path), *rest], capsys)
+            codes[name, *rest[:2]] = code, err
+        assert codes == {key: (0, "") for key in codes}
 
 
 class TestFuzz:
@@ -1365,3 +1458,32 @@ class TestCountermodelOfRepeatedModels:
             "env": {"a": "false", "b": "true", "p": "p", "q": "q",
                     "x": "false", "y": "true"},
             "heap": {"": "empty"}})
+
+
+class TestNoCyclicGarbage:
+    """With the cyclic collector off, a `check --format json` or a `run`
+    leaves no reference cycle behind: the walks that call themselves are
+    module-level functions, not closures over their own cells."""
+
+    def test_check_and_run_leave_no_cycles(self, tmp_path):
+        bench = {p.decl: p for p in benchmark_programs(1)}
+        runs = list(GOLDEN_RUNS)
+        for name in ("coins6", "deep900"):
+            (tmp_path / f"{name}.qh").write_text(bench[name].source)
+            runs.append((tmp_path / f"{name}.qh", name))
+        argvs = [["check", str(path), "--format", "json"]
+                 for path in CORPUS_FILES + [tmp_path / "coins6.qh",
+                                             tmp_path / "deep900.qh"]]
+        argvs += [["run", str(CORPUS_DIR / path), decl, "--shots", "20"]
+                  for path, decl in runs]
+        left = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0, argv
+                left[" ".join(argv[:3])] = gc.collect()
+        finally:
+            gc.enable()
+        assert {k: n for k, n in left.items() if n} == {}

@@ -100,6 +100,35 @@ class TestLongChains:
         assert pretty(functools.reduce(op, atoms)) == \
             sep.join(pretty(a) for a in atoms)
 
+    @staticmethod
+    def links(a, op) -> list:
+        # the operands of a left-nested chain, without a recursive `==`
+        out = []
+        while isinstance(a, op):
+            out.append(a.right)
+            a = a.left
+        return [a] + out[::-1]
+
+    @pytest.mark.parametrize("op", [And, Or])
+    def test_subst_along_5000_links(self, op):
+        # a caller substitutes its arguments into a callee's written
+        # postcondition, however long its chain
+        atoms = [IdAt(None, Emb(Var(f"b{i}")), Emb(Var("x")))
+                 for i in range(5000)]
+        out = subst(functools.reduce(op, atoms), {"x": BoolLit(True)})
+        assert self.links(out, op) == [IdAt(None, a.left, BoolLit(True))
+                                       for a in atoms]
+        chain = functools.reduce(op, [Top(), Emp()] * 2500)
+        assert subst(chain, {"x": BoolLit(True)}) is chain
+
+    def test_subst_keeps_the_links_it_does_not_change(self):
+        keep = Implies(Emp(), Top())
+        chain = And(Or(keep, Emp()), IdAt(None, Emb(Var("x")), Emb(Var("y"))))
+        out = subst(chain, {"y": Var("z")})
+        assert out == And(Or(keep, Emp()),
+                          IdAt(None, Emb(Var("x")), Emb(Var("z"))))
+        assert out.left is chain.left
+
     def test_hypothesis_shape(self):
         bindings = [IdAt(None, Emb(Var(f"b{i}")), BoolLit(True))
                     for i in range(3000)]

@@ -6,11 +6,17 @@ import random
 import numpy as np
 import pytest
 
-from qhoare.core import Emp, Ket, KET_AMPS, KetVec, pretty
+import functools
+
+from qhoare.core import (
+    And, BoolLit, Emb, Emp, IdAt, Ket, KET_AMPS, KetVec, Or, PointsTo, Var,
+    pretty,
+)
 from qhoare.heap import (
     ApplyResult, Cell, EMPTY_DELTA, HeapDelta, HeapError, SymbolicHeap,
     SymState, UNKNOWN_STATE, basis_claim, cell_assertion, classical_to_state,
-    concrete, delta_assertion, heap_from_assertion, heap_to_assertions,
+    concrete, delta_assertion, footprint_qubits, heap_from_assertion,
+    heap_to_assertions,
     opaque, sp_apply_unitary, sp_init, sp_measure,
     state_expr, unitary_matrix, _close, _merge_states, _phase_canonical,
 )
@@ -434,3 +440,39 @@ class TestHeapFromAssertion:
         branches = heap_from_assertion(assn, self.kind_of)
         assert len(branches) == 1
         assert branches[0].heap.cells == (Cell(("q",), KETP),)
+
+
+class TestLongChains:
+    """The denotation and the footprint of an assertion loop along the left
+    spine of a connective chain, so a long written postcondition needs no
+    deeper stack at the default recursion limit."""
+
+    @staticmethod
+    def kind_of(name):
+        return "qubit" if name.startswith("q") else "bool"
+
+    def test_conjunction_of_5000_bindings_is_one_branch(self):
+        atoms = [IdAt(None, Emb(Var(f"b{i}")), BoolLit(i % 2 == 0))
+                 for i in range(5000)]
+        (branch,) = heap_from_assertion(functools.reduce(And, atoms),
+                                        self.kind_of)
+        assert branch.heap == SymbolicHeap()
+        assert list(branch.env.items()) == [
+            (f"b{i}", i % 2 == 0) for i in range(5000)]
+
+    def test_disjunction_of_5000_cells_is_5000_branches_in_order(self):
+        atoms = [PointsTo(Emb(Var(f"q{i}")), Ket("+")) for i in range(5000)]
+        branches = heap_from_assertion(functools.reduce(Or, atoms),
+                                       self.kind_of)
+        assert [b.heap.cells[0].qubits for b in branches] == [
+            (f"q{i}",) for i in range(5000)]
+        assert footprint_qubits(functools.reduce(Or, atoms),
+                                self.kind_of) == [f"q{i}" for i in range(5000)]
+
+    def test_mixed_chains_keep_their_order(self):
+        q = [PointsTo(Emb(Var(f"q{i}")), Ket("0")) for i in range(4)]
+        a = Or(And(q[0], Or(q[1], q[2])), q[3])
+        assert footprint_qubits(a, self.kind_of) == ["q0", "q1", "q2", "q3"]
+        assert [[c.qubits for c in b.heap.cells]
+                for b in heap_from_assertion(a, self.kind_of)] == [
+            [("q0",), ("q1",)], [("q0",), ("q2",)], [("q3",)]]

@@ -58,9 +58,14 @@ def reference_run(program, entry, seed, shots, args=(), state=None):
         elif isinstance(value, tuple) and len(value) == len(sig.binder):
             for name, comp_value in zip(sig.binder, value):
                 env[name] = comp_value
+        seen = set()  # one verdict per shot for each distinct conjunct
         for conj in conjuncts(sig.post):
+            text = sim.pretty(conj)
+            if text in seen:
+                continue
+            seen.add(text)
             result = check_assertion_runtime(conj, env, final)
-            counts = assertions.setdefault(sim.pretty(conj), [0, 0, 0])
+            counts = assertions.setdefault(text, [0, 0, 0])
             counts[0 if result is True else 1 if result is False else 2] += 1
     return outcomes, assertions, errors
 
