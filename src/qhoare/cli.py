@@ -38,10 +38,9 @@ class DeclReport:
     obligations: list = field(default_factory=list)
     error: Optional[str] = None
 
-    def as_dict(self, heap_texts: Optional[dict] = None) -> dict:
+    def as_dict(self, heap_texts: dict) -> dict:
         """The report as JSON values; ``heap_texts`` is the memo of heap
         text that :meth:`qhoare.typecheck.Hypotheses.text` shares."""
-        heap_texts = {} if heap_texts is None else heap_texts
         return {
             "name": self.name,
             "status": self.status,

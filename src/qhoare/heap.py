@@ -587,10 +587,6 @@ def footprint_qubits(a: Assn, kind_of) -> list:
 
 
 def _footprint(a, kind_of, out: list) -> None:
-    def add(name):
-        if name and kind_of(name) == "qubit" and name not in out:
-            out.append(name)
-
     match a:
         case And() | Or():
             # the left spine in a loop, operands left to right
@@ -600,18 +596,17 @@ def _footprint(a, kind_of, out: list) -> None:
                 a = a.left
             for b in (a, *reversed(rights)):
                 _footprint(b, kind_of, out)
-        case MemberOf(term, _):
-            add(_term_name(term))
+            return
+        case MemberOf(term, _) | Entangled(term):
+            names = (_term_name(term),)
         case IdAt(_, l, r):
-            add(_term_name(l))
-            add(_term_name(r))
+            names = (_term_name(l), _term_name(r))
         case PointsTo(loc, _) | Lookup(loc, _):
-            pair = _pair_names(loc)
-            if pair:
-                add(pair[0]), add(pair[1])
-            else:
-                add(_term_name(loc))
-        case Entangled(t):
-            add(_term_name(t))
+            names = _pair_names(loc) or (_term_name(loc),)
         case InDom(_, loc):
-            add(_term_name(loc))
+            names = (_term_name(loc),)
+        case _:
+            return
+    for name in names:
+        if name and kind_of(name) == "qubit" and name not in out:
+            out.append(name)

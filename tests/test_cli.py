@@ -540,8 +540,9 @@ def text_reports(directory: pathlib.Path) -> str:
 
 class TestHypothesesOnDemand:
     """Hypotheses are report text that only the JSON reports print: `check`
-    and `vcs` build them for `--format json`, while their text reports,
-    `run` and `trace` decide verdicts from the models and build none."""
+    and `vcs` write them for `--format json`, each distinct heap through
+    `heap_to_assertions` once, while their text reports, `run` and
+    `trace` decide verdicts from the models and write none."""
 
     @pytest.fixture
     def block(self, tmp_path):
