@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .core import Program, pretty
+from .core import Program, pretty, restart_fresh_names
 from .parser import parse_program
 from .prover import discharge_all
 from .typecheck import CheckedProgram, Checker, Hypotheses, check_program
@@ -457,6 +457,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as e:  # argparse: 2 on a usage error, 0 on --help
         return e.code
+    restart_fresh_names()
     try:
         return args.fn(args)
     except (BrokenPipeError, KeyboardInterrupt):

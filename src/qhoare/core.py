@@ -866,6 +866,24 @@ def map_children(node, fn):
     return node if all(map(operator.is_, new, old)) else type(node)(*new)
 
 
+def same_node(a, b) -> bool:
+    """``a == b`` for AST values, comparing an ``And``/``Or`` chain along
+    its left spine in a loop: written chains are long."""
+    while a is not b and type(a) is type(b) and type(a) in (And, Or):
+        if not same_node(a.right, b.right):
+            return False
+        a, b = a.left, b.left
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(same_node, a, b))
+    if type(a) in _NODES:
+        return all(map(same_node, _field_values(a), _field_values(b)))
+    return type(a) is Span or a == b  # spans take no part in equality
+
+
 def bound_names(item: Stmt | Ret | Decl) -> tuple:
     """The names a statement binds for the rest of its block, or a
     declaration for the rest of its program."""
@@ -930,6 +948,13 @@ def free_vars(node) -> set:
 
 
 _fresh_names = itertools.count(1)
+
+
+def restart_fresh_names() -> None:
+    """Draw ``%rN`` names from ``%r1`` again, so that what a command prints
+    does not depend on the commands run before it in the process."""
+    global _fresh_names
+    _fresh_names = itertools.count(1)
 
 
 def binder_var(node):

@@ -1,9 +1,12 @@
 """Bidirectional type checking with strongest-postcondition synthesis.
 
 Elimination terms synthesize their types; introduction terms are checked
-against a given type.  Canonical forms are beta-normal and eta-long,
-computed by substitution-based reduction followed by type-directed eta
-expansion; no reductions happen under ``do``.
+against a given type.  Canonical forms are beta-normal and eta-long; no
+reductions happen under ``do``.  A variable applied to arguments is typed
+in one pass over its spine: the arguments are canonical, so the neutral
+spine they form is too, and it is eta-expanded once, at the result type.
+Any other head is beta-reduced by substitution and normalized again after
+each argument.
 
 Checking a ``do`` block walks the computation over a set of branches,
 each a :class:`qhoare.heap.Model`: a symbolic heap plus value bindings.
@@ -43,7 +46,7 @@ from .core import (
     Pair, PiT, PointsTo, Program, PureT, QbitT, ReductionError, Seq, Span,
     TensorT, Top, Ty, UNKNOWN, UnitT, UnitVal, UT, Var, WildcardState,
     binder_var, free_vars, map_children, mk_intro, normal_form, pretty,
-    strip_coercions, strip_emb, subst, CUR_HEAP,
+    same_node, strip_coercions, strip_emb, subst, CUR_HEAP,
 )
 from .heap import (
     Cell, Model, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -111,11 +114,27 @@ def _alpha(n, numbers):
             return HoareT(nvctx, nhctx, _alpha(subst(pre, m), numbers),
                           nbinder, _alpha(subst(result, m), numbers),
                           _alpha(subst(post, bm), numbers))
+        case And() | Or():
+            # the left spine in a loop, operands numbered left to right as
+            # the recursion numbers them: written chains are long
+            spine = []
+            while isinstance(n, (And, Or)):
+                spine.append(n)
+                n = n.left
+            out = _alpha(n, numbers)
+            for link in reversed(spine):
+                out = type(link)(out, _alpha(link.right, numbers))
+            return out
     return map_children(n, lambda c: _alpha(c, numbers))
 
 
+_BASE_TYPES = frozenset({UnitT, BoolT, QbitT, UT, PureT, MatrixT})
+
+
 def types_equal(a: Ty, b: Ty) -> bool:
-    return alpha_normalize(a) == alpha_normalize(b)
+    if type(a) in _BASE_TYPES:  # no binders to rename
+        return type(b) is type(a)
+    return same_node(alpha_normalize(a), alpha_normalize(b))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +163,20 @@ def _eta(m, ty: Ty, counter: list):
             return m
         case _:
             return m
+
+
+def _spine(k) -> tuple:
+    """The head of application ``k`` and its arguments, first to last,
+    with ``Emb`` wrappers peeled."""
+    args = []
+    while isinstance(k, (App, Emb)):
+        if isinstance(k, App):
+            args.append(k.arg)
+            k = k.fn
+        else:
+            k = k.elim
+    args.reverse()
+    return k, args
 
 
 def normalize(m, ty: Ty):
@@ -393,10 +426,14 @@ class Checker:
     def synth(self, ctx: dict, k):
         """Type and canonical form of an elimination term."""
         match k:
-            case Var(name):
-                ty = self.lookup(ctx, name)
-                return ty, normalize(Emb(k), ty)
+            case Var():
+                return self._synth_spine(ctx, k, [])
             case App(fn, arg):
+                head, args = _spine(k)
+                if isinstance(head, Var):
+                    return self._synth_spine(ctx, head, args)
+                # any other head (an ascribed λ) is reduced argument by
+                # argument
                 fty, fc = self.synth(ctx, fn)
                 if not isinstance(fty, PiT):
                     raise CheckError(
@@ -413,6 +450,26 @@ class Checker:
                 return self.synth(ctx, inner)
         raise CheckError(f"cannot synthesize a type for {pretty(k)!r}",
                          self._span)
+
+    def _synth_spine(self, ctx: dict, head: Var, args: list):
+        """Type and canonical form of ``head`` applied to ``args``, in one
+        pass over the spine.
+
+        Each argument is checked against the domain that the arguments
+        before it instantiate, the neutral spine is built from the
+        canonical arguments, and it is eta-expanded once, at the result
+        type.  Its fresh binders are numbered on from the arguments, as
+        beta-reducing the eta-expanded head would leave them."""
+        ty = self.lookup(ctx, head.name)
+        spine = head
+        for arg in args:
+            if not isinstance(ty, PiT):
+                raise CheckError(
+                    f"cannot apply a value of type {pretty(ty)}", self._span)
+            ac = self.check(ctx, arg, ty.domain)
+            ty = subst(ty.codomain, {ty.binder: strip_emb(ac)})
+            spine = App(spine, ac)
+        return ty, _eta(Emb(spine), ty, [len(args)])
 
     def check(self, ctx: dict, m, ty: Ty, span: Optional[Span] = None):
         """Canonical form of intro term ``m`` at type ``ty``."""

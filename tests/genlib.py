@@ -304,6 +304,15 @@ def long_postcondition_source(n: int) -> str:
             "         measQbit q\n")
 
 
+def ascribing_caller_source(n: int) -> str:
+    """A declaration ``ascribed`` that calls ``long`` of
+    :func:`long_postcondition_source` through an ascription of its type,
+    the chain of ``n`` conjuncts written again."""
+    post = " /\\ ".join(["T"] * n)
+    return (f"ascribed : {{emp}} r : Bool {{T}}\n"
+            f"    = do x <- (long : {{emp}} r : Bool {{{post}}}); return x\n")
+
+
 def ghz_source(n: int) -> str:
     """GHZ-n: qubit k is entangled through a control at (k - 1) // 2, so
     most controls sit in the middle of the merged cell."""

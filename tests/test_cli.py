@@ -26,7 +26,8 @@ from conftest import (
     CORPUS_DIR, CORPUS_FILES, GOLDEN_DIR, NEGATIVE_DIR, NEGATIVE_FILES,
 )
 from genlib import (
-    Gen, coin_block_source, gate_block_source, ghz_source,
+    Gen, ascribing_caller_source, coin_block_source, gate_block_source,
+    ghz_source,
     long_postcondition_source, measure_block_source, straight_line_source,
     token_mutants,
 )
@@ -1350,6 +1351,46 @@ class TestLongPostcondition:
             code, out, err = run_cli([name, str(path), *rest], capsys)
             codes[name, *rest[:2]] = code, err
         assert codes == {key: (0, "") for key in codes}
+
+    def test_caller_ascribing_a_chain_of_5000_conjuncts(self, tmp_path,
+                                                        capsys):
+        # the ascribed type is compared with the callee's: both are
+        # renamed and compared along the chain in a loop
+        path = tmp_path / "ascribed.qh"
+        path.write_text(long_postcondition_source(5000)
+                        + ascribing_caller_source(5000))
+        codes = {}
+        for name, *rest in (["check"], ["vcs"], ["trace", "ascribed"],
+                            ["run", "ascribed", "--shots", "10"]):
+            codes[name] = run_cli([name, str(path), *rest], capsys)[:3:2]
+        assert codes == {name: (0, "") for name in codes}
+
+
+# capture renaming draws `%r1`, `%r2`, ... when `g b` instantiates g's
+# ghost `b`, once per call
+RENAMING_PROBE = (
+    "g : \\Pi a : Bool. {exists b : Bool. Id(a, b)} r : Bool {T}"
+    " = \\a. do return a\n"
+    "f : {emp} r : Bool {T} = do b <- g true; c <- g b; return c\n")
+
+
+class TestRenamedBinders:
+    def test_each_command_prints_what_a_fresh_process_prints(self, tmp_path,
+                                                             capsys):
+        # each command draws renamed binders from `%r1` again, whatever
+        # ran before it in the process
+        path = tmp_path / "probe.qh"
+        path.write_text(RENAMING_PROBE)
+        argv = ["vcs", str(path), "--format", "json"]
+        outs = [run_cli(argv, capsys)[1] for _ in range(3)]
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhoare.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+        assert "exists %r1 : Bool. Id(b, %r1)" in proc.stdout
+        assert outs == [proc.stdout] * 3
 
 
 class TestFuzz:

@@ -23,9 +23,10 @@ from qhoare.core import (
     subst,
 )
 from qhoare.heap import Cell, SymbolicHeap, concrete, opaque
+from qhoare.parser import parse_program
 from qhoare.prover import Model, eval_in_model
 from qhoare.typecheck import alpha_normalize, types_equal
-from genlib import KETS
+from genlib import KETS, Gen
 
 
 class TestPretty:
@@ -120,6 +121,33 @@ class TestLongChains:
                                        for a in atoms]
         chain = functools.reduce(op, [Top(), Emp()] * 2500)
         assert subst(chain, {"x": BoolLit(True)}) is chain
+
+    def test_same_node_agrees_with_eq(self):
+        trees = [self.tree(random.Random(seed), 6) for seed in range(300)]
+        for seed, (a, b) in enumerate(zip(trees, trees[1:] + trees[:1])):
+            assert core.same_node(a, self.tree(random.Random(seed), 6))
+            assert core.same_node(a, b) == (a == b)
+        for seed in range(100):
+            a, b = Gen(seed).assertion(3), Gen(seed + 1).assertion(3)
+            assert core.same_node(a, Gen(seed).assertion(3))
+            assert core.same_node(a, b) == (a == b)
+        # spans take no part, as in `==`
+        one = parse_program("f : {emp} r : Bool {T} = do return true")
+        two = parse_program("f : {emp}  r : Bool {T}\n  = do return true")
+        assert one.program == two.program
+        assert core.same_node(one.program, two.program)
+
+    @pytest.mark.parametrize("op", [And, Or])
+    def test_same_node_along_5000_links(self, op):
+        atoms = [IdAt(None, Emb(Var(f"b{i}")), BoolLit(True))
+                 for i in range(5000)]
+        chain = functools.reduce(op, atoms)
+        copy = functools.reduce(op, [dataclasses.replace(a) for a in atoms])
+        assert core.same_node(chain, copy)
+        assert not core.same_node(chain,
+                                  functools.reduce(op, atoms[:-1] + [Top()]))
+        assert not core.same_node(chain,
+                                  functools.reduce(op, [Top()] + atoms[1:]))
 
     def test_subst_keeps_the_links_it_does_not_change(self):
         keep = Implies(Emp(), Top())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import json
 import random
 import tracemalloc
@@ -9,19 +10,24 @@ import weakref
 
 import pytest
 
+from qhoare import core
 from qhoare.core import (
     And, App, ApplyU, Ascribe, BindCmd, BoolLit, BoolT, Do, Emb, Emp, HoareT,
-    IdAt, Ket, Lam, MkQbit, Or, Pair, PiT, PureT, QbitT, Ret, Seq, TensorT,
-    Top, UnitT, UnitVal, UT, Var, free_vars, pretty,
+    IdAt, Ket, Lam, MatrixT, MkQbit, Or, Pair, PiT, PureT, QbitT, Ret, Seq,
+    TensorT,
+    Top, UnitT, UnitVal, UT, Var, free_vars, pretty, strip_emb, subst,
 )
-from qhoare.parser import parse_program, parse_type
+from qhoare.parser import ParseError, parse_program, parse_type
 from qhoare.prover import discharge_all
 from qhoare.typecheck import (
     BUILTIN_TYPES, CheckError, Checker, alpha_normalize, check,
     check_program, normalize, synth, types_equal,
 )
 from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
-from genlib import gate_block_source, straight_line_source
+from genlib import (
+    Gen, coin_block_source, gate_block_source, ghz_source,
+    straight_line_source,
+)
 
 
 class TestSynth:
@@ -156,6 +162,151 @@ class TestNormalize:
             assert twice == once, pretty(m)
             count += 1
         assert count >= 200
+
+
+class FoldChecker(Checker):
+    """The application rule as a fold over the arguments: the head is
+    eta-expanded, and each argument is applied by beta-reduction, the whole
+    then normalized again.  The reference for the one-pass spine."""
+
+    def synth(self, ctx, k):
+        match k:
+            case Var(name):
+                ty = self.lookup(ctx, name)
+                return ty, normalize(Emb(k), ty)
+            case App(fn, arg):
+                fty, fc = self.synth(ctx, fn)
+                if not isinstance(fty, PiT):
+                    raise CheckError(
+                        f"cannot apply a value of type {pretty(fty)}",
+                        self._span)
+                ac = self.check(ctx, arg, fty.domain)
+                rty = subst(fty.codomain, {fty.binder: strip_emb(ac)})
+                return rty, normalize(App(strip_emb(fc), ac), rty)
+        return super().synth(ctx, k)
+
+
+def spine_head(k):
+    while isinstance(k, (App, Emb)):
+        k = k.fn if isinstance(k, App) else k.elim
+    return k
+
+
+class SpineRecorder(Checker):
+    """The checker, which also synthesizes each variable-headed
+    application with :class:`FoldChecker`, from the same state of the
+    ``%rN`` supply, and records both outcomes and the next name each
+    leaves."""
+
+    def __init__(self, program):
+        super().__init__(program)
+        self.pairs = []
+
+    def synth(self, ctx, k):
+        if not isinstance(k, (Var, App)) or not isinstance(spine_head(k),
+                                                           Var):
+            return super().synth(ctx, k)
+        start = next(core._fresh_names)
+        core._fresh_names = itertools.count(start)
+        got = self.outcome(super().synth, ctx, k)
+        after = next(core._fresh_names)
+        core._fresh_names = itertools.count(start)
+        fold = FoldChecker(self.program)
+        fold.decl_types, fold._span = dict(self.decl_types), self._span
+        want = self.outcome(fold.synth, ctx, k)
+        self.pairs.append((k, (got, after),
+                           (want, next(core._fresh_names))))
+        core._fresh_names = itertools.count(after)
+        if isinstance(got, CheckError):
+            raise got
+        return got
+
+    @staticmethod
+    def outcome(synth, ctx, k):
+        try:
+            return synth(ctx, k)
+        except CheckError as e:
+            return e
+
+
+def comparable(outcome):
+    (result, next_name) = outcome
+    if isinstance(result, CheckError):
+        return ("error", result.message, result.span), next_name
+    return result, next_name
+
+
+# partial applications: `ifQ a` and `ifQ` passed where functions are
+# expected, and `cond` with a λ branch
+PARTIAL_APPLICATIONS = """\
+use : \\Pi a : Qbit. \\Pi b : Qbit. \\Pi f : (\\Pi u : U. U).
+      {emp} r : Bool {T}
+    = \\a. \\b. \\f. do return true
+
+caller : {emp} r : Bool {T}
+       = do a <= mkQbit false;
+            b <= mkQbit false;
+            c <= mkQbit false;
+            applyU (cond a (\\v. if v then X b else mempty));
+            applyU (cond b (\\v. ifQ a (X c)));
+            x <- use a b (ifQ a);
+            y <- use a b (mappend (H a));
+            return x
+
+pass : \\Pi f : (\\Pi u : U. U). \\Pi g : (\\Pi q : Qbit. \\Pi u : U. U).
+       {emp} r : Bool {T}
+     = \\f. \\g. do return true
+
+caller2 : {emp} r : Bool {T}
+        = do a <= mkQbit false;
+             x <- pass (ifQ a) ifQ;
+             return x
+"""
+
+
+class TestSpineOracle:
+    """A variable applied to arguments is typed in one pass over its
+    spine; its type, canonical form and the ``%rN`` names it draws equal
+    those of the fold that eta-expands the head and normalizes after each
+    argument."""
+
+    @staticmethod
+    def sources() -> list:
+        sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
+        sources += [gate_block_source(300), coin_block_source(6),
+                    PARTIAL_APPLICATIONS]
+        sources += [ghz_source(n) for n in range(4, 12)]
+        sources += [pretty(Gen(seed).program()) for seed in range(40)]
+        return sources
+
+    def test_one_pass_equals_the_fold(self):
+        pairs = []
+        for source in self.sources():
+            try:
+                program = parse_program(source).program
+            except ParseError:
+                continue
+            checker = SpineRecorder(program)
+            checker.check_program()
+            pairs += checker.pairs
+        mismatches = [pretty(k) for k, got, want in pairs
+                      if comparable(got) != comparable(want)]
+        assert mismatches == []
+        assert len(pairs) > 500
+        canonicals = [got[0][1] for _, got, _ in pairs
+                      if not isinstance(got[0], CheckError)]
+        # `ifQ a` where a `U -> U` is expected, and `ifQ` itself
+        assert Lam("%e2", Emb(App(App(Var("ifQ"), Emb(Var("a"))),
+                                  Emb(Var("%e2"))))) in canonicals
+        assert Lam("%e1", Lam("%e2", Emb(App(
+            App(Var("ifQ"), Emb(Var("%e1"))), Emb(Var("%e2")))))) \
+            in canonicals
+        # `cond` with a λ branch
+        assert any(isinstance(c, Emb) and isinstance(c.elim, App)
+                   and spine_head(c) == Var("cond")
+                   and isinstance(c.elim.arg, Lam) for c in canonicals)
+        # errors are compared too
+        assert any(isinstance(got[0], CheckError) for _, got, _ in pairs)
 
 
 def swept_sources() -> list:
@@ -564,6 +715,44 @@ class TestAlphaEquality:
             f"f : {{emp}} r : Bool {{{f_post}}} = do return true\n"
             f"g : {{emp}} r : Bool {{{g_post}}} = f\n").program)
         assert [d.error for d in checked.decls] == [None, None]
+
+    def test_base_types_compare_by_class(self):
+        bases = [UnitT(), BoolT(), QbitT(), UT(), PureT(), MatrixT()]
+        others = bases + [PiT("x", BoolT(), BoolT()), TensorT(BoolT(), UT()),
+                          parse_type("{emp} r : Bool {T}")]
+        for a in bases:
+            for b in others:
+                assert types_equal(a, b) == (type(a) is type(b))
+                assert types_equal(b, a) == (type(a) is type(b))
+
+    def test_generated_types_agree_with_renamed_equality(self):
+        for seed in range(300):
+            a, b = Gen(seed).type_(3), Gen(seed + 1).type_(3)
+            assert types_equal(a, Gen(seed).type_(3))
+            assert types_equal(a, b) == \
+                (alpha_normalize(a) == alpha_normalize(b))
+
+    def test_chain_binders_are_numbered_left_to_right(self):
+        t = parse_type("{emp} r : Bool {(exists x : Bool. Id(x, r)) /\\ "
+                       "(exists y : Bool. Id(y, r)) \\/ "
+                       "(forall z : Bool. Id(z, r))}")
+        assert pretty(alpha_normalize(t)) == (
+            "{emp} %a1 : Bool {(exists %a2 : Bool. Id(%a2, %a1)) /\\ "
+            "(exists %a3 : Bool. Id(%a3, %a1)) \\/ "
+            "(forall %a4 : Bool. Id(%a4, %a1))}")
+
+    def test_chain_of_5000_conjuncts(self):
+        # renaming and comparing walk the chain in a loop, so an ascription
+        # of a long postcondition needs no deeper stack
+        def hoare(r, x, last):
+            conjunct = f"(exists {x} : Bool. Id({x}, {r}))"
+            post = " /\\ ".join([conjunct] * 4999 + [last])
+            return parse_type(f"{{emp}} {r} : Bool {{{post}}}")
+
+        t1 = hoare("r", "x", "T")
+        assert types_equal(t1, hoare("s", "y", "T"))
+        assert not types_equal(t1, hoare("s", "y", "emp"))
+        assert not types_equal(t1, parse_type("{emp} r : Bool {T}"))
 
     def test_comparison_leaves_no_garbage_cycles(self):
         # the walk that renames binders makes no reference cycle, so a
