@@ -737,15 +737,11 @@ def _pp_assn(a: "Assn", prec: int) -> str:
         case Implies(l, r):
             return wrap(f"{_pp_assn(l, 3)} => {_pp_assn(r, 2)}", 2)
         case Or() | And():
-            # the left spine in a loop: a left operand at equal precedence
-            # takes no parentheses, and checker chains are long
+            # a left operand at equal precedence takes no parentheses
             op, level = (" \\/ ", 3) if isinstance(a, Or) else (" /\\ ", 4)
-            chain, rights = type(a), []
-            while type(a) is chain:
-                rights.append(a.right)
-                a = a.left
-            parts = [_pp_assn(a, level)]
-            parts.extend(_pp_assn(r, level + 1) for r in reversed(rights))
+            first, links = chain_links(a)
+            parts = [_pp_assn(first, level)]
+            parts.extend(_pp_assn(link.right, level + 1) for link in links)
             return wrap(op.join(parts), level)
         case Not(body):
             return f"~{_pp_assn(body, 6)}"
@@ -866,17 +862,33 @@ def map_children(node, fn):
     return node if all(map(operator.is_, new, old)) else type(node)(*new)
 
 
+def chain_links(a) -> tuple:
+    """``(first, links)``: the leftmost operand of ``a``'s ``And`` or
+    ``Or`` chain, and the links of the chain, innermost first, so that
+    the operands are ``first`` and each ``link.right`` from left to
+    right.  The chain goes down the left spine while the connective is
+    ``type(a)``, in a loop: written chains are long.  Anything but an
+    ``And`` or ``Or`` is ``(a, [])``."""
+    chain, links = type(a), []
+    while type(a) is chain and chain in (And, Or):
+        links.append(a)
+        a = a.left
+    links.reverse()
+    return a, links
+
+
 def same_node(a, b) -> bool:
-    """``a == b`` for AST values, comparing an ``And``/``Or`` chain along
-    its left spine in a loop: written chains are long."""
-    while a is not b and type(a) is type(b) and type(a) in (And, Or):
-        if not same_node(a.right, b.right):
-            return False
-        a, b = a.left, b.left
+    """``a == b`` for AST values, with an ``And``/``Or`` chain compared
+    link by link."""
     if a is b:
         return True
     if type(a) is not type(b):
         return False
+    if type(a) in (And, Or):
+        (first, links), (other, others) = chain_links(a), chain_links(b)
+        return (len(links) == len(others) and same_node(first, other)
+                and all(same_node(x.right, y.right)
+                        for x, y in zip(links, others)))
     if type(a) is tuple:
         return len(a) == len(b) and all(map(same_node, a, b))
     if type(a) in _NODES:
@@ -925,12 +937,11 @@ def free_vars(node) -> set:
                 bound.update(bound_names(item))
             return out
         case And() | Or():
-            # the left spine in a loop: written chains are long
-            out = set()
-            while isinstance(node, (And, Or)):
-                out |= free_vars(node.right)
-                node = node.left
-            return out | free_vars(node)
+            first, links = chain_links(node)
+            out = free_vars(first)
+            for link in links:
+                out |= free_vars(link.right)
+            return out
     out = set()
     for c in children(node):
         out |= free_vars(c)
@@ -1072,17 +1083,13 @@ def subst(node, mapping: dict):
             return MemberOf(subst(term, mapping),
                             tuple(_as_state(subst(c, mapping)) for c in cands))
         case And() | Or():
-            # the left spine in a loop, each link kept when nothing in it
-            # changes: written chains are long
-            chain, spine = type(node), []
-            while type(node) is chain:
-                spine.append(node)
-                node = node.left
-            out = subst(node, mapping)
-            for link in reversed(spine):
+            # each link kept when nothing in it changes
+            first, links = chain_links(node)
+            out = subst(first, mapping)
+            for link in links:
                 right = subst(link.right, mapping)
                 if out is not link.left or right is not link.right:
-                    link = chain(out, right)
+                    link = type(link)(out, right)
                 out = link
             return out
     return map_children(node, lambda c: subst(c, mapping))
@@ -1188,16 +1195,11 @@ def kleene_eval(a: "Assn", atom):
     ``atom(b)`` gives the truth of every other subformula ``b``."""
     match a:
         case And() | Or():
-            # the left spine in a loop, operands left to right: written
-            # chains are long
-            chain, rights = type(a), []
-            while type(a) is chain:
-                rights.append(a.right)
-                a = a.left
-            op = kleene_and if chain is And else kleene_or
-            out = kleene_eval(a, atom)
-            for r in reversed(rights):
-                out = op(out, kleene_eval(r, atom))
+            op = kleene_and if type(a) is And else kleene_or
+            first, links = chain_links(a)
+            out = kleene_eval(first, atom)
+            for link in links:
+                out = op(out, kleene_eval(link.right, atom))
             return out
         case Implies(l, r):
             return kleene_or(kleene_not(kleene_eval(l, atom)),

@@ -31,7 +31,7 @@ from .core import (
     CUR_HEAP, And, Assn, CellGroup, Emp, GhostRef, HEmpty, HeapId, HVar,
     IdAt, Ket, KetVec, KET_AMPS, Or, Pair, PointsTo, Replace,
     Upd, Var, Emb, BoolLit, WildcardState, Lookup, MemberOf, Entangled,
-    InDom, Top, strip_emb,
+    InDom, Top, chain_links, strip_emb,
 )
 from .sim import (
     NORM_TOL, UnitaryExpr, apply_to_cells, apply_to_tensor, footprint, split,
@@ -519,18 +519,13 @@ def _denote(a, kind_of) -> list:
         case Top() | Emp():
             return _single()
         case And() | Or():
-            # the left spine in a loop, operands left to right: written
-            # chains are long
-            chain, rights = type(a), []
-            while type(a) is chain:
-                rights.append(a.right)
-                a = a.left
-            out = _denote(a, kind_of)
-            for r in reversed(rights):
-                if chain is And:
-                    out = _product(out, _denote(r, kind_of))
+            first, links = chain_links(a)
+            out = _denote(first, kind_of)
+            for link in links:
+                if type(link) is And:
+                    out = _product(out, _denote(link.right, kind_of))
                 else:
-                    out += _denote(r, kind_of)
+                    out += _denote(link.right, kind_of)
             return out
         case MemberOf(term, cands):
             out = []
@@ -589,12 +584,8 @@ def footprint_qubits(a: Assn, kind_of) -> list:
 def _footprint(a, kind_of, out: list) -> None:
     match a:
         case And() | Or():
-            # the left spine in a loop, operands left to right
-            rights = []
-            while isinstance(a, (And, Or)):
-                rights.append(a.right)
-                a = a.left
-            for b in (a, *reversed(rights)):
+            first, links = chain_links(a)
+            for b in (first, *(link.right for link in links)):
                 _footprint(b, kind_of, out)
             return
         case MemberOf(term, _) | Entangled(term):

@@ -45,8 +45,8 @@ from .core import (
     LetEq, Lookup, MatrixLit, MatrixT, MeasQbit, MkQbit, NameSupply, Or,
     Pair, PiT, PointsTo, Program, PureT, QbitT, ReductionError, Seq, Span,
     TensorT, Top, Ty, UNKNOWN, UnitT, UnitVal, UT, Var, WildcardState,
-    binder_var, free_vars, map_children, mk_intro, normal_form, pretty,
-    same_node, strip_coercions, strip_emb, subst, CUR_HEAP,
+    binder_var, chain_links, free_vars, map_children, mk_intro, normal_form,
+    pretty, same_node, strip_coercions, strip_emb, subst, CUR_HEAP,
 )
 from .heap import (
     Cell, Model, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -115,14 +115,10 @@ def _alpha(n, numbers):
                           nbinder, _alpha(subst(result, m), numbers),
                           _alpha(subst(post, bm), numbers))
         case And() | Or():
-            # the left spine in a loop, operands numbered left to right as
-            # the recursion numbers them: written chains are long
-            spine = []
-            while isinstance(n, (And, Or)):
-                spine.append(n)
-                n = n.left
-            out = _alpha(n, numbers)
-            for link in reversed(spine):
+            # operands numbered left to right
+            first, links = chain_links(n)
+            out = _alpha(first, numbers)
+            for link in links:
                 out = type(link)(out, _alpha(link.right, numbers))
             return out
     return map_children(n, lambda c: _alpha(c, numbers))
@@ -1183,10 +1179,12 @@ def _small_footprint(a: Assn) -> Assn:
             return Top()
         case PointsTo(loc, st):
             return Lookup(loc, st)
-        case And(l, r):
-            return And(_small_footprint(l), _small_footprint(r))
-        case Or(l, r):
-            return Or(_small_footprint(l), _small_footprint(r))
+        case And() | Or():
+            first, links = chain_links(a)
+            out = _small_footprint(first)
+            for link in links:
+                out = type(link)(out, _small_footprint(link.right))
+            return out
         case _:
             return a
 

@@ -304,6 +304,18 @@ def long_postcondition_source(n: int) -> str:
             "         measQbit q\n")
 
 
+def long_precondition_source(n: int, connective) -> str:
+    """A declaration ``longd`` whose written precondition is a left-nested
+    chain of ``n`` operands, ``T /\\ ... /\\ T`` for ``And`` and
+    ``emp \\/ ... \\/ emp`` for ``Or``, over the block of
+    :func:`long_postcondition_source`."""
+    sep, atom = (" /\\ ", "T") if connective is And else (" \\/ ", "emp")
+    pre = sep.join([atom] * n)
+    return (f"longd : {{{pre}}} r : Bool {{T}}\n"
+            "    = do q <= mkQbit false;\n"
+            "         measQbit q\n")
+
+
 def ascribing_caller_source(n: int) -> str:
     """A declaration ``ascribed`` that calls ``long`` of
     :func:`long_postcondition_source` through an ascription of its type,

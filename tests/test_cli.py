@@ -17,7 +17,7 @@ import jsonschema
 import pytest
 
 from qhoare.cli import _dumps, analyze, decl_status, main
-from qhoare.core import HoareT, pretty
+from qhoare.core import And, HoareT, Or, pretty
 from qhoare.heap import MAX_WIDTH
 from qhoare.parser import parse_program
 from qhoare.sim import run_program
@@ -28,7 +28,8 @@ from conftest import (
 from genlib import (
     Gen, ascribing_caller_source, coin_block_source, gate_block_source,
     ghz_source,
-    long_postcondition_source, measure_block_source, straight_line_source,
+    long_postcondition_source, long_precondition_source,
+    measure_block_source, straight_line_source,
     token_mutants,
 )
 
@@ -1364,6 +1365,27 @@ class TestLongPostcondition:
                             ["run", "ascribed", "--shots", "10"]):
             codes[name] = run_cli([name, str(path), *rest], capsys)[:3:2]
         assert codes == {name: (0, "") for name in codes}
+
+
+CALLER_OF_LONGD = "caller : {emp} r : Bool {T} = do x <- longd; return x\n"
+
+
+class TestLongPrecondition:
+    @pytest.mark.parametrize("connective", [And, Or])
+    def test_caller_of_a_written_chain_of_5000_links(self, connective,
+                                                     tmp_path, capsys):
+        # the call site reads the callee's precondition in its small
+        # footprint, link by link, before it denotes it as heap branches
+        path = tmp_path / "caller.qh"
+        path.write_text(long_precondition_source(5000, connective)
+                        + CALLER_OF_LONGD)
+        codes = {}
+        for name, *rest in (["check"], ["check", "--format", "json"],
+                            ["vcs"], ["trace", "caller"],
+                            ["run", "caller", "--shots", "10"]):
+            code, out, err = run_cli([name, str(path), *rest], capsys)
+            codes[name, *rest[:2]] = code, err
+        assert codes == {key: (0, "") for key in codes}
 
 
 # capture renaming draws `%r1`, `%r2`, ... when `g b` instantiates g's

@@ -4,6 +4,7 @@ class, derived assertion forms, and the well-formedness of signatures."""
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -148,6 +149,49 @@ class TestLongChains:
                                   functools.reduce(op, atoms[:-1] + [Top()]))
         assert not core.same_node(chain,
                                   functools.reduce(op, [Top()] + atoms[1:]))
+
+    @staticmethod
+    def fold(first, links):
+        out = first
+        for link in links:
+            out = type(link)(out, link.right)
+        return out
+
+    def test_chain_links_fold_back(self):
+        assertions = [self.tree(random.Random(seed), 6) for seed in range(300)]
+        assertions += [Gen(seed).assertion(3) for seed in range(300)]
+        for a in assertions:
+            first, links = core.chain_links(a)
+            assert core.same_node(self.fold(first, links), a)
+            if isinstance(a, (And, Or)):
+                assert type(first) is not type(a)
+                assert {type(link) for link in links} == {type(a)}
+                assert links[-1] is a
+
+    def test_chain_links_stop_at_a_change_of_connective(self):
+        x, y, z, w = self.ATOMS[:4]
+        inner = Or(x, y)
+        mid = And(inner, z)
+        a = And(mid, w)
+        first, links = core.chain_links(a)
+        assert first is inner
+        assert links == [mid, a] and links[0] is mid and links[1] is a
+        assert core.chain_links(Or(a, x)) == (a, [Or(a, x)])
+
+    def test_chain_links_of_a_non_chain(self):
+        for a in [*self.ATOMS, Not(And(Emp(), Top())), Var("x"), BoolT()]:
+            first, links = core.chain_links(a)
+            assert first is a and links == []
+
+    @pytest.mark.parametrize("op", [And, Or])
+    def test_chain_links_along_5000_links(self, op):
+        atoms = [IdAt(None, Emb(Var(f"b{i}")), BoolLit(True))
+                 for i in range(5000)]
+        first, links = core.chain_links(functools.reduce(op, atoms))
+        assert first is atoms[0]
+        assert all(map(operator.is_, (link.right for link in links),
+                       atoms[1:]))
+        assert len(links) == 4999
 
     def test_subst_keeps_the_links_it_does_not_change(self):
         keep = Implies(Emp(), Top())

@@ -81,6 +81,32 @@ def test_one_module_reads_node_fields():
     assert readers == {"core.py"}
 
 
+def test_chains_are_read_through_chain_links():
+    # core.chain_links walks the left spine of an And/Or chain in a loop;
+    # a case that took a chain's operands apart itself would recurse once
+    # per link, and written chains are long
+    seen, offenders = set(), []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for case in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(case, ast.match_case):
+                continue
+            chains = [p for p in ast.walk(case.pattern)
+                      if isinstance(p, ast.MatchClass)
+                      and isinstance(p.cls, ast.Name)
+                      and p.cls.id in ("And", "Or")]
+            if not chains:
+                continue
+            seen.add(path.name)
+            calls = {n.func.id for stmt in case.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Name)}
+            if "chain_links" not in calls \
+                    or any(p.patterns or p.kwd_patterns for p in chains):
+                offenders.append(f"{path.name}:{case.pattern.lineno}")
+    assert seen == {"core.py", "heap.py", "typecheck.py"}
+    assert offenders == []
+
+
 def test_tracer_names_are_called(capsys):
     # the benchmark's traced round times each layer through the module
     # names it wraps; a layer that calls around its wrapped name would
