@@ -175,7 +175,7 @@ class TestLongChains:
         a = And(mid, w)
         first, links = core.chain_links(a)
         assert first is inner
-        assert links == [mid, a] and links[0] is mid and links[1] is a
+        assert len(links) == 2 and links[0] is mid and links[1] is a
         assert core.chain_links(Or(a, x)) == (a, [Or(a, x)])
 
     def test_chain_links_of_a_non_chain(self):
