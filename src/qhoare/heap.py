@@ -206,14 +206,20 @@ class ApplyResult(NamedTuple):
     residual: bool  # True when the result state could not be computed
 
 
-def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
+def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr,
+                     memo: Optional[dict] = None) -> ApplyResult:
     """Apply ``u``'s denotation to the touched cells, merging them into one.
 
     A footprint qubit that is not allocated is a :class:`HeapError`, and a
     merged cell of more than :data:`MAX_WIDTH` qubits a :class:`WidthError`.
     When any touched state is opaque, unknown, or only a basis claim, the
     merged cell becomes unknown and ``residual`` is set so the caller can
-    emit the corresponding verification condition.
+    emit the corresponding verification condition.  Otherwise the merged
+    cell is kept in ``memo``, with the touched cells' amplitude arrays, under
+    ``u`` and their qubits and the hash of their raw bytes.  An application
+    whose arrays equal those bit for bit, signed zeros included, returns the
+    same cell, the vector a fresh application computes.  The memo holds
+    references, not copies, of the arrays.
     """
     touched, residual = [], False
     for q in footprint(u):
@@ -233,9 +239,17 @@ def sp_apply_unitary(h: SymbolicHeap, u: UnitaryExpr) -> ApplyResult:
         new_cell = Cell(tuple(q for c in touched for q in c.qubits),
                         UNKNOWN_STATE)
     else:
-        qubits, vec = apply_to_cells(
-            u, [(c.qubits, c.state.amps) for c in touched])
-        new_cell = Cell(qubits, SymState("concrete", vec))
+        memo = {} if memo is None else memo
+        amps = [c.state.amps for c in touched]
+        key = (u, *[(c.qubits, hash(a.tobytes()))
+                    for c, a in zip(touched, amps)])
+        seen, new_cell = memo.get(key, ((), None))
+        if new_cell is None or not all(a is b or a.tobytes() == b.tobytes()
+                                       for a, b in zip(seen, amps)):
+            qubits, vec = apply_to_cells(
+                u, [(c.qubits, a) for c, a in zip(touched, amps)])
+            new_cell = Cell(qubits, SymState("concrete", vec))
+            memo[key] = amps, new_cell
     cells = h.without(touched) + (new_cell,)
     delta = HeapDelta(tuple(touched), (new_cell,))
     return ApplyResult(SymbolicHeap(cells), delta, residual)

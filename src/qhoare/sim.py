@@ -252,20 +252,26 @@ def _spine(term):
     return None, []
 
 
-def eval_unitary(term, resolve) -> UnitaryExpr:
-    """Interpret a term of unitary type.
-
-    ``resolve`` maps a variable name in qubit position to the qubit it
-    denotes (a symbolic name during checking, an index at runtime).  The
-    term is reduced to normal form once; a ``cond`` branch is reduced again
-    after its boolean is substituted.  Raises :class:`UnitaryError` for a
-    term that does not reduce, for non-unitary rotation matrices and for
-    conditionals whose branches touch their own control.
-    """
+def unitary_normal_form(term):
+    """``term`` in normal form; a term that does not reduce is a
+    :class:`UnitaryError`."""
     try:
-        term = core.normal_form(term)
+        return core.normal_form(term)
     except core.ReductionError as e:
         raise UnitaryError(str(e)) from e
+
+
+def eval_unitary(term, resolve) -> UnitaryExpr:
+    """Interpret a normal-form term of unitary type: a checker's canonical
+    form, or a runtime term through :func:`unitary_normal_form`.
+
+    ``resolve`` maps a variable name in qubit position to the qubit it
+    denotes (a symbolic name during checking, an index at runtime).  A
+    ``cond`` branch is reduced again after its boolean is substituted.
+    Raises :class:`UnitaryError` for a branch that does not reduce, for
+    non-unitary rotation matrices and for conditionals whose branches touch
+    their own control.
+    """
     return _interpret(term, resolve)
 
 
@@ -313,7 +319,8 @@ def _interpret(term, resolve) -> UnitaryExpr:
         branches = []
         for v in (False, True):
             body = core.subst(f.body, {f.binder: BoolLit(v)})
-            branches.append(eval_unitary(body, resolve))
+            branches.append(eval_unitary(unitary_normal_form(body),
+                                         resolve))
         for b in branches:
             if q in footprint(b):
                 raise UnitaryError(
@@ -569,7 +576,7 @@ class Interpreter:
                 key = tuple(v if isinstance(v := env.get(n), int) else None
                             for n in names)
                 u = units.get(key) or units.setdefault(
-                    key, eval_unitary(m, resolve))
+                    key, eval_unitary(unitary_normal_form(m), resolve))
                 return None, apply_unitary(state, u)
             case IfCmd(c, t, e):
                 chosen = t if self.eval_term(c, env) else e

@@ -23,8 +23,9 @@ postconditionVC carries as models for the prover.
 All verification conditions are collected for the prover.  A
 :class:`Checker` checks its program's declarations in order and shares
 state across them: the types of the declarations checked so far, one
-:class:`NameSupply`, and the memos of ``_gate`` and ``_render``.  So one
-checker must not check declarations concurrently.
+:class:`NameSupply`, and the memos of ``_gate``, of the cells that
+``sp_apply_unitary`` makes, and of ``_render``.  So one checker must not
+check declarations concurrently.
 """
 
 from __future__ import annotations
@@ -326,10 +327,11 @@ class Checker:
         self.literal = literal_measurement
         self.supply = NameSupply()
         self.decl_types = {}
-        # memos for this checker's program; see _gate and _render_once.
-        # The render memo holds no reference to the checker, so neither do
-        # the hypotheses an obligation builds with it
+        # memos for this checker's program; see _gate, sp_apply_unitary
+        # and _render_once.  The render memo holds no reference to the
+        # checker, so neither do the hypotheses an obligation builds with it
         self._gates = {}
+        self._cells = {}
         self._render = functools.partial(_render_once, {})
         self._reset_decl_state("")
 
@@ -795,7 +797,7 @@ class Checker:
                 residual_cell = None
                 for b, u in zip(branches, units):
                     try:
-                        res = sp_apply_unitary(b.heap, u)
+                        res = sp_apply_unitary(b.heap, u, self._cells)
                     except heaplib.WidthError as e:
                         raise CheckError(str(e), span) from None
                     except heaplib.HeapError:  # a qubit is not allocated

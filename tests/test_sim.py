@@ -20,7 +20,7 @@ from qhoare.sim import (
     QuantumState, Rot, SimulationError, Suspended, UnitaryError, alloc,
     apply_unitary, check_assertion_runtime, eval_unitary, footprint, if_q,
     is_unitary, measure, reduced_density, render_value, run_program,
-    shot_rng, states_equal_up_to_phase,
+    shot_rng, states_equal_up_to_phase, unitary_normal_form,
 )
 
 S = 2 ** -0.5
@@ -133,13 +133,15 @@ class TestEvalUnitary:
         "(cond b (\\v. if v then mempty else H a))",
     ])
     def test_raw_and_canonical_terms_agree(self, src):
-        # the runtime interprets the term as written, the checker its
-        # canonical form; both must denote the same unitary expression
+        # the runtime interprets the normal form of the term as written,
+        # the checker its canonical form; both must denote the same unitary
+        # expression
         term = parse_term(src)
         canonical = typecheck.check(
             {"a": QbitT(), "b": QbitT(), "q": QbitT()}, term, UT())
         resolve = self.resolve({"a": 0, "b": 1, "q": 2})
-        assert eval_unitary(term, resolve) == eval_unitary(canonical, resolve)
+        assert eval_unitary(unitary_normal_form(term), resolve) \
+            == eval_unitary(canonical, resolve)
 
     def test_is_unitary(self):
         assert is_unitary(GATES["H"])

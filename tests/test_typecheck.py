@@ -26,7 +26,7 @@ from qhoare.typecheck import (
 from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
 from genlib import (
     Gen, coin_block_source, gate_block_source, ghz_source,
-    straight_line_source,
+    measure_block_source, straight_line_source,
 )
 
 
@@ -689,6 +689,89 @@ class TestCheckerMemos:
         out = cli.render_trace(source, checked, "gates") + "\n"
         assert out == (GOLDEN_DIR / "trace_genlib_gates.txt").read_text()
         assert len(renders) == rendered
+
+
+def gate_sources() -> list:
+    """The corpus and negative files, the genlib blocks, GHZ-4 to GHZ-11
+    and 40 generated programs."""
+    sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
+    sources += [gate_block_source(300), coin_block_source(6),
+                measure_block_source(50), straight_line_source(50)]
+    sources += [ghz_source(n) for n in range(4, 12)]
+    sources += [pretty(Gen(seed).program()) for seed in range(40)]
+    return sources
+
+
+def check_sources(sources: list) -> None:
+    for source in sources:
+        try:
+            program = parse_program(source).program
+        except ParseError:
+            continue
+        check_program(program)
+
+
+class TestCellMemo:
+    """A checker applies each distinct gate to each distinct concrete cell
+    state once: ``sp_apply_unitary`` keeps the cell it makes in the
+    checker's memo, keyed by the unitary and the touched cells' qubits and
+    raw amplitude bytes."""
+
+    def test_gate_terms_are_evaluated_in_normal_form(self, monkeypatch):
+        # eval_unitary interprets the checker's canonical gate term without
+        # reducing it again, which holds when canonical forms are normal
+        from qhoare import typecheck
+        terms = []
+        monkeypatch.setattr(typecheck, "eval_unitary",
+                            _counted(typecheck.eval_unitary, terms))
+        check_sources(gate_sources())
+        assert len(terms) > 100
+        assert [pretty(t) for t in terms
+                if not core.same_node(core.normal_form(t), t)] == []
+
+    def test_memo_hits_equal_the_kernel_bit_for_bit(self, monkeypatch):
+        # each cell the memo returns is the vector a fresh application
+        # computes, signed zeros included
+        from qhoare import heap, sim, typecheck
+        kernel, hits = [], []
+        monkeypatch.setattr(heap, "apply_to_cells",
+                            _counted(heap.apply_to_cells, kernel))
+
+        def applying(h, u, memo):
+            calls = len(kernel)
+            res = heap.sp_apply_unitary(h, u, memo)
+            if res.delta.produced and not res.residual \
+                    and len(kernel) == calls:
+                hits.append((u, res.delta))
+            return res
+        monkeypatch.setattr(typecheck, "sp_apply_unitary", applying)
+        check_sources(gate_sources() + [gate_block_source(300),
+                                        straight_line_source(2000)])
+        assert len(hits) > 2000
+        for u, delta in hits:
+            (cell,) = delta.produced
+            qubits, vec = sim.apply_to_cells(
+                u, [(c.qubits, c.state.amps) for c in delta.consumed])
+            assert cell.qubits == qubits
+            assert cell.state.amps.tobytes() == vec.tobytes()
+
+    def test_kernel_runs_once_per_distinct_application(self, monkeypatch,
+                                                       tmp_path, capsys):
+        # 2,000 Hadamards on one qubit alternate between two states; the
+        # memo lives as long as its command's checker, so a second command
+        # applies the kernel as often as the first
+        from qhoare import cli, heap
+        kernel = []
+        monkeypatch.setattr(heap, "apply_to_cells",
+                            _counted(heap.apply_to_cells, kernel))
+        path = tmp_path / "deep.qh"
+        path.write_text(straight_line_source(2000))
+        assert cli.main(["check", str(path)]) == 0
+        first = len(kernel)
+        assert 0 < first <= 4
+        assert cli.main(["check", str(path)]) == 0
+        assert len(kernel) == 2 * first
+        capsys.readouterr()
 
 
 class TestAlphaEquality:
