@@ -150,6 +150,23 @@ class TestApplyUnitary:
         with pytest.raises(HeapError):
             sp_apply_unitary(SymbolicHeap(), Rot("qa", GATES["X"]))
 
+    def test_memo_returns_its_cell_for_bit_equal_cells_only(self):
+        # an equal state in another array is a hit; a state that differs
+        # in the sign of a zero, or the same amplitudes over the qubits in
+        # another order, is applied afresh
+        memo, u = {}, Rot("qa", GATES["X"])
+        first = sp_apply_unitary(h_of(Cell(("qa", "qb"), PHIP)), u, memo)
+        again = sp_apply_unitary(
+            h_of(Cell(("qa", "qb"), concrete([S, 0, 0, S]))), u, memo)
+        assert again.delta.produced[0] is first.delta.produced[0]
+        for cell in (Cell(("qa", "qb"), concrete([S, -0.0, 0, S])),
+                     Cell(("qb", "qa"), PHIP)):
+            res = sp_apply_unitary(h_of(cell), u, memo)
+            fresh = sp_apply_unitary(h_of(cell), u)
+            assert res.delta.produced[0] is not first.delta.produced[0]
+            assert res.delta.produced == fresh.delta.produced
+        assert len(memo) == 3
+
     def test_matrix_against_direct_kron(self):
         # dense route against an independent kron computation
         mat = unitary_matrix(Rot("b", GATES["H"]), ("a", "b"))

@@ -692,14 +692,9 @@ class TestCheckerMemos:
 
 
 def gate_sources() -> list:
-    """The corpus and negative files, the genlib blocks, GHZ-4 to GHZ-11
-    and 40 generated programs."""
-    sources = [p.read_text() for p in CORPUS_FILES + NEGATIVE_FILES]
-    sources += [gate_block_source(300), coin_block_source(6),
-                measure_block_source(50), straight_line_source(50)]
-    sources += [ghz_source(n) for n in range(4, 12)]
-    sources += [pretty(Gen(seed).program()) for seed in range(40)]
-    return sources
+    """The spine oracle's programs and the other two genlib blocks."""
+    return TestSpineOracle.sources() + [measure_block_source(50),
+                                        straight_line_source(50)]
 
 
 def check_sources(sources: list) -> None:
