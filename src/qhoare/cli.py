@@ -20,7 +20,7 @@ from typing import Optional
 from .core import Program, pretty, restart_fresh_names
 from .parser import parse_program
 from .prover import discharge_all
-from .typecheck import CheckedProgram, Checker, Hypotheses, check_program
+from .typecheck import Checker, DeclResult, Hypotheses, check_program
 from .sim import run_program, SimulationError
 
 EXIT_OK = 0
@@ -238,11 +238,8 @@ def cmd_trace(args) -> int:
         for d in parsed.diagnostics:
             print(d.render())
         return EXIT_ERROR
-    checked = check_program(parsed.program,
-                            literal_measurement=args.literal_measurement)
-    try:
-        dr = checked.decl(args.decl)
-    except KeyError:
+    dr = checked_decl(parsed.program, args.decl, args.literal_measurement)
+    if dr is None:
         print(f"{args.file}: error: no declaration named {args.decl!r}",
               file=sys.stderr)
         return EXIT_ERROR
@@ -251,17 +248,17 @@ def cmd_trace(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     status = discharge_all(dr.obligations).status
-    print(render_trace(source, checked, args.decl))
+    print(render_trace(source, parsed.program, dr))
     return _exit_for(Report(args.file, status), args.strict)
 
 
-def render_trace(source: str, checked: CheckedProgram, name: str) -> str:
-    """Echo the declaration's source with one assertion comment per step."""
-    dr = checked.decl(name)
-    decl = checked.program.decl(name)
+def render_trace(source: str, program: Program, dr: DeclResult) -> str:
+    """Echo the source of ``program``'s declaration ``dr`` with one
+    assertion comment per step of its trace."""
+    decl = program.decl(dr.name)
     lines = source.splitlines()
     start = decl.span.line if decl.span else 1
-    following = [d.span.line for d in checked.program.decls
+    following = [d.span.line for d in program.decls
                  if d.span and d.span.line > start]
     end = min(following) - 1 if following else len(lines)
     while end > start and not lines[end - 1].strip():
@@ -309,22 +306,28 @@ def render_trace(source: str, checked: CheckedProgram, name: str) -> str:
 # run
 
 
-def decl_status(program: Program, name: str,
-                literal_measurement: bool = False) -> Optional[str]:
-    """The status :func:`analyze` reports for declaration ``name``, or None
-    if there is none.
-
-    A declaration is checked against the ones before it only, so checking
-    stops at ``name``, and only ``name``'s conditions are proved.
-    """
+def checked_decl(program: Program, name: str,
+                 literal_measurement: bool = False) -> Optional[DeclResult]:
+    """Declaration ``name`` checked against the ones before it only, as
+    :func:`check_program` checks it, or None if there is none."""
     checker = Checker(program, literal_measurement)
     for decl in program.decls:
         result = checker.check_decl(decl)
         if decl.name == name:
-            if result.error is not None:
-                return "type-error"
-            return discharge_all(result.obligations).status
+            return result
     return None
+
+
+def decl_status(program: Program, name: str,
+                literal_measurement: bool = False) -> Optional[str]:
+    """The status :func:`analyze` reports for declaration ``name``, or None
+    if there is none; only ``name``'s conditions are proved."""
+    result = checked_decl(program, name, literal_measurement)
+    if result is None:
+        return None
+    if result.error is not None:
+        return "type-error"
+    return discharge_all(result.obligations).status
 
 
 def cmd_run(args) -> int:

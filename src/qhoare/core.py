@@ -47,6 +47,29 @@ class NameSupply:
         return name
 
 
+class _BuiltOnRead:
+    """A dataclass field that takes a function of no arguments in place of
+    its value; the first read calls it and keeps the result.  A field
+    that is never set reads as ``default()``."""
+
+    def __init__(self, default):
+        self._default = default
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, ob, owner=None):
+        if ob is None:  # the dataclass asks for the default
+            return self._default
+        value = ob.__dict__.get(self._slot, self._default)
+        if callable(value):
+            value = ob.__dict__[self._slot] = value()
+        return value
+
+    def __set__(self, ob, value):
+        ob.__dict__[self._slot] = value
+
+
 # ---------------------------------------------------------------------------
 # Types
 

@@ -25,7 +25,6 @@ report text, built when a report prints them.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +34,7 @@ from .core import (
     And, Assn, BoolLit, Emp, Entangled, GhostRef, HeapE, HeapId, HEmpty,
     HVar, IdAt, InDom, Ket, KetVec, Lookup, Pair, PointsTo, Span, UNKNOWN,
     UnitVal, Upd, Var, WildcardState, conjuncts, free_vars, kleene_and,
-    kleene_eval, pretty, strip_emb, CUR_HEAP, KET_AMPS,
+    kleene_eval, pretty, strip_emb, _BuiltOnRead, CUR_HEAP, KET_AMPS,
 )
 from .heap import (
     BASIS, Model, SymbolicHeap, SymState, UNKNOWN_STATE, WILDCARD, opaque,
@@ -51,51 +50,26 @@ UNITARITY = "unitarityVC"
 PHASE_TOL = 1e-9
 
 
-class _BuiltOnRead:
-    """A dataclass field that takes a function of no arguments in place of
-    its value; the first read calls it and keeps the result."""
-
-    def __init__(self, default):
-        self._default = default
-
-    def __set_name__(self, owner, name):
-        self._slot = "_" + name
-
-    def __get__(self, ob, owner=None):
-        if ob is None:  # the dataclass asks for the default
-            return self._default
-        value = ob.__dict__[self._slot]
-        if callable(value):
-            value = ob.__dict__[self._slot] = value()
-        return value
-
-    def __set__(self, ob, value):
-        ob.__dict__[self._slot] = value
-
-
 @dataclass
 class Obligation:
     """A verification condition.
 
-    ``var_ctx`` is any re-iterable sequence of ``(name, type)`` pairs.  The
-    checker passes a :class:`qhoare.typecheck.VarCtx`, a read-only view
-    over the context it shares between the obligations of one block; the
-    pairs are materialized each time the view is read.  ``models`` are
-    the checker's branches at the obligation, one :class:`Model` each, and
-    the prover decides the obligation in them alone; ``hypotheses``
-    describe the same branches as assertions, for the reports.  They may
-    be given as a function of no arguments, which the first read of
-    ``hypotheses`` calls and whose list it keeps: the checker gives one,
-    so only a report that prints the hypotheses builds them, and
-    :attr:`hypotheses_builder` lets a report write them without building
-    them.
+    ``models`` are the checker's branches at the obligation, one
+    :class:`Model` each, and the prover decides the obligation in them
+    alone.  ``hypotheses`` describe the same branches as assertions, and
+    ``var_ctx`` is the ``(name, type)`` pairs of the context; only reports
+    and tests read them.  Each may be given as a function of no
+    arguments, which its first read calls and whose result it keeps: the
+    checker gives functions, so checking builds neither, and
+    :attr:`hypotheses_builder` lets a report write the hypotheses without
+    building them.
     """
 
     kind: str
     conclusion: Assn
     models: list
     hypotheses: list = _BuiltOnRead(list)
-    var_ctx: Sequence = ()
+    var_ctx: tuple = _BuiltOnRead(tuple)
     heap_ctx: tuple = ()
     span: Optional[Span] = None
     note: str = ""
@@ -114,10 +88,6 @@ class Verdict:
     status: str  # "proved" | "refuted" | "unknown"
     countermodel: Optional[dict] = None
     residual: Optional[Assn] = None
-
-    @property
-    def proved(self) -> bool:
-        return self.status == "proved"
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +207,15 @@ def _state_matches(state: SymState, expr):
     return UNKNOWN if lit is None else _compare_states(state, lit)
 
 
+_QUBIT = object()  # tags a qubit among term values; no env value holds it
+
+
+def _qubit(value) -> Optional[str]:
+    """The qubit that term value ``value`` names, or None."""
+    tagged = isinstance(value, tuple) and value and value[0] is _QUBIT
+    return value[1] if tagged else None
+
+
 class _Evaluator:
     """Evaluate assertions against one model and one basis view."""
 
@@ -248,7 +227,7 @@ class _Evaluator:
         m = strip_emb(m)
         if isinstance(m, Var):
             v = self.model.env.get(m.name, m.name)
-            return ("qubit", v) if isinstance(v, str) else v
+            return (_QUBIT, v) if isinstance(v, str) else v
         if isinstance(m, BoolLit):
             return m.value
         if isinstance(m, UnitVal):
@@ -270,25 +249,24 @@ class _Evaluator:
         if isinstance(rv, WildcardState) or isinstance(lv, WildcardState):
             # the wildcard matches any definite value or allocated state
             other = lv if isinstance(rv, WildcardState) else rv
-            if isinstance(other, tuple) and other and other[0] == "qubit":
-                return self.qubit_view(other[1]) is not None
+            if (q := _qubit(other)) is not None:
+                return self.qubit_view(q) is not None
             return True if other is not UNKNOWN else UNKNOWN
         if lv is UNKNOWN or rv is UNKNOWN:
             return UNKNOWN
         if isinstance(lv, bool) and isinstance(rv, bool):
             return lv == rv
-        lq = isinstance(lv, tuple) and bool(lv) and lv[0] == "qubit"
-        rq = isinstance(rv, tuple) and bool(rv) and rv[0] == "qubit"
-        if lq or rq:
-            if lq and rq:
-                if lv[1] == rv[1]:
+        lq, rq = _qubit(lv), _qubit(rv)
+        if lq is not None or rq is not None:
+            if lq is not None and rq is not None:
+                if lq == rq:
                     return True
-                a, b = self.qubit_view(lv[1]), self.qubit_view(rv[1])
+                a, b = self.qubit_view(lq), self.qubit_view(rq)
                 if a is None or b is None:
                     return False
                 return _compare_states(a, b)
-            qside, other = (lv, rv) if lq else (rv, lv)
-            st = self.qubit_view(qside[1])
+            q, other = (lq, rv) if lq is not None else (rq, lv)
+            st = self.qubit_view(q)
             if st is None:
                 return False
             return _state_matches(st, other)
@@ -331,15 +309,11 @@ class _Evaluator:
     def _loc_names(self, loc):
         loc = strip_emb(loc)
         if isinstance(loc, Pair):
-            a, b = self.term_value(loc.first), self.term_value(loc.second)
-            if (isinstance(a, tuple) and a[0] == "qubit"
-                    and isinstance(b, tuple) and b[0] == "qubit"):
-                return (a[1], b[1])
-            return None
-        v = self.term_value(loc)
-        if isinstance(v, tuple) and v and v[0] == "qubit":
-            return (v[1],)
-        return None
+            a = _qubit(self.term_value(loc.first))
+            b = _qubit(self.term_value(loc.second))
+            return None if a is None or b is None else (a, b)
+        q = _qubit(self.term_value(loc))
+        return None if q is None else (q,)
 
     # --- atoms
 
@@ -395,10 +369,10 @@ class _Evaluator:
                     out = kleene_and(out, _compare_states(dl[k], dr[k]))
                 return out
             case Entangled(t):
-                v = self.term_value(t)
-                if not (isinstance(v, tuple) and v and v[0] == "qubit"):
+                q = _qubit(self.term_value(t))
+                if q is None:
                     return UNKNOWN
-                cell = self.model.heap.find(v[1])
+                cell = self.model.heap.find(q)
                 if cell is None:
                     return False
                 st = cell.state
@@ -406,7 +380,7 @@ class _Evaluator:
                     return UNKNOWN
                 if len(cell.qubits) == 1:
                     return False
-                rho = reduced_density(cell.qubits, st.amps, v[1])
+                rho = reduced_density(cell.qubits, st.amps, q)
                 return purity(rho) < 1 - PHASE_TOL
         return UNKNOWN
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 from collections import ChainMap
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import NamedTuple, Optional
@@ -47,7 +46,8 @@ from .core import (
     Pair, PiT, PointsTo, Program, PureT, QbitT, ReductionError, Seq, Span,
     TensorT, Top, Ty, UNKNOWN, UnitT, UnitVal, UT, Var, WildcardState,
     binder_var, chain_links, free_vars, map_children, mk_intro, normal_form,
-    pretty, same_node, strip_coercions, strip_emb, subst, CUR_HEAP,
+    pretty, same_node, strip_coercions, strip_emb, subst, _BuiltOnRead,
+    CUR_HEAP,
 )
 from .heap import (
     Cell, Model, SymbolicHeap, UNKNOWN_STATE, cell_assertion,
@@ -202,19 +202,15 @@ class TraceStep:
 
 @dataclass
 class DeclResult:
-    """A checked declaration; :attr:`trace` renders its deltas when read."""
+    """A checked declaration; the first read of :attr:`trace` renders it."""
 
     name: str
     signature: Ty
     canonical: Optional[object] = None
     obligations: list = field(default_factory=list)
     error: Optional[CheckError] = None
-    events: list = field(default_factory=list, repr=False, compare=False)
-    render: object = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def trace(self) -> list:
-        return _assemble_trace(self.events, self.render)
+    trace: list = field(default=_BuiltOnRead(list), init=False, repr=False,
+                        compare=False)
 
 
 @dataclass
@@ -264,51 +260,15 @@ class _Prefix(NamedTuple):
         return chain(base, islice(self.local, self.length))
 
 
-class VarCtx(Sequence):
-    """The ``(name, type)`` pairs of an obligation's context, as a
-    read-only view.
-
-    The pairs are the block's context in dict order (a rebound name keeps
-    its first position), then any extra names, then the first
-    ``n_binders`` statement binders and callee ghosts of the declaration,
-    then ``tail``.  The view holds a :class:`_Prefix` and a length into
-    the binder list, which only grows, so it costs the same at every
-    depth; the pairs are built again on each read.
-    """
-
-    __slots__ = ("_prefix", "_more", "_binders", "_n_binders", "_tail",
-                 "_len")
-
-    def __init__(self, scope: _Scope, more: tuple, binders: list,
-                 tail: tuple):
-        self._prefix = scope.prefix()
-        self._more = more
-        self._binders = binders
-        self._n_binders = len(binders)
-        self._tail = tail
-        self._len = (len(scope) + sum(1 for x, _ in more if x not in scope)
-                     + self._n_binders + len(tail))
-
-    def __iter__(self):
-        names = dict(self._prefix.bindings())
-        names.update(self._more)
-        yield from names.items()
-        yield from islice(self._binders, self._n_binders)
-        yield from self._tail
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"VarCtx({tuple(self)!r})"
+def _context_pairs(prefix: _Prefix, more: tuple, binders: list,
+                   n_binders: int, tail: tuple) -> tuple:
+    """The ``(name, type)`` pairs of an obligation's context: the block's
+    context ``prefix`` in dict order (a rebound name keeps its first
+    position) updated with ``more``, then the first ``n_binders`` of the
+    declaration's ``binders``, then ``tail``."""
+    names = dict(prefix.bindings())
+    names.update(more)
+    return (*names.items(), *islice(binders, n_binders), *tail)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +301,7 @@ class Checker:
         self._events = []  # (span, op_id, heap delta, refined)
         self._op_counter = 0
         # (name, type) of each statement binder and callee ghost, in
-        # program order; read by VarCtx and by check_do's unbound tail
+        # program order; read by _context_pairs and check_do's unbound tail
         self._binders = []
         self._span = None
 
@@ -359,11 +319,11 @@ class Checker:
         self._span = decl.span
         try:
             self.check_type({}, decl.signature)
-            ctx = {}
-            result.canonical = self.check(ctx, decl.body, decl.signature,
+            result.canonical = self.check({}, decl.body, decl.signature,
                                           span=decl.span)
             result.obligations = self._obs
-            result.events, result.render = self._events, self._render
+            result.trace = functools.partial(_assemble_trace, self._events,
+                                             self._render)
         except CheckError as e:
             result.error = e
         else:
@@ -553,10 +513,11 @@ class Checker:
         return Do(comp)
 
     def _obligation_ctx(self, ctx: _Scope, more: tuple = (),
-                        tail: tuple = ()) -> VarCtx:
-        """The context ``ctx`` updated with the pairs ``more``, then the
-        binders so far, then ``tail``; shares ``ctx`` and the binders."""
-        return VarCtx(ctx, more, self._binders, tail)
+                        tail: tuple = ()):
+        """A function that builds :func:`_context_pairs`; it shares ``ctx``
+        and the binders, so it costs the same at every depth."""
+        return functools.partial(_context_pairs, ctx.prefix(), more,
+                                 self._binders, len(self._binders), tail)
 
     def _heap_branches(self, a: Assn, kind, span) -> list:
         """The heap branches of ``a``; an assertion that puts one qubit in
@@ -897,12 +858,19 @@ class Checker:
     def _run_branch(self, ctx: dict, branches: list, term, span):
         """Type and run one conditional branch over the given branch set.
 
-        A ``do`` block is run in place, ascribed or not, as the runtime
-        runs it; any other term is a value, and its ascription is
-        checked."""
-        block = strip_coercions(term)
+        A bare ``do`` block is run in place, as the runtime runs it.  An
+        ascribed one is checked against its ascribed Hoare type and run as
+        a call to that type, under a fresh result name.  Any other term is
+        a value, and its ascription is checked."""
+        block = strip_emb(term)
         if isinstance(block, Do):
             return self._steps(ctx, branches, block.body, None, span)
+        if isinstance(strip_coercions(block), Do):
+            name = self.supply.fresh("s")
+            out, rty = self._run_call(ctx, branches, (name,), block, span)
+            for b in out:
+                b.result = b.env.pop(name)
+            return out, rty
         rty, tc = self._synth_intro(ctx, term)
         for b in branches:
             b.result = self._eval_value(ctx, tc, b.env)

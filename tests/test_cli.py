@@ -595,6 +595,41 @@ class TestHypothesesOnDemand:
             (GOLDEN_DIR / "text_reports.txt").read_text()
 
 
+class TestContextsOnDemand:
+    """An obligation's context is read by tests only: no command builds
+    one, and the first read builds it once."""
+
+    def test_no_command_builds_a_context(self, tmp_path, monkeypatch,
+                                         capsys):
+        from qhoare import typecheck
+        block = tmp_path / "meas.qh"
+        block.write_text(measure_block_source(200))
+        built = []
+        monkeypatch.setattr(typecheck, "_context_pairs",
+                            lambda *args: built.append(args))
+        for path, traced, ran in (
+                (corpus("bellpair.qh"), "testBell", "testBell"),
+                (corpus("teleport.qh"), "teleport", "bell"),
+                (str(block), "meas", "meas")):
+            for argv in (["check", path], ["check", path, "--format", "json"],
+                         ["vcs", path], ["vcs", path, "--format", "json"],
+                         ["trace", path, traced],
+                         ["run", path, ran, "--shots", "10"]):
+                code, _, err = run_cli(argv, capsys)
+                assert (code, err) == (0, ""), argv
+        assert built == []
+
+    def test_a_read_builds_the_context_once(self):
+        report, _ = analyze("bellpair.qh",
+                            (CORPUS_DIR / "bellpair.qh").read_text())
+        obligations = [ob for d in report.decls for ob, _ in d.obligations]
+        assert len(obligations) > 5
+        for ob in obligations:
+            first = ob.var_ctx
+            assert type(first) is tuple
+            assert ob.var_ctx is first
+
+
 # obligations with no branch, whose hypotheses are `F`: each precondition
 # makes two contradictory claims
 NO_BRANCH_SOURCE = """\
@@ -1436,8 +1471,8 @@ class TestFuzz:
 
 class TestAscriptionsInBranches:
     """An ascribed value in a conditional branch is checked against its
-    ascription; an ascribed `do` block is run in place, as the runtime
-    runs it."""
+    ascription.  An ascribed `do` block is checked against its Hoare type
+    and run as a call to it; the runtime runs it in place."""
 
     BRANCH_VALUE = (
         "f : {emp} r : Bool {T}\n"
@@ -1465,6 +1500,13 @@ class TestAscriptionsInBranches:
         "       z <= if y then (do return true : {emp} s : Bool {T})\n"
         "            else (do return false : {emp} s : Bool {T});\n"
         "       return z\n")
+    BLOCK = (
+        "f : {emp} r : Bool {%s}\n"
+        "  = do x <= mkQbit false;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then (do return true : {emp} s : Bool {Id(s, %s)})\n"
+        "            else (do return true : {emp} s : Bool {Id(s, %s)});\n"
+        "       return z\n")
 
     @pytest.mark.parametrize("source, where", [
         (BRANCH_VALUE, "4:8"), (BRANCH_RETURN, "4:26")],
@@ -1489,12 +1531,55 @@ class TestAscriptionsInBranches:
         assert code == 0
         assert "  true: 5\n" in out and "pass=5 fail=0" in out
 
-    def test_ascribed_block_runs_in_place(self, tmp_path, capsys):
+    def test_ascribed_block_returns_its_result_type(self, tmp_path, capsys):
         path = tmp_path / "asc.qh"
         path.write_text(self.ASCRIBED_BLOCK)
         code, out, _ = run_cli(["check", str(path)], capsys)
         assert (code, out) == (2, f"{path}: f: type-error (6:8: expected "
                                   f"{{emp}} s : Bool {{T}}, found Bool)\n")
+
+    def test_ascribed_block_is_checked_against_its_type(self, tmp_path,
+                                                        capsys):
+        # both blocks return true, against their ascribed Id(s, false)
+        path = tmp_path / "asc.qh"
+        path.write_text(self.BLOCK % ("T", "false", "false"))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (1, (
+            f"{path}: f: refuted\n"
+            "    4:27: postconditionVC refuted: Id(s, false)  (declared "
+            "postcondition)\n"
+            "    5:22: postconditionVC refuted: Id(s, false)  (declared "
+            "postcondition)\n"))
+        code, out, err = run_cli(["run", str(path), "f"], capsys)
+        assert (code, out, err) == (1, "", f"{path}: f: refuted statically; "
+                                           f"use --force to run anyway\n")
+        code, out, _ = run_cli(["run", str(path), "f", "--force",
+                                "--shots", "5"], capsys)
+        assert "  true: 5\n" in out
+
+    def test_block_ascribed_a_value_type_is_a_type_error(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "asc.qh"
+        path.write_text("h : {emp} r : Bool {T}\n"
+                        "  = do y <= if true then (do return true : Bool)\n"
+                        "            else (do return false : Bool);\n"
+                        "       return y\n")
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (2, f"{path}: h: type-error (2:8: a suspended "
+                                  f"computation needs a Hoare type, not "
+                                  f"Bool)\n")
+
+    def test_ascribed_block_splices_its_postcondition(self, tmp_path,
+                                                      capsys):
+        # the caller knows of the block only what its ascription says
+        path = tmp_path / "asc.qh"
+        path.write_text(self.BLOCK % ("Id(r, true)", "true", "true"))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (0, f"{path}: f: verified\n")
+        code, out, _ = run_cli(["run", str(path), "f", "--shots", "5"],
+                               capsys)
+        assert code == 0
+        assert "  true: 5\n" in out and "pass=5 fail=0" in out
 
 
 class TestCountermodelOfRepeatedModels:

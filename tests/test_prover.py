@@ -433,6 +433,39 @@ class TestQubitOrder:
         assert eval_in_model(InDom(one, Emb(Var("qb"))), empty) is False
 
 
+class TestPairOfQubits:
+    """A pair of qubits is a pair of values whatever its qubits are named:
+    a qubit named ``qubit`` does not make the pair read as one qubit."""
+
+    RESULT = ("f : \\Pi x : Qbit. {{x |-> |1\\>}} r : (Qbit, Qbit) {{Id(r, x)}}"
+              "\n  = \\x. do {0} <= mkQbit false; return ({0}, x)\n")
+    COMPONENTS = ("f : \\Pi {0} : Qbit. \\Pi {1} : Qbit. "
+                  "{{{0} |-> |0\\> /\\ {1} |-> |1\\>}} r : (Qbit, Qbit) "
+                  "{{Id(r, ({0}, {1}))}}\n  = \\{0}. \\{1}. do return ({0}, {1})\n")
+
+    @staticmethod
+    def status(source):
+        dr = check_program(parse_program(source).program).decls[0]
+        assert dr.error is None
+        return discharge_all(dr.obligations).status
+
+    @pytest.mark.parametrize("name", ["qubit", "a"])
+    def test_pair_is_not_its_second_qubit(self, name):
+        assert self.status(self.RESULT.format(name)) == "conditional"
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("qubit", "y"),
+                                       ("x", "qubit")])
+    def test_pair_compared_with_the_pair_of_its_qubits(self, names):
+        # not decided, whatever the names (ROADMAP, "ruled out")
+        assert self.status(self.COMPONENTS.format(*names)) == "conditional"
+
+    def test_evaluator_reads_a_pair_value_as_a_pair(self):
+        model = Model(SymbolicHeap((Cell(("x",), concrete([0, 1])),)),
+                      {"r": ("qubit", "x"), "x": "x"})
+        assert eval_in_model(IdAt(None, Emb(Var("r")), Emb(Var("x"))),
+                             model) is UNKNOWN
+
+
 class TestCountermodels:
     def test_env_values_render_like_run_results(self):
         env = {"b": True, "q": "qa", "p": (None, ("qa", UNKNOWN)),

@@ -1,6 +1,6 @@
-"""The package source itself: every top-level name and every import is
-used, one module reads the fields of AST nodes, and every name the
-benchmark tracer wraps is called."""
+"""The package source itself: every top-level name, method, property and
+import is used, one module reads the fields of AST nodes, and every name
+the benchmark tracer wraps is called."""
 
 import ast
 import pathlib
@@ -11,10 +11,16 @@ import qhoare
 SRC_DIR = pathlib.Path(qhoare.__file__).parent
 
 
-def unreferenced_top_level_names() -> set:
-    """``module.name`` of each top-level function, class or constant of
-    the package that no module of it loads by name or as an attribute."""
-    defined, used = set(), set()
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _package_names() -> tuple:
+    """``(module, name)`` of each top-level function, class or constant
+    of the package, ``(module, class, name)`` of each method and property
+    of its classes, and the set of names its modules load by name or as
+    an attribute."""
+    defined, methods, used = set(), set(), set()
     for path in sorted(SRC_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
@@ -32,15 +38,40 @@ def unreferenced_top_level_names() -> set:
                 used.add(n.id)
             elif isinstance(n, ast.Attribute):
                 used.add(n.attr)
+            elif isinstance(n, ast.ClassDef):
+                methods.update(
+                    (path.stem, n.name, f.name) for f in n.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return defined, methods, used
+
+
+def unreferenced_top_level_names() -> set:
+    """``module.name`` of each top-level function, class or constant of
+    the package that no module of it loads by name or as an attribute."""
+    defined, _, used = _package_names()
     return {f"{module}.{name}" for module, name in defined
-            if name not in used
-            and not (name.startswith("__") and name.endswith("__"))}
+            if name not in used and not _is_dunder(name)}
+
+
+def unreferenced_methods() -> set:
+    """``module.Class.name`` of each method and property, not a dunder, of
+    a class of the package whose name no module of it loads by name or as
+    an attribute."""
+    _, methods, used = _package_names()
+    return {f"{module}.{cls}.{name}" for module, cls, name in methods
+            if name not in used and not _is_dunder(name)}
 
 
 def test_no_unreferenced_top_level_names():
     # perfbench's per-layer tracer wraps heap.unitary_matrix by name and
     # reports its calls, so it stays although nothing here calls it
     assert unreferenced_top_level_names() == {"heap.unitary_matrix"}
+
+
+def test_no_unreferenced_methods():
+    # a method or property that only tests read is code the package does
+    # not need
+    assert unreferenced_methods() == set()
 
 
 def unused_imports() -> set:

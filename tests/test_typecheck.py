@@ -686,7 +686,7 @@ class TestCheckerMemos:
         rendered = len(renders)
         assert rendered >= len(steps) > 300
         assert checked.decls[0].trace is steps
-        out = cli.render_trace(source, checked, "gates") + "\n"
+        out = cli.render_trace(source, program, checked.decls[0]) + "\n"
         assert out == (GOLDEN_DIR / "trace_genlib_gates.txt").read_text()
         assert len(renders) == rendered
 
