@@ -983,8 +983,9 @@ class TestRun:
 
 
 class TestRunChecksUpToTheEntry:
-    """`run` checks the declarations up to its entry and proves only the
-    entry's conditions; what it prints is what a full `analyze` gives."""
+    """`run` and `trace` check the declarations up to their entry and
+    prove only the entry's conditions; what they print is what a full
+    `analyze` gives."""
 
     # the declarations after `hqw` are a type error and a refuted one
     AFTER_SOURCE = (CORPUS_DIR / "hqw.qh").read_text() + """
@@ -1027,6 +1028,24 @@ wrong : {emp} r : Bool {emp /\\ Id(r, true)}
         assert (code, out) == (1, "")
         assert err == (f"{src}: wrong: refuted statically; "
                        f"use --force to run anyway\n")
+
+    def test_trace_checks_up_to_its_entry(self, tmp_path, capsys,
+                                          monkeypatch):
+        from qhoare import typecheck
+        src = tmp_path / "after.qh"
+        src.write_text(self.AFTER_SOURCE)
+        _, alone, _ = run_cli(["trace", corpus("hqw.qh"), "hqw"], capsys)
+        checked, check_decl = [], typecheck.Checker.check_decl
+        monkeypatch.setattr(typecheck.Checker, "check_decl",
+                            lambda self, decl: checked.append(decl.name)
+                            or check_decl(self, decl))
+        assert run_cli(["trace", str(src), "hqw"], capsys) == (0, alone, "")
+        assert checked == ["hqw"]
+        code, out, err = run_cli(["trace", str(src), "bad"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{src}: bad: type-error: ")
+        code, out, _ = run_cli(["trace", str(src), "wrong"], capsys)
+        assert code == 1 and "-- P0: emp" in out
 
     def test_assertion_naming_a_later_declaration(self, tmp_path, capsys):
         # an assertion may name any declaration of the file, so the entry

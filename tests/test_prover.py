@@ -437,11 +437,13 @@ class TestPairOfQubits:
     """A pair of qubits is a pair of values whatever its qubits are named:
     a qubit named ``qubit`` does not make the pair read as one qubit."""
 
-    RESULT = ("f : \\Pi x : Qbit. {{x |-> |1\\>}} r : (Qbit, Qbit) {{Id(r, x)}}"
-              "\n  = \\x. do {0} <= mkQbit false; return ({0}, x)\n")
+    RESULT = ("f : \\Pi x : Qbit. {{x |-> |1\\>}} r : (Qbit, Qbit) "
+              "{{Id(r, x)}}\n"
+              "  = \\x. do {0} <= mkQbit false; return ({0}, x)\n")
     COMPONENTS = ("f : \\Pi {0} : Qbit. \\Pi {1} : Qbit. "
                   "{{{0} |-> |0\\> /\\ {1} |-> |1\\>}} r : (Qbit, Qbit) "
-                  "{{Id(r, ({0}, {1}))}}\n  = \\{0}. \\{1}. do return ({0}, {1})\n")
+                  "{{Id(r, ({0}, {1}))}}\n"
+                  "  = \\{0}. \\{1}. do return ({0}, {1})\n")
 
     @staticmethod
     def status(source):
