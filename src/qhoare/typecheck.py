@@ -218,12 +218,6 @@ class CheckedProgram:
     program: Program
     decls: list  # list[DeclResult]
 
-    def decl(self, name: str) -> DeclResult:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
 
 class _Scope(dict):
     """Typing context of one ``do`` block.
@@ -244,14 +238,23 @@ class _Scope(dict):
         self[name] = ty
         self._local.append((name, ty))
 
-    def prefix(self) -> "_Prefix":
-        return _Prefix(self._base, self._local, len(self._local))
+    def prefix(self, *added) -> "_Prefix":
+        return _Prefix(self._base, self._local, len(self._local), *added)
 
 
 class _Prefix(NamedTuple):
+    """A block's context at one point, and what an obligation made there
+    adds.  A call builds the obligation's ``(name, type)`` pairs: the
+    context in dict order (a rebound name keeps its first position)
+    updated with ``more``, then ``binders[:n_binders]``, then ``tail``."""
+
     base: object  # _Prefix of the enclosing block, or entry (name, ty) pairs
     local: list
     length: int
+    more: tuple = ()
+    binders: list = ()
+    n_binders: int = 0
+    tail: tuple = ()
 
     def bindings(self):
         """Every binding in order; a dict of them is the context."""
@@ -259,16 +262,11 @@ class _Prefix(NamedTuple):
                 else self.base)
         return chain(base, islice(self.local, self.length))
 
-
-def _context_pairs(prefix: _Prefix, more: tuple, binders: list,
-                   n_binders: int, tail: tuple) -> tuple:
-    """The ``(name, type)`` pairs of an obligation's context: the block's
-    context ``prefix`` in dict order (a rebound name keeps its first
-    position) updated with ``more``, then the first ``n_binders`` of the
-    declaration's ``binders``, then ``tail``."""
-    names = dict(prefix.bindings())
-    names.update(more)
-    return (*names.items(), *islice(binders, n_binders), *tail)
+    def __call__(self) -> tuple:
+        names = dict(self.bindings())
+        names.update(self.more)
+        return (*names.items(), *islice(self.binders, self.n_binders),
+                *self.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,7 @@ class Checker:
         self._events = []  # (span, op_id, heap delta, refined)
         self._op_counter = 0
         # (name, type) of each statement binder and callee ghost, in
-        # program order; read by _context_pairs and check_do's unbound tail
+        # program order; read by _Prefix and check_do's unbound tail
         self._binders = []
         self._span = None
 
@@ -513,11 +511,11 @@ class Checker:
         return Do(comp)
 
     def _obligation_ctx(self, ctx: _Scope, more: tuple = (),
-                        tail: tuple = ()):
-        """A function that builds :func:`_context_pairs`; it shares ``ctx``
-        and the binders, so it costs the same at every depth."""
-        return functools.partial(_context_pairs, ctx.prefix(), more,
-                                 self._binders, len(self._binders), tail)
+                        tail: tuple = ()) -> _Prefix:
+        """A :class:`_Prefix` that builds the obligation's context; it
+        shares ``ctx`` and the binders, so it costs the same at every
+        depth."""
+        return ctx.prefix(more, self._binders, len(self._binders), tail)
 
     def _heap_branches(self, a: Assn, kind, span) -> list:
         """The heap branches of ``a``; an assertion that puts one qubit in
@@ -639,8 +637,8 @@ class Checker:
                     branches = self._cap_branches(branches, ctx)
 
                 case BindRun(pat, source):
-                    branches, rty = self._run_call(ctx, branches, pat,
-                                                   source, span)
+                    branches, rty = self._run_call(
+                        ctx, branches, pat, self.synth(ctx, source)[0], span)
                     if len(pat) == 1:
                         bound = ((pat[0], rty),)
                     elif isinstance(rty, TensorT):
@@ -860,16 +858,19 @@ class Checker:
 
         A bare ``do`` block is run in place, as the runtime runs it.  An
         ascribed one is checked against its ascribed Hoare type and run as
-        a call to that type, under a fresh result name.  Any other term is
-        a value, and its ascription is checked."""
+        a call to that type, under a fresh result name, or two for a
+        pair.  Any other term is a value, and its ascription is checked."""
         block = strip_emb(term)
         if isinstance(block, Do):
             return self._steps(ctx, branches, block.body, None, span)
         if isinstance(strip_coercions(block), Do):
-            name = self.supply.fresh("s")
-            out, rty = self._run_call(ctx, branches, (name,), block, span)
+            sty, _ = self.synth(ctx, block)
+            pair = isinstance(sty.result, TensorT)
+            pat = tuple(self.supply.fresh("s") for _ in range(1 + pair))
+            out, rty = self._run_call(ctx, branches, pat, sty, span)
             for b in out:
-                b.result = b.env.pop(name)
+                value = tuple(b.env.pop(p) for p in pat)
+                b.result = value if pair else value[0]
             return out, rty
         rty, tc = self._synth_intro(ctx, term)
         for b in branches:
@@ -878,8 +879,8 @@ class Checker:
 
     # --- calls
 
-    def _run_call(self, ctx: dict, branches: list, pat, source, span):
-        sty, _ = self.synth(ctx, source)
+    def _run_call(self, ctx: dict, branches: list, pat, sty: Ty, span):
+        """Run a computation of type ``sty``, binding its result to ``pat``."""
         if not isinstance(sty, HoareT):
             raise CheckError(
                 f"bind source has type {pretty(sty)}; a suspended "

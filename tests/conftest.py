@@ -24,6 +24,12 @@ VERIFIED_DECLS = {
 }
 
 
+def decl_result(checked, name: str):
+    """The ``DeclResult`` named ``name`` of the ``CheckedProgram``
+    ``checked``."""
+    return next(d for d in checked.decls if d.name == name)
+
+
 def state_vector(state):
     """The live qubits of a runtime ``sim.QuantumState`` in allocation
     order, and the dense vector of the product of its cells over them, the

@@ -22,11 +22,11 @@ from qhoare.sim import (
     apply_unitary, shot_rng, states_equal_up_to_phase,
 )
 from qhoare.typecheck import check_program
-from conftest import CORPUS_DIR, state_vector
+from conftest import CORPUS_DIR, decl_result, state_vector
 
 
 def final_branches(checked, name):
-    dr = checked.decl(name)
+    dr = decl_result(checked, name)
     assert dr.error is None
     for ob in dr.obligations:
         if ob.kind == POSTCONDITION and "postcondition" in ob.note:

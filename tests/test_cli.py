@@ -605,8 +605,8 @@ class TestContextsOnDemand:
         block = tmp_path / "meas.qh"
         block.write_text(measure_block_source(200))
         built = []
-        monkeypatch.setattr(typecheck, "_context_pairs",
-                            lambda *args: built.append(args))
+        monkeypatch.setattr(typecheck._Prefix, "__call__",
+                            lambda prefix: built.append(prefix))
         for path, traced, ran in (
                 (corpus("bellpair.qh"), "testBell", "testBell"),
                 (corpus("teleport.qh"), "teleport", "bell"),
@@ -1527,6 +1527,19 @@ class TestAscriptionsInBranches:
         "            else (do return true : {emp} s : Bool {Id(s, %s)});\n"
         "       return z\n")
 
+    PAIR_BLOCK = (
+        "f : {emp} (a, b) : (Qbit, Qbit) {Id(a, |0\\>) /\\ Id(b, |0\\>)}\n"
+        "  = do x <= mkQbit false;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then (do a <= mkQbit false; b <= mkQbit false;\n"
+        "                          return (a, b)\n"
+        "                        : %s)\n"
+        "            else (do a <= mkQbit false; b <= mkQbit false;\n"
+        "                     return (a, b)\n"
+        "                   : %s);\n"
+        "       return z\n")
+    PAIR_TYPE = "{emp} (a, b) : (Qbit, Qbit) {Id(a, |0\\>) /\\ Id(b, |%s\\>)}"
+
     @pytest.mark.parametrize("source, where", [
         (BRANCH_VALUE, "4:8"), (BRANCH_RETURN, "4:26")],
         ids=["value", "return"])
@@ -1575,6 +1588,37 @@ class TestAscriptionsInBranches:
         code, out, _ = run_cli(["run", str(path), "f", "--force",
                                 "--shots", "5"], capsys)
         assert "  true: 5\n" in out
+
+    def test_ascribed_block_binds_a_pair(self, tmp_path, capsys):
+        # a pair binder, as bell's, names the two qubits the block returns
+        path = tmp_path / "asc.qh"
+        path.write_text(self.PAIR_BLOCK % (self.PAIR_TYPE % 0,
+                                           self.PAIR_TYPE % 0))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert (code, out) == (0, f"{path}: f: verified\n")
+        code, out, _ = run_cli(["run", str(path), "f", "--shots", "5"],
+                               capsys)
+        assert code == 0 and "pass=5 fail=0" in out
+        # a wrong pair post is the block's own refuted obligation
+        path.write_text(self.PAIR_BLOCK % (self.PAIR_TYPE % 1,
+                                           self.PAIR_TYPE % 0))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        assert code == 1 and out.splitlines()[:2] == [
+            f"{path}: f: refuted",
+            "    5:27: postconditionVC refuted: Id(a, |0\\>) /\\ "
+            "Id(b, |1\\>)  (declared postcondition)"]
+
+    def test_ascribed_block_binds_a_pair_to_one_name(self, tmp_path, capsys):
+        # one binder of pair type: the prover leaves the block's own post
+        # open, and the caller reads the pair's two cells from it
+        path = tmp_path / "asc.qh"
+        one = "{emp} s : (Qbit, Qbit) {s |-> |vec(1, 0, 0, 0)\\>}"
+        path.write_text(self.PAIR_BLOCK % (one, one))
+        code, out, _ = run_cli(["check", str(path)], capsys)
+        unknown = ("postconditionVC unknown: s |-> |vec(1, 0, 0, 0)\\>  "
+                   "(declared postcondition)\n")
+        assert (code, out) == (0, f"{path}: f: conditional\n"
+                                  f"    5:27: {unknown}    8:22: {unknown}")
 
     def test_block_ascribed_a_value_type_is_a_type_error(self, tmp_path,
                                                           capsys):

@@ -7,6 +7,8 @@ from qhoare.prover import ALLOCATION, discharge_all
 from qhoare.sim import run_program
 from qhoare.typecheck import check_program
 
+from conftest import decl_result
+
 
 def analyze(src: str):
     parsed = parse_program(src, "<test>")
@@ -64,7 +66,7 @@ def test_double_measurement_refuted_statically():
            "           measQbit q\n")
     parsed = parse_program(src)
     checked = check_program(parsed.program)
-    dr = checked.decl("again")
+    dr = decl_result(checked, "again")
     assert dr.error is None
     report = discharge_all(dr.obligations)
     assert report.status == "refuted"
@@ -80,7 +82,7 @@ def test_unitary_on_measured_qubit_refuted():
            "          return a\n")
     parsed = parse_program(src)
     checked = check_program(parsed.program)
-    report = discharge_all(checked.decl("late").obligations)
+    report = discharge_all(decl_result(checked, "late").obligations)
     assert report.status == "refuted"
 
 
@@ -91,8 +93,8 @@ def test_pure_conditional_in_let():
            "              measQbit q\n")
     parsed = parse_program(src)
     checked = check_program(parsed.program)
-    assert checked.decl("sel").error is None
-    assert discharge_all(checked.decl("sel").obligations).status == \
+    assert decl_result(checked, "sel").error is None
+    assert discharge_all(decl_result(checked, "sel").obligations).status == \
         "verified"
 
 

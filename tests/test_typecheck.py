@@ -23,7 +23,7 @@ from qhoare.typecheck import (
     BUILTIN_TYPES, CheckError, Checker, alpha_normalize, check,
     check_program, normalize, synth, types_equal,
 )
-from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES
+from conftest import CORPUS_FILES, GOLDEN_DIR, NEGATIVE_FILES, decl_result
 from genlib import (
     Gen, coin_block_source, gate_block_source, ghz_source,
     measure_block_source, straight_line_source,
@@ -86,7 +86,7 @@ class TestCheck:
     def test_hqw_do_block_discharges(self, corpus):
         prog = corpus["hqw.qh"]
         checked = check_program(prog)
-        dr = checked.decl("hqw")
+        dr = decl_result(checked, "hqw")
         assert dr.error is None
         assert isinstance(dr.canonical, Do)
         assert discharge_all(dr.obligations).status == "verified"
@@ -343,7 +343,7 @@ class TestComputations:
         # postconditionVC carries as its hypotheses and models
         program = parse_program(
             "t : {emp} r : Bool {T} = do return true").program
-        result = check_program(program).decl("t")
+        result = decl_result(check_program(program), "t")
         assert result.error is None
         (ob,) = result.obligations
         assert ob.kind == "postconditionVC"
@@ -365,7 +365,7 @@ class TestComputations:
             "          applyU (H q);\n"
             "          d <= measQbit q;\n"
             "          return c\n").program
-        result = check_program(program).decl("snap")
+        result = decl_result(check_program(program), "snap")
         hyps = [(ob.kind, [pretty(h) for h in ob.hypotheses])
                 for ob in result.obligations if ob.kind != "unitarityVC"]
         assert hyps == [
@@ -423,7 +423,7 @@ class TestComputations:
         assert discharge_all(result.obligations).status == "verified"
 
     def test_testbell_five_trace_steps(self, checked_corpus):
-        dr = checked_corpus["testbell.qh"].decl("testBell")
+        dr = decl_result(checked_corpus["testbell.qh"], "testBell")
         assert len(dr.trace) == 5
         texts = [pretty(s.assertion) for s in dr.trace]
         assert texts[0] == "P0 \\o (qa |-> |0\\>)"
@@ -447,7 +447,7 @@ class TestComputations:
             "            else (do applyU (X p); return ());\n"
             "       applyU (H p);\n"
             "       return b\n").program
-        dr = check_program(program).decl("n")
+        dr = decl_result(check_program(program), "n")
         (ob,) = [o for o in dr.obligations
                  if o.note == "unitary footprint must be allocated"]
         assert pretty(ob.conclusion) == "p ~> -"
@@ -461,7 +461,7 @@ class TestComputations:
         # the strongest postcondition is the postconditionVC's hypotheses;
         # the machine names in it are bound by the obligation's context,
         # and the declared postcondition it must imply names none of them
-        dr = checked_corpus["hqw.qh"].decl("hqw")
+        dr = decl_result(checked_corpus["hqw.qh"], "hqw")
         (ob,) = [o for o in dr.obligations if o.kind == "postconditionVC"]
         context = {x for x, _ in ob.var_ctx} | set(ob.heap_ctx)
         machine = {name for a in ob.hypotheses for name in free_vars(a)
@@ -516,7 +516,7 @@ class TestCorpusVerification:
         for fname, names in VERIFIED_DECLS.items():
             checked = checked_corpus[fname]
             for name in names:
-                dr = checked.decl(name)
+                dr = decl_result(checked, name)
                 assert dr.error is None, (fname, name)
                 report = discharge_all(dr.obligations)
                 assert report.status == "verified", (fname, name)
@@ -524,7 +524,7 @@ class TestCorpusVerification:
     def test_appendix_pipeline_conditional(self, checked_corpus):
         checked = checked_corpus["teleport.qh"]
         for name in ("alice", "bob", "teleport"):
-            dr = checked.decl(name)
+            dr = decl_result(checked, name)
             assert dr.error is None
             report = discharge_all(dr.obligations)
             assert report.status == "conditional", name
@@ -579,7 +579,7 @@ class TestCorpusVerification:
     def test_literal_measurement_mode(self, corpus):
         checked = check_program(corpus["testbell.qh"],
                                 literal_measurement=True)
-        dr = checked.decl("testBell")
+        dr = decl_result(checked, "testBell")
         report = discharge_all(dr.obligations)
         assert report.status == "conditional"
         assert report.counts["refuted"] == 0
@@ -591,7 +591,7 @@ class TestCorpusVerification:
                f"    = \\b. do {steps}return ()\n")
         prog = parse_program(src).program
         checked = check_program(prog)
-        dr = checked.decl("wide")
+        dr = decl_result(checked, "wide")
         assert dr.error is None
         assert any("branch bound" in ob.note for ob in dr.obligations)
         report = discharge_all(dr.obligations)
@@ -620,7 +620,7 @@ class TestCorpusVerification:
                "         measQbit q\n")
         prog = parse_program(src).program
         checked = check_program(prog)
-        assert checked.decl("bad").error is not None
+        assert decl_result(checked, "bad").error is not None
 
     def test_subject_reduction_smoke(self, corpus, checked_corpus):
         # verified programs never fail runtime assertions (small version;
@@ -857,7 +857,7 @@ class TestCaptureAvoidance:
             "f : \\Pi x : Bool. {emp} r : Bool {Id(r, x)} = \\x. do return x\n"
             f"g : \\Pi {x} : Bool. {{emp}} s : Bool {{Id(s, {x})}}\n"
             f"  = \\{x}. do t <- f {x}; return t\n").program)
-        g = checked.decl("g")
+        g = decl_result(checked, "g")
         assert g.error is None
         assert discharge_all(g.obligations).status == "verified"
 
@@ -883,7 +883,7 @@ class TestQubitOrder:
         checked = check_program(parse_program(
             f"f : {{emp}} (a, b) : (Qbit, Qbit) {{{post}}} = {self.BLOCK}\n"
         ).program)
-        f = checked.decl("f")
+        f = decl_result(checked, "f")
         assert f.error is None
         assert discharge_all(f.obligations).status == status
 
@@ -898,7 +898,7 @@ class TestQubitOrder:
             f"f : {{emp}} (a, b) : (Qbit, Qbit) {{{post}}} = "
             "do qa <= mkQbit false; qb <= mkQbit true; return (qa, qb)\n"
         ).program)
-        f = checked.decl("f")
+        f = decl_result(checked, "f")
         assert f.error is None
         assert discharge_all(f.obligations).status == status
 
@@ -912,6 +912,6 @@ class TestQubitOrder:
             "f : \\Pi a : Qbit. \\Pi b : Qbit. x : Pure.\n"
             f"    {{(a, b) |-> x}} r : 1 {{{post}}} = \\a. \\b. do return ()\n"
         ).program)
-        f = checked.decl("f")
+        f = decl_result(checked, "f")
         assert f.error is None
         assert discharge_all(f.obligations).status == status
