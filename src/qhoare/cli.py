@@ -20,7 +20,7 @@ from typing import Optional
 from .core import Program, pretty, restart_fresh_names
 from .parser import parse_program
 from .prover import discharge_all
-from .typecheck import Checker, DeclResult, Hypotheses, check_program
+from .typecheck import DeclResult, Hypotheses, check_program
 from .sim import run_program, SimulationError
 
 EXIT_OK = 0
@@ -231,24 +231,15 @@ def _read(path: str) -> Optional[str]:
 
 
 def cmd_trace(args) -> int:
-    if (source := _read(args.file)) is None:
+    if (entry := _checked_entry(args)) is None:
         return EXIT_ERROR
-    parsed = parse_program(source, args.file)
-    if not parsed.ok:
-        for d in parsed.diagnostics:
-            print(d.render())
-        return EXIT_ERROR
-    dr = checked_decl(parsed.program, args.decl, args.literal_measurement)
-    if dr is None:
-        print(f"{args.file}: error: no declaration named {args.decl!r}",
-              file=sys.stderr)
-        return EXIT_ERROR
+    source, program, dr = entry
     if dr.error is not None:
         print(f"{args.file}: {args.decl}: type-error: {dr.error.message}",
               file=sys.stderr)
         return EXIT_ERROR
     status = discharge_all(dr.obligations).status
-    print(render_trace(source, parsed.program, dr))
+    print(render_trace(source, program, dr))
     return _exit_for(Report(args.file, status), args.strict)
 
 
@@ -302,32 +293,39 @@ def render_trace(source: str, program: Program, dr: DeclResult) -> str:
     return "\n".join(out)
 
 
-# ---------------------------------------------------------------------------
-# run
-
-
 def checked_decl(program: Program, name: str,
                  literal_measurement: bool = False) -> Optional[DeclResult]:
-    """Declaration ``name`` checked against the ones before it only, as
-    :func:`check_program` checks it, or None if there is none."""
-    checker = Checker(program, literal_measurement)
-    for decl in program.decls:
-        result = checker.check_decl(decl)
+    """Declaration ``name`` checked as :func:`check_program` checks it in
+    ``program``, or None if there is none; the declarations after it are
+    not checked."""
+    for i, decl in enumerate(program.decls):
         if decl.name == name:
-            return result
+            prefix = Program(program.decls[:i + 1])
+            return check_program(prefix, literal_measurement).decls[-1]
     return None
 
 
-def decl_status(program: Program, name: str,
-                literal_measurement: bool = False) -> Optional[str]:
-    """The status :func:`analyze` reports for declaration ``name``, or None
-    if there is none; only ``name``'s conditions are proved."""
-    result = checked_decl(program, name, literal_measurement)
-    if result is None:
+def _checked_entry(args):
+    """``(source, program, DeclResult)`` of ``args.decl`` in ``args.file``,
+    read, parsed and checked up to it; None, after saying why, when the
+    file is unreadable, does not parse or has no such declaration."""
+    if (source := _read(args.file)) is None:
         return None
-    if result.error is not None:
-        return "type-error"
-    return discharge_all(result.obligations).status
+    parsed = parse_program(source, args.file)
+    if not parsed.ok:
+        for d in parsed.diagnostics:
+            print(d.render())
+        return None
+    dr = checked_decl(parsed.program, args.decl, args.literal_measurement)
+    if dr is None:
+        print(f"{args.file}: error: no declaration named {args.decl!r}",
+              file=sys.stderr)
+        return None
+    return source, parsed.program, dr
+
+
+# ---------------------------------------------------------------------------
+# run
 
 
 def cmd_run(args) -> int:
@@ -335,27 +333,18 @@ def cmd_run(args) -> int:
         print(f"{args.file}: error: --shots must be at least 0, "
               f"got {args.shots}", file=sys.stderr)
         return EXIT_ERROR
-    if (source := _read(args.file)) is None:
+    if (entry := _checked_entry(args)) is None:
         return EXIT_ERROR
-    parsed = parse_program(source, args.file)
-    if not parsed.ok:
-        for d in parsed.diagnostics:
-            print(d.render())
-        return EXIT_ERROR
-    status = decl_status(parsed.program, args.decl, args.literal_measurement)
-    if status is None:
-        print(f"{args.file}: error: no declaration named {args.decl!r}",
-              file=sys.stderr)
-        return EXIT_ERROR
-    if status == "type-error":
+    _, program, dr = entry
+    if dr.error is not None:
         print(f"{args.file}: {args.decl}: type-error", file=sys.stderr)
         return EXIT_ERROR
-    if status == "refuted" and not args.force:
+    if discharge_all(dr.obligations).status == "refuted" and not args.force:
         print(f"{args.file}: {args.decl}: refuted statically; "
               f"use --force to run anyway", file=sys.stderr)
         return EXIT_REFUTED
     try:
-        rep = run_program(parsed.program, args.decl, seed=args.seed,
+        rep = run_program(program, args.decl, seed=args.seed,
                           shots=args.shots)
     except SimulationError as e:
         print(f"{args.file}: {args.decl}: runtime error: {e}",

@@ -79,7 +79,7 @@ UNKNOWN_STATE = SymState("unknown", exact=False)
 WILDCARD = SymState("wildcard", exact=False)
 
 
-def concrete(amps, exact: bool = True) -> SymState:
+def concrete(amps) -> SymState:
     """A concrete state of the amplitudes ``amps``, a copy of them; their
     norm must be 1 within 1e-6, and is made 1."""
     v = np.array(amps, dtype=complex)
@@ -88,7 +88,7 @@ def concrete(amps, exact: bool = True) -> SymState:
         raise HeapError(f"state vector norm {n} is not 1")
     if abs(n - 1.0) > 1e-15:  # scrub accumulated float drift
         v = v / n
-    return SymState("concrete", v, exact=exact)
+    return SymState("concrete", v, exact=True)
 
 
 # |0> and |1>, exact and as per-branch claims: BASIS[exact][bit]

@@ -226,13 +226,14 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def is_unitary(matrix, tol: float = NORM_TOL) -> bool:
+def is_unitary(matrix) -> bool:
     # strict absolute tolerance: entries truncated to a handful of digits
     # deviate by more than 1e-9 and are rejected rather than renormalized
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         return False
-    return bool(np.allclose(m.conj().T @ m, np.eye(2), atol=tol, rtol=0.0))
+    return bool(np.allclose(m.conj().T @ m, np.eye(2), atol=NORM_TOL,
+                            rtol=0.0))
 
 
 def _as_tuple_matrix(matrix) -> tuple:
@@ -614,13 +615,11 @@ class Interpreter:
 # Runtime assertion checking
 
 
-def _state_reference(expr, ghosts: dict):
+def _state_reference(expr):
     if isinstance(expr, Ket):
         return np.asarray(expr.amplitudes())
     if isinstance(expr, KetVec):
         return np.asarray(expr.amps, dtype=complex)
-    if isinstance(expr, GhostRef) and expr.name in ghosts:
-        return np.asarray(ghosts[expr.name], dtype=complex)
     return None
 
 
@@ -641,22 +640,18 @@ def _is_qubit(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _assertion_value(term, env: dict, ghosts: dict):
+def _assertion_value(term, env: dict):
     """The runtime value of an assertion's term, UNKNOWN when it has none."""
     m = strip_coercions(term)
     if isinstance(m, Var):
-        if m.name in env:
-            return env[m.name]
-        if m.name in ghosts:
-            return GhostRef(m.name)
-        return UNKNOWN
+        return env.get(m.name, UNKNOWN)
     if isinstance(m, BoolLit):
         return m.value
     if isinstance(m, UnitVal):
         return None
     if isinstance(m, Pair):
-        a = _assertion_value(m.first, env, ghosts)
-        b = _assertion_value(m.second, env, ghosts)
+        a = _assertion_value(m.first, env)
+        b = _assertion_value(m.second, env)
         if a is UNKNOWN or b is UNKNOWN:
             return UNKNOWN
         return (a, b)
@@ -665,18 +660,15 @@ def _assertion_value(term, env: dict, ghosts: dict):
     return UNKNOWN
 
 
-def check_assertion_runtime(assertion, env: dict, state: QuantumState,
-                            ghosts: Optional[dict] = None):
+def check_assertion_runtime(assertion, env: dict, state: QuantumState):
     """Evaluate the runtime-checkable fragment of an assertion.
 
     Returns True, False, or :data:`qhoare.core.UNKNOWN` when uncheckable.
     """
-    ghosts = ghosts or {}
-
     def qubit_matches(q: int, ref) -> object:
         if isinstance(ref, WildcardState):
             return True
-        vec = _state_reference(ref, ghosts)
+        vec = _state_reference(ref)
         if vec is None:
             return UNKNOWN
         if len(vec) != 2:
@@ -692,8 +684,8 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
             case Emp():
                 return not state.cells
             case IdAt(_, l, r):
-                lv = _assertion_value(l, env, ghosts)
-                rv = _assertion_value(r, env, ghosts)
+                lv = _assertion_value(l, env)
+                rv = _assertion_value(r, env)
                 if lv is UNKNOWN or rv is UNKNOWN:
                     return UNKNOWN
                 if isinstance(lv, bool) and isinstance(rv, bool):
@@ -712,12 +704,12 @@ def check_assertion_runtime(assertion, env: dict, state: QuantumState,
                     return qubit_matches(rv, lv)
                 return UNKNOWN
             case Lookup(loc, _) | PointsTo(loc, _):
-                v = _assertion_value(loc, env, ghosts)
+                v = _assertion_value(loc, env)
                 if _is_qubit(v):
                     return state.holds(v)
                 return UNKNOWN
             case Entangled(t):
-                v = _assertion_value(t, env, ghosts)
+                v = _assertion_value(t, env)
                 if not _is_qubit(v) or not state.holds(v):
                     return UNKNOWN
                 rho = reduced_density(*state.cells[state.index(v)], v)
@@ -855,9 +847,8 @@ def _tally(report: RunReport, texts: list, leaf: _Leaf, hits: int) -> None:
 
 
 def run_program(program: Program, entry: str, seed: int = 0,
-                shots: int = 1000, ghosts: Optional[dict] = None,
-                args: tuple = (), state: Optional[QuantumState] = None
-                ) -> RunReport:
+                shots: int = 1000, args: tuple = (),
+                state: Optional[QuantumState] = None) -> RunReport:
     """Execute a Hoare-typed declaration for ``shots`` shots.
 
     ``args`` are runtime values for the declaration's leading Π binders and
@@ -887,8 +878,7 @@ def run_program(program: Program, entry: str, seed: int = 0,
         raise SimulationError(
             f"{entry!r} is not a {kind} Hoare-typed declaration")
     start = QuantumState() if state is None else state
-    pre_check = check_assertion_runtime(sig.pre, dict(pi_env), start,
-                                        ghosts=ghosts)
+    pre_check = check_assertion_runtime(sig.pre, dict(pi_env), start)
     if pre_check is False:
         where = "empty" if state is None else "initial"
         raise SimulationError(
@@ -919,7 +909,7 @@ def run_program(program: Program, entry: str, seed: int = 0,
                 env[name] = comp_value
         slots = []
         for conj in posts:
-            result = check_assertion_runtime(conj, env, final, ghosts=ghosts)
+            result = check_assertion_runtime(conj, env, final)
             slots.append(0 if result is True else 1 if result is False
                          else 2)
         return path, snaps, _Leaf(render_value(value), tuple(slots))

@@ -21,11 +21,12 @@ in.  The block's strongest postcondition is its final branch set, which the
 postconditionVC carries as models for the prover.
 
 All verification conditions are collected for the prover.  A
-:class:`Checker` checks its program's declarations in order and shares
-state across them: the types of the declarations checked so far, one
-:class:`NameSupply`, and the memos of ``_gate``, of the cells that
-``sp_apply_unitary`` makes, and of ``_render``.  So one checker must not
-check declarations concurrently.
+:class:`Checker` checks declarations one after another and shares state
+across them: the types of the declarations checked so far, which are all
+that a later one's terms and assertions may name, one :class:`NameSupply`,
+and the memos of ``_gate``, of the cells that ``sp_apply_unitary`` makes,
+and of ``_render``.  So one checker must not check declarations
+concurrently.
 """
 
 from __future__ import annotations
@@ -274,18 +275,17 @@ class _Prefix(NamedTuple):
 
 
 class Checker:
-    """Checks a program declaration by declaration.
+    """Checks declarations one after another, each against those before it.
 
     With ``literal_measurement`` the measurement transformer follows the
     literal rule (no outcome case split).
     """
 
-    def __init__(self, program: Program, literal_measurement: bool = False):
-        self.program = program
+    def __init__(self, literal_measurement: bool = False):
         self.literal = literal_measurement
         self.supply = NameSupply()
         self.decl_types = {}
-        # memos for this checker's program; see _gate, sp_apply_unitary
+        # memos for this checker's declarations; see _gate, sp_apply_unitary
         # and _render_once.  The render memo holds no reference to the
         # checker, so neither do the hypotheses an obligation builds with it
         self._gates = {}
@@ -296,18 +296,18 @@ class Checker:
     def _reset_decl_state(self, decl_name: str):
         self._decl = decl_name
         self._obs = []
-        self._events = []  # (span, op_id, heap delta, refined)
+        # (span, op_id, heap delta, refined) of the declaration's own
+        # blocks, which its trace shows; _events is the list of the block
+        # being checked, None outside every block
+        self._trace_events = []
+        self._events = None
         self._op_counter = 0
         # (name, type) of each statement binder and callee ghost, in
         # program order; read by _Prefix and check_do's unbound tail
         self._binders = []
         self._span = None
 
-    # --- program
-
-    def check_program(self) -> CheckedProgram:
-        return CheckedProgram(self.program, [self.check_decl(decl)
-                                             for decl in self.program.decls])
+    # --- declarations
 
     def check_decl(self, decl: Decl) -> DeclResult:
         """Check ``decl`` against the declarations checked before it; if it
@@ -320,8 +320,8 @@ class Checker:
             result.canonical = self.check({}, decl.body, decl.signature,
                                           span=decl.span)
             result.obligations = self._obs
-            result.trace = functools.partial(_assemble_trace, self._events,
-                                             self._render)
+            result.trace = functools.partial(
+                _assemble_trace, self._trace_events, self._render)
         except CheckError as e:
             result.error = e
         else:
@@ -356,8 +356,9 @@ class Checker:
                     raise CheckError("duplicate name in binder pattern",
                                      self._span)
                 self.check_type(inner, resultty)
+                # the earlier declarations, as terms see them in lookup
                 scope = (inner.keys() | set(hctx) | {CUR_HEAP}
-                         | {d.name for d in self.program.decls})
+                         | self.decl_types.keys())
                 for which, a, more in (("pre", pre, ()),
                                        ("post", post, binder)):
                     unbound = sorted(free_vars(a) - scope - set(more))
@@ -365,6 +366,7 @@ class Checker:
                         raise CheckError(
                             f"unbound name {unbound[0]!r} in the "
                             f"{which}condition", self._span)
+                _pattern_types(binder, resultty, self._span)
             case _:
                 raise CheckError(f"not a type: {ty!r}", self._span)
 
@@ -484,6 +486,10 @@ class Checker:
         return kind
 
     def check_do(self, ctx: dict, comp, hoare: HoareT):
+        # a block checked inside another is a value there, not steps of
+        # it, so it records its steps apart from the declaration's trace
+        outer = self._events
+        self._events = [] if outer is not None else self._trace_events
         ctx = _Scope(ctx)
         for x, t in hoare.var_ctx:
             ctx.bind(x, t)
@@ -500,7 +506,8 @@ class Checker:
             self._bind_pattern(model.env, hoare.binder, b.result)
             models.append(model)
         bound = {x for x, _ in self._binders}
-        unbound = tuple((x, hoare.result) for x in hoare.binder
+        unbound = tuple((x, t) for x, t in
+                        _pattern_types(hoare.binder, hoare.result, self._span)
                         if x not in ctx and x not in bound)
         self._emit(
             POSTCONDITION, hoare.post, models,
@@ -508,6 +515,7 @@ class Checker:
             heap_ctx=hoare.heap_ctx or ("%h0",),
             hyps=Hypotheses(out, self._render),
             note="declared postcondition")
+        self._events = outer
         return Do(comp)
 
     def _obligation_ctx(self, ctx: _Scope, more: tuple = (),
@@ -639,15 +647,7 @@ class Checker:
                 case BindRun(pat, source):
                     branches, rty = self._run_call(
                         ctx, branches, pat, self.synth(ctx, source)[0], span)
-                    if len(pat) == 1:
-                        bound = ((pat[0], rty),)
-                    elif isinstance(rty, TensorT):
-                        bound = ((pat[0], rty.left), (pat[1], rty.right))
-                    else:
-                        raise CheckError(
-                            f"pair pattern on non-pair result "
-                            f"{pretty(rty)}", span)
-                    for name, ty in bound:
+                    for name, ty in _pattern_types(pat, rty, span):
                         ctx.bind(name, ty)
                         self._binders.append((name, ty))
                     branches = self._cap_branches(branches, ctx)
@@ -921,12 +921,7 @@ class Checker:
 
         # frame: consume the callee footprint, splice in its postcondition
         fq = footprint_qubits(pre, kind)
-        pat_kinds = ctx2.new_child()
-        if len(pat) == 1:
-            pat_kinds[pat[0]] = result_ty
-        elif isinstance(result_ty, TensorT):
-            pat_kinds[pat[0]] = result_ty.left
-            pat_kinds[pat[1]] = result_ty.right
+        pat_kinds = ctx2.new_child(dict(_pattern_types(pat, result_ty, span)))
         post_branches = self._heap_branches(post, self._kind_of(pat_kinds),
                                             span)
         # a pattern name the postcondition uses for an argument would
@@ -984,6 +979,19 @@ class Checker:
         if len(pat) == 1:
             return component(pat[0])
         return tuple(component(p) for p in pat)
+
+
+def _pattern_types(pattern, ty: Ty, span) -> tuple:
+    """The ``(name, type)`` pairs that binder ``pattern`` binds from a
+    result of type ``ty``: one name takes ``ty``, a pair of names the
+    components of a pair type; any other pattern is a type error at
+    ``span``."""
+    if len(pattern) == 1:
+        return ((pattern[0], ty),)
+    if not isinstance(ty, TensorT):
+        raise CheckError(f"pair pattern on non-pair result {pretty(ty)}",
+                         span)
+    return (pattern[0], ty.left), (pattern[1], ty.right)
 
 
 def _render_once(renders: dict, state):
@@ -1164,19 +1172,20 @@ def _small_footprint(a: Assn) -> Assn:
 # Module-level convenience operations
 
 
-def synth(var_ctx: dict, k, program: Optional[Program] = None):
+def synth(var_ctx: dict, k):
     """Synthesize (type, canonical form) for an elim term."""
-    checker = Checker(program or Program(()))
-    return checker.synth(dict(var_ctx), k)
+    return Checker().synth(dict(var_ctx), k)
 
 
-def check(var_ctx: dict, m, ty: Ty, program: Optional[Program] = None):
+def check(var_ctx: dict, m, ty: Ty):
     """Check an intro term against a type; returns the canonical form."""
-    checker = Checker(program or Program(()))
-    return checker.check(dict(var_ctx), m, ty)
+    return Checker().check(dict(var_ctx), m, ty)
 
 
 def check_program(program: Program,
                   literal_measurement: bool = False) -> CheckedProgram:
-    """Type-check and generate verification conditions for a program."""
-    return Checker(program, literal_measurement).check_program()
+    """Type-check and generate verification conditions for a program, each
+    declaration against the ones before it."""
+    checker = Checker(literal_measurement)
+    return CheckedProgram(program, [checker.check_decl(decl)
+                                    for decl in program.decls])

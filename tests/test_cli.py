@@ -16,10 +16,11 @@ import time
 import jsonschema
 import pytest
 
-from qhoare.cli import _dumps, analyze, decl_status, main
+from qhoare.cli import _dumps, analyze, checked_decl, main
 from qhoare.core import And, HoareT, Or, pretty
 from qhoare.heap import MAX_WIDTH
 from qhoare.parser import parse_program
+from qhoare.prover import discharge_all
 from qhoare.sim import run_program
 from qhoare.typecheck import Hypotheses
 from conftest import (
@@ -471,6 +472,48 @@ class TestTrace:
         code, _, err = run_cli(["trace", corpus("hqw.qh"), "nope"], capsys)
         assert code == 2
 
+    # a block checked against its own Hoare type is a value of the
+    # enclosing block: its steps are not steps of the declaration, which
+    # sees only the call's `z |-> |0>`, or nothing for a block never run
+    CALLED_BLOCK = (
+        "f : {emp} r : Qbit {r |-> |0\\>}\n"
+        "  = do x <= mkQbit false;\n"
+        "       z <- (do q <= mkQbit false; return q"
+        " : {emp} s : Qbit {s |-> |0\\>});\n"
+        "       y <= measQbit x;\n"
+        "       return z\n")
+    LET_BLOCK = (
+        "g : {emp} r : Bool {emp}\n"
+        "  = do c : {emp} s : Bool {emp} = (do q <= mkQbit false;"
+        " y <= measQbit q; return y);\n"
+        "       return true\n")
+    # a bare block in a branch runs in place, so its steps stay
+    BRANCH_BLOCK = (
+        "h : {emp} r : Bool {T}\n"
+        "  = do x <= mkQbit true;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then do q <= mkQbit false; return true\n"
+        "            else do return false;\n"
+        "       return z\n")
+
+    @pytest.mark.parametrize("source, steps", [
+        (CALLED_BLOCK, ["P0: emp", "P1: P0 \\o (x |-> |0\\>)",
+                        "P2: P1 \\o (z |-> |0\\>)",
+                        "P3: P2 \\o ((x |-> -) -o emp)  [refined]"]),
+        (LET_BLOCK, []),
+        (BRANCH_BLOCK, ["P0: emp", "P1: P0 \\o (x |-> |1\\>)",
+                        "P2: P1 \\o ((x |-> -) -o emp)  [refined]",
+                        "P3: P2 \\o (q |-> |0\\>)"]),
+    ], ids=["called", "let-bound", "branch"])
+    def test_nested_block_steps(self, source, steps, tmp_path, capsys):
+        path = tmp_path / "nest.qh"
+        path.write_text(source)
+        name = source.split(" ", 1)[0]
+        code, out, _ = run_cli(["trace", str(path), name], capsys)
+        assert code == 0
+        assert [line.strip()[3:] for line in out.splitlines()
+                if line.strip().startswith("-- P")] == steps
+
 
 class TestGateBlockGolden:
     """A 300-gate block over three qubits that repeats a few gates, pinned
@@ -841,7 +884,8 @@ class TestAssertionScope:
         ("{emp} r : Bool {Id(s, true)}", "s", "post"),
         ("{emp} r : Bool {HId(h, empty)}", "h", "post"),
         ("{emp} r : Bool {(a |-> |0\\>, b |-> |1\\>)}", "a", "post"),
-    ], ids=["pre", "post", "heap-variable", "cell-group"])
+        ("{emp} r : Bool {emp /\\ Id(r, u)}", "u", "post"),
+    ], ids=["pre", "post", "heap-variable", "cell-group", "own-declaration"])
     def test_unbound_name_is_named(self, signature, name, which, tmp_path,
                                    capsys):
         path = tmp_path / "u.qh"
@@ -1007,9 +1051,11 @@ wrong : {emp} r : Bool {emp /\\ Id(r, true)}
         report, checked = analyze(str(path), source, literal)
         assert report.decls
         for decl in report.decls:
-            assert decl_status(checked.program, decl.name, literal) == \
-                decl.status, decl.name
-        assert decl_status(checked.program, "nope", literal) is None
+            dr = checked_decl(checked.program, decl.name, literal)
+            status = ("type-error" if dr.error is not None
+                      else discharge_all(dr.obligations).status)
+            assert status == decl.status, decl.name
+        assert checked_decl(checked.program, "nope", literal) is None
 
     def test_later_faults_do_not_stop_the_entry(self, tmp_path, capsys):
         src = tmp_path / "after.qh"
@@ -1048,19 +1094,24 @@ wrong : {emp} r : Bool {emp /\\ Id(r, true)}
         assert code == 1 and "-- P0: emp" in out
 
     def test_assertion_naming_a_later_declaration(self, tmp_path, capsys):
-        # an assertion may name any declaration of the file, so the entry
-        # is checked in the whole program's scope, not in a prefix
+        # an assertion sees the declarations before it only, as a term
+        # does, so `check`, `run` and `trace` all reject the entry
         src = tmp_path / "later.qh"
         src.write_text("f : {emp} r : Bool {emp /\\ Id(r, g)}\n"
                        "  = do q <= mkQbit false; measQbit q\n"
                        "g : {emp} r : Bool {emp}\n"
                        "  = do q <= mkQbit false; measQbit q\n")
         code, out, _ = run_cli(["check", str(src)], capsys)
-        assert code == 1 and "f: refuted" in out
+        assert (code, out) == (
+            2, f"{src}: f: type-error "
+               f"(1:1: unbound name 'g' in the postcondition)\n"
+               f"{src}: g: verified\n")
         code, out, err = run_cli(["run", str(src), "f"], capsys)
-        assert (code, out) == (1, "")
-        assert err == (f"{src}: f: refuted statically; "
-                       f"use --force to run anyway\n")
+        assert (code, out, err) == (2, "", f"{src}: f: type-error\n")
+        code, out, err = run_cli(["trace", str(src), "f"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"{src}: f: type-error: "
+                       f"unbound name 'g' in the postcondition\n")
 
     def test_unknown_declaration(self, capsys):
         code, out, err = run_cli(["run", corpus("bellpair.qh"), "nope"],

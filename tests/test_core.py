@@ -651,6 +651,13 @@ class TestWellFormed:
         assert (code, out) == (
             2, "f: type-error (1:1: duplicate name in binder pattern)\n")
 
+    def test_pair_binder_on_non_pair_result(self, tmp_path, capsys):
+        # a signature's binder pattern is read against its result type
+        code, out = self.check(
+            tmp_path, capsys, "h : {emp} (a, b) : Bool {T} = do return true\n")
+        assert (code, out) == (
+            2, "h: type-error (1:1: pair pattern on non-pair result Bool)\n")
+
     def test_clean_corpus(self, checked_corpus):
         for name, checked in checked_corpus.items():
             assert [(d.name, d.error) for d in checked.decls

@@ -587,10 +587,3 @@ class TestRuntimeAssertions:
         assert g["assertions"] == [
             {"text": text, "pass": 0, "fail": 0, "uncheckable": 10}
             for text in ("Id(q, r)", "Id(r, q)")]
-
-    def test_ghost_reference(self):
-        s, q = alloc(QuantumState(), False)
-        a = IdAt(None, Emb(Var("r")), Emb(Var("x")))
-        psi = np.array([1, 0], dtype=complex)
-        assert check_assertion_runtime(a, {"r": q}, s,
-                                       ghosts={"x": psi}) is True

@@ -18,11 +18,44 @@ def _is_dunder(name: str) -> bool:
 def _package_names() -> tuple:
     """``(module, name)`` of each top-level function, class or constant
     of the package, ``(module, class, name)`` of each method and property
-    of its classes, and the set of names its modules load by name or as
-    an attribute."""
-    defined, methods, used = set(), set(), set()
+    of its classes, and three sets of what its modules load:
+    - the names that may refer to a top-level name: loaded bare, or as an
+      attribute of an imported module;
+    - the names that may refer to a method of any class: loaded as an
+      attribute of anything but ``self`` or a module;
+    - ``(module, class, name)`` of each ``self.name`` loaded in a method,
+      which refers to a method of its own class only."""
+    defined, methods = set(), set()
+    top_loaded, attr_loaded, self_loaded = set(), set(), set()
+
+    def walk(node, module, cls, modules):
+        for n in ast.iter_child_nodes(node):
+            if isinstance(n, ast.ClassDef):
+                methods.update(
+                    (module, n.name, f.name) for f in n.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+                walk(n, module, n.name, modules)
+                continue
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                top_loaded.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                owner = n.value.id if isinstance(n.value, ast.Name) else None
+                if owner in modules:
+                    top_loaded.add(n.attr)
+                elif owner == "self" and cls is not None:
+                    self_loaded.add((module, cls, n.attr))
+                else:
+                    attr_loaded.add(n.attr)
+            walk(n, module, cls, modules)
+
     for path in sorted(SRC_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # names bound to a module: `import m`, `from . import m`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module is None):
+                modules.update((a.asname or a.name).split(".")[0]
+                               for a in node.names)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -33,39 +66,40 @@ def _package_names() -> tuple:
                 defined.update((path.stem, n.id) for t in targets
                                for n in ast.walk(t)
                                if isinstance(n, ast.Name))
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                used.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                used.add(n.attr)
-            elif isinstance(n, ast.ClassDef):
-                methods.update(
-                    (path.stem, n.name, f.name) for f in n.body
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    return defined, methods, used
+        walk(tree, path.stem, None, modules)
+    return defined, methods, top_loaded, attr_loaded, self_loaded
 
 
 def unreferenced_top_level_names() -> set:
     """``module.name`` of each top-level function, class or constant of
-    the package that no module of it loads by name or as an attribute."""
-    defined, _, used = _package_names()
+    the package that no module of it loads by name or as an attribute of
+    a module."""
+    defined, _, top_loaded, _, _ = _package_names()
     return {f"{module}.{name}" for module, name in defined
-            if name not in used and not _is_dunder(name)}
+            if name not in top_loaded and not _is_dunder(name)}
 
 
 def unreferenced_methods() -> set:
     """``module.Class.name`` of each method and property, not a dunder, of
-    a class of the package whose name no module of it loads by name or as
-    an attribute."""
-    _, methods, used = _package_names()
+    a class of the package that no module of it loads as an attribute of
+    anything but ``self`` or a module, nor as ``self.name`` in that
+    class."""
+    _, methods, _, attr_loaded, self_loaded = _package_names()
     return {f"{module}.{cls}.{name}" for module, cls, name in methods
-            if name not in used and not _is_dunder(name)}
+            if name not in attr_loaded
+            and (module, cls, name) not in self_loaded
+            and not _is_dunder(name)}
 
 
 def test_no_unreferenced_top_level_names():
     # perfbench's per-layer tracer wraps heap.unitary_matrix by name and
-    # reports its calls, so it stays although nothing here calls it
-    assert unreferenced_top_level_names() == {"heap.unitary_matrix"}
+    # reports its calls, so it stays although nothing here calls it.  The
+    # parser's entry points for one assertion, term or type, and the
+    # checker's for one term, serve the tests and the parse/pretty
+    # round-trip oracle; the package reads whole programs only
+    assert unreferenced_top_level_names() == {
+        "heap.unitary_matrix", "parser.parse_assertion", "parser.parse_term",
+        "parser.parse_type", "typecheck.synth", "typecheck.check"}
 
 
 def test_no_unreferenced_methods():

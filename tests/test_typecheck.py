@@ -47,7 +47,7 @@ class TestSynth:
     def test_hoare_type_substitution(self, corpus):
         # `share qa` instantiates the declared dependent type at qa
         prog = corpus["bellpair.qh"]
-        checker = Checker(prog)
+        checker = Checker()
         checker.decl_types["share"] = prog.decl("share").signature
         ty, _ = checker.synth({"qa": QbitT()},
                               App(Var("share"), Emb(Var("qa"))))
@@ -198,8 +198,8 @@ class SpineRecorder(Checker):
     ``%rN`` supply, and records both outcomes and the next name each
     leaves."""
 
-    def __init__(self, program):
-        super().__init__(program)
+    def __init__(self):
+        super().__init__()
         self.pairs = []
 
     def synth(self, ctx, k):
@@ -211,7 +211,7 @@ class SpineRecorder(Checker):
         got = self.outcome(super().synth, ctx, k)
         after = next(core._fresh_names)
         core._fresh_names = itertools.count(start)
-        fold = FoldChecker(self.program)
+        fold = FoldChecker()
         fold.decl_types, fold._span = dict(self.decl_types), self._span
         want = self.outcome(fold.synth, ctx, k)
         self.pairs.append((k, (got, after),
@@ -286,8 +286,9 @@ class TestSpineOracle:
                 program = parse_program(source).program
             except ParseError:
                 continue
-            checker = SpineRecorder(program)
-            checker.check_program()
+            checker = SpineRecorder()
+            for decl in program.decls:
+                checker.check_decl(decl)
             pairs += checker.pairs
         mismatches = [pretty(k) for k, got, want in pairs
                       if comparable(got) != comparable(want)]
@@ -391,7 +392,7 @@ class TestComputations:
             "g : {emp} r : Bool {T} = do return true\n").program
         gc.disable()
         try:
-            checker = Checker(program)
+            checker = Checker()
             results = [checker.check_decl(d) for d in program.decls[::-1]]
             alive = weakref.ref(checker)
             del checker
@@ -405,7 +406,7 @@ class TestComputations:
 
     def test_hqw_sp_entails_declared_post(self, corpus):
         program = corpus["hqw.qh"]
-        result = Checker(program).check_decl(program.decl("hqw"))
+        result = Checker().check_decl(program.decl("hqw"))
         assert discharge_all(result.obligations).status == "verified"
 
     def test_mutated_post_refuted(self, corpus):
@@ -414,12 +415,12 @@ class TestComputations:
         bad_post = And(Emp(), IdAt(None, Emb(Var("r")), BoolLit(True)))
         bad = dataclasses.replace(decl, signature=dataclasses.replace(
             decl.signature, post=bad_post))
-        result = Checker(program).check_decl(bad)
+        result = Checker().check_decl(bad)
         assert discharge_all(result.obligations).status == "refuted"
 
     def test_rnd_no_result_constraint(self, corpus):
         program = corpus["rnd.qh"]
-        result = Checker(program).check_decl(program.decl("rnd"))
+        result = Checker().check_decl(program.decl("rnd"))
         assert discharge_all(result.obligations).status == "verified"
 
     def test_testbell_five_trace_steps(self, checked_corpus):
@@ -680,7 +681,8 @@ class TestCheckerMemos:
         monkeypatch.setattr(typecheck, "delta_assertion",
                             _counted(typecheck.delta_assertion, renders))
         checked = check_program(program)
-        assert cli.decl_status(program, "gates") == "verified"
+        dr = cli.checked_decl(program, "gates")
+        assert discharge_all(dr.obligations).status == "verified"
         assert renders == []
         steps = checked.decls[0].trace
         rendered = len(renders)
