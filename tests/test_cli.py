@@ -487,6 +487,18 @@ class TestTrace:
         "  = do c : {emp} s : Bool {emp} = (do q <= mkQbit false;"
         " y <= measQbit q; return y);\n"
         "       return true\n")
+    # an ascribed block in a branch runs as a call to its type, so only
+    # the call's `%s0 |-> |0>` shows, and nothing of the branch not taken
+    ASCRIBED_BRANCH_BLOCK = (
+        "k : {emp} r : Bool {T}\n"
+        "  = do x <= mkQbit true;\n"
+        "       y <= measQbit x;\n"
+        "       z <= if y then (do q <= mkQbit false; return q"
+        " : {emp} s : Qbit {s |-> |0\\>})\n"
+        "            else (do q <= mkQbit true; return q"
+        " : {emp} s : Qbit {s |-> |1\\>});\n"
+        "       b <= measQbit z;\n"
+        "       return b\n")
     # a bare block in a branch runs in place, so its steps stay
     BRANCH_BLOCK = (
         "h : {emp} r : Bool {T}\n"
@@ -501,10 +513,15 @@ class TestTrace:
                         "P2: P1 \\o (z |-> |0\\>)",
                         "P3: P2 \\o ((x |-> -) -o emp)  [refined]"]),
         (LET_BLOCK, []),
+        (ASCRIBED_BRANCH_BLOCK, ["P0: emp", "P1: P0 \\o (x |-> |1\\>)",
+                                 "P2: P1 \\o ((x |-> -) -o emp)  [refined]",
+                                 "P3: P2 \\o (%s0 |-> |0\\>)",
+                                 "P4: P3 \\o ((%s0 |-> -) -o emp)"
+                                 "  [refined]"]),
         (BRANCH_BLOCK, ["P0: emp", "P1: P0 \\o (x |-> |1\\>)",
                         "P2: P1 \\o ((x |-> -) -o emp)  [refined]",
                         "P3: P2 \\o (q |-> |0\\>)"]),
-    ], ids=["called", "let-bound", "branch"])
+    ], ids=["called", "let-bound", "ascribed-branch", "branch"])
     def test_nested_block_steps(self, source, steps, tmp_path, capsys):
         path = tmp_path / "nest.qh"
         path.write_text(source)
